@@ -236,7 +236,7 @@ void Compression() {
 // source and the executed order; abort the bench if the executed order
 // ever swaps more — that would mean the certification gate leaked a
 // parity violation into a plan. Emits one BENCH json row per cell.
-void ReorderParity(std::vector<std::string>* json_rows) {
+void ReorderParity(JsonValue* json_rows) {
   std::printf("\n[G] Conflict-aware reordering: swap parity and widened "
               "waves (8x8x8, FOR policy)\n");
   bench::PrintRule(78);
@@ -283,17 +283,17 @@ void ReorderParity(std::vector<std::string>* json_rows) {
                   static_cast<long long>(plan.max_wave_width()),
                   static_cast<long long>(plan.stats().reorder_window));
       if (json_rows != nullptr) {
-        bench::JsonObject row;
-        row.Add("section", "reorder_parity")
-            .Add("schedule", ScheduleTypeName(type))
-            .Add("buffer_fraction", fraction)
-            .Add("reorder_applied", plan.stats().reorder_applied)
-            .Add("reorder_window", plan.stats().reorder_window)
-            .Add("swaps_per_vi_source", src)
-            .Add("swaps_per_vi_planned", planned)
-            .Add("max_wave_width", plan.max_wave_width())
-            .Add("parity_ok", planned <= src + 1e-9);
-        json_rows->push_back(row.Render());
+        JsonValue row = JsonValue::Object();
+        row.Set("section", "reorder_parity")
+            .Set("schedule", ScheduleTypeName(type))
+            .Set("buffer_fraction", fraction)
+            .Set("reorder_applied", plan.stats().reorder_applied)
+            .Set("reorder_window", plan.stats().reorder_window)
+            .Set("swaps_per_vi_source", src)
+            .Set("swaps_per_vi_planned", planned)
+            .Set("max_wave_width", plan.max_wave_width())
+            .Set("parity_ok", planned <= src + 1e-9);
+        json_rows->Append(row);
       }
     }
   }
@@ -316,13 +316,13 @@ int main(int argc, char** argv) {
   tpcp::FourModes();
   tpcp::SnakeAndRandom();
   tpcp::Compression();
-  std::vector<std::string> json_rows;
+  tpcp::JsonValue json_rows = tpcp::JsonValue::Array();
   tpcp::ReorderParity(json_path.empty() ? nullptr : &json_rows);
   if (!json_path.empty()) {
-    tpcp::bench::JsonObject root;
-    root.Add("bench", "ablation_schedules");
-    root.AddRaw("reorder_parity", tpcp::bench::JsonArray(json_rows));
-    tpcp::bench::WriteJsonFile(json_path, root.Render());
+    tpcp::JsonValue root = tpcp::JsonValue::Object();
+    root.Set("bench", "ablation_schedules");
+    root.Set("reorder_parity", json_rows);
+    tpcp::bench::WriteJsonFile(json_path, root);
   }
   return 0;
 }

@@ -3,13 +3,12 @@
 #ifndef TPCP_BENCH_BENCH_UTIL_H_
 #define TPCP_BENCH_BENCH_UTIL_H_
 
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <map>
 #include <string>
-#include <vector>
 
+#include "server/json.h"
 #include "storage/env.h"
 #include "util/status.h"
 
@@ -57,71 +56,14 @@ inline void PrintRule(int width = 78) {
 //
 // The paper-figure benches emit their tables as BENCH_*.json records so CI
 // and dashboards can track the perf trajectory without scraping stdout.
-// The vocabulary below is deliberately tiny: flat objects, arrays of
-// objects, no nesting beyond what the benches need.
+// The records are server/json values (sorted keys, escaped strings,
+// non-finite numbers as null).
 
-/// Accumulates one JSON object literal, key by key.
-class JsonObject {
- public:
-  JsonObject& Add(const std::string& key, const std::string& value) {
-    std::string escaped;
-    for (char c : value) {
-      if (c == '"' || c == '\\') escaped.push_back('\\');
-      escaped.push_back(c);
-    }
-    return AddRaw(key, "\"" + escaped + "\"");
-  }
-  JsonObject& Add(const std::string& key, const char* value) {
-    return Add(key, std::string(value));
-  }
-  JsonObject& Add(const std::string& key, double value) {
-    // JSON has no NaN/Infinity literals; a degenerate measurement must
-    // not make the whole file unparsable.
-    if (!std::isfinite(value)) return AddRaw(key, "null");
-    char buffer[40];
-    std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-    return AddRaw(key, buffer);
-  }
-  JsonObject& Add(const std::string& key, int64_t value) {
-    return AddRaw(key, std::to_string(value));
-  }
-  JsonObject& Add(const std::string& key, uint64_t value) {
-    return AddRaw(key, std::to_string(value));
-  }
-  JsonObject& Add(const std::string& key, int value) {
-    return AddRaw(key, std::to_string(value));
-  }
-  JsonObject& Add(const std::string& key, bool value) {
-    return AddRaw(key, value ? "true" : "false");
-  }
-  /// `raw` must already be valid JSON (a rendered object or array).
-  JsonObject& AddRaw(const std::string& key, const std::string& raw) {
-    if (!body_.empty()) body_ += ", ";
-    body_ += "\"" + key + "\": " + raw;
-    return *this;
-  }
-  std::string Render() const { return "{" + body_ + "}"; }
-
- private:
-  std::string body_;
-};
-
-/// Renders pre-rendered JSON values as an array literal.
-inline std::string JsonArray(const std::vector<std::string>& items) {
-  std::string body;
-  for (const std::string& item : items) {
-    if (!body.empty()) body += ", ";
-    body += item;
-  }
-  return "[" + body + "]";
-}
-
-/// Writes `content` (a rendered JSON value) to `path`; aborts the bench on
-/// I/O failure like every other CheckOk.
-inline void WriteJsonFile(const std::string& path,
-                          const std::string& content) {
+/// Writes `value` to `path`; aborts the bench on I/O failure like every
+/// other CheckOk.
+inline void WriteJsonFile(const std::string& path, const JsonValue& value) {
   std::ofstream out(path);
-  out << content << "\n";
+  out << value.Serialize() << "\n";
   if (!out) {
     std::fprintf(stderr, "bench: cannot write JSON to '%s'\n", path.c_str());
     std::abort();

@@ -266,7 +266,7 @@ std::string RenderCounts(const std::vector<int64_t>& counts) {
 }  // namespace tpcp
 
 int main(int argc, char** argv) {
-  using tpcp::bench::JsonObject;
+  using tpcp::JsonValue;
 
   std::string json_path;
   std::map<std::string, std::string> flags;
@@ -322,48 +322,49 @@ int main(int argc, char** argv) {
 
   if (!json_path.empty()) {
     auto run_json = [](const tpcp::OverlapRun& run, const char* mode) {
-      JsonObject obj;
-      obj.Add("mode", mode)
-          .Add("wall_seconds", run.wall_seconds)
-          .Add("hidden_seconds", run.hidden_seconds)
-          .Add("overlapped_bytes", run.overlapped_bytes)
-          .Add("up_bytes", run.up_bytes)
-          .Add("down_bytes", run.down_bytes)
-          .Add("persist_bytes", run.persist_bytes)
-          .Add("ledger_exact", run.ledger_exact);
-      return obj.Render();
+      JsonValue obj = JsonValue::Object();
+      obj.Set("mode", mode)
+          .Set("wall_seconds", run.wall_seconds)
+          .Set("hidden_seconds", run.hidden_seconds)
+          .Set("overlapped_bytes", run.overlapped_bytes)
+          .Set("up_bytes", run.up_bytes)
+          .Set("down_bytes", run.down_bytes)
+          .Set("persist_bytes", run.persist_bytes)
+          .Set("ledger_exact", run.ledger_exact);
+      return obj;
     };
-    std::vector<std::string> runs;
-    runs.push_back(run_json(barrier, "barrier"));
-    runs.push_back(run_json(pipelined, "pipelined"));
-    std::vector<std::string> ownership;
+    JsonValue runs = JsonValue::Array();
+    runs.Append(run_json(barrier, "barrier"));
+    runs.Append(run_json(pipelined, "pipelined"));
+    JsonValue ownership = JsonValue::Array();
     for (const tpcp::OwnershipRow& row : skew) {
-      std::vector<std::string> steps, bytes;
+      JsonValue steps = JsonValue::Array();
+      JsonValue bytes = JsonValue::Array();
       for (const int64_t c : row.step_counts) {
-        steps.push_back(std::to_string(c));
+        steps.Append(c);
       }
       for (const uint64_t b : row.owned_bytes) {
-        bytes.push_back(std::to_string(b));
+        bytes.Append(b);
       }
-      JsonObject obj;
-      obj.Add("scheme", row.scheme)
-          .AddRaw("step_counts", tpcp::bench::JsonArray(steps))
-          .AddRaw("owned_bytes", tpcp::bench::JsonArray(bytes))
-          .Add("step_max_over_mean", row.step_max_over_mean)
-          .Add("bytes_max_over_mean", row.bytes_max_over_mean);
-      ownership.push_back(obj.Render());
+      JsonValue obj = JsonValue::Object();
+      obj.Set("scheme", row.scheme)
+          .Set("step_counts", steps)
+          .Set("owned_bytes", bytes)
+          .Set("step_max_over_mean", row.step_max_over_mean)
+          .Set("bytes_max_over_mean", row.bytes_max_over_mean);
+      ownership.Append(obj);
     }
-    JsonObject top;
-    top.Add("bench", "dist_overlap")
-        .Add("workers", tpcp::kWorkers)
-        .Add("relay_throttle_us", tpcp::kThrottleUs)
-        .AddRaw("runs", tpcp::bench::JsonArray(runs))
-        .Add("pipelined_faster",
+    JsonValue top = JsonValue::Object();
+    top.Set("bench", "dist_overlap")
+        .Set("workers", tpcp::kWorkers)
+        .Set("relay_throttle_us", tpcp::kThrottleUs)
+        .Set("runs", runs)
+        .Set("pipelined_faster",
              pipelined.wall_seconds < barrier.wall_seconds)
-        .Add("factors_identical", identical)
-        .AddRaw("skewed_ownership", tpcp::bench::JsonArray(ownership))
-        .Add("skew_workers", 3);
-    tpcp::bench::WriteJsonFile(json_path, top.Render());
+        .Set("factors_identical", identical)
+        .Set("skewed_ownership", ownership)
+        .Set("skew_workers", 3);
+    tpcp::bench::WriteJsonFile(json_path, top);
   }
   return 0;
 }

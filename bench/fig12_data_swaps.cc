@@ -48,7 +48,7 @@ double Simulate(int64_t parts, double fraction, ScheduleType schedule,
 }
 
 void PrintPanel(double fraction, const char* label,
-                std::vector<std::string>* records) {
+                JsonValue* records) {
   // One population per panel: every row here replays the schedule's
   // *native* cycle and says so in its order column. The planner-permuted
   // counterparts — what a default run of a block-centric schedule
@@ -71,15 +71,14 @@ void PrintPanel(double fraction, const char* label,
       for (PolicyType policy : kPolicies) {
         const double swaps = Simulate(parts, fraction, schedule, policy);
         std::printf(" %10.2f", swaps);
-        records->push_back(bench::JsonObject()
-                               .Add("buffer_fraction", fraction)
-                               .Add("parts", parts)
-                               .Add("schedule", ScheduleTypeName(schedule))
-                               .Add("policy", PolicyTypeName(policy))
-                               .Add("order", "source")
-                               .Add("reorder_applied", false)
-                               .Add("swaps_per_vi", swaps)
-                               .Render());
+        records->Append(JsonValue::Object()
+                               .Set("buffer_fraction", fraction)
+                               .Set("parts", parts)
+                               .Set("schedule", ScheduleTypeName(schedule))
+                               .Set("policy", PolicyTypeName(policy))
+                               .Set("order", "source")
+                               .Set("reorder_applied", false)
+                               .Set("swaps_per_vi", swaps));
       }
       std::printf("\n");
     }
@@ -94,7 +93,7 @@ void PrintPanel(double fraction, const char* label,
 // the JSON; `reorder_applied` records whether the parity gate actually
 // adopted the candidate (a rejected candidate executes the source order).
 void PrintReorderPanel(double fraction,
-                       std::vector<std::string>* records) {
+                       JsonValue* records) {
   constexpr int64_t kParts = 4;
   std::printf("\nReordered vs source order: swaps/vi under the planner's "
               "parity gate, %lldx%lldx%lld parts, buffer = %s\n",
@@ -133,16 +132,15 @@ void PrintReorderPanel(double fraction,
       std::printf(" %10s %10s\n", stats.reorder_applied ? "yes" : "no",
                   stats.reorder_applied ? "reorder" : "source");
       auto row = [&](const char* order, double swaps) {
-        records->push_back(
-            bench::JsonObject()
-                .Add("buffer_fraction", fraction)
-                .Add("parts", kParts)
-                .Add("schedule", ScheduleTypeName(schedule))
-                .Add("policy", PolicyTypeName(policy))
-                .Add("order", order)
-                .Add("reorder_applied", stats.reorder_applied)
-                .Add("swaps_per_vi", swaps)
-                .Render());
+        records->Append(
+            JsonValue::Object()
+                .Set("buffer_fraction", fraction)
+                .Set("parts", kParts)
+                .Set("schedule", ScheduleTypeName(schedule))
+                .Set("policy", PolicyTypeName(policy))
+                .Set("order", order)
+                .Set("reorder_applied", stats.reorder_applied)
+                .Set("swaps_per_vi", swaps));
       };
       row("source", stats.swaps_before);
       if (evaluated) row("reordered", stats.swaps_after);
@@ -177,7 +175,7 @@ SolveResult RunThrottled(int prefetch_depth) {
   return bench::CheckOk(session->Decompose("2pcp", options), "2pcp");
 }
 
-void PrintOverlapPanel(std::vector<std::string>* records) {
+void PrintOverlapPanel(JsonValue* records) {
   std::printf("\nOverlap: Phase-2 on a throttled Env (16 MB/s, 1 ms/op), "
               "24x24x24, 4x4x4 parts, rank 4, buffer 1/3\n");
   bench::PrintRule(78);
@@ -191,15 +189,14 @@ void PrintOverlapPanel(std::vector<std::string>* records) {
                 r.buffer_stats.writeback_seconds,
                 static_cast<unsigned long long>(r.buffer_stats.prefetch_hits),
                 r.swaps_per_virtual_iteration);
-    records->push_back(
-        bench::JsonObject()
-            .Add("prefetch_depth", depth)
-            .Add("phase2_seconds", r.phase2_seconds)
-            .Add("stall_seconds", r.buffer_stats.stall_seconds)
-            .Add("writeback_seconds", r.buffer_stats.writeback_seconds)
-            .Add("prefetch_hits", r.buffer_stats.prefetch_hits)
-            .Add("swaps_per_vi", r.swaps_per_virtual_iteration)
-            .Render());
+    records->Append(
+        JsonValue::Object()
+            .Set("prefetch_depth", depth)
+            .Set("phase2_seconds", r.phase2_seconds)
+            .Set("stall_seconds", r.buffer_stats.stall_seconds)
+            .Set("writeback_seconds", r.buffer_stats.writeback_seconds)
+            .Set("prefetch_hits", r.buffer_stats.prefetch_hits)
+            .Set("swaps_per_vi", r.swaps_per_virtual_iteration));
   }
   std::printf("Identical factors at every depth; only the stall time "
               "changes.\n");
@@ -213,9 +210,9 @@ int main(int argc, char** argv) {
   std::string json_path;
   if (!bench::ParseBenchArgs(argc, argv, &json_path)) return 2;
 
-  std::vector<std::string> swap_records;
-  std::vector<std::string> reorder_records;
-  std::vector<std::string> overlap_records;
+  JsonValue swap_records = JsonValue::Array();
+  JsonValue reorder_records = JsonValue::Array();
+  JsonValue overlap_records = JsonValue::Array();
   std::printf(
       "Figure 12: data swaps per virtual iteration "
       "(exact replay; independent of data, as in the paper)\n");
@@ -262,21 +259,19 @@ int main(int argc, char** argv) {
   if (!json_path.empty()) {
     bench::WriteJsonFile(
         json_path,
-        bench::JsonObject()
-            .Add("bench", "fig12_data_swaps")
-            .AddRaw("swaps", bench::JsonArray(swap_records))
-            .AddRaw("reorder", bench::JsonArray(reorder_records))
-            .AddRaw("exchange",
-                    bench::JsonObject()
-                        .Add("mc_mru_swaps_per_vi", mc_mru)
-                        .Add("mc_mru_bytes_per_vi",
+        JsonValue::Object()
+            .Set("bench", "fig12_data_swaps")
+            .Set("swaps", swap_records)
+            .Set("reorder", reorder_records)
+            .Set("exchange",
+                    JsonValue::Object()
+                        .Set("mc_mru_swaps_per_vi", mc_mru)
+                        .Set("mc_mru_bytes_per_vi",
                              model.ExchangeBytesPerIteration(mc_mru))
-                        .Add("ho_for_swaps_per_vi", ho_for)
-                        .Add("ho_for_bytes_per_vi",
-                             model.ExchangeBytesPerIteration(ho_for))
-                        .Render())
-            .AddRaw("overlap", bench::JsonArray(overlap_records))
-            .Render());
+                        .Set("ho_for_swaps_per_vi", ho_for)
+                        .Set("ho_for_bytes_per_vi",
+                             model.ExchangeBytesPerIteration(ho_for)))
+            .Set("overlap", overlap_records));
   }
   return 0;
 }

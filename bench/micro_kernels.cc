@@ -217,24 +217,24 @@ int main(int argc, char** argv) {
   if (!tpcp::bench::ParseBenchArgs(argc, argv, &json_path)) return 2;
   tpcp::RunAll();
   if (!json_path.empty()) {
-    std::vector<std::string> rows;
+    tpcp::JsonValue rows = tpcp::JsonValue::Array();
     for (const tpcp::Row& row : tpcp::g_rows) {
-      tpcp::bench::JsonObject obj;
-      obj.Add("kernel", row.kernel)
-          .Add("variant", row.variant)
-          .Add("ns_per_op", row.ns_per_op)
-          .Add("bytes_per_s", row.bytes_per_s);
+      tpcp::JsonValue obj = tpcp::JsonValue::Object();
+      obj.Set("kernel", row.kernel)
+          .Set("variant", row.variant)
+          .Set("ns_per_op", row.ns_per_op)
+          .Set("bytes_per_s", row.bytes_per_s);
       if (row.variant == "simd") {
-        obj.Add("speedup_vs_scalar", row.speedup_vs_scalar);
+        obj.Set("speedup_vs_scalar", row.speedup_vs_scalar);
       }
-      rows.push_back(obj.Render());
+      rows.Append(obj);
     }
-    tpcp::bench::JsonObject top;
-    top.Add("bench", "micro_kernels")
-        .Add("simd_target", tpcp::SimdTargetName())
-        .Add("simd_compiled", tpcp::SimdCompiled())
-        .AddRaw("rows", tpcp::bench::JsonArray(rows));
-    tpcp::bench::WriteJsonFile(json_path, top.Render());
+    tpcp::JsonValue top = tpcp::JsonValue::Object();
+    top.Set("bench", "micro_kernels")
+        .Set("simd_target", tpcp::SimdTargetName())
+        .Set("simd_compiled", tpcp::SimdCompiled())
+        .Set("rows", rows);
+    tpcp::bench::WriteJsonFile(json_path, top);
   }
   return 0;
 }

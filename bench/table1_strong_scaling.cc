@@ -291,37 +291,34 @@ int main(int argc, char** argv) {
   }
 
   if (!json_path.empty()) {
-    std::vector<std::string> records;
+    JsonValue records = JsonValue::Array();
     for (const Row& r : rows) {
-      records.push_back(
-          bench::JsonObject()
-              .Add("side", r.side)
-              .Add("nnz_billions_paper_scale", r.nnz_billions_paper_scale)
-              .Add("tpcp_seconds", r.tpcp_seconds)
-              .Add("tpcp_fit", r.tpcp_fit)
-              .Add("haten2_failed", r.haten2_failed)
-              .Add("haten2_seconds", r.haten2_seconds)
-              .Add("haten2_fit", r.haten2_fit)
-              .Render());
+      records.Append(
+          JsonValue::Object()
+              .Set("side", r.side)
+              .Set("nnz_billions_paper_scale", r.nnz_billions_paper_scale)
+              .Set("tpcp_seconds", r.tpcp_seconds)
+              .Set("tpcp_fit", r.tpcp_fit)
+              .Set("haten2_failed", r.haten2_failed)
+              .Set("haten2_seconds", r.haten2_seconds)
+              .Set("haten2_fit", r.haten2_fit));
     }
-    std::vector<std::string> sweep_records;
+    JsonValue sweep_records = JsonValue::Array();
     for (const SweepRow& s : sweep) {
-      sweep_records.push_back(
-          bench::JsonObject()
-              .Add("compute_threads", s.compute_threads)
-              .Add("phase2_seconds", s.phase2_seconds)
-              .Add("speedup_vs_serial", s.speedup_vs_serial)
-              .Add("fit", s.fit)
-              .Add("identical_to_serial", s.identical_to_serial)
-              .Render());
+      sweep_records.Append(
+          JsonValue::Object()
+              .Set("compute_threads", s.compute_threads)
+              .Set("phase2_seconds", s.phase2_seconds)
+              .Set("speedup_vs_serial", s.speedup_vs_serial)
+              .Set("fit", s.fit)
+              .Set("identical_to_serial", s.identical_to_serial));
     }
     bench::WriteJsonFile(
         json_path,
-        bench::JsonObject()
-            .Add("bench", "table1_strong_scaling")
-            .AddRaw("rows", bench::JsonArray(records))
-            .AddRaw("compute_scaling", bench::JsonArray(sweep_records))
-            .Render());
+        JsonValue::Object()
+            .Set("bench", "table1_strong_scaling")
+            .Set("rows", records)
+            .Set("compute_scaling", sweep_records));
   }
   return 0;
 }

@@ -131,12 +131,9 @@ Result<SolveResult> Session::RunSolver(
   TPCP_RETURN_IF_ERROR(solver->Run());
   SolveResult result = solver->result();
   if (factors_.has_value()) {
-    StoreManifest manifest;
-    manifest.kind = StoreManifest::kFactorsKind;
-    manifest.grid = tensor_->grid();
-    manifest.rank = options.rank;
-    TPCP_RETURN_IF_ERROR(
-        WriteManifest(env(), options_.factor_prefix, manifest));
+    TPCP_RETURN_IF_ERROR(WriteManifest(
+        env(), options_.factor_prefix,
+        StoreManifest::Factors(tensor_->grid(), options.rank)));
     result.factors_persisted = true;
   }
   return result;

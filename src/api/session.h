@@ -72,8 +72,8 @@ class Session {
   Result<BlockTensorStore*> CreateTensorStore(
       const GridPartition& grid, SlabFormat format = SlabFormat::kDense);
 
-  /// Opens the existing tensor store: geometry from the MANIFEST, with the
-  /// legacy block-filename scan as fallback for pre-manifest stores.
+  /// Opens the existing tensor store with the geometry its MANIFEST
+  /// records (BlockTensorStore::Open: NotFound without one).
   Result<BlockTensorStore*> OpenTensorStore();
 
   /// The tensor store, if already created/opened (nullptr otherwise).

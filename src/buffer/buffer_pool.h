@@ -1,17 +1,17 @@
 // Buffer pool over data units ⟨i, ki⟩ with pluggable replacement.
 //
 // Used in three ways:
-//  - by the synchronous Phase-2 engine, with load/evict callbacks that move
-//    real data through an Env (Access);
-//  - by the asynchronous Phase-2 prefetch pipeline, which drives residency
-//    with the non-blocking Reserve/Pin/Unpin API and performs the data
-//    movement itself on worker threads;
+//  - by the Phase-2 prefetch pipeline, which drives residency with the
+//    non-blocking Reserve/Pin/Unpin API and performs the data movement
+//    itself (on worker threads, or inline at prefetch depth 0);
+//  - by the dist worker's owned-step loop, with load/evict callbacks that
+//    move real data through an Env (Access);
 //  - by the swap simulator (core/swap_simulator.h), with no callbacks, to
 //    count data swaps exactly as the paper's Figure 12 does.
 //
 // The pool itself is not thread-safe: all calls must come from one thread
-// (the Phase-2 compute thread). The async pipeline confines pool bookkeeping
-// to the compute thread and only moves bytes on workers.
+// (the Phase-2 compute thread). The pipeline confines pool bookkeeping to
+// the compute thread and only moves bytes on workers.
 
 #ifndef TPCP_BUFFER_BUFFER_POOL_H_
 #define TPCP_BUFFER_BUFFER_POOL_H_
@@ -40,7 +40,7 @@ struct BufferStats {
   uint64_t bytes_in = 0;
   uint64_t bytes_out = 0;
 
-  // Overlap accounting (asynchronous Phase-2 engine).
+  // Overlap accounting (Phase-2 prefetch pipeline).
   uint64_t prefetch_hits = 0;   // loads issued ahead that finished in time
   double stall_seconds = 0.0;   // compute thread blocked on a load
   double writeback_seconds = 0.0;  // time spent writing dirty units back
@@ -76,7 +76,7 @@ class BufferPool {
   /// units are never selected as victims.
   Status Access(const ModePartition& unit, int64_t pos);
 
-  // ---- Non-blocking reservation API (async prefetch path) ----
+  // ---- Non-blocking reservation API (prefetch pipeline) ----
   //
   // Reserve marks a non-resident unit resident-and-pinned and makes room
   // for it by evicting unpinned victims, but does NOT invoke the load or

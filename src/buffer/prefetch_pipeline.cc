@@ -22,9 +22,11 @@ PrefetchPipeline::PrefetchPipeline(BufferPool* pool,
   TPCP_CHECK(plan_ != nullptr);
   TPCP_CHECK(load_ != nullptr);
   TPCP_CHECK(evict_ != nullptr);
-  TPCP_CHECK_GE(plan_->prefetch_depth(), 1);
-  TPCP_CHECK_GE(options_.io_threads, 1);
-  io_pool_ = std::make_unique<ThreadPool>(options_.io_threads);
+  TPCP_CHECK_GE(plan_->prefetch_depth(), 0);
+  if (plan_->prefetch_depth() > 0) {
+    TPCP_CHECK_GE(options_.io_threads, 1);
+    io_pool_ = std::make_unique<ThreadPool>(options_.io_threads);
+  }
 }
 
 PrefetchPipeline::~PrefetchPipeline() {
@@ -35,6 +37,14 @@ PrefetchPipeline::~PrefetchPipeline() {
 Status PrefetchPipeline::FirstError() {
   std::lock_guard<std::mutex> lock(mu_);
   return first_error_;
+}
+
+void PrefetchPipeline::RunIo(std::function<void()> task) {
+  if (io_pool_ != nullptr) {
+    io_pool_->Submit(std::move(task));
+  } else {
+    task();
+  }
 }
 
 double PrefetchPipeline::AwaitOp(const std::shared_ptr<AsyncOp>& op) {
@@ -76,8 +86,10 @@ bool PrefetchPipeline::TryIssue(int64_t p, bool ahead) {
   // budget trades cache quality (extra swaps) for overlap. Hits pass
   // freely — pinning a unit the policy already kept costs no swap. The
   // due step (ahead == false) always reserves: the window is empty then.
+  // At depth 0 nothing is speculative — the only ahead reservations are
+  // batch mates about to run — so a wave grows until pins block it.
   const uint64_t bytes = pool_->catalog().UnitBytes(unit);
-  if (ahead &&
+  if (ahead && io_pool_ != nullptr &&
       window_load_bytes_ + bytes > pool_->capacity_bytes() / 2) {
     return false;
   }
@@ -101,7 +113,7 @@ bool PrefetchPipeline::TryIssue(int64_t p, bool ahead) {
         std::lock_guard<std::mutex> lock(mu_);
         writebacks_[victim] = wb;
       }
-      io_pool_->Submit([this, victim, wb] {
+      RunIo([this, victim, wb] {
         Stopwatch watch;
         const Status status = evict_(victim, /*dirty=*/true);
         const double seconds = watch.ElapsedSeconds();
@@ -136,7 +148,8 @@ bool PrefetchPipeline::TryIssue(int64_t p, bool ahead) {
     if (it != writebacks_.end()) wb_dep = it->second;
     loads_[unit] = load;
   }
-  io_pool_->Submit([this, unit, load, wb_dep] {
+  Stopwatch inline_watch;
+  RunIo([this, unit, load, wb_dep] {
     if (wb_dep != nullptr) {
       // Write-then-read ordering for re-loads of a just-evicted unit. The
       // writeback was submitted first, so it is never stuck behind us.
@@ -162,7 +175,11 @@ bool PrefetchPipeline::TryIssue(int64_t p, bool ahead) {
     }
     op_done_.notify_all();
   });
-  window_.push_back(WindowSlot{unit, std::move(load), ahead,
+  // An inline load (depth 0) is never ahead of the compute thread: it sat
+  // through the whole load, so the time is stall, not a prefetch hit.
+  const bool inline_io = io_pool_ == nullptr;
+  if (inline_io) pool_->RecordStall(inline_watch.ElapsedSeconds());
+  window_.push_back(WindowSlot{unit, std::move(load), ahead && !inline_io,
                                /*was_hit=*/false,
                                /*counts_against_budget=*/true});
   window_load_bytes_ += bytes;
@@ -244,7 +261,7 @@ Status PrefetchPipeline::EndBatch(int64_t pos, int64_t count) {
 }
 
 Status PrefetchPipeline::Drain() {
-  io_pool_->Wait();
+  if (io_pool_ != nullptr) io_pool_->Wait();
   for (const WindowSlot& slot : window_) {
     pool_->Unpin(slot.unit);
   }

@@ -1,4 +1,5 @@
-// Schedule-driven asynchronous swap pipeline for the Phase-2 refinement.
+// Schedule-driven swap pipeline for the Phase-2 refinement — the engine's
+// one data path.
 //
 // Phase 2's entire unit-access trace is known in advance (the property the
 // forward-looking replacement policy already exploits), so data movement can
@@ -14,7 +15,13 @@
 //    reserved units and the evict callback for dirty victims.
 //  - A load of a unit whose previous incarnation still has a writeback in
 //    flight waits for that writeback first (per-unit write-then-read
-//    ordering), so results are bit-identical to the synchronous engine.
+//    ordering), so results are bit-identical for every depth.
+//
+// Depth 0 is the pipeline with zero lookahead: no worker threads exist and
+// every load and writeback runs inline on the compute thread, in the same
+// order a blocking buffer access would perform them. Inline loads are
+// charged to stall_seconds (the compute thread sat through them) and never
+// count as prefetch hits.
 //
 // Reserved units stay pinned until their step completes, so a prefetched
 // unit can never be evicted before it is used. When pinned units fill the
@@ -26,6 +33,7 @@
 
 #include <condition_variable>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -37,10 +45,10 @@
 
 namespace tpcp {
 
-/// Asynchronous load/writeback engine in front of a BufferPool, driven by
-/// an ExecutionPlan: units are reserved in the plan's (possibly
-/// reordered) step order, the plan's prefetch_depth() steps ahead of the
-/// step in flight.
+/// Load/writeback engine in front of a BufferPool, driven by an
+/// ExecutionPlan: units are reserved in the plan's (possibly reordered)
+/// step order, the plan's prefetch_depth() steps ahead of the step in
+/// flight (none ahead at depth 0).
 ///
 /// Usage (compute thread only; `n` is 1 for serial compute, up to a plan
 /// wave for the parallel engine):
@@ -55,7 +63,8 @@ namespace tpcp {
 class PrefetchPipeline {
  public:
   struct Options {
-    /// Worker threads moving bytes. I/O-bound, so a small number suffices.
+    /// Worker threads moving bytes when the plan's prefetch_depth() > 0.
+    /// I/O-bound, so a small number suffices. Unused at depth 0.
     int io_threads = 2;
     /// Optional cancellation token (non-owning). Once it fires, the window
     /// stops growing — no new speculative loads are issued — so a
@@ -71,8 +80,8 @@ class PrefetchPipeline {
   /// on the pool is still honored by the final Flush. Steps must be
   /// executed in increasing `pos` order starting at options.start_pos.
   /// `plan` (non-owning, must outlive the pipeline) supplies the step
-  /// order and the prefetch directives; plan->prefetch_depth() must be
-  /// >= 1 (depth 0 means "do not use a pipeline at all").
+  /// order and the prefetch directives. At plan->prefetch_depth() == 0 no
+  /// I/O thread pool is built and all I/O runs inline.
   PrefetchPipeline(BufferPool* pool, const ExecutionPlan* plan,
                    BufferPool::LoadCallback load,
                    BufferPool::EvictCallback evict, Options options);
@@ -130,6 +139,8 @@ class PrefetchPipeline {
   /// Reserves position `p`'s unit and starts its load. Returns false when
   /// pinned units leave no room (the window cannot grow yet).
   bool TryIssue(int64_t p, bool ahead);
+  /// Runs an I/O task on the worker pool, or inline at depth 0.
+  void RunIo(std::function<void()> task);
   /// Blocks until `op` completes; returns seconds waited.
   double AwaitOp(const std::shared_ptr<AsyncOp>& op);
   Status FirstError();
@@ -160,7 +171,8 @@ class PrefetchPipeline {
   Status first_error_;
   double writeback_seconds_ = 0.0;
 
-  // Last member: destroyed (joined) before the state it uses.
+  // Last member: destroyed (joined) before the state it uses. Null at
+  // depth 0.
   std::unique_ptr<ThreadPool> io_pool_;
 };
 

@@ -31,11 +31,8 @@ Result<BlockFactorStore> BlockFactorStore::Create(Env* env,
     return Status::InvalidArgument("factor rank must be >= 1 (got " +
                                    std::to_string(rank) + ")");
   }
-  StoreManifest manifest;
-  manifest.kind = StoreManifest::kFactorsKind;
-  manifest.grid = grid;
-  manifest.rank = rank;
-  TPCP_RETURN_IF_ERROR(WriteManifest(env, prefix, manifest));
+  TPCP_RETURN_IF_ERROR(
+      WriteManifest(env, prefix, StoreManifest::Factors(grid, rank)));
   return BlockFactorStore(env, std::move(prefix), std::move(grid), rank);
 }
 

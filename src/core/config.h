@@ -55,15 +55,15 @@ struct TwoPhaseCpOptions {
   /// store (e.g. after an interrupted run whose dirty units were flushed)
   /// instead of re-seeding from the Phase-1 block factors.
   bool resume_phase2 = false;
-  /// Prefetch lookahead of the asynchronous Phase-2 data path: unit loads
-  /// for the next `prefetch_depth` schedule steps are issued on worker
-  /// threads while the current update computes, and dirty evictions are
-  /// written back in the background. 0 keeps the fully synchronous engine
-  /// (bit-identical swap counts); any depth produces identical factors and
-  /// fit traces — the pipeline changes timing, never math.
+  /// Prefetch lookahead of the Phase-2 pipeline: unit loads for the next
+  /// `prefetch_depth` schedule steps are issued on worker threads while
+  /// the current update computes, and dirty evictions are written back in
+  /// the background. At 0 the pipeline has no lookahead and runs every
+  /// load and writeback inline on the compute thread. Any depth produces
+  /// identical factors and fit traces — it changes timing, never math.
   int prefetch_depth = 0;
-  /// Worker threads moving bytes for the prefetch pipeline (>= 1; only
-  /// used when prefetch_depth > 0). I/O-bound, so a small number suffices.
+  /// Worker threads moving bytes for the prefetch pipeline (>= 1; unused
+  /// at prefetch_depth 0). I/O-bound, so a small number suffices.
   int io_threads = 2;
   /// Worker threads for the Phase-2 refinement *math* (>= 1). The engine
   /// segments the schedule into conflict-free step batches

@@ -39,17 +39,6 @@ void RunBatch(RefinementState* state, const ExecutionPlan& plan,
   });
 }
 
-/// The factor-store manifest for `factors`, carrying `checkpoint` when set.
-StoreManifest FactorManifest(const BlockFactorStore& factors,
-                             std::optional<Phase2Checkpoint> checkpoint) {
-  StoreManifest manifest;
-  manifest.kind = StoreManifest::kFactorsKind;
-  manifest.grid = factors.grid();
-  manifest.rank = factors.rank();
-  manifest.checkpoint = std::move(checkpoint);
-  return manifest;
-}
-
 }  // namespace
 
 PlannerOptions Phase2PlannerOptions(const TwoPhaseCpOptions& options,
@@ -70,6 +59,60 @@ PlannerOptions Phase2PlannerOptions(const TwoPhaseCpOptions& options,
   // reordering pass needs its parity gate.
   planner_options.certify = options.EffectivePlanReorder();
   return planner_options;
+}
+
+Result<std::optional<Phase2Checkpoint>> ValidateResume(
+    const Result<StoreManifest>& manifest, const BlockFactorStore& factors,
+    const TwoPhaseCpOptions& options, const ExecutionPlan& plan,
+    std::optional<uint64_t> ownership_fingerprint) {
+  if (!manifest.ok()) {
+    if (manifest.status().IsNotFound()) return {std::nullopt};
+    return manifest.status();
+  }
+  if (!manifest->checkpoint.has_value()) return {std::nullopt};
+  const Phase2Checkpoint& ckpt = *manifest->checkpoint;
+  if (!(manifest->grid == factors.grid()) ||
+      manifest->rank != factors.rank()) {
+    return Status::FailedPrecondition(
+        "checkpoint manifest does not describe this factor store");
+  }
+  if (ckpt.schedule != ScheduleTypeName(options.schedule)) {
+    return Status::FailedPrecondition(
+        "checkpoint was cut under schedule '" + ckpt.schedule + "', not '" +
+        ScheduleTypeName(options.schedule) +
+        "'; resume with the same schedule");
+  }
+  // Math-shaping options (rank, seed, init, solve parameters, FMA
+  // kernels, planner knobs) are hashed into the checkpoint; resuming
+  // under different ones would splice two runs no single spec produces.
+  if (ckpt.options_fingerprint != options.ResumeFingerprint()) {
+    return Status::FailedPrecondition(
+        "checkpoint was cut under different math-shaping options "
+        "(fingerprint mismatch); resume with the original options");
+  }
+  if (ckpt.cursor / plan.schedule().virtual_iteration_length() !=
+      ckpt.iteration) {
+    return Status::Corruption(
+        "checkpoint cursor disagrees with its iteration count");
+  }
+  // The cursor indexes the *plan* order. A plan rebuilt from different
+  // reorder/shard options — or a buffer/policy change that flipped the
+  // reordering certification — would replay the cursor against a
+  // different step sequence; refuse instead of silently diverging.
+  if (ckpt.plan_fingerprint != plan.fingerprint()) {
+    return Status::FailedPrecondition(
+        "checkpoint was cut under a different execution plan "
+        "(reordering/sharding options or buffer geometry differ); "
+        "resume with the original plan options");
+  }
+  if (ownership_fingerprint.has_value() &&
+      ckpt.ownership_fingerprint != *ownership_fingerprint) {
+    return Status::FailedPrecondition(
+        "checkpoint was cut under a different ownership map (fleet size "
+        "or unit weights differ); resume with the original --workers, or "
+        "finish single-process");
+  }
+  return manifest->checkpoint;
 }
 
 bool Phase2Converged(double fit, double prev_fit, double tolerance) {
@@ -126,72 +169,22 @@ Status Phase2Engine::Run(Phase2Result* result) {
 
   // An interrupted run left a checkpoint in the store manifest; pick its
   // cursor and fit trace up so the refinement continues exactly where it
-  // stopped. A resume without a checkpoint (pre-checkpoint stores, or a
-  // completed run being extended) starts a fresh schedule pass over the
-  // persisted sub-factors, as before.
+  // stopped. A resume without a checkpoint (a completed run being
+  // extended) starts a fresh schedule pass over the persisted sub-factors.
+  std::optional<Phase2Checkpoint> resume;
+  if (options_.resume_phase2) {
+    TPCP_ASSIGN_OR_RETURN(
+        resume,
+        ValidateResume(ReadManifest(factors_->env(), factors_->prefix()),
+                       *factors_, options_, plan));
+  }
   int64_t pos = 0;
   int start_vi = 0;
-  bool from_checkpoint = false;
   result->fit_trace.clear();
-  if (options_.resume_phase2) {
-    auto manifest = ReadManifest(factors_->env(), factors_->prefix());
-    if (manifest.ok() && manifest->checkpoint.has_value()) {
-      const Phase2Checkpoint& ckpt = *manifest->checkpoint;
-      if (!(manifest->grid == grid) || manifest->rank != factors_->rank()) {
-        return Status::FailedPrecondition(
-            "checkpoint manifest does not describe this factor store");
-      }
-      if (ckpt.schedule != ScheduleTypeName(options_.schedule)) {
-        return Status::FailedPrecondition(
-            "checkpoint was cut under schedule '" + ckpt.schedule +
-            "', not '" + ScheduleTypeName(options_.schedule) +
-            "'; resume with the same schedule");
-      }
-      // Math-shaping options (rank, seed, init, solve parameters, FMA
-      // kernels, planner knobs) are hashed into the checkpoint; resuming
-      // under different ones would splice two runs no single spec
-      // produces. (0: checkpoint predates fingerprinting.)
-      if (ckpt.options_fingerprint != 0 &&
-          ckpt.options_fingerprint != options_.ResumeFingerprint()) {
-        return Status::FailedPrecondition(
-            "checkpoint was cut under different math-shaping options "
-            "(fingerprint mismatch); resume with the original options");
-      }
-      if (ckpt.cursor / vi_len != ckpt.iteration) {
-        return Status::Corruption(
-            "checkpoint cursor disagrees with its iteration count");
-      }
-      // The cursor indexes the *plan* order. A plan rebuilt from different
-      // reorder/shard options — or a buffer/policy change that flipped the
-      // reordering certification — would replay the cursor against a
-      // different step sequence; refuse instead of silently diverging.
-      // (0: checkpoint predates the planner; the identity contract then
-      // rests on the schedule name check above.)
-      if (ckpt.plan_fingerprint != 0 &&
-          ckpt.plan_fingerprint != plan.fingerprint()) {
-        return Status::FailedPrecondition(
-            "checkpoint was cut under a different execution plan "
-            "(reordering/sharding options or buffer geometry differ); "
-            "resume with the original plan options");
-      }
-      // A pre-planner (v2) checkpoint records no plan fingerprint, but
-      // its cursor indexes the source order, unsharded — the identity
-      // plan. Resuming it under a non-identity plan would silently
-      // replay the cursor against a different step sequence.
-      if (ckpt.plan_fingerprint == 0 &&
-          (plan.stats().reorder_applied || plan.shard_chunk_blocks() > 0)) {
-        return Status::FailedPrecondition(
-            "checkpoint predates the execution planner and can only "
-            "resume under the identity plan; resume with the planner "
-            "knobs off");
-      }
-      pos = ckpt.cursor;
-      start_vi = ckpt.iteration;
-      from_checkpoint = true;
-      result->fit_trace = ckpt.fit_trace;
-    } else if (!manifest.ok() && !manifest.status().IsNotFound()) {
-      return manifest.status();
-    }
+  if (resume.has_value()) {
+    pos = resume->cursor;
+    start_vi = resume->iteration;
+    result->fit_trace = resume->fit_trace;
   }
 
   // The forward policy shares the plan's next-use oracle, so victim
@@ -207,32 +200,22 @@ Status Phase2Engine::Run(Phase2Result* result) {
   auto evict = [&state](const ModePartition& unit, bool dirty) {
     return state.EvictUnit(unit, dirty);
   };
-  // Synchronous evictions (the depth-0 path and the final Flush) charge
-  // their dirty writes to writeback_seconds so both data paths report
-  // comparable overlap accounting.
-  auto timed_evict = [&pool, evict](const ModePartition& unit, bool dirty) {
+  // The pipeline moves all bytes itself; the pool's evict callback only
+  // serves the final Flush, whose dirty writes are charged to
+  // writeback_seconds like the pipeline's own writebacks.
+  pool.SetCallbacks(nullptr, [&pool, evict](const ModePartition& unit,
+                                            bool dirty) {
     if (!dirty) return evict(unit, dirty);
     Stopwatch w;
     const Status s = evict(unit, dirty);
     pool.RecordWriteback(w.ElapsedSeconds());
     return s;
-  };
-
-  const bool async = options_.prefetch_depth > 0;
-  std::unique_ptr<PrefetchPipeline> pipeline;
-  if (async) {
-    // The pipeline moves all bytes itself; the pool's evict callback only
-    // serves the final Flush of reserved-but-unused prefetches.
-    pool.SetCallbacks(nullptr, timed_evict);
-    PrefetchPipeline::Options popts;
-    popts.io_threads = options_.io_threads;
-    popts.cancel = options_.cancel;
-    popts.start_pos = pos;
-    pipeline = std::make_unique<PrefetchPipeline>(&pool, &plan, load,
-                                                  evict, popts);
-  } else {
-    pool.SetCallbacks(load, timed_evict);
-  }
+  });
+  PrefetchPipeline::Options popts;
+  popts.io_threads = options_.io_threads;
+  popts.cancel = options_.cancel;
+  popts.start_pos = pos;
+  PrefetchPipeline pipeline(&pool, &plan, load, evict, popts);
 
   double prev_fit =
       result->fit_trace.empty() ? state.SurrogateFit()
@@ -267,57 +250,14 @@ Status Phase2Engine::Run(Phase2Result* result) {
               ? 1
               : std::min(plan.WaveEndAfter(pos), vi_end) - pos;
       int64_t count = 0;
-      if (async) {
-        loop_status = pipeline->BeginBatch(pos, want, &count);
-        if (!loop_status.ok()) break;
-        RunBatch(&state, plan, pos, count, compute_pool.get());
-        for (int64_t i = 0; i < count; ++i) {
-          pool.MarkDirty(schedule.UnitAt(pos + i));
-        }
-        loop_status = pipeline->EndBatch(pos, count);
-        if (!loop_status.ok()) break;
-      } else {
-        // Synchronous path: bring each unit of the wave in with Access —
-        // charging miss waits to stall_seconds exactly like the serial
-        // engine — and pin it until the wave's updates complete. Wave
-        // growth stops when pinned units would leave no reclaimable room
-        // for the next miss; the first step always fits (nothing is
-        // pinned between waves).
-        while (count < want) {
-          const ModePartition unit = schedule.UnitAt(pos + count);
-          if (count > 0 && !pool.IsResident(unit) &&
-              pool.capacity_bytes() - pool.pinned_bytes() <
-                  pool.catalog().UnitBytes(unit)) {
-            break;
-          }
-          Stopwatch access_watch;
-          const uint64_t swap_ins_before = pool.stats().swap_ins;
-          const double wb_before = pool.stats().writeback_seconds;
-          loop_status = pool.Access(unit, pos + count);
-          if (!loop_status.ok()) break;
-          if (pool.stats().swap_ins > swap_ins_before) {
-            // A miss: the compute thread sat through the whole swap.
-            // Victim writebacks inside the Access are already charged to
-            // writeback_seconds by timed_evict; keep the two buckets
-            // disjoint so stall_seconds means load waits in both engines.
-            const double wb_during =
-                pool.stats().writeback_seconds - wb_before;
-            pool.RecordStall(
-                std::max(0.0, access_watch.ElapsedSeconds() - wb_during));
-          }
-          pool.Pin(unit);
-          ++count;
-        }
-        if (loop_status.ok()) {
-          RunBatch(&state, plan, pos, count, compute_pool.get());
-        }
-        for (int64_t i = 0; i < count; ++i) {
-          const ModePartition unit = schedule.UnitAt(pos + i);
-          if (loop_status.ok()) pool.MarkDirty(unit);
-          pool.Unpin(unit);
-        }
-        if (!loop_status.ok()) break;
+      loop_status = pipeline.BeginBatch(pos, want, &count);
+      if (!loop_status.ok()) break;
+      RunBatch(&state, plan, pos, count, compute_pool.get());
+      for (int64_t i = 0; i < count; ++i) {
+        pool.MarkDirty(schedule.UnitAt(pos + i));
       }
+      loop_status = pipeline.EndBatch(pos, count);
+      if (!loop_status.ok()) break;
       pos += count;
     }
     if (cancelled || !loop_status.ok()) break;
@@ -343,12 +283,10 @@ Status Phase2Engine::Run(Phase2Result* result) {
     prev_fit = fit;
   }
 
-  if (pipeline != nullptr) {
-    // Always drain, success or not: Flush needs every pin released, and a
-    // background error must surface instead of being silently dropped.
-    const Status drained = pipeline->Drain();
-    if (loop_status.ok()) loop_status = drained;
-  }
+  // Always drain, success or not: Flush needs every pin released, and a
+  // background error must surface instead of being silently dropped.
+  const Status drained = pipeline.Drain();
+  if (loop_status.ok()) loop_status = drained;
 
   if (cancelled && loop_status.ok()) {
     // Clean wind-down: persist every dirty unit, then cut a checkpoint so
@@ -365,7 +303,7 @@ Status Phase2Engine::Run(Phase2Result* result) {
     ckpt.plan_fingerprint = plan.fingerprint();
     TPCP_RETURN_IF_ERROR(WriteManifest(
         factors_->env(), factors_->prefix(),
-        FactorManifest(*factors_, std::move(ckpt))));
+        StoreManifest::Factors(grid, factors_->rank(), std::move(ckpt))));
     result->surrogate_fit = prev_fit;
     result->buffer_stats = pool.stats();
     result->seconds = watch.ElapsedSeconds();
@@ -379,12 +317,12 @@ Status Phase2Engine::Run(Phase2Result* result) {
 
   result->surrogate_fit = prev_fit;
   TPCP_RETURN_IF_ERROR(pool.Flush());
-  if (from_checkpoint) {
+  if (resume.has_value()) {
     // The run completed; retire the checkpoint so a later resume starts a
     // fresh pass instead of replaying a stale cursor.
-    TPCP_RETURN_IF_ERROR(WriteManifest(factors_->env(), factors_->prefix(),
-                                       FactorManifest(*factors_,
-                                                      std::nullopt)));
+    TPCP_RETURN_IF_ERROR(
+        WriteManifest(factors_->env(), factors_->prefix(),
+                      StoreManifest::Factors(grid, factors_->rank())));
   }
   result->buffer_stats = pool.stats();
   result->swaps_per_virtual_iteration =

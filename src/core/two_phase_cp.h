@@ -60,9 +60,9 @@ class TwoPhaseCp {
   void AssumePhase1Factors() { phase1_done_ = true; }
 
   /// Phase 2: schedule-driven iterative refinement under the buffer budget,
-  /// delegated to Phase2Engine. With options.prefetch_depth > 0 the data
-  /// path runs asynchronously (see buffer/prefetch_pipeline.h); results are
-  /// identical either way.
+  /// delegated to Phase2Engine. options.prefetch_depth sets how far ahead
+  /// the data path loads (see buffer/prefetch_pipeline.h); results are
+  /// identical for every depth.
   Status RunPhase2();
 
   /// Runs both phases and assembles the final KruskalTensor. With

@@ -6,7 +6,6 @@
 #include <chrono>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -27,18 +26,6 @@ namespace {
 /// may recover from it.
 constexpr int kFaultNone = -1;   // not worker-attributable (content error)
 constexpr int kFaultFleet = -2;  // fleet-wide (formation/spawn), recoverable
-
-/// The factor-store manifest for `factors`, carrying `checkpoint` when set
-/// (same shape Phase2Engine and the tool write).
-StoreManifest FactorManifest(const BlockFactorStore& factors,
-                             std::optional<Phase2Checkpoint> checkpoint) {
-  StoreManifest manifest;
-  manifest.kind = StoreManifest::kFactorsKind;
-  manifest.grid = factors.grid();
-  manifest.rank = factors.rank();
-  manifest.checkpoint = std::move(checkpoint);
-  return manifest;
-}
 
 /// Channel errors get the worker's name attached: a killed worker shows up
 /// here as its socket closing (or its deadline expiring), and the
@@ -348,20 +335,17 @@ Status RunFleetAttempt(BlockFactorStore* factors,
     TPCP_ASSIGN_OR_RETURN(const int64_t plan_fp, GetInt(ready, "plan_fp"));
     if (static_cast<uint64_t>(plan_fp) != plan.fingerprint()) {
       return Status::Internal("dist worker " + std::to_string(w) +
-                              " built a different execution plan "
-                              "(fingerprint mismatch)");
+                              " built a different execution plan");
     }
     TPCP_ASSIGN_OR_RETURN(const int64_t opts_fp, GetInt(ready, "opts_fp"));
     if (static_cast<uint64_t>(opts_fp) != options.ResumeFingerprint()) {
       return Status::Internal("dist worker " + std::to_string(w) +
-                              " decoded different math-shaping options "
-                              "(fingerprint mismatch)");
+                              " decoded different math-shaping options");
     }
     TPCP_ASSIGN_OR_RETURN(const int64_t own_fp, GetInt(ready, "own_fp"));
     if (static_cast<uint64_t>(own_fp) != dplan.ownership_fingerprint()) {
       return Status::Internal("dist worker " + std::to_string(w) +
-                              " built a different ownership map "
-                              "(fingerprint mismatch)");
+                              " built a different ownership map");
     }
     TPCP_ASSIGN_OR_RETURN(const int64_t fit_bits, GetInt(ready, "fit"));
     if (w == 0) {
@@ -633,7 +617,8 @@ Status RunFleetAttempt(BlockFactorStore* factors,
     TPCP_RETURN_IF_ERROR(RetryWithBackoff(
         RetryPolicy(), "dist: write checkpoint manifest", [&]() {
           return WriteManifest(factors->env(), factors->prefix(),
-                               FactorManifest(*factors, ckpt));
+                               StoreManifest::Factors(factors->grid(),
+                                                      factors->rank(), ckpt));
         }));
 
     // Checkpoint cut: commit the run state. Everything up to here replays
@@ -701,68 +686,25 @@ Status RunDistributedPhase2(BlockFactorStore* factors,
       UpdateSchedule::Create(options.schedule, grid);
   const PlannerOptions planner_options = Phase2PlannerOptions(options, grid);
   const ExecutionPlan plan = Planner::Build(source_schedule, planner_options);
-  const int64_t vi_len = plan.schedule().virtual_iteration_length();
 
-  // Checkpoint-resume validation, mirrored verbatim from Phase2Engine::Run
-  // — a store the engine would refuse to resume is refused here for the
-  // same reasons, and vice versa.
+  // The engine's resume validator, plus this fleet's ownership map: a
+  // store the engine would refuse to resume is refused here for the same
+  // reasons.
   RunState state;
   result->phase2 = Phase2Result();
   if (options.resume_phase2) {
-    auto manifest = ReadManifest(factors->env(), factors->prefix());
-    if (manifest.ok() && manifest->checkpoint.has_value()) {
-      const Phase2Checkpoint& ckpt = *manifest->checkpoint;
-      if (!(manifest->grid == grid) || manifest->rank != factors->rank()) {
-        return Status::FailedPrecondition(
-            "checkpoint manifest does not describe this factor store");
-      }
-      if (ckpt.schedule != ScheduleTypeName(options.schedule)) {
-        return Status::FailedPrecondition(
-            "checkpoint was cut under schedule '" + ckpt.schedule +
-            "', not '" + ScheduleTypeName(options.schedule) +
-            "'; resume with the same schedule");
-      }
-      if (ckpt.options_fingerprint != 0 &&
-          ckpt.options_fingerprint != options.ResumeFingerprint()) {
-        return Status::FailedPrecondition(
-            "checkpoint was cut under different math-shaping options "
-            "(fingerprint mismatch); resume with the original options");
-      }
-      if (ckpt.cursor / vi_len != ckpt.iteration) {
-        return Status::Corruption(
-            "checkpoint cursor disagrees with its iteration count");
-      }
-      if (ckpt.plan_fingerprint != 0 &&
-          ckpt.plan_fingerprint != plan.fingerprint()) {
-        return Status::FailedPrecondition(
-            "checkpoint was cut under a different execution plan "
-            "(reordering/sharding options or buffer geometry differ); "
-            "resume with the original plan options");
-      }
-      if (ckpt.plan_fingerprint == 0 &&
-          (plan.stats().reorder_applied || plan.shard_chunk_blocks() > 0)) {
-        return Status::FailedPrecondition(
-            "checkpoint predates the execution planner and can only "
-            "resume under the identity plan; resume with the planner "
-            "knobs off");
-      }
-      if (ckpt.ownership_fingerprint != 0) {
-        const DistributedPlan resume_dplan(&plan, options.rank, num_workers);
-        if (ckpt.ownership_fingerprint !=
-            resume_dplan.ownership_fingerprint()) {
-          return Status::FailedPrecondition(
-              "checkpoint was cut under a different ownership map (fleet "
-              "size or unit weights differ); resume with the original "
-              "--workers, or finish single-process");
-        }
-      }
-      state.pos = ckpt.cursor;
-      state.start_vi = ckpt.iteration;
-      state.committed_vi = ckpt.iteration;
-      state.fit_trace = ckpt.fit_trace;
+    const DistributedPlan resume_dplan(&plan, options.rank, num_workers);
+    TPCP_ASSIGN_OR_RETURN(
+        const std::optional<Phase2Checkpoint> ckpt,
+        ValidateResume(ReadManifest(factors->env(), factors->prefix()),
+                       *factors, options, plan,
+                       resume_dplan.ownership_fingerprint()));
+    if (ckpt.has_value()) {
+      state.pos = ckpt->cursor;
+      state.start_vi = ckpt->iteration;
+      state.committed_vi = ckpt->iteration;
+      state.fit_trace = ckpt->fit_trace;
       if (!state.fit_trace.empty()) state.last_fit = state.fit_trace.back();
-    } else if (!manifest.ok() && !manifest.status().IsNotFound()) {
-      return manifest.status();
     }
   } else {
     // Fresh run: seed every sub-factor exactly as
@@ -858,7 +800,8 @@ Status RunDistributedPhase2(BlockFactorStore* factors,
   TPCP_RETURN_IF_ERROR(RetryWithBackoff(
       RetryPolicy(), "dist: retire checkpoint manifest", [&]() {
         return WriteManifest(factors->env(), factors->prefix(),
-                             FactorManifest(*factors, std::nullopt));
+                             StoreManifest::Factors(factors->grid(),
+                                                    factors->rank()));
       }));
   result->phase2.fit_trace = state.fit_trace;
   result->phase2.virtual_iterations = state.committed_vi;

@@ -44,45 +44,14 @@ Result<BlockTensorStore> BlockTensorStore::Open(Env* env,
     return Status::InvalidArgument(
         "BlockTensorStore requires a non-empty prefix");
   }
-  auto manifest = ReadManifest(env, prefix);
-  if (manifest.ok()) {
-    if (manifest->kind != StoreManifest::kTensorKind) {
-      return Status::InvalidArgument("store at '" + prefix + "' is a " +
-                                     manifest->kind + " store");
-    }
-    return BlockTensorStore(env, std::move(prefix), manifest->grid,
-                            manifest->format);
+  TPCP_ASSIGN_OR_RETURN(const StoreManifest manifest,
+                        ReadManifest(env, prefix));
+  if (manifest.kind != StoreManifest::kTensorKind) {
+    return Status::InvalidArgument("store at '" + prefix + "' is a " +
+                                   manifest.kind + " store");
   }
-  if (!manifest.status().IsNotFound() && !manifest.status().IsCorruption()) {
-    // E.g. a transient IOError or a newer manifest version — not a legacy
-    // store; never fall back (the scan-then-heal path would clobber it).
-    return manifest.status();
-  }
-  // Pre-manifest store (or a damaged manifest): recover the geometry the
-  // legacy way, from the block files themselves, and heal the manifest so
-  // the next Open takes the happy path. Healing is best-effort — on
-  // read-only media the store still opens, just without a manifest.
-  TPCP_ASSIGN_OR_RETURN(GridPartition grid, ScanTensorGeometry(env, prefix));
-  StoreManifest healed;
-  healed.kind = StoreManifest::kTensorKind;
-  healed.grid = grid;
-  // Recover the slab format from the first block's record kind, so a
-  // sparse store with a damaged manifest heals to a sparse manifest.
-  {
-    std::string name = prefix + "/block";
-    for (int m = 0; m < grid.num_modes(); ++m) name += "_0";
-    std::string bytes;
-    if (env->ReadFile(name, &bytes).ok()) {
-      Result<uint8_t> kind = PeekRecordKind(bytes);
-      if (kind.ok()) {
-        if (kind.value() == 3) healed.format = SlabFormat::kCoo;
-        if (kind.value() == 4) healed.format = SlabFormat::kCsf;
-      }
-    }
-  }
-  (void)WriteManifest(env, prefix, healed);
-  return BlockTensorStore(env, std::move(prefix), std::move(grid),
-                          healed.format);
+  return BlockTensorStore(env, std::move(prefix), manifest.grid,
+                          manifest.format);
 }
 
 std::string BlockTensorStore::BlockFileName(const BlockIndex& block) const {

@@ -28,9 +28,9 @@ namespace tpcp {
 /// Chunked dense tensor resident in an Env.
 class BlockTensorStore {
  public:
-  /// Store rooted at `prefix` inside `env`, laid out per `grid`. Legacy
-  /// manifest-less construction — prefer Create/Open, which persist and
-  /// recover the geometry.
+  /// Store rooted at `prefix` inside `env`, laid out per `grid`, without
+  /// touching its manifest — for callers that already know the geometry.
+  /// Create/Open persist and recover it instead.
   BlockTensorStore(Env* env, std::string prefix, GridPartition grid,
                    SlabFormat format = SlabFormat::kDense);
 
@@ -41,10 +41,10 @@ class BlockTensorStore {
       Env* env, std::string prefix, GridPartition grid,
       SlabFormat format = SlabFormat::kDense);
 
-  /// Opens an existing store: geometry from `<prefix>/MANIFEST` on the
-  /// happy path, falling back to the legacy block-filename scan for
-  /// pre-manifest stores (and rewriting the manifest it recovered).
-  /// NotFound when neither a manifest nor block files exist.
+  /// Opens an existing store with the geometry and format recorded in
+  /// `<prefix>/MANIFEST`. NotFound without a manifest, Corruption on a
+  /// damaged one, FailedPrecondition on another manifest version; Open
+  /// never writes to the store.
   static Result<BlockTensorStore> Open(Env* env, std::string prefix);
 
   const GridPartition& grid() const { return grid_; }

@@ -10,7 +10,7 @@
 //   shape 60 60 60
 //   parts 2 2 2
 //   rank 5                 (factor stores only)
-//   format csf             (tensor stores; omitted = dense, v4)
+//   format csf             (tensor stores; omitted = dense)
 //
 // Factor-store manifests of a cancelled (or crashed-after-checkpoint)
 // Phase-2 refinement additionally carry a checkpoint record, so a
@@ -19,18 +19,16 @@
 //   ckpt_schedule zo       (schedule the cursor indexes into)
 //   ckpt_iteration 3       (completed virtual iterations)
 //   ckpt_cursor 57         (next schedule position to execute)
-//   ckpt_plan 1234567      (execution-plan fingerprint, v3; 0 = absent)
-//   ckpt_ownership 7654321  (dist ownership-map fingerprint, v5; 0 =
-//                            single-process / not recorded)
+//   ckpt_fingerprint 42    (math-shaping options fingerprint)
+//   ckpt_plan 1234567      (execution-plan fingerprint)
+//   ckpt_ownership 7654321  (dist ownership-map fingerprint; 0 =
+//                            cut by a single process)
 //   ckpt_fit 0.81 0.86 0.88   (surrogate fit trace, one per iteration)
 //
-// Version 1 manifests (no checkpoint vocabulary), version 2 manifests
-// (no ckpt_plan), version 3 manifests (no format key), and version 4
-// manifests (no ckpt_ownership) parse unchanged; an absent format key
-// means dense.
-// BlockTensorStore::Open prefers the manifest and falls back to the legacy
-// block-filename scan (ScanTensorGeometry) for stores written before
-// manifests existed.
+// Only the current version (5) is read; any other version is
+// FailedPrecondition. A checkpoint carries every ckpt_* key — a missing
+// one is Corruption. The store's geometry lives only here: a store
+// without a manifest does not open.
 
 #ifndef TPCP_GRID_MANIFEST_H_
 #define TPCP_GRID_MANIFEST_H_
@@ -60,21 +58,22 @@ struct Phase2Checkpoint {
   std::vector<double> fit_trace;
   /// TwoPhaseCpOptions::ResumeFingerprint() of the interrupted run, so
   /// auto-resume only continues runs whose math-shaping options match the
-  /// resubmitted spec (0: not recorded).
+  /// resubmitted spec.
   uint64_t options_fingerprint = 0;
   /// ExecutionPlan::fingerprint() of the interrupted run — the identity of
   /// the (possibly reordered, possibly sharded) step order the cursor
   /// indexes into. A resume whose rebuilt plan fingerprints differently
   /// (changed reorder/shard options, or a budget/policy change that
   /// flipped the certification outcome) is rejected instead of replaying
-  /// the cursor against a different order (0: not recorded / pre-planner).
+  /// the cursor against a different order.
   uint64_t plan_fingerprint = 0;
   /// DistributedPlan::ownership_fingerprint() of the fleet that wrote the
-  /// checkpoint (0: single-process run / not recorded). A distributed
-  /// resume under a different ownership map (changed fleet size or unit
-  /// weights) is rejected — it would re-price the wire ledger mid-run.
-  /// The single-process engine ignores the field, which is what keeps the
-  /// degrade-to-single-process floor able to finish any dist checkpoint.
+  /// checkpoint (0: cut by a single-process run). A distributed resume
+  /// under any other ownership map (changed fleet size or unit weights,
+  /// or a single-process checkpoint) is rejected — it would re-price the
+  /// wire ledger mid-run. The single-process engine ignores the field,
+  /// which is what keeps the degrade-to-single-process floor able to
+  /// finish any dist checkpoint.
   uint64_t ownership_fingerprint = 0;
 };
 
@@ -87,17 +86,24 @@ struct StoreManifest {
   std::string kind;    // kTensorKind or kFactorsKind
   GridPartition grid;  // shape + partition counts
   int64_t rank = 0;    // factor stores only (0 for tensor stores)
-  /// Block encoding of a tensor store (dense when the key is absent —
-  /// every pre-v4 store). Serialized only when non-dense.
+  /// Block encoding of a tensor store (dense when the key is absent).
+  /// Serialized only when non-dense.
   SlabFormat format = SlabFormat::kDense;
   /// Present only on factor stores holding an interrupted Phase 2.
   std::optional<Phase2Checkpoint> checkpoint;
 
+  /// The manifest of a factor store over `grid` at `rank`, carrying
+  /// `checkpoint` when set.
+  static StoreManifest Factors(
+      const GridPartition& grid, int64_t rank,
+      std::optional<Phase2Checkpoint> checkpoint = std::nullopt);
+
   /// Renders the manifest file contents.
   std::string Serialize() const;
 
-  /// Parses and validates manifest bytes (versions 1 and 2). Corruption on
-  /// a malformed manifest, including geometry that fails
+  /// Parses and validates manifest bytes of version kVersion.
+  /// FailedPrecondition on any other version; Corruption on a malformed
+  /// manifest, including an incomplete checkpoint and geometry that fails
   /// GridPartition::Create validation.
   static Result<StoreManifest> Parse(const std::string& bytes);
 };
@@ -112,12 +118,6 @@ Status WriteManifest(Env* env, const std::string& prefix,
 /// Reads the manifest for `prefix`. NotFound if absent, Corruption if
 /// unparsable.
 Result<StoreManifest> ReadManifest(Env* env, const std::string& prefix);
-
-/// Legacy geometry recovery: reconstructs the grid of a pre-manifest block
-/// tensor store by scanning `block_*` filenames for the partition counts
-/// and probing one block per partition for the extents. NotFound when no
-/// block files exist under `prefix`.
-Result<GridPartition> ScanTensorGeometry(Env* env, const std::string& prefix);
 
 }  // namespace tpcp
 

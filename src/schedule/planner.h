@@ -63,7 +63,7 @@ struct PlannerOptions {
   /// Slab blocks per shard for singleton-wave steps (0 = sharding off).
   int64_t shard_chunk_blocks = 0;
 
-  /// Prefetch depth of the run (0 = synchronous data path).
+  /// Prefetch depth of the run (0 = no lookahead, all I/O inline).
   int prefetch_depth = 0;
 
   /// Give LRU/MRU the schedule's next-use oracle as victim advice

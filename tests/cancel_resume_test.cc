@@ -281,8 +281,9 @@ TEST(CancellationTest, SessionDecomposeHonoursCallerToken) {
   // token, even though the job path manages its own.
   auto env = NewMemEnv();
   GridPartition grid = GridPartition::Uniform(TestSpec().shape, 3);
-  BlockTensorStore input(env.get(), "tensor", grid);
-  ASSERT_TRUE(GenerateLowRankIntoStore(TestSpec(), &input).ok());
+  auto input = BlockTensorStore::Create(env.get(), "tensor", grid);
+  ASSERT_TRUE(input.ok()) << input.status().ToString();
+  ASSERT_TRUE(GenerateLowRankIntoStore(TestSpec(), &*input).ok());
   SessionOptions session_options;
   session_options.env = env.get();
   auto session = Session::Open(session_options);

@@ -32,6 +32,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -945,6 +946,115 @@ TEST(DistPhase2Test, ResumeUnderDifferentOwnershipMapIsRejected) {
     EXPECT_EQ(result.phase2.fit_trace, reference.fit_trace);
   }
   ExpectFactorsBitIdentical(ref_env.get(), env->get(), options.rank);
+}
+
+// Both runners validate a resume with the one ValidateResume, so a
+// tampered checkpoint is refused by the single-process engine and by the
+// dist coordinator with the same Status. The ownership map is checked on
+// dist resumes only: the engine finishes any fleet's checkpoint.
+TEST(DistPhase2Test, EngineAndFleetRejectTheSameTamperedCheckpoints) {
+  const TwoPhaseCpOptions options = DistOptions();
+  const ExecutionPlan plan = PlanFor(options);
+  const int64_t crash_pos = CrashPosInSecondVi(plan, options.rank);
+  ASSERT_GE(crash_pos, 0);
+
+  // A genuine 2-worker checkpoint: the vi-0 cut of an unsupervised run
+  // whose worker 1 crashes in vi 1.
+  const GridPartition grid = TestGrid();
+  auto env = OpenEnv("posix://" + ::testing::TempDir() + "dist_tamper");
+  ASSERT_TRUE(env.ok()) << env.status().ToString();
+  PreparePhase1Store(env->get(), options);
+  BlockFactorStore factors(env->get(), "f", grid, options.rank);
+  {
+    WorkerFleet fleet;
+    SpawnFaults faults;
+    faults.crash_worker = 1;
+    faults.crash_at_step = crash_pos;
+    DistributedRunOptions dopts;
+    dopts.num_workers = 2;
+    dopts.max_respawns = 0;
+    dopts.degrade = DegradeMode::kOff;
+    dopts.spawn_worker = SpawnInProcess(&fleet, env->get(), faults);
+    DistributedRunResult result;
+    ASSERT_FALSE(
+        RunDistributedPhase2(&factors, options, dopts, &result).ok());
+    fleet.Join();
+  }
+  auto cut = ReadManifest(env->get(), "f");
+  ASSERT_TRUE(cut.ok()) << cut.status().ToString();
+  ASSERT_TRUE(cut->checkpoint.has_value());
+  const StoreManifest genuine = *cut;
+
+  TwoPhaseCpOptions resume_options = options;
+  resume_options.resume_phase2 = true;
+  auto run_engine = [&] {
+    Phase2Result result;
+    return Phase2Engine(&factors, resume_options).Run(&result);
+  };
+  auto run_fleet = [&] {
+    WorkerFleet fleet;
+    DistributedRunOptions dopts;
+    dopts.num_workers = 2;
+    dopts.spawn_worker = SpawnInProcess(&fleet, env->get());
+    DistributedRunResult result;
+    const Status status =
+        RunDistributedPhase2(&factors, resume_options, dopts, &result);
+    fleet.Join();
+    return status;
+  };
+
+  struct Case {
+    std::string name;
+    std::function<void(StoreManifest*)> tamper;
+    StatusCode want;
+  };
+  const int64_t vi_len = plan.virtual_iteration_length();
+  const std::vector<Case> cases = {
+      {"schedule",
+       [](StoreManifest* m) { m->checkpoint->schedule = "zo"; },
+       StatusCode::kFailedPrecondition},
+      {"options fingerprint",
+       [](StoreManifest* m) { m->checkpoint->options_fingerprint ^= 1; },
+       StatusCode::kFailedPrecondition},
+      {"plan fingerprint",
+       [](StoreManifest* m) { m->checkpoint->plan_fingerprint ^= 1; },
+       StatusCode::kFailedPrecondition},
+      {"cursor/iteration",
+       [vi_len](StoreManifest* m) { m->checkpoint->cursor += vi_len; },
+       StatusCode::kCorruption},
+      {"grid",
+       [](StoreManifest* m) {
+         auto other = GridPartition::CreateUniform(
+             Shape({kDim, kDim, kDim}), kParts / 2);
+         ASSERT_TRUE(other.ok());
+         m->grid = *other;
+       },
+       StatusCode::kFailedPrecondition},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    StoreManifest tampered = genuine;
+    c.tamper(&tampered);
+    ASSERT_TRUE(WriteManifest(env->get(), "f", tampered).ok());
+    const Status engine = run_engine();
+    const Status fleet = run_fleet();
+    EXPECT_EQ(engine.code(), c.want) << engine.ToString();
+    EXPECT_EQ(fleet.code(), engine.code()) << fleet.ToString();
+    EXPECT_EQ(fleet.ToString(), engine.ToString());
+  }
+
+  // Ownership: another fleet's map is refused by the coordinator, but the
+  // engine — the degrade floor — picks the checkpoint up and finishes.
+  StoreManifest other_fleet = genuine;
+  other_fleet.checkpoint->ownership_fingerprint ^= 1;
+  ASSERT_TRUE(WriteManifest(env->get(), "f", other_fleet).ok());
+  const Status fleet = run_fleet();
+  EXPECT_EQ(fleet.code(), StatusCode::kFailedPrecondition)
+      << fleet.ToString();
+  EXPECT_NE(fleet.ToString().find("ownership"), std::string::npos)
+      << fleet.ToString();
+  const Status engine = run_engine();
+  EXPECT_TRUE(engine.ok()) << engine.ToString();
 }
 
 TEST(DistPhase2Test, SkewedStoreFleetSizesBitIdentical) {

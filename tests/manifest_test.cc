@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include "core/block_factors.h"
 #include "data/synthetic.h"
 #include "grid/block_tensor_store.h"
@@ -38,11 +42,11 @@ TEST(StoreManifestTest, FactorsRoundTripKeepsRank) {
 TEST(StoreManifestTest, GarbageIsCorruption) {
   for (const char* bytes :
        {"", "not a manifest",
-        "tpcp-manifest 1\nkind tensor\n",           // missing geometry
-        "tpcp-manifest 1\nkind what\nshape 4\nparts 2\n",
-        "tpcp-manifest 1\nkind tensor\nshape 4 4\nparts 8 8\n",  // parts>dim
-        "tpcp-manifest 1\nkind factors\nshape 4 4\nparts 2 2\n",  // no rank
-        "tpcp-manifest 1\nkind tensor\nshape 4 4\nparts 2 2\nwat 1\n"}) {
+        "tpcp-manifest 5\nkind tensor\n",           // missing geometry
+        "tpcp-manifest 5\nkind what\nshape 4\nparts 2\n",
+        "tpcp-manifest 5\nkind tensor\nshape 4 4\nparts 8 8\n",  // parts>dim
+        "tpcp-manifest 5\nkind factors\nshape 4 4\nparts 2 2\n",  // no rank
+        "tpcp-manifest 5\nkind tensor\nshape 4 4\nparts 2 2\nwat 1\n"}) {
     auto parsed = StoreManifest::Parse(bytes);
     EXPECT_FALSE(parsed.ok()) << "'" << bytes << "'";
     if (!parsed.ok()) {
@@ -57,21 +61,20 @@ TEST(StoreManifestTest, NewerVersionIsIncompatibleNotCorrupt) {
   EXPECT_EQ(parsed.status().code(), StatusCode::kFailedPrecondition);
 }
 
-TEST(StoreManifestTest, Version1StillParses) {
-  auto parsed = StoreManifest::Parse(
-      "tpcp-manifest 1\nkind factors\nshape 10 9 7\nparts 3 2 2\nrank 4\n");
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->rank, 4);
-  EXPECT_FALSE(parsed->checkpoint.has_value());
-  // The checkpoint vocabulary did not exist at version 1.
-  auto v1_ckpt = StoreManifest::Parse(
-      "tpcp-manifest 1\nkind factors\nshape 4 4\nparts 2 2\nrank 2\n"
-      "ckpt_cursor 3\n");
-  ASSERT_FALSE(v1_ckpt.ok());
-  EXPECT_TRUE(v1_ckpt.status().IsCorruption());
+TEST(StoreManifestTest, OlderVersionsAreIncompatibleNotCorrupt) {
+  // Only the current version is read: well-formed manifests of versions
+  // 1-4 are refused as incompatible, never parsed with defaults.
+  for (int version = 1; version <= 4; ++version) {
+    auto parsed = StoreManifest::Parse(
+        "tpcp-manifest " + std::to_string(version) +
+        "\nkind factors\nshape 10 9 7\nparts 3 2 2\nrank 4\n");
+    ASSERT_FALSE(parsed.ok()) << "version " << version;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kFailedPrecondition)
+        << "version " << version;
+  }
 }
 
-TEST(StoreManifestTest, SlabFormatRoundTripsAtV4) {
+TEST(StoreManifestTest, SlabFormatRoundTrips) {
   StoreManifest manifest;
   manifest.kind = StoreManifest::kTensorKind;
   manifest.grid = TestGrid();
@@ -79,8 +82,7 @@ TEST(StoreManifestTest, SlabFormatRoundTripsAtV4) {
        {SlabFormat::kDense, SlabFormat::kCoo, SlabFormat::kCsf}) {
     manifest.format = format;
     const std::string bytes = manifest.Serialize();
-    // Dense is the implicit default: no key, so v<4 readers of dense
-    // stores are unaffected by the version bump.
+    // Dense is the implicit default: no key.
     EXPECT_EQ(bytes.find("format") != std::string::npos,
               format != SlabFormat::kDense);
     auto parsed = StoreManifest::Parse(bytes);
@@ -89,26 +91,16 @@ TEST(StoreManifestTest, SlabFormatRoundTripsAtV4) {
   }
 }
 
-TEST(StoreManifestTest, SlabFormatUnknownToOlderVersionsIsCorruption) {
-  // The key only exists from v4 on; a v3 manifest carrying it is as
-  // malformed as any other unknown key.
-  auto parsed = StoreManifest::Parse(
-      "tpcp-manifest 3\nkind tensor\nshape 10 9 7\nparts 3 2 2\n"
-      "format csf\n");
-  ASSERT_FALSE(parsed.ok());
-  EXPECT_TRUE(parsed.status().IsCorruption());
-}
-
 TEST(StoreManifestTest, BadSlabFormatValueIsCorruption) {
   auto parsed = StoreManifest::Parse(
-      "tpcp-manifest 4\nkind tensor\nshape 10 9 7\nparts 3 2 2\n"
+      "tpcp-manifest 5\nkind tensor\nshape 10 9 7\nparts 3 2 2\n"
       "format lzma\n");
   ASSERT_FALSE(parsed.ok());
   EXPECT_TRUE(parsed.status().IsCorruption());
 }
 
-TEST(StoreManifestTest, PlanFingerprintRoundTripsAndV2Defaults) {
-  // v3 serializes the execution-plan fingerprint bit for bit.
+TEST(StoreManifestTest, PlanFingerprintRoundTrips) {
+  // The execution-plan fingerprint serializes bit for bit.
   StoreManifest manifest;
   manifest.kind = StoreManifest::kFactorsKind;
   manifest.grid = TestGrid();
@@ -124,26 +116,10 @@ TEST(StoreManifestTest, PlanFingerprintRoundTripsAndV2Defaults) {
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   ASSERT_TRUE(parsed->checkpoint.has_value());
   EXPECT_EQ(parsed->checkpoint->plan_fingerprint, 0xdeadbeefcafef00dull);
-
-  // A v2 checkpoint (pre-planner) parses with "not recorded" (0).
-  auto v2 = StoreManifest::Parse(
-      "tpcp-manifest 2\nkind factors\nshape 4 4\nparts 2 2\nrank 2\n"
-      "ckpt_schedule zo\nckpt_iteration 1\nckpt_cursor 4\nckpt_fit 0.5\n");
-  ASSERT_TRUE(v2.ok()) << v2.status().ToString();
-  ASSERT_TRUE(v2->checkpoint.has_value());
-  EXPECT_EQ(v2->checkpoint->plan_fingerprint, 0u);
-
-  // The ckpt_plan vocabulary did not exist at version 2.
-  auto v2_plan = StoreManifest::Parse(
-      "tpcp-manifest 2\nkind factors\nshape 4 4\nparts 2 2\nrank 2\n"
-      "ckpt_schedule zo\nckpt_iteration 0\nckpt_cursor 0\nckpt_plan 7\n"
-      "ckpt_fit\n");
-  ASSERT_FALSE(v2_plan.ok());
-  EXPECT_TRUE(v2_plan.status().IsCorruption());
 }
 
-TEST(StoreManifestTest, OwnershipFingerprintRoundTripsAndV4Defaults) {
-  // v5 serializes the dist ownership-map fingerprint bit for bit.
+TEST(StoreManifestTest, OwnershipFingerprintRoundTrips) {
+  // The dist ownership-map fingerprint serializes bit for bit.
   StoreManifest manifest;
   manifest.kind = StoreManifest::kFactorsKind;
   manifest.grid = TestGrid();
@@ -160,22 +136,38 @@ TEST(StoreManifestTest, OwnershipFingerprintRoundTripsAndV4Defaults) {
   ASSERT_TRUE(parsed->checkpoint.has_value());
   EXPECT_EQ(parsed->checkpoint->ownership_fingerprint,
             0x0123456789abcdefull);
+}
 
-  // A v4 checkpoint (single-process era) parses with "not recorded" (0).
-  auto v4 = StoreManifest::Parse(
-      "tpcp-manifest 4\nkind factors\nshape 4 4\nparts 2 2\nrank 2\n"
-      "ckpt_schedule zo\nckpt_iteration 1\nckpt_cursor 4\nckpt_fit 0.5\n");
-  ASSERT_TRUE(v4.ok()) << v4.status().ToString();
-  ASSERT_TRUE(v4->checkpoint.has_value());
-  EXPECT_EQ(v4->checkpoint->ownership_fingerprint, 0u);
+TEST(StoreManifestTest, CheckpointMissingAKeyIsCorruption) {
+  // Every writer records all seven ckpt_* keys; a checkpoint without one
+  // — in particular the plan or options fingerprint the resume checks
+  // rest on — is damage, not an older format.
+  const std::string base =
+      "tpcp-manifest 5\nkind factors\nshape 4 4\nparts 2 2\nrank 2\n";
+  const std::vector<std::string> keys = {
+      "ckpt_schedule zo\n",     "ckpt_iteration 1\n",
+      "ckpt_cursor 4\n",        "ckpt_fingerprint 11\n",
+      "ckpt_plan 22\n",         "ckpt_ownership 0\n",
+      "ckpt_fit 0.5\n"};
+  std::string complete;
+  for (const std::string& key : keys) complete += key;
+  auto parsed = StoreManifest::Parse(base + complete);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_TRUE(parsed->checkpoint.has_value());
+  EXPECT_EQ(parsed->checkpoint->options_fingerprint, 11u);
+  EXPECT_EQ(parsed->checkpoint->plan_fingerprint, 22u);
 
-  // The ckpt_ownership vocabulary did not exist at version 4.
-  auto v4_own = StoreManifest::Parse(
-      "tpcp-manifest 4\nkind factors\nshape 4 4\nparts 2 2\nrank 2\n"
-      "ckpt_schedule zo\nckpt_iteration 0\nckpt_cursor 0\n"
-      "ckpt_ownership 7\nckpt_fit\n");
-  ASSERT_FALSE(v4_own.ok());
-  EXPECT_TRUE(v4_own.status().IsCorruption());
+  for (size_t missing = 0; missing < keys.size(); ++missing) {
+    std::string bytes = base;
+    for (size_t i = 0; i < keys.size(); ++i) {
+      if (i != missing) bytes += keys[i];
+    }
+    auto incomplete = StoreManifest::Parse(bytes);
+    ASSERT_FALSE(incomplete.ok()) << "without " << keys[missing];
+    EXPECT_TRUE(incomplete.status().IsCorruption())
+        << "without " << keys[missing] << ": "
+        << incomplete.status().ToString();
+  }
 }
 
 TEST(StoreManifestTest, CheckpointRoundTrip) {
@@ -221,23 +213,29 @@ TEST(StoreManifestTest, EmptyFitTraceCheckpointRoundTrips) {
 
 TEST(StoreManifestTest, MalformedCheckpointIsCorruption) {
   const std::string base =
-      "tpcp-manifest 2\nkind factors\nshape 4 4\nparts 2 2\nrank 2\n";
+      "tpcp-manifest 5\nkind factors\nshape 4 4\nparts 2 2\nrank 2\n";
+  const std::string fingerprints =
+      "ckpt_fingerprint 1\nckpt_plan 2\nckpt_ownership 0\n";
   for (const std::string& extra :
        {std::string("ckpt_cursor 3\n"),  // no schedule / fit line
         std::string("ckpt_schedule zo\nckpt_iteration 2\nckpt_cursor 9\n"
-                    "ckpt_fit 0.5\n"),   // trace size != iteration
+                    "ckpt_fit 0.5\n") +
+            fingerprints,  // trace size != iteration
         std::string("ckpt_schedule zo\nckpt_iteration -1\nckpt_cursor 0\n"
-                    "ckpt_fit\n"),
+                    "ckpt_fit\n") +
+            fingerprints,
         std::string("ckpt_schedule zo\nckpt_iteration 0\nckpt_cursor 0\n"
-                    "ckpt_fit wat\n")}) {
+                    "ckpt_fit wat\n") +
+            fingerprints}) {
     auto parsed = StoreManifest::Parse(base + extra);
     EXPECT_FALSE(parsed.ok()) << extra;
     if (!parsed.ok()) EXPECT_TRUE(parsed.status().IsCorruption()) << extra;
   }
   // Checkpoints belong to factor stores only.
   auto tensor_ckpt = StoreManifest::Parse(
-      "tpcp-manifest 2\nkind tensor\nshape 4 4\nparts 2 2\n"
-      "ckpt_schedule zo\nckpt_iteration 0\nckpt_cursor 0\nckpt_fit\n");
+      "tpcp-manifest 5\nkind tensor\nshape 4 4\nparts 2 2\n"
+      "ckpt_schedule zo\nckpt_iteration 0\nckpt_cursor 0\nckpt_fit\n" +
+      fingerprints);
   ASSERT_FALSE(tensor_ckpt.ok());
   EXPECT_TRUE(tensor_ckpt.status().IsCorruption());
 }
@@ -249,7 +247,7 @@ TEST(BlockTensorStoreManifestTest, NewerManifestIsNeverClobbered) {
   auto opened = BlockTensorStore::Open(env.get(), "t");
   ASSERT_FALSE(opened.ok());
   EXPECT_EQ(opened.status().code(), StatusCode::kFailedPrecondition);
-  // The future-version manifest survives untouched — no scan-and-heal.
+  // The future-version manifest survives untouched.
   std::string bytes;
   ASSERT_TRUE(env->ReadFile("t/MANIFEST", &bytes).ok());
   EXPECT_EQ(bytes, future);
@@ -267,50 +265,61 @@ TEST(BlockTensorStoreManifestTest, CreateWritesOpenReads) {
   EXPECT_TRUE(opened->grid() == grid);
 }
 
-TEST(BlockTensorStoreManifestTest, OpenUsesManifestWithoutScanning) {
+TEST(BlockTensorStoreManifestTest, OpenReadsOnlyTheManifest) {
   auto env = NewMemEnv();
   const GridPartition grid = TestGrid();
   ASSERT_TRUE(BlockTensorStore::Create(env.get(), "t", grid).ok());
-  // No blocks exist; a filename scan would fail, so a successful Open
-  // proves the manifest is the happy path.
+  // No blocks exist: the geometry comes from the manifest alone.
   auto opened = BlockTensorStore::Open(env.get(), "t");
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   EXPECT_TRUE(opened->grid() == grid);
 }
 
-TEST(BlockTensorStoreManifestTest, MissingManifestFallsBackToScan) {
-  auto env = NewMemEnv();
-  const GridPartition grid = TestGrid();
-  // A legacy store: blocks written through the manifest-less constructor.
-  BlockTensorStore legacy(env.get(), "t", grid);
+/// Every file under `prefix` with its bytes.
+std::map<std::string, std::string> Snapshot(Env* env,
+                                            const std::string& prefix) {
+  std::map<std::string, std::string> files;
+  for (const std::string& name : env->ListFiles(prefix)) {
+    EXPECT_TRUE(env->ReadFile(name, &files[name]).ok()) << name;
+  }
+  return files;
+}
+
+/// A tensor store whose blocks were written through the manifest-less
+/// constructor: block files, no MANIFEST.
+void WriteBlocksWithoutManifest(Env* env) {
+  BlockTensorStore blocks(env, "t", TestGrid());
   LowRankSpec spec;
-  spec.shape = grid.tensor_shape();
+  spec.shape = TestGrid().tensor_shape();
   spec.rank = 2;
   spec.seed = 5;
-  ASSERT_TRUE(legacy.ImportTensor(MakeLowRankTensor(spec)).ok());
+  ASSERT_TRUE(blocks.ImportTensor(MakeLowRankTensor(spec)).ok());
+}
+
+TEST(BlockTensorStoreManifestTest, OpenWithoutManifestIsNotFound) {
+  auto env = NewMemEnv();
+  WriteBlocksWithoutManifest(env.get());
   ASSERT_FALSE(env->FileExists("t/MANIFEST"));
+  const auto before = Snapshot(env.get(), "t/");
 
   auto opened = BlockTensorStore::Open(env.get(), "t");
-  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  EXPECT_TRUE(opened->grid() == grid);
-  // The recovered geometry is healed into a manifest for the next Open.
-  EXPECT_TRUE(env->FileExists("t/MANIFEST"));
+  ASSERT_FALSE(opened.ok());
+  EXPECT_TRUE(opened.status().IsNotFound()) << opened.status().ToString();
+  // Block files are never read for geometry, and nothing is written.
+  EXPECT_EQ(Snapshot(env.get(), "t/"), before);
 }
 
-TEST(BlockTensorStoreManifestTest, CorruptManifestFallsBackToScan) {
+TEST(BlockTensorStoreManifestTest, OpenWithDamagedManifestIsCorruption) {
   auto env = NewMemEnv();
-  const GridPartition grid = TestGrid();
-  BlockTensorStore legacy(env.get(), "t", grid);
-  LowRankSpec spec;
-  spec.shape = grid.tensor_shape();
-  spec.rank = 2;
-  spec.seed = 5;
-  ASSERT_TRUE(legacy.ImportTensor(MakeLowRankTensor(spec)).ok());
+  WriteBlocksWithoutManifest(env.get());
   ASSERT_TRUE(env->WriteFile("t/MANIFEST", "scribbled over").ok());
+  const auto before = Snapshot(env.get(), "t/");
 
   auto opened = BlockTensorStore::Open(env.get(), "t");
-  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  EXPECT_TRUE(opened->grid() == grid);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_TRUE(opened.status().IsCorruption()) << opened.status().ToString();
+  // The damaged manifest is reported, not healed over.
+  EXPECT_EQ(Snapshot(env.get(), "t/"), before);
 }
 
 TEST(BlockTensorStoreManifestTest, SparseFormatsReadBackBitIdentical) {
@@ -380,31 +389,6 @@ TEST(BlockTensorStoreManifestTest, ReadBlockSparseWorksOnEveryFormat) {
       }
     }
   }
-}
-
-TEST(BlockTensorStoreManifestTest, ScanHealRecoversCsfFormat) {
-  auto env = NewMemEnv();
-  const GridPartition grid = TestGrid();
-  LowRankSpec spec;
-  spec.shape = grid.tensor_shape();
-  spec.rank = 2;
-  spec.seed = 9;
-  {
-    auto store =
-        BlockTensorStore::Create(env.get(), "t", grid, SlabFormat::kCsf);
-    ASSERT_TRUE(store.ok());
-    ASSERT_TRUE(store->ImportTensor(MakeLowRankTensor(spec)).ok());
-  }
-  // A pre-manifest layout of a CSF store: the healed manifest must carry
-  // the format sniffed from the block records, or the next writer would
-  // silently demote the store to dense slabs.
-  ASSERT_TRUE(env->DeleteFile("t/MANIFEST").ok());
-  auto opened = BlockTensorStore::Open(env.get(), "t");
-  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  EXPECT_EQ(opened->format(), SlabFormat::kCsf);
-  std::string healed;
-  ASSERT_TRUE(env->ReadFile("t/MANIFEST", &healed).ok());
-  EXPECT_NE(healed.find("format csf"), std::string::npos);
 }
 
 TEST(BlockTensorStoreManifestTest, OpenOfNothingIsNotFound) {

@@ -116,17 +116,29 @@ TEST(Phase2AsyncTest, DeterministicAcrossPrefetchDepths) {
   }
 }
 
-// With depth 0 the engine must not even construct a pipeline: swap counts
-// match the pre-refactor synchronous engine (the swap-simulator tests pin
-// the exact values; here we pin the sync/async stat split).
+// Depth 0 runs every load inline on the compute thread: no load is ever
+// ahead of its step, so there are no prefetch hits — also for the batch
+// mates of a multi-step wave — and the inline loads are stall time. Swap
+// counts are those of a blocking access per step.
 TEST(Phase2AsyncTest, SynchronousModeReportsNoOverlapStats) {
-  Fixture f = MakeFixture(Shape({12, 12, 12}), 2, 2);
-  TwoPhaseCpOptions options = BaseOptions(2);
-  options.max_virtual_iterations = 4;
-  TwoPhaseCp engine(f.input.get(), f.factors.get(), options);
-  ASSERT_TRUE(engine.RunPhase1().ok());
-  ASSERT_TRUE(engine.RunPhase2().ok());
-  EXPECT_EQ(engine.result().buffer_stats.prefetch_hits, 0u);
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("compute_threads " + std::to_string(threads));
+    Fixture f = MakeFixture(Shape({12, 12, 12}), 2, 2);
+    TwoPhaseCpOptions options = BaseOptions(2);
+    options.max_virtual_iterations = 4;
+    options.compute_threads = threads;
+    // Mode-centric waves are multi-step, so four threads get batch mates.
+    if (threads > 1) options.schedule = ScheduleType::kModeCentric;
+    TwoPhaseCp engine(f.input.get(), f.factors.get(), options);
+    ASSERT_TRUE(engine.RunPhase1().ok());
+    ASSERT_TRUE(engine.RunPhase2().ok());
+    const BufferStats& stats = engine.result().buffer_stats;
+    EXPECT_EQ(stats.prefetch_hits, 0u);
+    ASSERT_GT(stats.swap_ins, 0u);
+    EXPECT_GT(stats.stall_seconds, 0.0);
+    // The counts the blocking Access-per-step data path measured here.
+    EXPECT_EQ(stats.swap_ins, threads == 1 ? 17u : 24u);
+  }
 }
 
 TEST(Phase2AsyncTest, AsyncModeRegistersPrefetchHits) {

@@ -162,6 +162,8 @@ TEST(TwoPhaseCpTest, VictimHintsMeasuredSwapsMatchSimulator) {
       /*warmup_cycles=*/0, options.max_virtual_iterations,
       /*victim_hints=*/true);
   EXPECT_EQ(measured, simulated.measured_swaps);
+  // And both equal what the blocking Access-per-step data path measured.
+  EXPECT_EQ(measured, 32u);
 
   // Parity must also hold with hints off — same engine, same simulator,
   // both running the plain recency policy.
@@ -177,6 +179,7 @@ TEST(TwoPhaseCpTest, VictimHintsMeasuredSwapsMatchSimulator) {
       /*victim_hints=*/false);
   EXPECT_EQ(unhinted.result().buffer_stats.swap_ins,
             plain_sim.measured_swaps);
+  EXPECT_EQ(unhinted.result().buffer_stats.swap_ins, 32u);
 
   // Hints shape I/O only: the factors are bit-identical either way.
   for (int m = 0; m < 3; ++m) {

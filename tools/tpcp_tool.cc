@@ -1328,11 +1328,9 @@ int Dist(int argc, char** argv) {
   }
 
   // Final manifest, as Session::RunSolver writes after a successful run.
-  StoreManifest manifest;
-  manifest.kind = StoreManifest::kFactorsKind;
-  manifest.grid = grid;
-  manifest.rank = options.rank;
-  if (const Status s = WriteManifest(env, factor_prefix, manifest);
+  if (const Status s =
+          WriteManifest(env, factor_prefix,
+                        StoreManifest::Factors(grid, options.rank));
       !s.ok()) {
     return ReportBad("dist", s), 1;
   }
