@@ -53,8 +53,9 @@
 // positions, so recovered runs stay byte-identical to uninterrupted ones;
 // only the wire ledger is re-priced (and the bytes a failed attempt moved
 // past its last checkpoint are reported as wasted_bytes). Content-level
-// violations (fingerprint mismatches, fit divergence, ownership
-// violations) are never retried — they mean the protocol itself failed.
+// violations (a worker's plan, options or ownership fingerprint differing
+// at hello, fit divergence, ownership violations) are never retried —
+// they mean the protocol itself failed.
 
 #ifndef TPCP_DIST_COORDINATOR_H_
 #define TPCP_DIST_COORDINATOR_H_

@@ -21,7 +21,7 @@ namespace tpcp {
 
 /// True for failures worth retrying: environmental faults that a later
 /// attempt can plausibly not hit (I/O errors, exhausted resources).
-/// Everything else — invalid arguments, corruption, fingerprint mismatches
+/// Everything else — invalid arguments, corruption, refused checkpoints
 /// (FailedPrecondition), protocol violations (Internal), cancellation — is
 /// permanent: retrying would repeat the same deterministic failure or paper
 /// over a real bug.
