@@ -4,9 +4,15 @@
 // frame, invalid JSON, unknown command, wrong-type fields — produces a
 // clean protocol error, never a crash, hang, or half-applied request.
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <chrono>
 #include <string>
+#include <thread>
 
 #include "server/daemon.h"
 #include "server/json.h"
@@ -353,6 +359,69 @@ TEST(ProtocolTest, SocketFrontDoorSurvivesGarbageAndServesNextClient) {
     response = (*client)->Call(good);
     ASSERT_TRUE(response.ok()) << response.status().ToString();
     EXPECT_TRUE(response->Find("ok")->bool_value());
+  }
+}
+
+JsonValue ListRequest() {
+  JsonValue request = JsonValue::Object();
+  request.Set("cmd", "list");
+  return request;
+}
+
+TEST(ProtocolTest, PeerThatHangsUpUnreadDoesNotKillTheServer) {
+  auto daemon = TestDaemon();
+  ASSERT_NE(daemon, nullptr);
+  auto server = TpcpdServer::Listen(daemon.get(), 0);
+  if (!server.ok()) {
+    GTEST_SKIP() << "sockets unavailable: " << server.status().ToString();
+  }
+  const int port = (*server)->bound_port();
+  {
+    // A raw client pipelines requests and leaves without reading a single
+    // response: the server's replies hit a dead socket.
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(static_cast<uint16_t>(port));
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+              0);
+    const auto frame = EncodeFrame(ListRequest().Serialize());
+    ASSERT_TRUE(frame.ok());
+    std::string burst;
+    for (int i = 0; i < 64; ++i) burst += *frame;
+    ASSERT_EQ(::send(fd, burst.data(), burst.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(burst.size()));
+    ::close(fd);
+  }
+  // Give the server time to answer into the closed socket.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  auto client = TpcpdClient::Connect("127.0.0.1", port);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  for (int i = 0; i < 3; ++i) {
+    auto response = (*client)->Call(ListRequest());
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_TRUE(response->Find("ok")->bool_value());
+  }
+}
+
+TEST(ProtocolTest, ClientOfAStoppedServerGetsIOErrorsNotSigpipe) {
+  auto daemon = TestDaemon();
+  ASSERT_NE(daemon, nullptr);
+  auto server = TpcpdServer::Listen(daemon.get(), 0);
+  if (!server.ok()) {
+    GTEST_SKIP() << "sockets unavailable: " << server.status().ToString();
+  }
+  auto client = TpcpdClient::Connect("127.0.0.1", (*server)->bound_port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  ASSERT_TRUE((*client)->Call(ListRequest()).ok());
+  server->reset();
+  for (int i = 0; i < 4; ++i) {
+    auto response = (*client)->Call(ListRequest());
+    ASSERT_FALSE(response.ok()) << "call " << i;
+    EXPECT_TRUE(response.status().IsIOError())
+        << "call " << i << ": " << response.status().ToString();
   }
 }
 
