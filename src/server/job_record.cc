@@ -283,8 +283,13 @@ Status ApplyOption(const std::string& key, const std::string& value,
     return Status::OK();
   }
   if (key == "seed") {
-    TPCP_RETURN_IF_ERROR(SetIntField(key, value, &number));
-    options->seed = static_cast<uint64_t>(number);
+    const Result<uint64_t> seed = ParseUint64(value);
+    if (!seed.ok()) {
+      return Status::InvalidArgument(
+          "option 'seed' must be an unsigned 64-bit integer: '" + value +
+          "'");
+    }
+    options->seed = *seed;
     return Status::OK();
   }
   if (key == "num_threads") {

@@ -22,6 +22,23 @@ Result<int64_t> ParseInt64(const std::string& text) {
   return static_cast<int64_t>(value);
 }
 
+Result<uint64_t> ParseUint64(const std::string& text) {
+  // strtoull would accept a leading sign or blank and wrap "-1" around.
+  if (text.empty() || text[0] < '0' || text[0] > '9') {
+    return Status::InvalidArgument("not an unsigned integer: '" + text + "'");
+  }
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
+  if (errno == ERANGE) {
+    return Status::InvalidArgument("integer out of range: '" + text + "'");
+  }
+  if (end != text.c_str() + text.size()) {
+    return Status::InvalidArgument("not an unsigned integer: '" + text + "'");
+  }
+  return static_cast<uint64_t>(value);
+}
+
 Result<double> ParseDouble(const std::string& text) {
   if (text.empty()) {
     return Status::InvalidArgument("expected a number, got an empty string");

@@ -20,6 +20,10 @@ namespace tpcp {
 /// on an empty string, leading/trailing garbage, or overflow.
 Result<int64_t> ParseInt64(const std::string& text);
 
+/// Parses the whole of `text` as a base-10 unsigned 64-bit integer (digits
+/// only). InvalidArgument on an empty string, a sign, garbage, or overflow.
+Result<uint64_t> ParseUint64(const std::string& text);
+
 /// Parses the whole of `text` as a floating-point number (decimal or
 /// scientific notation). InvalidArgument on an empty string, garbage, or a
 /// value outside the double range.

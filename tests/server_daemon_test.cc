@@ -524,8 +524,36 @@ TEST(JobRecordTest, OptionsMapRoundTripsTheResumeFingerprint) {
   // fingerprints identically, so its checkpoint is honoured.
   EXPECT_EQ(round->ResumeFingerprint(), options.ResumeFingerprint());
 
+  // The seed round-trips over its whole unsigned range.
+  options.seed = UINT64_MAX;
+  const auto top = OptionsFromMap(OptionsToMap(options));
+  ASSERT_TRUE(top.ok()) << top.status().ToString();
+  EXPECT_EQ(top->seed, options.seed);
+  EXPECT_EQ(top->ResumeFingerprint(), options.ResumeFingerprint());
+
   EXPECT_FALSE(ApplyOption("no_such_option", "1", &options).ok());
   EXPECT_FALSE(ApplyOption("rank", "lots", &options).ok());
+  EXPECT_FALSE(ApplyOption("seed", "-1", &options).ok());
+  EXPECT_FALSE(ApplyOption("seed", "18446744073709551616", &options).ok());
+}
+
+TEST(TpcpdSubmitTest, NegativeSeedIsRejectedAtSubmit) {
+  TpcpdOptions options;
+  TenantConfig tenant;
+  tenant.name = "alice";
+  options.tenants = {tenant};
+  auto daemon = Tpcpd::Start(std::move(options));
+  ASSERT_TRUE(daemon.ok()) << daemon.status().ToString();
+  auto response = JsonValue::Parse((*daemon)->HandleRequest(
+      "{\"cmd\":\"submit\",\"tenant\":\"alice\","
+      "\"options\":{\"seed\":-1}}"));
+  ASSERT_TRUE(response.ok());
+  EXPECT_FALSE(response->Find("ok")->bool_value());
+  const std::string error = response->Find("error")->string_value();
+  EXPECT_EQ(error.rfind("InvalidArgument", 0), 0u) << error;
+  EXPECT_NE(error.find("seed"), std::string::npos) << error;
+  EXPECT_TRUE((*daemon)->List("alice", "").empty())
+      << "rejected submit left job state behind";
 }
 
 TEST(TenantTest, ParseTenantSpecReadsQuotaOverrides) {

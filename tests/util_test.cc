@@ -186,6 +186,19 @@ TEST(ParseTest, ParseInt64RejectsGarbage) {
   }
 }
 
+TEST(ParseTest, ParseUint64TakesTheWholeUnsignedRange) {
+  EXPECT_EQ(*ParseUint64("0"), 0u);
+  EXPECT_EQ(*ParseUint64("18446744073709551615"), UINT64_MAX);
+  for (const char* text :
+       {"", "-1", "+1", " 1", "1 ", "1.0", "18446744073709551616"}) {
+    auto r = ParseUint64(text);
+    EXPECT_FALSE(r.ok()) << "'" << text << "'";
+    if (!r.ok()) {
+      EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << text;
+    }
+  }
+}
+
 TEST(ParseTest, ParseDoubleAcceptsNumbers) {
   EXPECT_DOUBLE_EQ(*ParseDouble("0.5"), 0.5);
   EXPECT_DOUBLE_EQ(*ParseDouble("-2"), -2.0);
