@@ -14,6 +14,7 @@
 #include "core/names.h"
 #include "dist/exchange.h"
 #include "grid/manifest.h"
+#include "server/net.h"
 #include "util/logging.h"
 #include "util/retry.h"
 #include "util/stopwatch.h"
@@ -85,14 +86,14 @@ struct RelayFrame {
 /// buffer, and (b) the thread writes only the recipients' down_bytes /
 /// down_messages ledger fields, which nothing else touches while a relay
 /// is in flight (the main thread writes up_* during collection; deferred
-/// and immediate sends to the same channel are serialized by DistChannel's
+/// and immediate sends to the same channel are serialized by FrameChannel's
 /// send mutex). Writing the ledger as bytes hit the wire — not at join —
 /// is what keeps RollbackLedger's wasted_bytes exact when an attempt dies
 /// mid-relay: the destructor joins before the attempt returns, so the
 /// partial bytes are on the ledger the rollback measures.
 class RelayTask {
  public:
-  RelayTask(std::vector<std::unique_ptr<DistChannel>>* channels,
+  RelayTask(std::vector<std::unique_ptr<FrameChannel>>* channels,
             DistributedRunResult* result, int throttle_us)
       : channels_(channels), result_(result), throttle_us_(throttle_us) {}
   ~RelayTask() {
@@ -146,7 +147,7 @@ class RelayTask {
   }
 
  private:
-  std::vector<std::unique_ptr<DistChannel>>* channels_;
+  std::vector<std::unique_ptr<FrameChannel>>* channels_;
   DistributedRunResult* result_;
   int throttle_us_;
   std::thread thread_;
@@ -240,7 +241,7 @@ Status RunFleetAttempt(BlockFactorStore* factors,
   // Drain connections a failed attempt may have left in the backlog so a
   // stale hello cannot be mistaken for a respawned worker's.
   for (;;) {
-    auto stale = DistAccept(listen_fd, /*timeout_ms=*/0);
+    auto stale = Accept(listen_fd, /*timeout_ms=*/0);
     if (!stale.ok()) break;
   }
 
@@ -252,7 +253,7 @@ Status RunFleetAttempt(BlockFactorStore* factors,
   // (stale workers, malformed or duplicate hellos) are dropped rather than
   // fatal, but each costs one bounded accept attempt so a hello storm
   // cannot spin forever.
-  std::vector<std::unique_ptr<DistChannel>> channels(
+  std::vector<std::unique_ptr<FrameChannel>> channels(
       static_cast<size_t>(fleet_size));
   int accepted = 0;
   int accepts_left = 2 * fleet_size + 4;
@@ -260,8 +261,8 @@ Status RunFleetAttempt(BlockFactorStore* factors,
     if (accepts_left-- <= 0) {
       return Status::IOError("dist: fleet formation did not converge");
     }
-    TPCP_ASSIGN_OR_RETURN(std::unique_ptr<DistChannel> channel,
-                          DistAccept(listen_fd, dopts.accept_timeout_ms));
+    TPCP_ASSIGN_OR_RETURN(std::unique_ptr<FrameChannel> channel,
+                          Accept(listen_fd, dopts.accept_timeout_ms));
     channel->set_io_timeout_ms(io_timeout_ms);
     JsonValue hello;
     if (!channel->Recv(&hello).ok()) continue;
@@ -736,7 +737,7 @@ Status RunDistributedPhase2(BlockFactorStore* factors,
   SnapshotLedger(*result, &state);
 
   int port = dopts.listen_port;
-  TPCP_ASSIGN_OR_RETURN(const int listen_fd, DistListen(&port));
+  TPCP_ASSIGN_OR_RETURN(const int listen_fd, Listen(&port));
   ListenGuard listen_guard{listen_fd};
 
   // Supervision loop: run fleet attempts until one succeeds, the run turns

@@ -1,17 +1,9 @@
 #include "dist/exchange.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <array>
-#include <cerrno>
 #include <cstring>
 
 #include "core/names.h"
-#include "linalg/kernels.h"
 
 namespace tpcp {
 namespace {
@@ -85,43 +77,6 @@ Result<std::string> Base64Decode(const std::string& text) {
     if (pad < 1) out.push_back(static_cast<char>(v & 0xff));
   }
   return out;
-}
-
-/// Waits for `events` on `fd` for up to `timeout_ms` (< 0 blocks forever).
-/// OK when ready; IOError on poll failure or deadline expiry.
-Status PollFor(int fd, short events, int timeout_ms, const char* what) {
-  for (;;) {
-    pollfd pfd{};
-    pfd.fd = fd;
-    pfd.events = events;
-    const int ready = ::poll(&pfd, 1, timeout_ms);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError(std::string("dist poll: ") +
-                             std::strerror(errno));
-    }
-    if (ready == 0) {
-      return Status::IOError(std::string("dist ") + what + " timed out");
-    }
-    return Status::OK();
-  }
-}
-
-Status WriteAllNoSig(int fd, const char* data, size_t size, int timeout_ms) {
-  size_t sent = 0;
-  while (sent < size) {
-    if (timeout_ms >= 0) {
-      TPCP_RETURN_IF_ERROR(PollFor(fd, POLLOUT, timeout_ms, "send"));
-    }
-    const ssize_t n = ::send(fd, data + sent, size - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError(std::string("dist send: ") +
-                             std::strerror(errno));
-    }
-    sent += static_cast<size_t>(n);
-  }
-  return Status::OK();
 }
 
 }  // namespace
@@ -317,165 +272,6 @@ Result<TwoPhaseCpOptions> DecodeOptions(const JsonValue& v) {
   TPCP_ASSIGN_OR_RETURN(o.policy_victim_hints,
                         GetBoolOr(v, "policy_victim_hints", false));
   return o;
-}
-
-Status DistChannel::Send(const JsonValue& message) {
-  return SendRaw(message);
-}
-
-Status DistChannel::Recv(JsonValue* message) { return RecvRaw(message); }
-
-Status DistChannel::SendRaw(const JsonValue& message) {
-  TPCP_ASSIGN_OR_RETURN(const std::string frame,
-                        EncodeFrame(message.Serialize()));
-  return SendBytes(frame.data(), frame.size());
-}
-
-Status DistChannel::SendBytes(const char* data, size_t size) {
-  // Serialize senders: the worker's heartbeat thread shares the channel
-  // with its protocol loop, and interleaved partial frames would corrupt
-  // the stream.
-  std::lock_guard<std::mutex> lock(send_mu_);
-  if (fd_ < 0) return Status::FailedPrecondition("dist channel closed");
-  return WriteAllNoSig(fd_, data, size, io_timeout_ms_);
-}
-
-Status DistChannel::RecvRaw(JsonValue* message) {
-  if (fd_ < 0) return Status::FailedPrecondition("dist channel closed");
-  std::string payload;
-  while (!decoder_.Next(&payload)) {
-    TPCP_RETURN_IF_ERROR(decoder_.error());
-    if (io_timeout_ms_ >= 0) {
-      // Quiet-period deadline: each arriving byte restarts the clock, so a
-      // slow-but-alive peer is fine and a silent one fails in bounded time.
-      TPCP_RETURN_IF_ERROR(PollFor(fd_, POLLIN, io_timeout_ms_, "recv"));
-    }
-    char buf[16384];
-    const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError(std::string("dist recv: ") +
-                             std::strerror(errno));
-    }
-    if (n == 0) return Status::IOError("dist peer closed connection");
-    TPCP_RETURN_IF_ERROR(decoder_.Feed(buf, static_cast<size_t>(n)));
-  }
-  TPCP_ASSIGN_OR_RETURN(*message, JsonValue::Parse(payload));
-  return Status::OK();
-}
-
-int DistChannel::ReleaseFd() {
-  std::lock_guard<std::mutex> lock(send_mu_);
-  return fd_.exchange(-1);
-}
-
-void DistChannel::CloseFd() {
-  std::lock_guard<std::mutex> lock(send_mu_);
-  const int fd = fd_.exchange(-1);
-  if (fd >= 0) {
-    // A close() alone does not interrupt a recv() blocked on another
-    // thread (the overlap pipeline's compute thread closes the channel to
-    // abort the protocol loop); shutdown() wakes it with EOF first.
-    ::shutdown(fd, SHUT_RDWR);
-    ::close(fd);
-  }
-}
-
-Result<int> DistListen(int* port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::IOError(std::string("dist socket: ") +
-                           std::strerror(errno));
-  }
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<uint16_t>(*port));
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    const Status s = Status::IOError(std::string("dist bind: ") +
-                                     std::strerror(errno));
-    ::close(fd);
-    return s;
-  }
-  if (::listen(fd, 64) != 0) {
-    const Status s = Status::IOError(std::string("dist listen: ") +
-                                     std::strerror(errno));
-    ::close(fd);
-    return s;
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) != 0) {
-    const Status s = Status::IOError(std::string("dist getsockname: ") +
-                                     std::strerror(errno));
-    ::close(fd);
-    return s;
-  }
-  *port = ntohs(bound.sin_port);
-  return fd;
-}
-
-Result<std::unique_ptr<DistChannel>> DistAccept(int listen_fd,
-                                                int timeout_ms) {
-  for (;;) {
-    if (timeout_ms >= 0) {
-      pollfd pfd{};
-      pfd.fd = listen_fd;
-      pfd.events = POLLIN;
-      const int ready = ::poll(&pfd, 1, timeout_ms);
-      if (ready < 0) {
-        if (errno == EINTR) continue;
-        return Status::IOError(std::string("dist poll: ") +
-                               std::strerror(errno));
-      }
-      if (ready == 0) return Status::IOError("dist accept timed out");
-    }
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError(std::string("dist accept: ") +
-                             std::strerror(errno));
-    }
-    return std::make_unique<DistChannel>(fd);
-  }
-}
-
-namespace {
-
-Result<int> DistConnectOnce(int port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::IOError(std::string("dist socket: ") +
-                           std::strerror(errno));
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    const Status s = Status::IOError(std::string("dist connect: ") +
-                                     std::strerror(errno));
-    ::close(fd);
-    return s;
-  }
-  return fd;
-}
-
-}  // namespace
-
-Result<std::unique_ptr<DistChannel>> DistConnect(int port,
-                                                 const RetryPolicy& retry) {
-  int fd = -1;
-  TPCP_RETURN_IF_ERROR(RetryWithBackoff(
-      retry, "dist connect to port " + std::to_string(port), [&] {
-        Result<int> attempt = DistConnectOnce(port);
-        if (!attempt.ok()) return attempt.status();
-        fd = *attempt;
-        return Status::OK();
-      }));
-  return std::make_unique<DistChannel>(fd);
 }
 
 }  // namespace tpcp

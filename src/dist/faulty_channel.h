@@ -1,4 +1,4 @@
-// Chaos harness for the dist wire: a DistChannel that injects scripted
+// Chaos harness for the dist wire: a FrameChannel that injects scripted
 // faults (drop / delay / garbage / disconnect) at exact points in the
 // protocol stream, so every recovery path in the coordinator's supervisor
 // is deterministically reproducible.
@@ -16,7 +16,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "dist/exchange.h"
+#include "server/net.h"
 
 namespace tpcp {
 
@@ -45,11 +45,11 @@ struct ChaosSchedule {
   bool empty() const { return events.empty(); }
 };
 
-/// DistChannel with scripted fault injection on the protocol frames.
-class FaultyChannel : public DistChannel {
+/// FrameChannel with scripted fault injection on the protocol frames.
+class FaultyChannel : public FrameChannel {
  public:
   FaultyChannel(int fd, ChaosSchedule schedule)
-      : DistChannel(fd), schedule_(std::move(schedule)) {}
+      : FrameChannel(fd), schedule_(std::move(schedule)) {}
 
   Status Send(const JsonValue& message) override;
   Status Recv(JsonValue* message) override;

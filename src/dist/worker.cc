@@ -16,6 +16,7 @@
 #include "core/refinement_state.h"
 #include "dist/exchange.h"
 #include "schedule/planner.h"
+#include "server/net.h"
 #include "storage/overlay_env.h"
 #include "storage/retry_env.h"
 #include "util/logging.h"
@@ -26,11 +27,11 @@ namespace {
 
 /// Sends {"t":"hb"} every `interval_ms` until stopped (or until a send
 /// fails — a vanished coordinator is the protocol thread's error to
-/// surface). Shares the channel with the protocol thread; DistChannel
+/// surface). Shares the channel with the protocol thread; FrameChannel
 /// serializes frame writes internally.
 class HeartbeatThread {
  public:
-  HeartbeatThread(DistChannel* channel, int interval_ms)
+  HeartbeatThread(FrameChannel* channel, int interval_ms)
       : channel_(channel), interval_ms_(interval_ms) {
     thread_ = std::thread([this] { Loop(); });
   }
@@ -60,7 +61,7 @@ class HeartbeatThread {
     }
   }
 
-  DistChannel* channel_;
+  FrameChannel* channel_;
   int interval_ms_;
   std::thread thread_;
   std::mutex mu_;
@@ -71,7 +72,7 @@ class HeartbeatThread {
 /// Sends one owned step's metadata image as chunked "xchg" frames: the
 /// Gram rides in the first chunk, slab-M entries fill chunks up to the
 /// logical byte budget, and the final chunk carries "last":true.
-Status SendExchange(DistChannel* channel, int64_t pos,
+Status SendExchange(FrameChannel* channel, int64_t pos,
                     const ModePartition& unit,
                     const RefinementState::ExchangeImage& image) {
   const uint64_t entry_bytes =
@@ -159,7 +160,7 @@ class AbsorbBuffer {
 };
 
 /// Sends one dirty sub-factor as row-sliced "subfactor" frames.
-Status SendSubFactor(DistChannel* channel, const ModePartition& unit,
+Status SendSubFactor(FrameChannel* channel, const ModePartition& unit,
                      const Matrix& a) {
   const int64_t rows_per_chunk = std::max<int64_t>(
       1, static_cast<int64_t>(kDistChunkBytes /
@@ -184,8 +185,8 @@ Status SendSubFactor(DistChannel* channel, const ModePartition& unit,
 Status ServeDistWorker(Env* base_env, const std::string& factor_prefix,
                        int port, int worker_id,
                        const DistWorkerHooks& hooks) {
-  TPCP_ASSIGN_OR_RETURN(std::unique_ptr<DistChannel> channel,
-                        DistConnect(port));
+  TPCP_ASSIGN_OR_RETURN(std::unique_ptr<FrameChannel> channel,
+                        Connect("127.0.0.1", port));
   if (!hooks.chaos.empty()) {
     // Chaos harness: replay the scripted fault schedule on this channel.
     channel = std::make_unique<FaultyChannel>(channel->ReleaseFd(),

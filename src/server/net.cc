@@ -2,13 +2,15 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
-#include "server/wire.h"
+#include "server/daemon.h"
 
 namespace tpcp {
 
@@ -18,18 +20,29 @@ Status Errno(const std::string& what) {
   return Status::IOError(what + ": " + std::strerror(errno));
 }
 
-/// write() until everything is out (or the peer is gone).
-Status WriteAll(int fd, const std::string& data) {
-  size_t sent = 0;
-  while (sent < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + sent, data.size() - sent);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return Errno("write");
+/// Waits for `events` on `fd` for up to `timeout_ms` (< 0 blocks forever).
+/// OK when ready; IOError on poll failure or deadline expiry.
+Status PollFor(int fd, short events, int timeout_ms, const char* what) {
+  for (;;) {
+    pollfd pfd{};
+    pfd.fd = fd;
+    pfd.events = events;
+    const int ready = ::poll(&pfd, 1, timeout_ms);
+    if (ready < 0) {
+      if (errno == EINTR) continue;
+      return Errno("poll");
     }
-    sent += static_cast<size_t>(n);
+    if (ready == 0) return Status::IOError(std::string(what) + " timed out");
+    return Status::OK();
   }
-  return Status::OK();
+}
+
+sockaddr_in LoopbackAddress(int port) {
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  return addr;
 }
 
 /// Recognizes the connection hello (see net.h) and builds its reply.
@@ -81,39 +94,169 @@ bool MaybeHandleHello(Tpcpd* daemon, const std::string& payload,
 
 }  // namespace
 
-// ---- server ----------------------------------------------------------------
+// ---- channel ---------------------------------------------------------------
 
-Result<std::unique_ptr<TpcpdServer>> TpcpdServer::Listen(Tpcpd* daemon,
-                                                         int port) {
+Status FrameChannel::Send(const JsonValue& message) {
+  return SendRaw(message);
+}
+
+Status FrameChannel::Recv(JsonValue* message) { return RecvRaw(message); }
+
+Status FrameChannel::SendRaw(const JsonValue& message) {
+  return SendPayload(message.Serialize());
+}
+
+Status FrameChannel::RecvRaw(JsonValue* message) {
+  std::string payload;
+  TPCP_RETURN_IF_ERROR(RecvPayload(&payload));
+  TPCP_ASSIGN_OR_RETURN(*message, JsonValue::Parse(payload));
+  return Status::OK();
+}
+
+Status FrameChannel::SendPayload(const std::string& payload) {
+  TPCP_ASSIGN_OR_RETURN(const std::string frame,
+                        decoder_.deflate_enabled()
+                            ? EncodeFrameDeflate(payload)
+                            : EncodeFrame(payload));
+  return SendBytes(frame.data(), frame.size());
+}
+
+Status FrameChannel::SendBytes(const char* data, size_t size) {
+  // Serialize senders: a dist worker's heartbeat thread shares the channel
+  // with its protocol loop, and interleaved partial frames would corrupt
+  // the stream.
+  std::lock_guard<std::mutex> lock(send_mu_);
+  if (fd_ < 0) return Status::FailedPrecondition("channel closed");
+  size_t sent = 0;
+  while (sent < size) {
+    if (io_timeout_ms_ >= 0) {
+      TPCP_RETURN_IF_ERROR(PollFor(fd_, POLLOUT, io_timeout_ms_, "send"));
+    }
+    const ssize_t n = ::send(fd_, data + sent, size - sent, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Errno("send");
+    }
+    sent += static_cast<size_t>(n);
+  }
+  return Status::OK();
+}
+
+Status FrameChannel::RecvPayload(std::string* payload) {
+  if (fd_ < 0) return Status::FailedPrecondition("channel closed");
+  while (!decoder_.Next(payload)) {
+    TPCP_RETURN_IF_ERROR(decoder_.error());
+    if (io_timeout_ms_ >= 0) {
+      // Quiet-period deadline: each arriving byte restarts the clock, so a
+      // slow-but-alive peer is fine and a silent one fails in bounded time.
+      TPCP_RETURN_IF_ERROR(PollFor(fd_, POLLIN, io_timeout_ms_, "recv"));
+    }
+    char buf[16384];
+    const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Errno("recv");
+    }
+    // A trailing partial frame is simply dropped.
+    if (n == 0) return Status::IOError("peer closed connection");
+    TPCP_RETURN_IF_ERROR(decoder_.Feed(buf, static_cast<size_t>(n)));
+  }
+  return Status::OK();
+}
+
+void FrameChannel::EnableDeflate() { decoder_.EnableDeflate(); }
+
+int FrameChannel::ReleaseFd() {
+  std::lock_guard<std::mutex> lock(send_mu_);
+  return fd_.exchange(-1);
+}
+
+void FrameChannel::Shutdown() {
+  const int fd = fd_;
+  if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
+}
+
+void FrameChannel::Close() {
+  std::lock_guard<std::mutex> lock(send_mu_);
+  const int fd = fd_.exchange(-1);
+  if (fd >= 0) {
+    // A close() alone does not interrupt a recv() blocked on another
+    // thread; shutdown() wakes it with EOF first.
+    ::shutdown(fd, SHUT_RDWR);
+    ::close(fd);
+  }
+}
+
+Result<int> Listen(int* port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return Errno("socket");
   const int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    const Status status = Errno("bind 127.0.0.1:" + std::to_string(port));
-    ::close(fd);
-    return status;
-  }
-  if (::listen(fd, 16) != 0) {
-    const Status status = Errno("listen");
-    ::close(fd);
-    return status;
-  }
+  sockaddr_in addr = LoopbackAddress(*port);
   socklen_t len = sizeof(addr);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
-    const Status status = Errno("getsockname");
+  Status status;
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    status = Errno("bind 127.0.0.1:" + std::to_string(*port));
+  } else if (::listen(fd, 64) != 0) {
+    status = Errno("listen");
+  } else if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) !=
+             0) {
+    status = Errno("getsockname");
+  }
+  if (!status.ok()) {
     ::close(fd);
     return status;
   }
+  *port = ntohs(addr.sin_port);
+  return fd;
+}
+
+Result<std::unique_ptr<FrameChannel>> Accept(int listen_fd, int timeout_ms) {
+  if (timeout_ms >= 0) {
+    TPCP_RETURN_IF_ERROR(PollFor(listen_fd, POLLIN, timeout_ms, "accept"));
+  }
+  for (;;) {
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
+    if (fd >= 0) return std::make_unique<FrameChannel>(fd);
+    if (errno != EINTR) return Errno("accept");
+  }
+}
+
+Result<std::unique_ptr<FrameChannel>> Connect(const std::string& host,
+                                              int port,
+                                              const RetryPolicy& retry) {
+  sockaddr_in addr = LoopbackAddress(port);
+  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
+    // Permanent: no retry will make the address parse.
+    return Status::InvalidArgument("bad address '" + host + "'");
+  }
+  const std::string what = "connect " + host + ":" + std::to_string(port);
+  int connected_fd = -1;
+  TPCP_RETURN_IF_ERROR(
+      RetryWithBackoff(retry, what, [&addr, &what, &connected_fd] {
+        const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+        if (fd < 0) return Errno("socket");
+        if (::connect(fd, reinterpret_cast<sockaddr*>(&addr),
+                      sizeof(addr)) != 0) {
+          const Status error = Errno(what);
+          ::close(fd);
+          return error;  // IOError: transient, retried
+        }
+        connected_fd = fd;
+        return Status::OK();
+      }));
+  return std::make_unique<FrameChannel>(connected_fd);
+}
+
+// ---- server ----------------------------------------------------------------
+
+Result<std::unique_ptr<TpcpdServer>> TpcpdServer::Listen(Tpcpd* daemon,
+                                                         int port) {
+  TPCP_ASSIGN_OR_RETURN(const int fd, tpcp::Listen(&port));
   std::unique_ptr<TpcpdServer> server(new TpcpdServer());
   server->daemon_ = daemon;
   server->listen_fd_ = fd;
-  server->bound_port_ = static_cast<int>(ntohs(addr.sin_port));
+  server->bound_port_ = port;
   server->accept_thread_ = std::thread([s = server.get()] { s->AcceptLoop(); });
   return server;
 }
@@ -122,9 +265,9 @@ TpcpdServer::~TpcpdServer() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     stopping_ = true;
-    // Unblock the accept loop and every connection read.
+    // Unblock the accept loop and every connection's read or write.
     ::shutdown(listen_fd_, SHUT_RDWR);
-    for (const int fd : connection_fds_) ::shutdown(fd, SHUT_RDWR);
+    for (const auto& channel : connections_) channel->Shutdown();
   }
   if (accept_thread_.joinable()) accept_thread_.join();
   std::vector<std::thread> threads;
@@ -140,125 +283,69 @@ TpcpdServer::~TpcpdServer() {
 
 void TpcpdServer::AcceptLoop() {
   for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;  // listen socket shut down
-    }
+    Result<std::unique_ptr<FrameChannel>> accepted = Accept(listen_fd_);
+    if (!accepted.ok()) return;  // listen socket shut down
     std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) {
-      ::close(fd);
-      return;
-    }
-    connection_fds_.push_back(fd);
-    connection_threads_.emplace_back([this, fd] { ServeConnection(fd); });
+    if (stopping_) return;
+    FrameChannel* channel = accepted->get();
+    connections_.push_back(std::move(*accepted));
+    connection_threads_.emplace_back(
+        [this, channel] { ServeConnection(channel); });
   }
 }
 
-void TpcpdServer::ServeConnection(int fd) {
-  FrameDecoder decoder;
-  bool compress = false;
+void TpcpdServer::ServeConnection(FrameChannel* channel) {
   std::string auth_tenant;  // set by an authenticated hello, sticky
-  char buf[4096];
+  std::string payload;
   for (;;) {
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      break;  // peer closed (a trailing partial frame is simply dropped)
-    }
-    if (!decoder.Feed(buf, static_cast<size_t>(n)).ok()) {
-      // The stream cannot be resynced; answer once, then hang up.
-      JsonValue error = JsonValue::Object();
-      error.Set("ok", false);
-      error.Set("error", decoder.error().ToString());
-      const Result<std::string> frame = EncodeFrame(error.Serialize());
-      if (frame.ok()) WriteAll(fd, *frame);
+    const Status received = channel->RecvPayload(&payload);
+    if (!received.ok()) {
+      // EOF and socket errors just end the connection. A malformed frame
+      // cannot be resynced: answer once, then hang up.
+      if (received.code() == StatusCode::kInvalidArgument) {
+        JsonValue error = JsonValue::Object();
+        error.Set("ok", false);
+        error.Set("error", received.ToString());
+        channel->Send(error);
+      }
       break;
     }
-    std::string payload;
-    bool alive = true;
-    while (decoder.Next(&payload)) {
-      std::string response;
-      bool grant = false;
-      const bool hello =
-          MaybeHandleHello(daemon_, payload, &response, &grant, &auth_tenant);
-      if (!hello) response = daemon_->HandleRequest(payload, auth_tenant);
-      // The hello reply itself always ships plain — the client enables
-      // its decoder only after reading the grant.
-      const Result<std::string> frame =
-          (compress && !hello) ? EncodeFrameDeflate(response)
-                               : EncodeFrame(response);
-      if (!frame.ok() || !WriteAll(fd, *frame).ok()) {
-        alive = false;
-        break;
-      }
-      if (hello && grant && !compress) {
-        compress = true;
-        decoder.EnableDeflate();
-      }
+    std::string response;
+    bool grant = false;
+    if (!MaybeHandleHello(daemon_, payload, &response, &grant,
+                          &auth_tenant)) {
+      response = daemon_->HandleRequest(payload, auth_tenant);
     }
-    if (!alive) break;
+    if (!channel->SendPayload(response).ok()) break;
+    // The grant itself ships plain: the client enables its decoder only
+    // after reading it.
+    if (grant) channel->EnableDeflate();
   }
-  ::close(fd);
+  // Under mu_, so the destructor never shuts down a closed (reused) fd.
+  std::lock_guard<std::mutex> lock(mu_);
+  connections_.erase(std::find_if(
+      connections_.begin(), connections_.end(),
+      [channel](const auto& open) { return open.get() == channel; }));
 }
 
 // ---- client ----------------------------------------------------------------
 
 Result<std::unique_ptr<TpcpdClient>> TpcpdClient::Connect(
     const std::string& host, int port, const RetryPolicy& retry) {
-  int connected_fd = -1;
-  const Status status = RetryWithBackoff(
-      retry, "connect " + host + ":" + std::to_string(port),
-      [&host, port, &connected_fd]() -> Status {
-        const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-        if (fd < 0) return Errno("socket");
-        sockaddr_in addr;
-        std::memset(&addr, 0, sizeof(addr));
-        addr.sin_family = AF_INET;
-        addr.sin_port = htons(static_cast<uint16_t>(port));
-        if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-          ::close(fd);
-          // Permanent: no retry will make the address parse.
-          return Status::InvalidArgument("bad address '" + host + "'");
-        }
-        if (::connect(fd, reinterpret_cast<sockaddr*>(&addr),
-                      sizeof(addr)) != 0) {
-          const Status error =
-              Errno("connect " + host + ":" + std::to_string(port));
-          ::close(fd);
-          return error;  // IOError: transient, retried
-        }
-        connected_fd = fd;
-        return Status::OK();
-      });
-  TPCP_RETURN_IF_ERROR(status);
-  return std::unique_ptr<TpcpdClient>(new TpcpdClient(connected_fd));
-}
-
-TpcpdClient::~TpcpdClient() {
-  if (fd_ >= 0) ::close(fd_);
+  TPCP_ASSIGN_OR_RETURN(std::unique_ptr<FrameChannel> channel,
+                        tpcp::Connect(host, port, retry));
+  return std::unique_ptr<TpcpdClient>(new TpcpdClient(std::move(channel)));
 }
 
 Result<JsonValue> TpcpdClient::Call(const JsonValue& request) {
-  TPCP_ASSIGN_OR_RETURN(const std::string frame,
-                        compress_ ? EncodeFrameDeflate(request.Serialize())
-                                  : EncodeFrame(request.Serialize()));
-  TPCP_RETURN_IF_ERROR(WriteAll(fd_, frame));
-  char buf[4096];
-  std::string payload;
-  while (!decoder_.Next(&payload)) {
-    const ssize_t n = ::read(fd_, buf, sizeof(buf));
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return Status::IOError("connection closed mid-response");
-    }
-    TPCP_RETURN_IF_ERROR(decoder_.Feed(buf, static_cast<size_t>(n)));
-  }
-  return JsonValue::Parse(payload);
+  TPCP_RETURN_IF_ERROR(channel_->Send(request));
+  JsonValue response;
+  TPCP_RETURN_IF_ERROR(channel_->Recv(&response));
+  return response;
 }
 
 Result<bool> TpcpdClient::NegotiateCompression() {
-  if (compress_) return true;
+  if (channel_->deflate_enabled()) return true;
   if (!DeflateSupported()) return false;  // nothing to offer
   JsonValue hello = JsonValue::Object();
   hello.Set("cmd", "hello");
@@ -271,8 +358,7 @@ Result<bool> TpcpdClient::NegotiateCompression() {
       granted->string_value() != "deflate") {
     return false;
   }
-  compress_ = true;
-  decoder_.EnableDeflate();
+  channel_->EnableDeflate();
   return true;
 }
 
