@@ -4,6 +4,7 @@
 
 #include "core/names.h"
 #include "util/format.h"
+#include "util/parse.h"
 
 namespace tpcp {
 
@@ -22,6 +23,38 @@ uint64_t HashDouble(uint64_t hash, double value) {
   uint64_t bits = 0;
   std::memcpy(&bits, &value, sizeof(bits));
   return HashWord(hash, bits);
+}
+
+Result<bool> ParseBoolOption(const std::string& key, const std::string& value) {
+  const Result<bool> parsed = ParseBool(value);
+  if (!parsed.ok()) {
+    return Status::InvalidArgument("option '" + key +
+                                   "' must be a boolean (0/1/true/false)");
+  }
+  return parsed;
+}
+
+Status SetIntField(const std::string& key, const std::string& value,
+                   int64_t* out) {
+  const Result<int64_t> parsed = ParseInt64(value);
+  if (!parsed.ok()) {
+    return Status::InvalidArgument("option '" + key +
+                                   "' must be an integer: '" + value + "'");
+  }
+  *out = *parsed;
+  return Status::OK();
+}
+
+Status SetUintField(const std::string& key, const std::string& value,
+                    uint64_t* out) {
+  const Result<uint64_t> parsed = ParseUint64(value);
+  if (!parsed.ok()) {
+    return Status::InvalidArgument("option '" + key +
+                                   "' must be an unsigned 64-bit integer: '" +
+                                   value + "'");
+  }
+  *out = *parsed;
+  return Status::OK();
 }
 
 }  // namespace
@@ -96,6 +129,157 @@ std::string TwoPhaseCpOptions::ToString() const {
   if (kernel_fma) out += " kernel_fma=1";
   if (policy_victim_hints) out += " policy_victim_hints=1";
   return out;
+}
+
+std::map<std::string, std::string> OptionsToMap(
+    const TwoPhaseCpOptions& options) {
+  std::map<std::string, std::string> map;
+  map["rank"] = std::to_string(options.rank);
+  map["phase1_max_iterations"] =
+      std::to_string(options.phase1_max_iterations);
+  map["phase1_fit_tolerance"] = RoundTripDouble(options.phase1_fit_tolerance);
+  map["phase1_ridge"] = RoundTripDouble(options.phase1_ridge);
+  map["init"] = InitMethodName(options.init);
+  map["seed"] = std::to_string(options.seed);
+  map["num_threads"] = std::to_string(options.num_threads);
+  map["schedule"] = ScheduleTypeName(options.schedule);
+  map["policy"] = PolicyTypeName(options.policy);
+  map["buffer_fraction"] = RoundTripDouble(options.buffer_fraction);
+  map["buffer_bytes"] = std::to_string(options.buffer_bytes);
+  map["max_virtual_iterations"] =
+      std::to_string(options.max_virtual_iterations);
+  map["fit_tolerance"] = RoundTripDouble(options.fit_tolerance);
+  map["refinement_ridge"] = RoundTripDouble(options.refinement_ridge);
+  map["resume_phase2"] = options.resume_phase2 ? "1" : "0";
+  map["prefetch_depth"] = std::to_string(options.prefetch_depth);
+  map["io_threads"] = std::to_string(options.io_threads);
+  map["compute_threads"] = std::to_string(options.compute_threads);
+  map["plan_reorder"] = options.plan_reorder ? "1" : "0";
+  map["plan_reorder_auto"] = options.plan_reorder_auto ? "1" : "0";
+  map["plan_reorder_window"] = std::to_string(options.plan_reorder_window);
+  map["shard_slab_blocks"] = std::to_string(options.shard_slab_blocks);
+  map["kernel_fma"] = options.kernel_fma ? "1" : "0";
+  map["policy_victim_hints"] = options.policy_victim_hints ? "1" : "0";
+  map["max_seconds"] = RoundTripDouble(options.max_seconds);
+  return map;
+}
+
+Status ApplyOption(const std::string& key, const std::string& value,
+                   TwoPhaseCpOptions* options) {
+  int64_t number = 0;
+  if (key == "rank") {
+    return SetIntField(key, value, &options->rank);
+  }
+  if (key == "phase1_max_iterations") {
+    TPCP_RETURN_IF_ERROR(SetIntField(key, value, &number));
+    options->phase1_max_iterations = static_cast<int>(number);
+    return Status::OK();
+  }
+  if (key == "phase1_fit_tolerance") {
+    TPCP_ASSIGN_OR_RETURN(options->phase1_fit_tolerance, ParseDouble(value));
+    return Status::OK();
+  }
+  if (key == "phase1_ridge") {
+    TPCP_ASSIGN_OR_RETURN(options->phase1_ridge, ParseDouble(value));
+    return Status::OK();
+  }
+  if (key == "init") {
+    TPCP_ASSIGN_OR_RETURN(options->init, InitMethodFromName(value));
+    return Status::OK();
+  }
+  if (key == "seed") {
+    return SetUintField(key, value, &options->seed);
+  }
+  if (key == "num_threads") {
+    TPCP_RETURN_IF_ERROR(SetIntField(key, value, &number));
+    options->num_threads = static_cast<int>(number);
+    return Status::OK();
+  }
+  if (key == "schedule") {
+    TPCP_ASSIGN_OR_RETURN(options->schedule, ScheduleTypeFromName(value));
+    return Status::OK();
+  }
+  if (key == "policy") {
+    TPCP_ASSIGN_OR_RETURN(options->policy, PolicyTypeFromName(value));
+    return Status::OK();
+  }
+  if (key == "buffer_fraction") {
+    TPCP_ASSIGN_OR_RETURN(options->buffer_fraction, ParseDouble(value));
+    return Status::OK();
+  }
+  if (key == "buffer_bytes") {
+    return SetUintField(key, value, &options->buffer_bytes);
+  }
+  if (key == "max_virtual_iterations") {
+    TPCP_RETURN_IF_ERROR(SetIntField(key, value, &number));
+    options->max_virtual_iterations = static_cast<int>(number);
+    return Status::OK();
+  }
+  if (key == "fit_tolerance") {
+    TPCP_ASSIGN_OR_RETURN(options->fit_tolerance, ParseDouble(value));
+    return Status::OK();
+  }
+  if (key == "refinement_ridge") {
+    TPCP_ASSIGN_OR_RETURN(options->refinement_ridge, ParseDouble(value));
+    return Status::OK();
+  }
+  if (key == "resume_phase2") {
+    TPCP_ASSIGN_OR_RETURN(options->resume_phase2, ParseBoolOption(key, value));
+    return Status::OK();
+  }
+  if (key == "prefetch_depth") {
+    TPCP_RETURN_IF_ERROR(SetIntField(key, value, &number));
+    options->prefetch_depth = static_cast<int>(number);
+    return Status::OK();
+  }
+  if (key == "io_threads") {
+    TPCP_RETURN_IF_ERROR(SetIntField(key, value, &number));
+    options->io_threads = static_cast<int>(number);
+    return Status::OK();
+  }
+  if (key == "compute_threads") {
+    TPCP_RETURN_IF_ERROR(SetIntField(key, value, &number));
+    options->compute_threads = static_cast<int>(number);
+    return Status::OK();
+  }
+  if (key == "plan_reorder") {
+    TPCP_ASSIGN_OR_RETURN(options->plan_reorder, ParseBoolOption(key, value));
+    return Status::OK();
+  }
+  if (key == "plan_reorder_auto") {
+    TPCP_ASSIGN_OR_RETURN(options->plan_reorder_auto,
+                          ParseBoolOption(key, value));
+    return Status::OK();
+  }
+  if (key == "plan_reorder_window") {
+    return SetIntField(key, value, &options->plan_reorder_window);
+  }
+  if (key == "shard_slab_blocks") {
+    return SetIntField(key, value, &options->shard_slab_blocks);
+  }
+  if (key == "kernel_fma") {
+    TPCP_ASSIGN_OR_RETURN(options->kernel_fma, ParseBoolOption(key, value));
+    return Status::OK();
+  }
+  if (key == "policy_victim_hints") {
+    TPCP_ASSIGN_OR_RETURN(options->policy_victim_hints,
+                          ParseBoolOption(key, value));
+    return Status::OK();
+  }
+  if (key == "max_seconds") {
+    TPCP_ASSIGN_OR_RETURN(options->max_seconds, ParseDouble(value));
+    return Status::OK();
+  }
+  return Status::InvalidArgument("unknown option '" + key + "'");
+}
+
+Result<TwoPhaseCpOptions> OptionsFromMap(
+    const std::map<std::string, std::string>& map) {
+  TwoPhaseCpOptions options;
+  for (const auto& [key, value] : map) {
+    TPCP_RETURN_IF_ERROR(ApplyOption(key, value, &options));
+  }
+  return options;
 }
 
 }  // namespace tpcp

@@ -4,12 +4,14 @@
 #define TPCP_CORE_CONFIG_H_
 
 #include <cstdint>
+#include <map>
 #include <string>
 
 #include "buffer/replacement_policy.h"
 #include "core/cancellation.h"
 #include "cp/cp_als.h"
 #include "schedule/update_schedule.h"
+#include "util/status.h"
 
 namespace tpcp {
 
@@ -173,6 +175,29 @@ struct TwoPhaseCpOptions {
 
   std::string ToString() const;
 };
+
+// ---- options codec ---------------------------------------------------------
+//
+// The string map is the one serialization of TwoPhaseCpOptions. tpcpd job
+// records, the wire protocol's "options" object and the dist init frame all
+// carry it. Round-trip exact: doubles are written with %.17g, so
+// OptionsFromMap(OptionsToMap(o)) reproduces every field but the observer
+// and cancel pointers, and a recovered job or a dist worker runs under the
+// same ResumeFingerprint.
+
+/// Every scalar option as a string map (enums by canonical short name,
+/// doubles in round-trip precision).
+std::map<std::string, std::string> OptionsToMap(
+    const TwoPhaseCpOptions& options);
+
+/// Applies `key = value` onto `*options`. InvalidArgument naming the key
+/// on an unknown key or unparsable value.
+Status ApplyOption(const std::string& key, const std::string& value,
+                   TwoPhaseCpOptions* options);
+
+/// Defaults + every entry of `map` via ApplyOption.
+Result<TwoPhaseCpOptions> OptionsFromMap(
+    const std::map<std::string, std::string>& map);
 
 }  // namespace tpcp
 

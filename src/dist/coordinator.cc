@@ -311,12 +311,16 @@ Status RunFleetAttempt(BlockFactorStore* factors,
   init.Set("workers", static_cast<int64_t>(fleet_size));
   init.Set("resume", options.resume_phase2);
   init.Set("hb_ms", static_cast<int64_t>(dopts.heartbeat_ms));
-  // The overlap knob travels outside EncodeOptions deliberately: it is not
+  // The overlap knob travels outside the options deliberately: it is not
   // math-shaping (both settings are bit-identical), so it must not enter
   // the options fingerprint workers echo back.
   init.Set("overlap", dopts.overlap);
   init.Set("grid", EncodeGrid(factors->grid()));
-  init.Set("options", EncodeOptions(options));
+  JsonValue options_map = JsonValue::Object();
+  for (const auto& [key, value] : OptionsToMap(options)) {
+    options_map.Set(key, value);
+  }
+  init.Set("options", std::move(options_map));
   for (int w = 0; w < fleet_size; ++w) {
     TPCP_RETURN_IF_ERROR(send(w, init));
   }

@@ -3,8 +3,6 @@
 #include <array>
 #include <cstring>
 
-#include "core/names.h"
-
 namespace tpcp {
 namespace {
 
@@ -188,90 +186,6 @@ Result<GridPartition> DecodeGrid(const JsonValue& v) {
     part_values.push_back(p.int_value());
   }
   return GridPartition::Create(Shape(dim_values), std::move(part_values));
-}
-
-JsonValue EncodeOptions(const TwoPhaseCpOptions& options) {
-  JsonValue v = JsonValue::Object();
-  v.Set("rank", options.rank);
-  v.Set("phase1_max_iterations", options.phase1_max_iterations);
-  v.Set("phase1_fit_tolerance", DoubleBits(options.phase1_fit_tolerance));
-  v.Set("phase1_ridge", DoubleBits(options.phase1_ridge));
-  v.Set("init", InitMethodName(options.init));
-  v.Set("seed", options.seed);
-  v.Set("num_threads", options.num_threads);
-  v.Set("schedule", ScheduleTypeName(options.schedule));
-  v.Set("policy", PolicyTypeName(options.policy));
-  v.Set("buffer_fraction", DoubleBits(options.buffer_fraction));
-  v.Set("buffer_bytes", options.buffer_bytes);
-  v.Set("max_virtual_iterations", options.max_virtual_iterations);
-  v.Set("fit_tolerance", DoubleBits(options.fit_tolerance));
-  v.Set("refinement_ridge", DoubleBits(options.refinement_ridge));
-  v.Set("resume_phase2", options.resume_phase2);
-  v.Set("prefetch_depth", options.prefetch_depth);
-  v.Set("io_threads", options.io_threads);
-  v.Set("compute_threads", options.compute_threads);
-  v.Set("plan_reorder", options.plan_reorder);
-  v.Set("plan_reorder_auto", options.plan_reorder_auto);
-  v.Set("plan_reorder_window", options.plan_reorder_window);
-  v.Set("shard_slab_blocks", options.shard_slab_blocks);
-  v.Set("kernel_fma", options.kernel_fma);
-  v.Set("policy_victim_hints", options.policy_victim_hints);
-  return v;
-}
-
-Result<TwoPhaseCpOptions> DecodeOptions(const JsonValue& v) {
-  TwoPhaseCpOptions o;
-  TPCP_ASSIGN_OR_RETURN(o.rank, GetInt(v, "rank"));
-  TPCP_ASSIGN_OR_RETURN(const int64_t p1_iters,
-                        GetInt(v, "phase1_max_iterations"));
-  o.phase1_max_iterations = static_cast<int>(p1_iters);
-  TPCP_ASSIGN_OR_RETURN(const int64_t p1_tol,
-                        GetInt(v, "phase1_fit_tolerance"));
-  o.phase1_fit_tolerance = BitsToDouble(p1_tol);
-  TPCP_ASSIGN_OR_RETURN(const int64_t p1_ridge, GetInt(v, "phase1_ridge"));
-  o.phase1_ridge = BitsToDouble(p1_ridge);
-  TPCP_ASSIGN_OR_RETURN(const std::string init, GetString(v, "init"));
-  TPCP_ASSIGN_OR_RETURN(o.init, InitMethodFromName(init));
-  TPCP_ASSIGN_OR_RETURN(const int64_t seed, GetInt(v, "seed"));
-  o.seed = static_cast<uint64_t>(seed);
-  TPCP_ASSIGN_OR_RETURN(const int64_t threads, GetInt(v, "num_threads"));
-  o.num_threads = static_cast<int>(threads);
-  TPCP_ASSIGN_OR_RETURN(const std::string schedule,
-                        GetString(v, "schedule"));
-  TPCP_ASSIGN_OR_RETURN(o.schedule, ScheduleTypeFromName(schedule));
-  TPCP_ASSIGN_OR_RETURN(const std::string policy, GetString(v, "policy"));
-  TPCP_ASSIGN_OR_RETURN(o.policy, PolicyTypeFromName(policy));
-  TPCP_ASSIGN_OR_RETURN(const int64_t frac, GetInt(v, "buffer_fraction"));
-  o.buffer_fraction = BitsToDouble(frac);
-  TPCP_ASSIGN_OR_RETURN(const int64_t bytes, GetInt(v, "buffer_bytes"));
-  o.buffer_bytes = static_cast<uint64_t>(bytes);
-  TPCP_ASSIGN_OR_RETURN(const int64_t max_vi,
-                        GetInt(v, "max_virtual_iterations"));
-  o.max_virtual_iterations = static_cast<int>(max_vi);
-  TPCP_ASSIGN_OR_RETURN(const int64_t fit_tol, GetInt(v, "fit_tolerance"));
-  o.fit_tolerance = BitsToDouble(fit_tol);
-  TPCP_ASSIGN_OR_RETURN(const int64_t ridge,
-                        GetInt(v, "refinement_ridge"));
-  o.refinement_ridge = BitsToDouble(ridge);
-  TPCP_ASSIGN_OR_RETURN(o.resume_phase2, GetBoolOr(v, "resume_phase2", false));
-  TPCP_ASSIGN_OR_RETURN(const int64_t depth, GetInt(v, "prefetch_depth"));
-  o.prefetch_depth = static_cast<int>(depth);
-  TPCP_ASSIGN_OR_RETURN(const int64_t io, GetInt(v, "io_threads"));
-  o.io_threads = static_cast<int>(io);
-  TPCP_ASSIGN_OR_RETURN(const int64_t compute,
-                        GetInt(v, "compute_threads"));
-  o.compute_threads = static_cast<int>(compute);
-  TPCP_ASSIGN_OR_RETURN(o.plan_reorder, GetBoolOr(v, "plan_reorder", false));
-  TPCP_ASSIGN_OR_RETURN(o.plan_reorder_auto,
-                        GetBoolOr(v, "plan_reorder_auto", true));
-  TPCP_ASSIGN_OR_RETURN(o.plan_reorder_window,
-                        GetInt(v, "plan_reorder_window"));
-  TPCP_ASSIGN_OR_RETURN(o.shard_slab_blocks,
-                        GetInt(v, "shard_slab_blocks"));
-  TPCP_ASSIGN_OR_RETURN(o.kernel_fma, GetBoolOr(v, "kernel_fma", false));
-  TPCP_ASSIGN_OR_RETURN(o.policy_victim_hints,
-                        GetBoolOr(v, "policy_victim_hints", false));
-  return o;
 }
 
 }  // namespace tpcp

@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <string>
 
-#include "core/config.h"
 #include "grid/grid_partition.h"
 #include "linalg/matrix.h"
 #include "server/json.h"
@@ -52,12 +51,6 @@ Status DecodeMatrixRowsInto(const JsonValue& v, Matrix* out);
 /// Grid geometry as {"dims","parts"}.
 JsonValue EncodeGrid(const GridPartition& grid);
 Result<GridPartition> DecodeGrid(const JsonValue& v);
-
-/// Every scalar field of TwoPhaseCpOptions (observer/cancel excluded), so
-/// a worker rebuilds options whose ResumeFingerprint and Phase-2 planner
-/// inputs equal the coordinator's exactly.
-JsonValue EncodeOptions(const TwoPhaseCpOptions& options);
-Result<TwoPhaseCpOptions> DecodeOptions(const JsonValue& v);
 
 }  // namespace tpcp
 

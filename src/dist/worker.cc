@@ -211,16 +211,25 @@ Status ServeDistWorker(Env* base_env, const std::string& factor_prefix,
   }
   const JsonValue* grid_json = init.Find("grid");
   const JsonValue* options_json = init.Find("options");
-  if (grid_json == nullptr || options_json == nullptr) {
+  if (grid_json == nullptr || options_json == nullptr ||
+      !options_json->is_object()) {
     return Status::InvalidArgument("dist worker: init missing grid/options");
   }
   TPCP_ASSIGN_OR_RETURN(const GridPartition grid, DecodeGrid(*grid_json));
+  std::map<std::string, std::string> options_map;
+  for (const auto& [key, value] : options_json->object_items()) {
+    if (!value.is_string()) {
+      return Status::InvalidArgument("dist worker: option '" + key +
+                                     "' is not a string");
+    }
+    options_map[key] = value.string_value();
+  }
   TPCP_ASSIGN_OR_RETURN(const TwoPhaseCpOptions options,
-                        DecodeOptions(*options_json));
+                        OptionsFromMap(options_map));
   TPCP_ASSIGN_OR_RETURN(const int64_t hb_ms, GetIntOr(init, "hb_ms", 0));
   // Overlap is an execution-shape knob (absorb-while-compute), never a
-  // math-shaping one, so it rides alongside EncodeOptions instead of
-  // inside it and stays out of ResumeFingerprint.
+  // math-shaping one, so it rides alongside the options instead of inside
+  // them and stays out of ResumeFingerprint.
   TPCP_ASSIGN_OR_RETURN(const bool overlap,
                         GetBoolOr(init, "overlap", false));
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 
 #include "api/session.h"
 #include "data/synthetic.h"
@@ -33,9 +32,7 @@ Result<std::string> JsonOptionToString(const std::string& key,
   if (value.is_bool()) return std::string(value.bool_value() ? "1" : "0");
   if (value.is_int()) return std::to_string(value.int_value());
   if (value.kind() == JsonValue::Kind::kDouble) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", value.number_value());
-    return std::string(buf);
+    return RoundTripDouble(value.number_value());
   }
   return Status::InvalidArgument("option '" + key +
                                  "' must be a scalar (string/number/bool)");

@@ -4,7 +4,7 @@
 #include <sstream>
 #include <vector>
 
-#include "core/names.h"
+#include "util/format.h"
 #include "util/parse.h"
 
 namespace tpcp {
@@ -56,37 +56,12 @@ Result<std::string> UnescapeValue(const std::string& value) {
   return out;
 }
 
-std::string FormatDouble(double value) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
-}
-
-Result<bool> ParseBoolValue(const std::string& key,
-                            const std::string& value) {
-  if (value == "1" || value == "true") return true;
-  if (value == "0" || value == "false") return false;
-  return Status::InvalidArgument("option '" + key +
-                                 "' must be a boolean (0/1/true/false)");
-}
-
 void EmitField(const std::string& key, const std::string& value,
                std::string* out) {
   *out += key;
   out->push_back(' ');
   *out += EscapeValue(value);
   out->push_back('\n');
-}
-
-Status SetIntField(const std::string& key, const std::string& value,
-                   int64_t* out) {
-  const Result<int64_t> parsed = ParseInt64(value);
-  if (!parsed.ok()) {
-    return Status::InvalidArgument("option '" + key +
-                                   "' must be an integer: '" + value + "'");
-  }
-  *out = *parsed;
-  return Status::OK();
 }
 
 }  // namespace
@@ -130,7 +105,7 @@ std::string EncodeServerJobRecord(const ServerJobRecord& record) {
   EmitField("preemptions", std::to_string(record.preemptions), &out);
   EmitField("resumed", record.resumed ? "1" : "0", &out);
   if (!record.detail.empty()) EmitField("detail", record.detail, &out);
-  EmitField("fit", FormatDouble(record.fit), &out);
+  EmitField("fit", RoundTripDouble(record.fit), &out);
   EmitField("solver", record.solver, &out);
   EmitField("session_uri", record.session_uri, &out);
   EmitField("budget_buffer", std::to_string(record.budget_buffer_bytes),
@@ -182,23 +157,23 @@ Result<ServerJobRecord> DecodeServerJobRecord(const std::string& text) {
     TPCP_ASSIGN_OR_RETURN(const std::string value, UnescapeValue(raw));
     int64_t number = 0;
     if (key == "id") {
-      TPCP_RETURN_IF_ERROR(SetIntField(key, value, &record.id));
+      TPCP_ASSIGN_OR_RETURN(record.id, ParseInt64(value));
     } else if (key == "tenant") {
       record.tenant = value;
     } else if (key == "name") {
       record.name = value;
     } else if (key == "priority") {
-      TPCP_RETURN_IF_ERROR(SetIntField(key, value, &number));
+      TPCP_ASSIGN_OR_RETURN(number, ParseInt64(value));
       record.priority = static_cast<int>(number);
     } else if (key == "seq") {
-      TPCP_RETURN_IF_ERROR(SetIntField(key, value, &record.seq));
+      TPCP_ASSIGN_OR_RETURN(record.seq, ParseInt64(value));
     } else if (key == "state") {
       TPCP_ASSIGN_OR_RETURN(record.state, ServerJobStateFromName(value));
     } else if (key == "preemptions") {
-      TPCP_RETURN_IF_ERROR(SetIntField(key, value, &number));
+      TPCP_ASSIGN_OR_RETURN(number, ParseInt64(value));
       record.preemptions = static_cast<int>(number);
     } else if (key == "resumed") {
-      TPCP_ASSIGN_OR_RETURN(record.resumed, ParseBoolValue(key, value));
+      TPCP_ASSIGN_OR_RETURN(record.resumed, ParseBool(value));
     } else if (key == "detail") {
       record.detail = value;
     } else if (key == "fit") {
@@ -208,10 +183,9 @@ Result<ServerJobRecord> DecodeServerJobRecord(const std::string& text) {
     } else if (key == "session_uri") {
       record.session_uri = value;
     } else if (key == "budget_buffer") {
-      TPCP_RETURN_IF_ERROR(SetIntField(key, value, &number));
-      record.budget_buffer_bytes = static_cast<uint64_t>(number);
+      TPCP_ASSIGN_OR_RETURN(record.budget_buffer_bytes, ParseUint64(value));
     } else if (key == "budget_threads") {
-      TPCP_RETURN_IF_ERROR(SetIntField(key, value, &number));
+      TPCP_ASSIGN_OR_RETURN(number, ParseInt64(value));
       record.budget_threads = static_cast<int>(number);
     } else {
       // Unknown fields are skipped so older daemons read newer records.
@@ -224,169 +198,6 @@ Result<ServerJobRecord> DecodeServerJobRecord(const std::string& text) {
     return Status::Corruption("job record missing id/tenant/solver");
   }
   return record;
-}
-
-std::map<std::string, std::string> OptionsToMap(
-    const TwoPhaseCpOptions& options) {
-  std::map<std::string, std::string> map;
-  map["rank"] = std::to_string(options.rank);
-  map["phase1_max_iterations"] =
-      std::to_string(options.phase1_max_iterations);
-  map["phase1_fit_tolerance"] = FormatDouble(options.phase1_fit_tolerance);
-  map["phase1_ridge"] = FormatDouble(options.phase1_ridge);
-  map["init"] = InitMethodName(options.init);
-  map["seed"] = std::to_string(options.seed);
-  map["num_threads"] = std::to_string(options.num_threads);
-  map["schedule"] = ScheduleTypeName(options.schedule);
-  map["policy"] = PolicyTypeName(options.policy);
-  map["buffer_fraction"] = FormatDouble(options.buffer_fraction);
-  map["buffer_bytes"] = std::to_string(options.buffer_bytes);
-  map["max_virtual_iterations"] =
-      std::to_string(options.max_virtual_iterations);
-  map["fit_tolerance"] = FormatDouble(options.fit_tolerance);
-  map["refinement_ridge"] = FormatDouble(options.refinement_ridge);
-  map["resume_phase2"] = options.resume_phase2 ? "1" : "0";
-  map["prefetch_depth"] = std::to_string(options.prefetch_depth);
-  map["io_threads"] = std::to_string(options.io_threads);
-  map["compute_threads"] = std::to_string(options.compute_threads);
-  map["plan_reorder"] = options.plan_reorder ? "1" : "0";
-  map["plan_reorder_auto"] = options.plan_reorder_auto ? "1" : "0";
-  map["plan_reorder_window"] = std::to_string(options.plan_reorder_window);
-  map["shard_slab_blocks"] = std::to_string(options.shard_slab_blocks);
-  map["kernel_fma"] = options.kernel_fma ? "1" : "0";
-  map["policy_victim_hints"] = options.policy_victim_hints ? "1" : "0";
-  map["max_seconds"] = FormatDouble(options.max_seconds);
-  return map;
-}
-
-Status ApplyOption(const std::string& key, const std::string& value,
-                   TwoPhaseCpOptions* options) {
-  int64_t number = 0;
-  if (key == "rank") {
-    return SetIntField(key, value, &options->rank);
-  }
-  if (key == "phase1_max_iterations") {
-    TPCP_RETURN_IF_ERROR(SetIntField(key, value, &number));
-    options->phase1_max_iterations = static_cast<int>(number);
-    return Status::OK();
-  }
-  if (key == "phase1_fit_tolerance") {
-    TPCP_ASSIGN_OR_RETURN(options->phase1_fit_tolerance, ParseDouble(value));
-    return Status::OK();
-  }
-  if (key == "phase1_ridge") {
-    TPCP_ASSIGN_OR_RETURN(options->phase1_ridge, ParseDouble(value));
-    return Status::OK();
-  }
-  if (key == "init") {
-    TPCP_ASSIGN_OR_RETURN(options->init, InitMethodFromName(value));
-    return Status::OK();
-  }
-  if (key == "seed") {
-    const Result<uint64_t> seed = ParseUint64(value);
-    if (!seed.ok()) {
-      return Status::InvalidArgument(
-          "option 'seed' must be an unsigned 64-bit integer: '" + value +
-          "'");
-    }
-    options->seed = *seed;
-    return Status::OK();
-  }
-  if (key == "num_threads") {
-    TPCP_RETURN_IF_ERROR(SetIntField(key, value, &number));
-    options->num_threads = static_cast<int>(number);
-    return Status::OK();
-  }
-  if (key == "schedule") {
-    TPCP_ASSIGN_OR_RETURN(options->schedule, ScheduleTypeFromName(value));
-    return Status::OK();
-  }
-  if (key == "policy") {
-    TPCP_ASSIGN_OR_RETURN(options->policy, PolicyTypeFromName(value));
-    return Status::OK();
-  }
-  if (key == "buffer_fraction") {
-    TPCP_ASSIGN_OR_RETURN(options->buffer_fraction, ParseDouble(value));
-    return Status::OK();
-  }
-  if (key == "buffer_bytes") {
-    TPCP_RETURN_IF_ERROR(SetIntField(key, value, &number));
-    if (number < 0) {
-      return Status::InvalidArgument("buffer_bytes must be >= 0");
-    }
-    options->buffer_bytes = static_cast<uint64_t>(number);
-    return Status::OK();
-  }
-  if (key == "max_virtual_iterations") {
-    TPCP_RETURN_IF_ERROR(SetIntField(key, value, &number));
-    options->max_virtual_iterations = static_cast<int>(number);
-    return Status::OK();
-  }
-  if (key == "fit_tolerance") {
-    TPCP_ASSIGN_OR_RETURN(options->fit_tolerance, ParseDouble(value));
-    return Status::OK();
-  }
-  if (key == "refinement_ridge") {
-    TPCP_ASSIGN_OR_RETURN(options->refinement_ridge, ParseDouble(value));
-    return Status::OK();
-  }
-  if (key == "resume_phase2") {
-    TPCP_ASSIGN_OR_RETURN(options->resume_phase2, ParseBoolValue(key, value));
-    return Status::OK();
-  }
-  if (key == "prefetch_depth") {
-    TPCP_RETURN_IF_ERROR(SetIntField(key, value, &number));
-    options->prefetch_depth = static_cast<int>(number);
-    return Status::OK();
-  }
-  if (key == "io_threads") {
-    TPCP_RETURN_IF_ERROR(SetIntField(key, value, &number));
-    options->io_threads = static_cast<int>(number);
-    return Status::OK();
-  }
-  if (key == "compute_threads") {
-    TPCP_RETURN_IF_ERROR(SetIntField(key, value, &number));
-    options->compute_threads = static_cast<int>(number);
-    return Status::OK();
-  }
-  if (key == "plan_reorder") {
-    TPCP_ASSIGN_OR_RETURN(options->plan_reorder, ParseBoolValue(key, value));
-    return Status::OK();
-  }
-  if (key == "plan_reorder_auto") {
-    TPCP_ASSIGN_OR_RETURN(options->plan_reorder_auto,
-                          ParseBoolValue(key, value));
-    return Status::OK();
-  }
-  if (key == "plan_reorder_window") {
-    return SetIntField(key, value, &options->plan_reorder_window);
-  }
-  if (key == "shard_slab_blocks") {
-    return SetIntField(key, value, &options->shard_slab_blocks);
-  }
-  if (key == "kernel_fma") {
-    TPCP_ASSIGN_OR_RETURN(options->kernel_fma, ParseBoolValue(key, value));
-    return Status::OK();
-  }
-  if (key == "policy_victim_hints") {
-    TPCP_ASSIGN_OR_RETURN(options->policy_victim_hints,
-                          ParseBoolValue(key, value));
-    return Status::OK();
-  }
-  if (key == "max_seconds") {
-    TPCP_ASSIGN_OR_RETURN(options->max_seconds, ParseDouble(value));
-    return Status::OK();
-  }
-  return Status::InvalidArgument("unknown option '" + key + "'");
-}
-
-Result<TwoPhaseCpOptions> OptionsFromMap(
-    const std::map<std::string, std::string>& map) {
-  TwoPhaseCpOptions options;
-  for (const auto& [key, value] : map) {
-    TPCP_RETURN_IF_ERROR(ApplyOption(key, value, &options));
-  }
-  return options;
 }
 
 }  // namespace tpcp

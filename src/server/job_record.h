@@ -93,27 +93,6 @@ struct ServerJobRecord {
 std::string EncodeServerJobRecord(const ServerJobRecord& record);
 Result<ServerJobRecord> DecodeServerJobRecord(const std::string& text);
 
-// ---- options codec ---------------------------------------------------------
-//
-// The string map is the one serialization of TwoPhaseCpOptions, shared by
-// job records and the wire protocol's "options" object. Round-trip exact:
-// OptionsFromMap(OptionsToMap(o)) reproduces every math-shaping field, so
-// a recovered job resumes under the same ResumeFingerprint.
-
-/// Every scalar option as a string map (enums by canonical short name,
-/// doubles in round-trip precision).
-std::map<std::string, std::string> OptionsToMap(
-    const TwoPhaseCpOptions& options);
-
-/// Applies `key = value` onto `*options`. InvalidArgument naming the key
-/// on an unknown key or unparsable value.
-Status ApplyOption(const std::string& key, const std::string& value,
-                   TwoPhaseCpOptions* options);
-
-/// Defaults + every entry of `map` via ApplyOption.
-Result<TwoPhaseCpOptions> OptionsFromMap(
-    const std::map<std::string, std::string>& map);
-
 }  // namespace tpcp
 
 #endif  // TPCP_SERVER_JOB_RECORD_H_

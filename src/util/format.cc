@@ -57,4 +57,10 @@ std::string Fixed(double value, int digits) {
   return buf;
 }
 
+std::string RoundTripDouble(double value) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", value);
+  return buf;
+}
+
 }  // namespace tpcp

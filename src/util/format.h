@@ -25,6 +25,9 @@ std::string DimsToString(const std::vector<uint64_t>& dims);
 /// Fixed-point rendering with `digits` decimals.
 std::string Fixed(double value, int digits);
 
+/// "%.17g": enough digits that ParseDouble gives back the same double.
+std::string RoundTripDouble(double value);
+
 }  // namespace tpcp
 
 #endif  // TPCP_UTIL_FORMAT_H_

@@ -39,6 +39,12 @@ Result<uint64_t> ParseUint64(const std::string& text) {
   return static_cast<uint64_t>(value);
 }
 
+Result<bool> ParseBool(const std::string& text) {
+  if (text == "1" || text == "true") return true;
+  if (text == "0" || text == "false") return false;
+  return Status::InvalidArgument("not a boolean: '" + text + "'");
+}
+
 Result<double> ParseDouble(const std::string& text) {
   if (text.empty()) {
     return Status::InvalidArgument("expected a number, got an empty string");

@@ -24,6 +24,9 @@ Result<int64_t> ParseInt64(const std::string& text);
 /// only). InvalidArgument on an empty string, a sign, garbage, or overflow.
 Result<uint64_t> ParseUint64(const std::string& text);
 
+/// "1"/"true" or "0"/"false"; InvalidArgument on anything else.
+Result<bool> ParseBool(const std::string& text);
+
 /// Parses the whole of `text` as a floating-point number (decimal or
 /// scientific notation). InvalidArgument on an empty string, garbage, or a
 /// value outside the double range.
