@@ -1,18 +1,18 @@
-// Wire vocabulary of the distributed Phase-2 executor (dist/coordinator.h,
-// dist/worker.h): a blocking framed-JSON channel over a localhost socket
-// plus bit-exact codecs for the values the protocol moves.
+// Bit-exact codecs for the values the distributed Phase-2 protocol
+// (dist/coordinator.h, dist/worker.h) moves. The transport is not here:
+// messages are server/json objects ("t"-tagged) sent over server/net's
+// FrameChannel, the one framed-JSON socket layer tpcpd uses too, and the
+// init frame's options are core/config's string map (OptionsToMap).
 //
-// The protocol reuses the tpcpd stack — server/json values inside
-// server/wire length-prefixed frames — but runs its own message grammar
-// ("t"-tagged objects). Two encoding rules keep the distributed run
-// bit-identical to a single-process one:
+// Two encoding rules keep the distributed run bit-identical to a
+// single-process one:
 //
 //  - Matrices travel as base64 of their raw little-endian double bytes.
 //    JSON number round-trips are not bit-faithful for doubles; raw bytes
 //    are.
-//  - Scalar doubles that must compare bitwise (surrogate fits, option
-//    fields feeding ResumeFingerprint) travel as their IEEE-754 bit
-//    pattern in an int64 (JSON integers round-trip exactly).
+//  - Scalar doubles that must compare bitwise (surrogate fits) travel as
+//    their IEEE-754 bit pattern in an int64 (JSON integers round-trip
+//    exactly).
 //
 // Large payloads (sub-factors, long slab-M lists) are chunked by the
 // callers so every frame stays under server/wire's 1 MiB ceiling.

@@ -28,7 +28,8 @@
 // worker's dirty sub-factors — so a worker killed at any instant leaves
 // the persisted factors exactly at the last checkpoint.
 //
-// Protocol (framed JSON over one socket, "t"-tagged; dist/exchange.h):
+// Protocol ("t"-tagged JSON over one server/net FrameChannel; codecs in
+// dist/exchange.h; "options" is core/config's OptionsToMap as strings):
 //
 //   worker -> coord   {"t":"hello","worker":W}
 //   coord -> worker   {"t":"init","workers":N,"resume":B,"hb_ms":H,

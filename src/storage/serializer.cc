@@ -75,6 +75,9 @@ class Reader {
   }
 
   bool ReadDoubles(double* out, size_t count) {
+    // An empty matrix has no buffer; memcpy from or to null is undefined
+    // even for zero bytes.
+    if (count == 0) return true;
     const size_t n = count * sizeof(double);
     if (pos_ + n > bytes_.size()) return false;
     std::memcpy(out, bytes_.data() + pos_, n);

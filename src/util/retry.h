@@ -1,6 +1,6 @@
 // Shared retry policy: capped exponential backoff with decorrelated jitter
 // plus the transient-vs-permanent Status classification every retrying call
-// site (dist sockets, Env I/O, tpcpd clients) must agree on.
+// site (socket connects, Env I/O) must agree on.
 //
 // The jitter stream is seeded, so a retrying component is as deterministic
 // as its seed: two runs with the same policy sleep the same schedule. That

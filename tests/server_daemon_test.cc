@@ -554,6 +554,16 @@ TEST(TpcpdSubmitTest, NegativeSeedIsRejectedAtSubmit) {
   EXPECT_NE(error.find("seed"), std::string::npos) << error;
   EXPECT_TRUE((*daemon)->List("alice", "").empty())
       << "rejected submit left job state behind";
+
+  // Seeds above 2^63-1 do not fit a JSON integer; they travel as strings.
+  response = JsonValue::Parse((*daemon)->HandleRequest(
+      "{\"cmd\":\"submit\",\"tenant\":\"alice\","
+      "\"options\":{\"seed\":\"18446744073709551615\"}}"));
+  ASSERT_TRUE(response.ok());
+  EXPECT_TRUE(response->Find("ok")->bool_value()) << response->Serialize();
+  const auto jobs = (*daemon)->List("alice", "");
+  ASSERT_EQ(jobs.size(), 1u);
+  EXPECT_EQ(jobs[0].options.at("seed"), "18446744073709551615");
 }
 
 TEST(TenantTest, ParseTenantSpecReadsQuotaOverrides) {

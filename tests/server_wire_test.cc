@@ -240,6 +240,50 @@ TEST(WireTest, CorruptCompressedFrameIsRejectedNotCrashed) {
   EXPECT_TRUE(decoder.failed());
 }
 
+// ---- channel ---------------------------------------------------------------
+
+TEST(FrameChannelTest, DeadlineCloseAndDeflateOverLoopback) {
+  int port = 0;
+  auto listen_fd = Listen(&port);
+  if (!listen_fd.ok()) {
+    GTEST_SKIP() << "sockets unavailable: " << listen_fd.status().ToString();
+  }
+  auto client = Connect("127.0.0.1", port);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  auto server = Accept(*listen_fd, /*timeout_ms=*/5000);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  ::close(*listen_fd);
+  JsonValue message;
+
+  // A peer that stays silent past the quiet-period deadline.
+  (*server)->set_io_timeout_ms(50);
+  const Status silent = (*server)->Recv(&message);
+  EXPECT_TRUE(silent.IsIOError()) << silent.ToString();
+
+  // Large payloads round-trip compressed once both ends enable deflate.
+  if (DeflateSupported()) {
+    (*client)->EnableDeflate();
+    (*server)->EnableDeflate();
+  }
+  JsonValue big = JsonValue::Object();
+  big.Set("blob", std::string(64 * 1024, 'x'));
+  ASSERT_TRUE((*client)->Send(big).ok());
+  const Status received = (*server)->Recv(&message);
+  ASSERT_TRUE(received.ok()) << received.ToString();
+  EXPECT_EQ(message.Serialize(), big.Serialize());
+
+  // Close() from another thread wakes a Recv blocked with no deadline.
+  (*server)->set_io_timeout_ms(-1);
+  std::thread closer([&server] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    (*server)->Close();
+  });
+  const Status woken = (*server)->Recv(&message);
+  closer.join();
+  EXPECT_FALSE(woken.ok());
+  EXPECT_EQ((*server)->Send(big).code(), StatusCode::kFailedPrecondition);
+}
+
 // ---- protocol dispatch -----------------------------------------------------
 
 std::unique_ptr<Tpcpd> TestDaemon() {
