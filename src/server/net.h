@@ -2,10 +2,10 @@
 // distributed Phase 2 (dist/).
 //
 // FrameChannel moves server/wire frames over one connected TCP socket
-// (Listen binds 127.0.0.1). Sends use MSG_NOSIGNAL, so a peer that hangs up early surfaces as
-// an IOError and never kills the process with SIGPIPE. An optional
-// quiet-period deadline bounds both directions, so a silent peer fails in
-// bounded time instead of wedging its reader. Status codes are part of the
+// (Listen binds 127.0.0.1). Sends use MSG_NOSIGNAL, so a peer that hangs
+// up early surfaces as an IOError and never kills the process with
+// SIGPIPE. An optional quiet-period deadline bounds both directions, so a
+// silent peer fails in bounded time instead of wedging its reader. Status codes are part of the
 // contract, because supervisor recovery and RetryWithBackoff key on
 // IsTransientStatus (util/retry.h):
 //
