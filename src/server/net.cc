@@ -126,13 +126,14 @@ Status FrameChannel::SendBytes(const char* data, size_t size) {
   // with its protocol loop, and interleaved partial frames would corrupt
   // the stream.
   std::lock_guard<std::mutex> lock(send_mu_);
-  if (fd_ < 0) return Status::FailedPrecondition("channel closed");
+  const int fd = fd_;
+  if (fd < 0) return Status::FailedPrecondition("channel closed");
   size_t sent = 0;
   while (sent < size) {
     if (io_timeout_ms_ >= 0) {
-      TPCP_RETURN_IF_ERROR(PollFor(fd_, POLLOUT, io_timeout_ms_, "send"));
+      TPCP_RETURN_IF_ERROR(PollFor(fd, POLLOUT, io_timeout_ms_, "send"));
     }
-    const ssize_t n = ::send(fd_, data + sent, size - sent, MSG_NOSIGNAL);
+    const ssize_t n = ::send(fd, data + sent, size - sent, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       return Errno("send");
@@ -143,16 +144,19 @@ Status FrameChannel::SendBytes(const char* data, size_t size) {
 }
 
 Status FrameChannel::RecvPayload(std::string* payload) {
-  if (fd_ < 0) return Status::FailedPrecondition("channel closed");
+  // Open until the destructor: a Close() on another thread ends this loop
+  // with EOF.
+  const int fd = fd_;
+  if (fd < 0) return Status::FailedPrecondition("channel closed");
   while (!decoder_.Next(payload)) {
     TPCP_RETURN_IF_ERROR(decoder_.error());
     if (io_timeout_ms_ >= 0) {
       // Quiet-period deadline: each arriving byte restarts the clock, so a
       // slow-but-alive peer is fine and a silent one fails in bounded time.
-      TPCP_RETURN_IF_ERROR(PollFor(fd_, POLLIN, io_timeout_ms_, "recv"));
+      TPCP_RETURN_IF_ERROR(PollFor(fd, POLLIN, io_timeout_ms_, "recv"));
     }
     char buf[16384];
-    const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
     if (n < 0) {
       if (errno == EINTR) continue;
       return Errno("recv");
@@ -171,20 +175,19 @@ int FrameChannel::ReleaseFd() {
   return fd_.exchange(-1);
 }
 
-void FrameChannel::Shutdown() {
-  const int fd = fd_;
-  if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
-}
-
 void FrameChannel::Close() {
-  std::lock_guard<std::mutex> lock(send_mu_);
   const int fd = fd_.exchange(-1);
   if (fd >= 0) {
     // A close() alone does not interrupt a recv() blocked on another
-    // thread; shutdown() wakes it with EOF first.
+    // thread; shutdown() wakes it with EOF.
     ::shutdown(fd, SHUT_RDWR);
-    ::close(fd);
+    closed_fd_ = fd;
   }
+}
+
+FrameChannel::~FrameChannel() {
+  Close();
+  if (closed_fd_ >= 0) ::close(closed_fd_);
 }
 
 Result<int> Listen(int* port) {
@@ -267,7 +270,7 @@ TpcpdServer::~TpcpdServer() {
     stopping_ = true;
     // Unblock the accept loop and every connection's read or write.
     ::shutdown(listen_fd_, SHUT_RDWR);
-    for (const auto& channel : connections_) channel->Shutdown();
+    for (const auto& channel : connections_) channel->Close();
   }
   if (accept_thread_.joinable()) accept_thread_.join();
   std::vector<std::thread> threads;
@@ -321,7 +324,7 @@ void TpcpdServer::ServeConnection(FrameChannel* channel) {
     // after reading it.
     if (grant) channel->EnableDeflate();
   }
-  // Under mu_, so the destructor never shuts down a closed (reused) fd.
+  // Under mu_, so the destructor never closes a channel being destroyed.
   std::lock_guard<std::mutex> lock(mu_);
   connections_.erase(std::find_if(
       connections_.begin(), connections_.end(),

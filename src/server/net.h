@@ -70,7 +70,7 @@ class Tpcpd;
 class FrameChannel {
  public:
   explicit FrameChannel(int fd) : fd_(fd) {}
-  virtual ~FrameChannel() { Close(); }
+  virtual ~FrameChannel();
   FrameChannel(const FrameChannel&) = delete;
   FrameChannel& operator=(const FrameChannel&) = delete;
 
@@ -95,11 +95,11 @@ class FrameChannel {
   bool deflate_enabled() const { return decoder_.deflate_enabled(); }
 
   /// Shuts the socket down, which wakes a Send or Recv blocked on another
-  /// thread, then closes it. Later calls fail with FailedPrecondition.
+  /// thread with EOF; later calls fail with FailedPrecondition. Takes no
+  /// lock, so it is safe while another thread is blocked sending. The
+  /// descriptor itself is closed by the destructor, so a call still
+  /// returning on another thread never touches a reused one.
   void Close();
-  /// Only wakes blocked calls (shutdown(2)); the socket stays open until
-  /// Close. Safe while another thread is blocked sending.
-  void Shutdown();
 
   /// Quiet-period deadline for both directions: Recv fails when no bytes
   /// arrive for `ms`, Send fails when the socket stays unwritable for `ms`
@@ -124,6 +124,8 @@ class FrameChannel {
   /// blocked on the protocol thread, so the fd is read and invalidated
   /// concurrently.
   std::atomic<int> fd_;
+  /// The descriptor Close() shut down, for the destructor to close.
+  int closed_fd_ = -1;
   int io_timeout_ms_ = -1;
   std::mutex send_mu_;
   FrameDecoder decoder_;
