@@ -26,7 +26,6 @@
 #include "grid/grid_partition.h"
 #include "linalg/matrix.h"
 #include "server/json.h"
-#include "server/wire.h"
 
 namespace tpcp {
 
