@@ -66,6 +66,41 @@ TEST(JobServiceTest, SubmitRejectsUnknownSolverAndBadRank) {
   EXPECT_TRUE(service.Cancel(7).IsNotFound());
 }
 
+// Out-of-range options fail at submit with InvalidArgument instead of
+// reaching a worker thread, where the engine's invariant checks would
+// abort the process (or, for a negative iteration cap, skip Phase 2 and
+// "succeed").
+TEST(JobServiceTest, SubmitRejectsOutOfRangeOptions) {
+  struct Case {
+    const char* name;
+    void (*mutate)(TwoPhaseCpOptions*);
+  };
+  const Case cases[] = {
+      {"prefetch_depth=-1",
+       [](TwoPhaseCpOptions* o) { o->prefetch_depth = -1; }},
+      {"compute_threads=0",
+       [](TwoPhaseCpOptions* o) { o->compute_threads = 0; }},
+      {"io_threads=0 prefetch_depth=2",
+       [](TwoPhaseCpOptions* o) {
+         o->io_threads = 0;
+         o->prefetch_depth = 2;
+       }},
+      {"max_virtual_iterations=-3",
+       [](TwoPhaseCpOptions* o) { o->max_virtual_iterations = -3; }},
+  };
+  auto env = NewMemEnv();
+  Stage(env.get(), 23);
+  JobService service(JobServiceOptions{});
+  for (const Case& c : cases) {
+    JobSpec spec = SpecFor(env.get());
+    c.mutate(&spec.options);
+    EXPECT_EQ(service.Submit(std::move(spec)).status().code(),
+              StatusCode::kInvalidArgument)
+        << c.name;
+  }
+  EXPECT_TRUE(service.List().empty()) << "a rejected submit queued a job";
+}
+
 TEST(JobServiceTest, JobOnMissingStoreFails) {
   auto env = NewMemEnv();
   JobService service(JobServiceOptions{});

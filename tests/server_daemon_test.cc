@@ -566,6 +566,35 @@ TEST(TpcpdSubmitTest, NegativeSeedIsRejectedAtSubmit) {
   EXPECT_EQ(jobs[0].options.at("seed"), "18446744073709551615");
 }
 
+// Options the engine cannot run are InvalidArgument at submit. Accepted,
+// the first three used to abort the whole daemon (every tenant's jobs with
+// it) on a worker-thread invariant check; the fourth skipped Phase 2 and
+// reported success.
+TEST(TpcpdSubmitTest, OutOfRangeOptionsAreRejectedAtSubmit) {
+  TpcpdOptions options;
+  TenantConfig tenant;
+  tenant.name = "alice";
+  options.tenants = {tenant};
+  auto daemon = Tpcpd::Start(std::move(options));
+  ASSERT_TRUE(daemon.ok()) << daemon.status().ToString();
+  for (const std::string bad :
+       {"{\"prefetch_depth\":-1}", "{\"compute_threads\":0}",
+        "{\"io_threads\":0,\"prefetch_depth\":2}",
+        "{\"max_virtual_iterations\":-3}"}) {
+    auto response = JsonValue::Parse((*daemon)->HandleRequest(
+        "{\"cmd\":\"submit\",\"tenant\":\"alice\",\"options\":" + bad +
+        ",\"generate\":{\"dims\":[8,8,8],\"parts\":2,\"rank\":2}}"));
+    ASSERT_TRUE(response.ok());
+    EXPECT_FALSE(response->Find("ok")->bool_value()) << bad;
+    const JsonValue* error = response->Find("error");
+    ASSERT_NE(error, nullptr) << bad;
+    EXPECT_EQ(error->string_value().rfind("InvalidArgument", 0), 0u)
+        << bad << ": " << error->string_value();
+    EXPECT_TRUE((*daemon)->List("alice", "").empty())
+        << bad << ": rejected submit left job state behind";
+  }
+}
+
 TEST(TenantTest, ParseTenantSpecReadsQuotaOverrides) {
   auto spec =
       ParseTenantSpec("alice,mem://,buffer_mb=16,threads=3,max_jobs=5");
