@@ -105,10 +105,7 @@ JobService::~JobService() {
 }
 
 Result<JobId> JobService::Submit(JobSpec spec) {
-  if (spec.options.rank < 1) {
-    return Status::InvalidArgument("job rank must be >= 1 (got " +
-                                   std::to_string(spec.options.rank) + ")");
-  }
+  TPCP_RETURN_IF_ERROR(ValidateOptions(spec.options));
   // Unknown solvers fail here, not minutes later on a worker.
   TPCP_RETURN_IF_ERROR(
       SolverRegistry::Global().Create(spec.solver).status());

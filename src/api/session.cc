@@ -90,10 +90,7 @@ Result<SolveResult> Session::RunSolver(
   if (!tensor_.has_value()) {
     TPCP_RETURN_IF_ERROR(OpenTensorStore().status());
   }
-  if (options.rank < 1) {
-    return Status::InvalidArgument("decomposition rank must be >= 1 (got " +
-                                   std::to_string(options.rank) + ")");
-  }
+  TPCP_RETURN_IF_ERROR(ValidateOptions(options));
   TPCP_ASSIGN_OR_RETURN(std::unique_ptr<Solver> solver,
                         SolverRegistry::Global().Create(solver_name));
   // Only factor-writing solvers get a factor store; one-shot baselines

@@ -1,6 +1,7 @@
 #include "core/config.h"
 
 #include <cstring>
+#include <limits>
 
 #include "core/names.h"
 #include "util/format.h"
@@ -25,17 +26,8 @@ uint64_t HashDouble(uint64_t hash, double value) {
   return HashWord(hash, bits);
 }
 
-Result<bool> ParseBoolOption(const std::string& key, const std::string& value) {
-  const Result<bool> parsed = ParseBool(value);
-  if (!parsed.ok()) {
-    return Status::InvalidArgument("option '" + key +
-                                   "' must be a boolean (0/1/true/false)");
-  }
-  return parsed;
-}
-
-Status SetIntField(const std::string& key, const std::string& value,
-                   int64_t* out) {
+Status SetField(const std::string& key, const std::string& value,
+                int64_t* out) {
   const Result<int64_t> parsed = ParseInt64(value);
   if (!parsed.ok()) {
     return Status::InvalidArgument("option '" + key +
@@ -45,8 +37,20 @@ Status SetIntField(const std::string& key, const std::string& value,
   return Status::OK();
 }
 
-Status SetUintField(const std::string& key, const std::string& value,
-                    uint64_t* out) {
+Status SetField(const std::string& key, const std::string& value, int* out) {
+  int64_t wide = 0;
+  TPCP_RETURN_IF_ERROR(SetField(key, value, &wide));
+  if (wide < std::numeric_limits<int>::min() ||
+      wide > std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument("option '" + key +
+                                   "' is out of range: '" + value + "'");
+  }
+  *out = static_cast<int>(wide);
+  return Status::OK();
+}
+
+Status SetField(const std::string& key, const std::string& value,
+                uint64_t* out) {
   const Result<uint64_t> parsed = ParseUint64(value);
   if (!parsed.ok()) {
     return Status::InvalidArgument("option '" + key +
@@ -55,6 +59,35 @@ Status SetUintField(const std::string& key, const std::string& value,
   }
   *out = *parsed;
   return Status::OK();
+}
+
+Status SetField(const std::string& key, const std::string& value,
+                double* out) {
+  const Result<double> parsed = ParseDouble(value);
+  if (!parsed.ok()) {
+    return Status::InvalidArgument("option '" + key + "': " +
+                                   parsed.status().message());
+  }
+  *out = *parsed;
+  return Status::OK();
+}
+
+Status SetField(const std::string& key, const std::string& value, bool* out) {
+  const Result<bool> parsed = ParseBool(value);
+  if (!parsed.ok()) {
+    return Status::InvalidArgument("option '" + key +
+                                   "' must be a boolean (0/1/true/false)");
+  }
+  *out = *parsed;
+  return Status::OK();
+}
+
+/// InvalidArgument unless `value >= min`.
+Status AtLeast(const char* key, int64_t value, int64_t min) {
+  if (value >= min) return Status::OK();
+  return Status::InvalidArgument("option '" + std::string(key) +
+                                 "' must be >= " + std::to_string(min) +
+                                 " (got " + std::to_string(value) + ")");
 }
 
 }  // namespace
@@ -166,111 +199,88 @@ std::map<std::string, std::string> OptionsToMap(
 
 Status ApplyOption(const std::string& key, const std::string& value,
                    TwoPhaseCpOptions* options) {
-  int64_t number = 0;
-  if (key == "rank") {
-    return SetIntField(key, value, &options->rank);
-  }
+  TwoPhaseCpOptions& o = *options;
+  if (key == "rank") return SetField(key, value, &o.rank);
   if (key == "phase1_max_iterations") {
-    TPCP_RETURN_IF_ERROR(SetIntField(key, value, &number));
-    options->phase1_max_iterations = static_cast<int>(number);
-    return Status::OK();
+    return SetField(key, value, &o.phase1_max_iterations);
   }
   if (key == "phase1_fit_tolerance") {
-    TPCP_ASSIGN_OR_RETURN(options->phase1_fit_tolerance, ParseDouble(value));
-    return Status::OK();
+    return SetField(key, value, &o.phase1_fit_tolerance);
   }
-  if (key == "phase1_ridge") {
-    TPCP_ASSIGN_OR_RETURN(options->phase1_ridge, ParseDouble(value));
-    return Status::OK();
-  }
+  if (key == "phase1_ridge") return SetField(key, value, &o.phase1_ridge);
   if (key == "init") {
-    TPCP_ASSIGN_OR_RETURN(options->init, InitMethodFromName(value));
+    TPCP_ASSIGN_OR_RETURN(o.init, InitMethodFromName(value));
     return Status::OK();
   }
-  if (key == "seed") {
-    return SetUintField(key, value, &options->seed);
-  }
-  if (key == "num_threads") {
-    TPCP_RETURN_IF_ERROR(SetIntField(key, value, &number));
-    options->num_threads = static_cast<int>(number);
-    return Status::OK();
-  }
+  if (key == "seed") return SetField(key, value, &o.seed);
+  if (key == "num_threads") return SetField(key, value, &o.num_threads);
   if (key == "schedule") {
-    TPCP_ASSIGN_OR_RETURN(options->schedule, ScheduleTypeFromName(value));
+    TPCP_ASSIGN_OR_RETURN(o.schedule, ScheduleTypeFromName(value));
     return Status::OK();
   }
   if (key == "policy") {
-    TPCP_ASSIGN_OR_RETURN(options->policy, PolicyTypeFromName(value));
+    TPCP_ASSIGN_OR_RETURN(o.policy, PolicyTypeFromName(value));
     return Status::OK();
   }
   if (key == "buffer_fraction") {
-    TPCP_ASSIGN_OR_RETURN(options->buffer_fraction, ParseDouble(value));
-    return Status::OK();
+    return SetField(key, value, &o.buffer_fraction);
   }
-  if (key == "buffer_bytes") {
-    return SetUintField(key, value, &options->buffer_bytes);
-  }
+  if (key == "buffer_bytes") return SetField(key, value, &o.buffer_bytes);
   if (key == "max_virtual_iterations") {
-    TPCP_RETURN_IF_ERROR(SetIntField(key, value, &number));
-    options->max_virtual_iterations = static_cast<int>(number);
-    return Status::OK();
+    return SetField(key, value, &o.max_virtual_iterations);
   }
-  if (key == "fit_tolerance") {
-    TPCP_ASSIGN_OR_RETURN(options->fit_tolerance, ParseDouble(value));
-    return Status::OK();
-  }
+  if (key == "fit_tolerance") return SetField(key, value, &o.fit_tolerance);
   if (key == "refinement_ridge") {
-    TPCP_ASSIGN_OR_RETURN(options->refinement_ridge, ParseDouble(value));
-    return Status::OK();
+    return SetField(key, value, &o.refinement_ridge);
   }
-  if (key == "resume_phase2") {
-    TPCP_ASSIGN_OR_RETURN(options->resume_phase2, ParseBoolOption(key, value));
-    return Status::OK();
-  }
-  if (key == "prefetch_depth") {
-    TPCP_RETURN_IF_ERROR(SetIntField(key, value, &number));
-    options->prefetch_depth = static_cast<int>(number);
-    return Status::OK();
-  }
-  if (key == "io_threads") {
-    TPCP_RETURN_IF_ERROR(SetIntField(key, value, &number));
-    options->io_threads = static_cast<int>(number);
-    return Status::OK();
-  }
+  if (key == "resume_phase2") return SetField(key, value, &o.resume_phase2);
+  if (key == "prefetch_depth") return SetField(key, value, &o.prefetch_depth);
+  if (key == "io_threads") return SetField(key, value, &o.io_threads);
   if (key == "compute_threads") {
-    TPCP_RETURN_IF_ERROR(SetIntField(key, value, &number));
-    options->compute_threads = static_cast<int>(number);
-    return Status::OK();
+    return SetField(key, value, &o.compute_threads);
   }
-  if (key == "plan_reorder") {
-    TPCP_ASSIGN_OR_RETURN(options->plan_reorder, ParseBoolOption(key, value));
-    return Status::OK();
-  }
+  if (key == "plan_reorder") return SetField(key, value, &o.plan_reorder);
   if (key == "plan_reorder_auto") {
-    TPCP_ASSIGN_OR_RETURN(options->plan_reorder_auto,
-                          ParseBoolOption(key, value));
-    return Status::OK();
+    return SetField(key, value, &o.plan_reorder_auto);
   }
   if (key == "plan_reorder_window") {
-    return SetIntField(key, value, &options->plan_reorder_window);
+    return SetField(key, value, &o.plan_reorder_window);
   }
   if (key == "shard_slab_blocks") {
-    return SetIntField(key, value, &options->shard_slab_blocks);
+    return SetField(key, value, &o.shard_slab_blocks);
   }
-  if (key == "kernel_fma") {
-    TPCP_ASSIGN_OR_RETURN(options->kernel_fma, ParseBoolOption(key, value));
-    return Status::OK();
-  }
+  if (key == "kernel_fma") return SetField(key, value, &o.kernel_fma);
   if (key == "policy_victim_hints") {
-    TPCP_ASSIGN_OR_RETURN(options->policy_victim_hints,
-                          ParseBoolOption(key, value));
-    return Status::OK();
+    return SetField(key, value, &o.policy_victim_hints);
   }
-  if (key == "max_seconds") {
-    TPCP_ASSIGN_OR_RETURN(options->max_seconds, ParseDouble(value));
-    return Status::OK();
-  }
+  if (key == "max_seconds") return SetField(key, value, &o.max_seconds);
   return Status::InvalidArgument("unknown option '" + key + "'");
+}
+
+Status ValidateOptions(const TwoPhaseCpOptions& options) {
+  TPCP_RETURN_IF_ERROR(AtLeast("rank", options.rank, 1));
+  TPCP_RETURN_IF_ERROR(AtLeast("num_threads", options.num_threads, 1));
+  TPCP_RETURN_IF_ERROR(AtLeast("compute_threads", options.compute_threads, 1));
+  TPCP_RETURN_IF_ERROR(AtLeast("io_threads", options.io_threads, 1));
+  TPCP_RETURN_IF_ERROR(AtLeast("prefetch_depth", options.prefetch_depth, 0));
+  TPCP_RETURN_IF_ERROR(AtLeast("max_virtual_iterations",
+                               options.max_virtual_iterations, 1));
+  TPCP_RETURN_IF_ERROR(
+      AtLeast("plan_reorder_window", options.plan_reorder_window, 0));
+  TPCP_RETURN_IF_ERROR(
+      AtLeast("shard_slab_blocks", options.shard_slab_blocks, 0));
+  // Negated comparisons, so a NaN set through the struct is rejected too.
+  if (options.buffer_bytes == 0 &&
+      !(options.buffer_fraction > 0.0 && options.buffer_fraction <= 1.0)) {
+    return Status::InvalidArgument(
+        "option 'buffer_fraction' must be in (0, 1] (got " +
+        RoundTripDouble(options.buffer_fraction) + ")");
+  }
+  if (!(options.max_seconds >= 0.0)) {
+    return Status::InvalidArgument("option 'max_seconds' must be >= 0 (got " +
+                                   RoundTripDouble(options.max_seconds) + ")");
+  }
+  return Status::OK();
 }
 
 Result<TwoPhaseCpOptions> OptionsFromMap(
@@ -279,6 +289,7 @@ Result<TwoPhaseCpOptions> OptionsFromMap(
   for (const auto& [key, value] : map) {
     TPCP_RETURN_IF_ERROR(ApplyOption(key, value, &options));
   }
+  TPCP_RETURN_IF_ERROR(ValidateOptions(options));
   return options;
 }
 

@@ -101,7 +101,7 @@ struct TwoPhaseCpOptions {
   /// tight buffers (an uncertified candidate is rejected and the source
   /// order executes). Mode-centric cycles are already mode-contiguous, so
   /// MC runs are untouched and keep their pre-auto fingerprints. Set
-  /// false to pin the source order (tool: --no-plan-reorder).
+  /// false to pin the source order (tool: --plan-reorder-auto=0).
   bool plan_reorder_auto = true;
   /// Reordering window in schedule steps (0 = one virtual iteration).
   int64_t plan_reorder_window = 0;
@@ -180,7 +180,10 @@ struct TwoPhaseCpOptions {
 //
 // The string map is the one serialization of TwoPhaseCpOptions. tpcpd job
 // records, the wire protocol's "options" object and the dist init frame all
-// carry it. Round-trip exact: doubles are written with %.17g, so
+// carry it, and tpcp_tool's option flags are its keys with '-' for '_'
+// (--max-virtual-iterations=40). Its keys and the field comments above
+// are the option reference. Round-trip exact: doubles are written with
+// %.17g, so
 // OptionsFromMap(OptionsToMap(o)) reproduces every field but the observer
 // and cancel pointers, and a recovered job or a dist worker runs under the
 // same ResumeFingerprint.
@@ -195,7 +198,15 @@ std::map<std::string, std::string> OptionsToMap(
 Status ApplyOption(const std::string& key, const std::string& value,
                    TwoPhaseCpOptions* options);
 
-/// Defaults + every entry of `map` via ApplyOption.
+/// The ranges the engine can run: rank, num_threads, compute_threads and
+/// io_threads >= 1, prefetch_depth >= 0, max_virtual_iterations >= 1,
+/// plan_reorder_window and shard_slab_blocks >= 0, buffer_fraction in
+/// (0, 1] unless buffer_bytes is set, max_seconds >= 0. InvalidArgument
+/// naming the first option out of range. The tolerances are free: a
+/// negative one means "never stop early".
+Status ValidateOptions(const TwoPhaseCpOptions& options);
+
+/// Defaults + every entry of `map` via ApplyOption, then ValidateOptions.
 Result<TwoPhaseCpOptions> OptionsFromMap(
     const std::map<std::string, std::string>& map);
 

@@ -191,9 +191,7 @@ Result<int64_t> Tpcpd::Submit(const SubmitRequest& request) {
     return Status::NotFound("unknown tenant '" + request.tenant + "'");
   }
   Tenant* tenant = &tenant_it->second;
-  if (request.options.rank < 1) {
-    return Status::InvalidArgument("rank must be >= 1");
-  }
+  TPCP_RETURN_IF_ERROR(ValidateOptions(request.options));
   const std::vector<std::string> solvers = Session::Solvers();
   if (std::find(solvers.begin(), solvers.end(), request.solver) ==
       solvers.end()) {

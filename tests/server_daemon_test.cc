@@ -14,7 +14,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -535,6 +537,33 @@ TEST(JobRecordTest, OptionsMapRoundTripsTheResumeFingerprint) {
   EXPECT_FALSE(ApplyOption("rank", "lots", &options).ok());
   EXPECT_FALSE(ApplyOption("seed", "-1", &options).ok());
   EXPECT_FALSE(ApplyOption("seed", "18446744073709551616", &options).ok());
+  // An int field does not wrap: 2^32 - 1 is not prefetch depth -1.
+  EXPECT_FALSE(ApplyOption("prefetch_depth", "4294967295", &options).ok());
+}
+
+TEST(JobRecordTest, OptionsFromMapValidatesRanges) {
+  using Map = std::map<std::string, std::string>;
+  for (const Map& bad :
+       {Map{{"rank", "0"}}, Map{{"num_threads", "0"}},
+        Map{{"compute_threads", "0"}}, Map{{"io_threads", "0"}},
+        Map{{"prefetch_depth", "-1"}}, Map{{"max_virtual_iterations", "0"}},
+        Map{{"plan_reorder_window", "-1"}}, Map{{"shard_slab_blocks", "-1"}},
+        Map{{"buffer_fraction", "0"}}, Map{{"buffer_fraction", "1.5"}},
+        Map{{"max_seconds", "-1"}}}) {
+    const auto options = OptionsFromMap(bad);
+    ASSERT_FALSE(options.ok()) << bad.begin()->first;
+    EXPECT_EQ(options.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(options.status().message().find(bad.begin()->first),
+              std::string::npos)
+        << options.status().ToString();
+  }
+  // buffer_bytes overrides the fraction; negative tolerances mean "never
+  // stop early" and stay legal.
+  EXPECT_TRUE(OptionsFromMap({{"buffer_fraction", "0"},
+                              {"buffer_bytes", "1048576"},
+                              {"fit_tolerance", "-1"},
+                              {"phase1_fit_tolerance", "-1"}})
+                  .ok());
 }
 
 TEST(TpcpdSubmitTest, NegativeSeedIsRejectedAtSubmit) {
