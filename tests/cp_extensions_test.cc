@@ -1,9 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "cp/cp_nonneg.h"
 #include "linalg/blas.h"
-#include "data/synthetic.h"
-#include "tensor/norms.h"
 #include "tensor/ttm.h"
 #include "tensor/unfold.h"
 #include "util/random.h"
@@ -11,12 +8,11 @@
 namespace tpcp {
 namespace {
 
-DenseTensor RandomTensor(const Shape& shape, uint64_t seed,
-                         bool nonnegative = false) {
+DenseTensor RandomTensor(const Shape& shape, uint64_t seed) {
   Rng rng(seed);
   DenseTensor t(shape);
   for (int64_t i = 0; i < t.NumElements(); ++i) {
-    t.at_linear(i) = nonnegative ? rng.NextDouble() : rng.NextGaussian();
+    t.at_linear(i) = rng.NextGaussian();
   }
   return t;
 }
@@ -69,73 +65,6 @@ TEST(TtmTest, SuccessiveModesCommute) {
   for (int64_t i = 0; i < ab.NumElements(); ++i) {
     EXPECT_NEAR(ab.at_linear(i), ba.at_linear(i), 1e-10);
   }
-}
-
-DenseTensor NonnegLowRank(const Shape& shape, int64_t rank, uint64_t seed) {
-  // Products of U[0,1) factors are nonnegative by construction.
-  LowRankSpec spec;
-  spec.shape = shape;
-  spec.rank = rank;
-  spec.noise_level = 0.0;
-  spec.seed = seed;
-  return MakeLowRankTensor(spec);
-}
-
-TEST(CpNonnegTest, FitsNonnegativeLowRankTensor) {
-  const DenseTensor x = NonnegLowRank(Shape({10, 9, 8}), 3, 7);
-  CpNonnegOptions options;
-  options.rank = 3;
-  options.max_iterations = 300;
-  options.fit_tolerance = 1e-8;
-  CpAlsReport report;
-  const KruskalTensor k = CpNonneg(x, options, &report);
-  EXPECT_GT(report.final_fit, 0.95);
-  EXPECT_GT(Fit(x, k), 0.95);
-}
-
-TEST(CpNonnegTest, FactorsStayNonnegative) {
-  const DenseTensor x = NonnegLowRank(Shape({8, 8, 8}), 2, 8);
-  CpNonnegOptions options;
-  options.rank = 2;
-  options.max_iterations = 50;
-  const KruskalTensor k = CpNonneg(x, options);
-  for (int m = 0; m < 3; ++m) {
-    for (int64_t i = 0; i < k.factor(m).size(); ++i) {
-      EXPECT_GE(k.factor(m).data()[i], 0.0) << "mode " << m;
-    }
-  }
-  for (double l : k.lambda()) EXPECT_GE(l, 0.0);
-}
-
-TEST(CpNonnegTest, FitTraceMonotoneNonDecreasing) {
-  const DenseTensor x = NonnegLowRank(Shape({9, 7, 6}), 3, 9);
-  CpNonnegOptions options;
-  options.rank = 3;
-  options.max_iterations = 40;
-  options.fit_tolerance = -1.0;
-  CpAlsReport report;
-  CpNonneg(x, options, &report);
-  for (size_t i = 1; i < report.fit_trace.size(); ++i) {
-    EXPECT_GE(report.fit_trace[i], report.fit_trace[i - 1] - 1e-8);
-  }
-}
-
-TEST(CpNonnegTest, RejectsNegativeInput) {
-  DenseTensor x{Shape({2, 2})};
-  x.at({0, 0}) = -1.0;
-  CpNonnegOptions options;
-  options.rank = 1;
-  EXPECT_DEATH(CpNonneg(x, options), "nonnegative");
-}
-
-TEST(CpNonnegTest, Deterministic) {
-  const DenseTensor x = NonnegLowRank(Shape({6, 6, 6}), 2, 10);
-  CpNonnegOptions options;
-  options.rank = 2;
-  options.max_iterations = 15;
-  const KruskalTensor a = CpNonneg(x, options);
-  const KruskalTensor b = CpNonneg(x, options);
-  for (int m = 0; m < 3; ++m) EXPECT_TRUE(a.factor(m) == b.factor(m));
 }
 
 }  // namespace
