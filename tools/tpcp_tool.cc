@@ -1,49 +1,51 @@
 // tpcp_tool — command-line driver for the 2PCP library, built on the
 // Session API (api/session.h).
 //
-//   tpcp_tool generate  <dir|uri> <I> <J> <K> <parts> [rank] [density] [seed]
-//       Streams a synthetic low-rank dense tensor into a manifest-backed
-//       block store under <dir>/tensor, partitioned <parts> ways per mode.
-//       --slab-format=dense|coo|csf selects the block encoding (default
-//       dense); every consumer reads every format.
+//   tpcp_tool generate  <dir|uri> --dims=IxJxK --parts=N [--rank=10]
+//                       [--density=1.0] [--seed=42] [--slab-format=dense]
+//       Streams a synthetic low-rank tensor into a manifest-backed block
+//       store under <dir>/tensor, partitioned N ways per mode. The slab
+//       format (dense|coo|csf) selects the block encoding; every consumer
+//       reads every format.
 //
-//   tpcp_tool decompose <dir|uri> <rank> [schedule] [policy]
-//                       [buffer-fraction] [prefetch-depth] [io-threads]
-//       Decomposes <dir>/tensor with the solver named by --solver
-//       (default 2pcp), writing factors to <dir>/factors and printing
-//       timings, fit and I/O statistics.
+//   tpcp_tool decompose <dir|uri> [options] [--solver=2pcp]
+//                       [--param=key=value ...] [--progress]
+//       Decomposes <dir>/tensor with the named solver, writing factors to
+//       <dir>/factors and printing timings, fit and I/O statistics.
+//       --progress prints live per-block / per-iteration lines on stderr.
 //
-//   tpcp_tool jobs      <specfile> [--workers] [--cancel-at-vi=IDX:VI,...]
+//   tpcp_tool jobs      <specfile> [--workers=2] [--total-threads=0]
+//                       [--cancel-at-vi=IDX:VI,...] [--quiet]
 //       Submits a batch of decompositions to a JobService — one job per
-//       non-comment line of <specfile>, each line in `decompose` argument
-//       syntax — runs them concurrently, renders live per-job progress on
-//       stderr and prints one grep-able summary line per job. Cancelled
-//       jobs leave a checkpoint; rerunning the same spec file resumes
-//       them (shown as "resumed at vi N").
+//       non-comment line of <specfile>, each line `decompose`'s arguments
+//       (<dir|uri> and flags) — runs them concurrently, renders live
+//       per-job progress on stderr and prints one grep-able summary line
+//       per job. Cancelled jobs leave a checkpoint; rerunning the same
+//       spec file resumes them (shown as "resumed at vi N").
 //
-//   tpcp_tool plan      <dir|uri> <rank> [schedule] [policy]
-//                       [buffer-fraction] [--plan-reorder] [...]
-//       Prints the Phase-2 execution plan for the stored tensor's grid —
-//       waves, batch widths, shard counts, predicted swaps before/after
-//       conflict-aware reordering — without decomposing anything. Every
-//       line is prefixed "plan:" so CI can grep it. With --workers=N the
-//       cluster simulator additionally prints per-worker ownership
-//       ("dist:" lines), predicted swaps / exchange bytes / transfer
-//       seconds per virtual iteration ("cluster:" lines;
-//       --link-latency-us and --link-bandwidth-mbps set the link price)
-//       and the overlapped-vs-barrier wall-clock ("cluster-overlap:").
-//       --workers=auto instead searches N=1..8 and prints one
-//       "cluster-auto:" row per N plus the chosen fleet size
-//       (--overlap=on picks by pipelined wall-clock, off by barrier).
+//   tpcp_tool plan      <dir|uri> [options] [--plan-waves=8]
+//                       [--workers=0|N|auto] [--link-latency-us=100]
+//                       [--link-bandwidth-mbps=1250] [--overlap=on|off]
+//       Prints the Phase-2 execution plan a decompose run with these
+//       options would execute — waves, batch widths, shard counts,
+//       predicted swaps before/after conflict-aware reordering — without
+//       decomposing anything. Every line is prefixed "plan:" so CI can
+//       grep it. With --workers=N the cluster simulator adds per-worker
+//       ownership ("dist:"), predicted swaps / exchange bytes / transfer
+//       seconds per virtual iteration ("cluster:", priced by the link
+//       flags) and the overlapped-vs-barrier wall-clock
+//       ("cluster-overlap:"). --workers=auto searches N=1..8, one
+//       "cluster-auto:" row each plus the chosen fleet size (--overlap=on
+//       picks by pipelined wall-clock, off by barrier).
 //
-//   tpcp_tool dist      <dir|uri> <rank> [decompose options] [--workers=N]
+//   tpcp_tool dist      <dir|uri> [options] [--workers=2]
 //                       [--heartbeat-ms=1000] [--max-respawns=2]
 //                       [--degrade=off|shrink|single] [--overlap=on|off]
 //       Distributed Phase 2: runs Phase 1 in-process, then spawns N local
 //       worker processes (re-exec'ing this binary as `dist-worker`) and
 //       drives them through the wave protocol (dist/coordinator.h).
 //       Factors and fit trace are bit-identical to `decompose` with the
-//       same arguments. A worker that dies or wedges mid-run is detected
+//       same options. A worker that dies or wedges mid-run is detected
 //       via heartbeats, respawned from the last checkpoint up to
 //       --max-respawns times, then the run degrades per --degrade (shed
 //       the worker, or finish in-process); recovery lines print to
@@ -53,14 +55,14 @@
 //       Needs a store worker processes can open — not mem://.
 //       `dist-worker` is the internal worker entry point.
 //
-//   tpcp_tool simulate  <parts> <buffer-fraction>
+//   tpcp_tool simulate  --parts=N --buffer-fraction=F
 //       Prints the exact per-virtual-iteration swap table for a cubic grid
 //       (no data needed — swap counts are configuration-determined).
 //
 //   tpcp_tool solvers
 //       Lists the registered solvers and storage schemes/wrappers.
 //
-//   tpcp_tool client <verb> [--host=127.0.0.1] [--port=7214] [...]
+//   tpcp_tool client    <verb> [--host=127.0.0.1] [--port=7214] [...]
 //       Thin client for a running tpcpd daemon (tools/tpcpd.cc): submit /
 //       poll / await / list / cancel / tenant-stats over the
 //       length-prefixed JSON wire protocol; prints the raw response.
@@ -71,36 +73,15 @@
 // throttled+mem://?mbps=50&latency_ms=1, faulty+..., and any registered
 // extension scheme.
 //
-// Optional settings are flags (accepted anywhere after the subcommand):
-//   --solver=2pcp|naive-oocp|grid-parafac|haten2
-//   --schedule=mc|fo|zo|ho|sn|rnd      --policy=lru|mru|for
-//   --init=random|hosvd                --buffer-fraction=F
-//   --prefetch-depth=N --io-threads=N  --threads=N (Phase-1 workers)
-//   --compute-threads=N                (Phase-2 parallel refinement math)
-//   --max-vi=N --max-seconds=S --seed=N
-//   --fit-tolerance=T                  (Phase-2 stop; negative = never)
-//   --plan-reorder                     (conflict-aware reordering, adopted
-//                                       only under certified swap parity;
-//                                       the default for block-centric
-//                                       schedules — see --no-plan-reorder)
-//   --no-plan-reorder                  (pin the source order: disable the
-//                                       block-centric reordering default)
-//   --reorder-window=N                 (reorder window in steps; 0 = one
-//                                       virtual iteration)
-//   --shard-blocks=N                   (slab blocks per shard for
-//                                       singleton-wave steps; 0 = off)
-//   --kernel-fma                       (fused-multiply-add refinement
-//                                       kernels; fingerprinted — resumes
-//                                       must keep the same setting)
-//   --policy-hints                     (LRU/MRU take the plan's eviction
-//                                       hints as victim advice)
-//   --resume                           (continue from the persisted factor
-//                                       store / Phase-2 checkpoint)
-//   --param=key=value                  (solver-specific, repeatable)
-//   --progress                         (live per-block / per-iteration lines
-//                                       on stderr)
-// The bare positional forms of the pre-Session tool keep working; every
-// numeric argument is parsed checked — garbage is an error, not a zero.
+// [options] are the decomposition options: the keys of core/config.h's
+// OptionsToMap spelled with '-' for '_' (--rank=8, --schedule=mc,
+// --max-virtual-iterations=40, --plan-reorder-auto=0), documented there.
+// core/config parses and range-checks them; the tool's one own default is
+// --schedule=ho. A flag given without a value means 1 (--resume-phase2).
+//
+// Each subcommand takes at most one positional argument and everything
+// else as --flags. A surplus positional, an unknown flag or a malformed or
+// out-of-range value is exit 2.
 
 #include <sys/wait.h>
 #include <unistd.h>
@@ -140,45 +121,47 @@ using namespace tpcp;
 
 namespace {
 
+constexpr int64_t kIntMax = std::numeric_limits<int>::max();
+
 int Usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage:\n"
-      "  %s generate  <dir|uri> <I> <J> <K> <parts> [rank=10] [density=1.0] "
-      "[seed=42] [--slab-format=dense|coo|csf]\n"
-      "  %s decompose <dir|uri> <rank> [schedule=ho] [policy=for] "
-      "[buffer-fraction=0.5] [prefetch-depth=0] [io-threads=2]\n"
-      "             [--solver=2pcp] [--init=random] [--threads=1] "
-      "[--compute-threads=1] [--max-vi=100] [--max-seconds=0] [--seed=1]\n"
-      "             [--fit-tolerance=0.01] [--resume] "
+      "  %s generate  <dir|uri> --dims=IxJxK --parts=N [--rank=10] "
+      "[--density=1.0] [--seed=42]\n"
+      "             [--slab-format=dense|coo|csf]\n"
+      "  %s decompose <dir|uri> [options] [--solver=2pcp] "
       "[--param=key=value ...] [--progress]\n"
       "  %s jobs      <specfile> [--workers=2] [--total-threads=0]\n"
       "             [--cancel-at-vi=IDX:VI,...] [--quiet]\n"
       "             (each specfile line: decompose arguments; # comments)\n"
-      "  %s plan      <dir|uri> <rank> [schedule=ho] [policy=for] "
-      "[buffer-fraction=0.5]\n"
-      "             [--plan-reorder] [--reorder-window=0] "
-      "[--shard-blocks=0]\n"
-      "             [--prefetch-depth=0] [--plan-waves=8] "
+      "  %s plan      <dir|uri> [options] [--plan-waves=8] "
       "[--workers=0|N|auto]\n"
       "             [--link-latency-us=100] [--link-bandwidth-mbps=1250] "
       "[--overlap=on|off]\n"
-      "  %s dist      <dir|uri> <rank> [decompose options] [--workers=2]\n"
-      "              [--heartbeat-ms=1000] [--max-respawns=2]"
-      " [--degrade=off|shrink|single] [--overlap=on|off]\n"
-      "  %s simulate  <parts> <buffer-fraction>\n"
+      "  %s dist      <dir|uri> [options] [--workers=2] "
+      "[--heartbeat-ms=1000] [--max-respawns=2]\n"
+      "             [--degrade=off|shrink|single] [--overlap=on|off]\n"
+      "  %s simulate  --parts=N --buffer-fraction=F\n"
       "  %s solvers\n"
+      "  %s client    <verb> [...]   (alone: lists the verbs)\n"
+      "options: the keys of core/config.h's OptionsToMap with '-' for '_',\n"
+      "  e.g. --rank=8 --schedule=mc --buffer-fraction=0.4 "
+      "--max-virtual-iterations=40;\n"
+      "  default --schedule=ho; a bare --flag means =1\n"
       "schedules: %s   policies: %s\n",
-      argv0, argv0, argv0, argv0, argv0, argv0, argv0,
+      argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0,
       ScheduleTypeChoices().c_str(), PolicyTypeChoices().c_str());
   return 2;
 }
 
-/// Command line split into positionals and --key[=value] flags.
+/// Command line split into positionals and --key[=value] flags. The
+/// repeatable key=value flags (--param, and the client's --opt) collect
+/// into `pairs`, keyed by flag.
 struct Args {
   std::vector<std::string> positional;
   std::map<std::string, std::string> flags;
-  std::map<std::string, std::string> params;  // from repeated --param=k=v
+  std::map<std::string, std::map<std::string, std::string>> pairs;
 };
 
 bool SplitTokens(const std::vector<std::string>& tokens, Args* out) {
@@ -192,19 +175,19 @@ bool SplitTokens(const std::vector<std::string>& tokens, Args* out) {
                                               ? std::string::npos
                                               : eq - 2);
     const std::string value =
-        eq == std::string::npos ? "" : arg.substr(eq + 1);
+        eq == std::string::npos ? "1" : arg.substr(eq + 1);
     if (key.empty()) {
       std::fprintf(stderr, "malformed flag '%s'\n", arg.c_str());
       return false;
     }
-    if (key == "param") {
+    if (key == "param" || key == "opt") {
       const size_t peq = value.find('=');
-      if (peq == std::string::npos || peq == 0) {
-        std::fprintf(stderr, "--param expects key=value, got '%s'\n",
-                     value.c_str());
+      if (eq == std::string::npos || peq == std::string::npos || peq == 0) {
+        std::fprintf(stderr, "--%s expects key=value, got '%s'\n",
+                     key.c_str(), arg.c_str());
         return false;
       }
-      out->params[value.substr(0, peq)] = value.substr(peq + 1);
+      out->pairs[key][value.substr(0, peq)] = value.substr(peq + 1);
     } else {
       out->flags[key] = value;
     }
@@ -219,6 +202,16 @@ bool SplitArgs(int argc, char** argv, int first, Args* out) {
   return SplitTokens(tokens, out);
 }
 
+/// A subcommand's one positional argument, `what`.
+bool OnePositional(const Args& args, const char* what) {
+  if (args.positional.size() == 1) return true;
+  std::fprintf(stderr,
+               "expected exactly one positional argument, %s, got %zu "
+               "(everything else is a --flag)\n",
+               what, args.positional.size());
+  return false;
+}
+
 /// A plain directory is shorthand for posix://<dir>.
 std::string ToStorageUri(const std::string& dir_or_uri) {
   if (dir_or_uri.find("://") != std::string::npos) return dir_or_uri;
@@ -230,21 +223,114 @@ bool ReportBad(const char* what, const Status& status) {
   return false;
 }
 
-/// Flag/positional accessors with checked parsing. `pos` is the index into
-/// the positional list a legacy caller would have used (-1: flag-only).
-class OptionReader {
+/// "IxJxK" (any number of modes) as positive extents. Shared by
+/// `generate --dims` and `client --generate`.
+Result<std::vector<int64_t>> ParseDims(const std::string& text) {
+  std::vector<int64_t> dims;
+  size_t start = 0;
+  for (;;) {
+    const size_t x = text.find('x', start);
+    const Result<int64_t> dim = ParseInt64(
+        text.substr(start, x == std::string::npos ? x : x - start));
+    if (!dim.ok() || *dim < 1) {
+      return Status::InvalidArgument(
+          "dims must be IxJxK with positive extents, got '" + text + "'");
+    }
+    dims.push_back(*dim);
+    if (x == std::string::npos) return dims;
+    start = x + 1;
+  }
+}
+
+/// Checked, range-limited reads of the tool's own flags. Every read
+/// consumes its flag; the decomposition options are whatever is left
+/// (ReadOptions), and NoUnknownFlags reports the rest as typos.
+class FlagReader {
  public:
-  OptionReader(const Args& args, size_t first_positional)
-      : args_(args), next_(first_positional) {}
+  explicit FlagReader(const Args& args) : args_(args) {}
 
   bool ok() const { return ok_; }
+  bool Has(const char* flag) const { return args_.flags.count(flag) > 0; }
 
-  /// Call after reading every known option: a flag nobody consumed is a
-  /// typo, and silently ignoring it would run a different configuration
-  /// than the user asked for.
-  bool NoUnknownFlags() {
+  std::string Text(const char* flag, const std::string& fallback) {
+    const std::string* raw = Raw(flag);
+    return raw != nullptr ? *raw : fallback;
+  }
+
+  int64_t Int(const char* flag, int64_t fallback,
+              int64_t min = std::numeric_limits<int64_t>::min(),
+              int64_t max = std::numeric_limits<int64_t>::max()) {
+    const std::string* raw = Raw(flag);
+    if (raw == nullptr) return fallback;
+    const Result<int64_t> value = ParseInt64(*raw);
+    if (!value.ok()) return Bad(flag, value.status(), fallback);
+    if (*value < min || *value > max) {
+      return Bad(flag, OutOfRange(*raw, std::to_string(min),
+                                  std::to_string(max)),
+                 fallback);
+    }
+    return *value;
+  }
+
+  double Double(const char* flag, double fallback, double min, double max) {
+    const std::string* raw = Raw(flag);
+    if (raw == nullptr) return fallback;
+    const Result<double> value = ParseDouble(*raw);
+    if (!value.ok()) return Bad(flag, value.status(), fallback);
+    if (*value < min || *value > max) {
+      return Bad(flag, OutOfRange(*raw, Fixed(min, 6), Fixed(max, 6)),
+                 fallback);
+    }
+    return *value;
+  }
+
+  /// Absent: false; a bare --flag: true.
+  bool Bool(const char* flag) {
+    const std::string* raw = Raw(flag);
+    if (raw == nullptr) return false;
+    const Result<bool> value = ParseBool(*raw);
+    return value.ok() ? *value : Bad(flag, value.status(), false);
+  }
+
+  /// --flag=on|off; absent: off.
+  bool OnOff(const char* flag) {
+    const std::string value = Text(flag, "off");
+    if (value != "on" && value != "off") {
+      return Bad(flag,
+                 Status::InvalidArgument("expects on or off, got '" +
+                                         value + "'"),
+                 false);
+    }
+    return value == "on";
+  }
+
+  /// The repeatable --flag=k=v entries.
+  std::map<std::string, std::string> Pairs(const char* flag) {
+    consumed_.insert(flag);
+    const auto it = args_.pairs.find(flag);
+    return it != args_.pairs.end() ? it->second
+                                   : std::map<std::string, std::string>();
+  }
+
+  /// Every flag not read so far, marked read.
+  std::map<std::string, std::string> TakeUnread() {
+    std::map<std::string, std::string> unread;
     for (const auto& [key, value] : args_.flags) {
-      if (consumed_.find(key) == consumed_.end()) {
+      if (consumed_.insert(key).second) unread[key] = value;
+    }
+    return unread;
+  }
+
+  /// Call after reading every known flag: a flag nobody read is a typo,
+  /// and silently ignoring it would run a different configuration than
+  /// the user asked for.
+  bool NoUnknownFlags() {
+    for (const auto& [key, value] : TakeUnread()) {
+      std::fprintf(stderr, "unknown flag --%s\n", key.c_str());
+      ok_ = false;
+    }
+    for (const auto& [key, value] : args_.pairs) {
+      if (consumed_.count(key) == 0) {
         std::fprintf(stderr, "unknown flag --%s\n", key.c_str());
         ok_ = false;
       }
@@ -252,73 +338,53 @@ class OptionReader {
     return ok_;
   }
 
-  std::string Text(const char* flag, const std::string& fallback) {
-    const std::string* raw = Raw(flag, /*consumes_positional=*/true);
-    return raw != nullptr ? *raw : fallback;
-  }
-
-  int64_t Int(const char* flag, int64_t fallback, bool positional_too = true,
-              int64_t min = std::numeric_limits<int64_t>::min(),
-              int64_t max = std::numeric_limits<int64_t>::max()) {
-    const std::string* raw = Raw(flag, positional_too);
-    if (raw == nullptr) return fallback;
-    auto value = ParseInt64(*raw);
-    if (!value.ok()) {
-      ok_ = ReportBad(flag, value.status());
-      return fallback;
-    }
-    if (*value < min || *value > max) {
-      ok_ = ReportBad(flag, Status::InvalidArgument(
-                                *raw + " is outside [" +
-                                std::to_string(min) + ", " +
-                                std::to_string(max) + "]"));
-      return fallback;
-    }
-    return *value;
-  }
-
-  double Double(const char* flag, double fallback, bool positional_too,
-                double min, double max) {
-    const std::string* raw = Raw(flag, positional_too);
-    if (raw == nullptr) return fallback;
-    auto value = ParseDouble(*raw);
-    if (!value.ok()) {
-      ok_ = ReportBad(flag, value.status());
-      return fallback;
-    }
-    if (*value < min || *value > max) {
-      ok_ = ReportBad(flag, Status::InvalidArgument(
-                                *raw + " is outside [" +
-                                std::to_string(min) + ", " +
-                                std::to_string(max) + "]"));
-      return fallback;
-    }
-    return *value;
-  }
-
-  bool Present(const char* flag) {
-    consumed_.insert(flag);
-    return args_.flags.find(flag) != args_.flags.end();
-  }
-
  private:
-  /// The flag value if set, else the next unconsumed positional (when
-  /// `consumes_positional`), else nullptr.
-  const std::string* Raw(const char* flag, bool consumes_positional) {
+  const std::string* Raw(const char* flag) {
     consumed_.insert(flag);
     const auto it = args_.flags.find(flag);
-    if (it != args_.flags.end()) return &it->second;
-    if (consumes_positional && next_ < args_.positional.size()) {
-      return &args_.positional[next_++];
-    }
-    return nullptr;
+    return it != args_.flags.end() ? &it->second : nullptr;
+  }
+
+  static Status OutOfRange(const std::string& raw, const std::string& min,
+                           const std::string& max) {
+    return Status::InvalidArgument(raw + " is outside [" + min + ", " +
+                                   max + "]");
+  }
+
+  template <typename T>
+  T Bad(const char* flag, const Status& status, T fallback) {
+    ok_ = ReportBad((std::string("--") + flag).c_str(), status);
+    return fallback;
   }
 
   const Args& args_;
-  size_t next_;
   bool ok_ = true;
   std::set<std::string> consumed_;
 };
+
+/// The decomposition options: the tool's --schedule=ho default, then every
+/// flag `flags` has not read, as the OptionsToMap key it spells ('-' for
+/// '_'). core/config parses and range-checks the map.
+bool ReadOptions(FlagReader* flags, TwoPhaseCpOptions* options) {
+  static const std::map<std::string, std::string> kKeys =
+      OptionsToMap(TwoPhaseCpOptions());
+  std::map<std::string, std::string> map = {{"schedule", "ho"}};
+  for (const auto& [flag, value] : flags->TakeUnread()) {
+    std::string key = flag;
+    std::replace(key.begin(), key.end(), '-', '_');
+    if (flag.find('_') != std::string::npos || kKeys.count(key) == 0) {
+      std::fprintf(stderr, "unknown flag --%s (options: see core/config.h)\n",
+                   flag.c_str());
+      return false;
+    }
+    map[key] = value;
+  }
+  if (!flags->NoUnknownFlags()) return false;
+  Result<TwoPhaseCpOptions> parsed = OptionsFromMap(map);
+  if (!parsed.ok()) return ReportBad("options", parsed.status());
+  *options = *parsed;
+  return true;
+}
 
 /// --progress: live lines on stderr, kept off stdout so the summary stays
 /// grep-able.
@@ -354,21 +420,26 @@ class StderrProgress : public ProgressObserver {
 
 int Generate(int argc, char** argv) {
   Args args;
-  if (!SplitArgs(argc, argv, 2, &args)) return Usage(argv[0]);
-  if (args.positional.size() < 5) return Usage(argv[0]);
-
-  OptionReader opts(args, 1);
-  const int64_t i = opts.Int("I", 0, true, 1);
-  const int64_t j = opts.Int("J", 0, true, 1);
-  const int64_t k = opts.Int("K", 0, true, 1);
-  const int64_t parts = opts.Int("parts", 0, true, 1);
+  if (!SplitArgs(argc, argv, 2, &args) ||
+      !OnePositional(args, "<dir|uri>")) {
+    return 2;
+  }
+  FlagReader flags(args);
+  const std::string dims_text = flags.Text("dims", "");
+  const int64_t parts = flags.Int("parts", 0, 1);
   LowRankSpec spec;
-  spec.rank = opts.Int("rank", 10, true, 1);
-  spec.density = opts.Double("density", 1.0, true, 0.0, 1.0);
-  spec.seed = static_cast<uint64_t>(opts.Int("seed", 42, true, 0));
+  spec.rank = flags.Int("rank", 10, 1);
+  spec.density = flags.Double("density", 1.0, 0.0, 1.0);
+  spec.seed = static_cast<uint64_t>(flags.Int("seed", 42, 0));
   spec.noise_level = 0.05;
-  const std::string format_name = opts.Text("slab-format", "dense");
-  if (!opts.NoUnknownFlags()) return 2;
+  const std::string format_name = flags.Text("slab-format", "dense");
+  if (!flags.NoUnknownFlags()) return 2;
+  if (dims_text.empty() || parts == 0) {
+    std::fprintf(stderr, "generate needs --dims=IxJxK and --parts=N\n");
+    return 2;
+  }
+  const Result<std::vector<int64_t>> dims = ParseDims(dims_text);
+  if (!dims.ok()) return ReportBad("--dims", dims.status()), 2;
   SlabFormat format = SlabFormat::kDense;
   if (!SlabFormatFromName(format_name.c_str(), &format)) {
     std::fprintf(stderr,
@@ -376,7 +447,7 @@ int Generate(int argc, char** argv) {
                  format_name.c_str());
     return 2;
   }
-  spec.shape = Shape({i, j, k});
+  spec.shape = Shape(*dims);
 
   auto grid = GridPartition::CreateUniform(spec.shape, parts);
   if (!grid.ok()) return ReportBad("generate", grid.status()), 1;
@@ -398,8 +469,8 @@ int Generate(int argc, char** argv) {
   return 0;
 }
 
-/// One decomposition request: the shared vocabulary of the `decompose`
-/// subcommand and of every line of a `jobs` spec file.
+/// One decomposition request: the shared vocabulary of `decompose`,
+/// `dist` and every line of a `jobs` spec file.
 struct DecomposeConfig {
   std::string uri;
   std::string solver = "2pcp";
@@ -408,88 +479,25 @@ struct DecomposeConfig {
   bool progress = false;
 };
 
-/// Parses "<dir|uri> <rank> [schedule] [policy] [buffer-fraction]
-/// [prefetch-depth] [io-threads]" plus the shared flags. Returns false
-/// (with the problem reported on stderr) on any malformed piece.
-bool ParseDecomposeConfig(const Args& args, DecomposeConfig* config) {
-  if (args.positional.empty() ||
-      (args.positional.size() < 2 && args.flags.count("rank") == 0)) {
-    std::fprintf(stderr, "decompose needs <dir|uri> and a rank\n");
-    return false;
-  }
-  TwoPhaseCpOptions& options = config->options;
-  OptionReader opts(args, 1);
-  options.rank = opts.Int("rank", 10, true, 1);
-  const std::string schedule = opts.Text("schedule", "ho");
-  const std::string policy = opts.Text("policy", "for");
-  options.buffer_fraction =
-      opts.Double("buffer-fraction", 0.5, true, 1e-6, 1.0);
-  constexpr int64_t kIntMax = std::numeric_limits<int>::max();
-  options.prefetch_depth =
-      static_cast<int>(opts.Int("prefetch-depth", 0, true, 0, kIntMax));
-  options.io_threads =
-      static_cast<int>(opts.Int("io-threads", 2, true, 1, kIntMax));
-  options.compute_threads =
-      static_cast<int>(opts.Int("compute-threads", 1, false, 1, kIntMax));
-  config->solver = opts.Text("solver", "2pcp");
-  const std::string init = opts.Text("init", "random");
-  options.num_threads =
-      static_cast<int>(opts.Int("threads", 1, false, 1, kIntMax));
-  options.max_virtual_iterations =
-      static_cast<int>(opts.Int("max-vi", 100, false, 1, kIntMax));
-  options.max_seconds =
-      opts.Double("max-seconds", 0.0, false, 0.0, 1e9);
-  options.fit_tolerance =
-      opts.Double("fit-tolerance", options.fit_tolerance, false, -1.0, 1.0);
-  options.seed = static_cast<uint64_t>(opts.Int("seed", 1, false, 0));
-  options.plan_reorder = opts.Present("plan-reorder");
-  // --no-plan-reorder pins the source order: block-centric schedules
-  // otherwise reorder by default (plan_reorder_auto).
-  if (opts.Present("no-plan-reorder")) {
-    if (options.plan_reorder) {
-      std::fprintf(stderr,
-                   "--plan-reorder and --no-plan-reorder conflict\n");
-      return false;
-    }
-    options.plan_reorder_auto = false;
-  }
-  options.plan_reorder_window =
-      opts.Int("reorder-window", 0, false, 0, kIntMax);
-  options.shard_slab_blocks =
-      opts.Int("shard-blocks", 0, false, 0, kIntMax);
-  options.kernel_fma = opts.Present("kernel-fma");
-  options.policy_victim_hints = opts.Present("policy-hints");
-  options.resume_phase2 = opts.Present("resume");
-  config->progress = opts.Present("progress");
-  if (!opts.ok()) return false;
-
-  if (auto parsed = ScheduleTypeFromName(schedule); parsed.ok()) {
-    options.schedule = *parsed;
-  } else {
-    return ReportBad("--schedule", parsed.status());
-  }
-  if (auto parsed = PolicyTypeFromName(policy); parsed.ok()) {
-    options.policy = *parsed;
-  } else {
-    return ReportBad("--policy", parsed.status());
-  }
-  if (auto parsed = InitMethodFromName(init); parsed.ok()) {
-    options.init = *parsed;
-  } else {
-    return ReportBad("--init", parsed.status());
-  }
-  if (!opts.NoUnknownFlags()) return false;
+/// "<dir|uri> [options] [--solver] [--param=k=v ...] [--progress]", after
+/// the caller read its own flags from `flags`. Returns false (with the
+/// problem reported on stderr) on any malformed piece.
+bool ReadDecomposeConfig(const Args& args, FlagReader* flags,
+                         DecomposeConfig* config) {
+  if (!OnePositional(args, "<dir|uri>")) return false;
   config->uri = ToStorageUri(args.positional[0]);
-  config->params = args.params;
-  return true;
+  config->solver = flags->Text("solver", "2pcp");
+  config->params = flags->Pairs("param");
+  config->progress = flags->Bool("progress");
+  return flags->ok() && ReadOptions(flags, &config->options);
 }
 
 int Decompose(int argc, char** argv) {
   Args args;
-  if (!SplitArgs(argc, argv, 2, &args)) return Usage(argv[0]);
-
+  if (!SplitArgs(argc, argv, 2, &args)) return 2;
+  FlagReader flags(args);
   DecomposeConfig config;
-  if (!ParseDecomposeConfig(args, &config)) return 2;
+  if (!ReadDecomposeConfig(args, &flags, &config)) return 2;
   TwoPhaseCpOptions& options = config.options;
   const std::string& solver = config.solver;
 
@@ -568,64 +576,32 @@ int Decompose(int argc, char** argv) {
 }
 
 /// `plan` — print the Phase-2 execution plan for a stored tensor's grid.
-/// Shares `decompose`'s argument vocabulary (the plan is exactly what a
-/// decompose run with these arguments would execute) plus --plan-waves=N
-/// to bound the per-wave listing. Certification always runs here so the
-/// summary carries predicted swaps even when reordering is off.
+/// Takes `decompose`'s options (the plan is exactly what a decompose run
+/// with them would execute) plus --plan-waves=N to bound the per-wave
+/// listing and the cluster-simulator flags. Certification always runs
+/// here so the summary carries predicted swaps even when reordering is
+/// off.
 int Plan(int argc, char** argv) {
   Args args;
-  if (!SplitArgs(argc, argv, 2, &args)) return Usage(argv[0]);
-  // Peel the plan-only flags off before the shared parser (which rejects
-  // unknown flags).
-  const auto peel_int = [&args](const char* flag, int64_t fallback,
-                                int64_t min) -> int64_t {
-    auto it = args.flags.find(flag);
-    if (it == args.flags.end()) return fallback;
-    auto parsed = ParseInt64(it->second);
-    if (!parsed.ok() || *parsed < min) return -1;
-    args.flags.erase(it);
-    return *parsed;
-  };
-  const int64_t plan_waves = peel_int("plan-waves", 8, 0);
-  if (plan_waves < 0) {
-    std::fprintf(stderr, "--plan-waves expects a non-negative integer\n");
+  if (!SplitArgs(argc, argv, 2, &args) ||
+      !OnePositional(args, "<dir|uri>")) {
     return 2;
   }
+  FlagReader flags(args);
+  const int64_t plan_waves = flags.Int("plan-waves", 8, 0);
   // --workers=auto searches fleet sizes with the overlap-aware simulator
   // instead of pricing one explicit N.
-  bool workers_auto = false;
-  if (auto it = args.flags.find("workers");
-      it != args.flags.end() && it->second == "auto") {
-    workers_auto = true;
-    args.flags.erase(it);
-  }
-  const int64_t workers = peel_int("workers", 0, 0);
-  if (workers < 0 || workers > 64) {
-    std::fprintf(stderr, "--workers expects an integer in [0, 64] or "
-                 "'auto'\n");
-    return 2;
-  }
-  bool plan_overlap = false;
-  if (auto it = args.flags.find("overlap"); it != args.flags.end()) {
-    if (it->second == "on") {
-      plan_overlap = true;
-    } else if (it->second != "off") {
-      std::fprintf(stderr, "--overlap expects on or off\n");
-      return 2;
-    }
-    args.flags.erase(it);
-  }
-  const int64_t link_latency_us = peel_int("link-latency-us", 100, 0);
-  const int64_t link_bandwidth_mbps = peel_int("link-bandwidth-mbps", 1250, 1);
-  if (link_latency_us < 0 || link_bandwidth_mbps < 1) {
-    std::fprintf(stderr, "bad --link-latency-us / --link-bandwidth-mbps\n");
-    return 2;
-  }
-  DecomposeConfig config;
-  if (!ParseDecomposeConfig(args, &config)) return 2;
-  const TwoPhaseCpOptions& options = config.options;
+  const bool workers_auto = flags.Text("workers", "") == "auto";
+  const int64_t workers = workers_auto ? 0 : flags.Int("workers", 0, 0, 64);
+  const bool plan_overlap = flags.OnOff("overlap");
+  const int64_t link_latency_us = flags.Int("link-latency-us", 100, 0);
+  const int64_t link_bandwidth_mbps =
+      flags.Int("link-bandwidth-mbps", 1250, 1);
+  TwoPhaseCpOptions options;
+  if (!flags.ok() || !ReadOptions(&flags, &options)) return 2;
+  const std::string uri = ToStorageUri(args.positional[0]);
 
-  auto session = Session::Open({config.uri});
+  auto session = Session::Open({uri});
   if (!session.ok()) return ReportBad("open storage", session.status()), 1;
   auto store = (*session)->OpenTensorStore();
   if (!store.ok()) {
@@ -705,14 +681,17 @@ int Plan(int argc, char** argv) {
 
 int Simulate(int argc, char** argv) {
   Args args;
-  if (!SplitArgs(argc, argv, 2, &args)) return Usage(argv[0]);
-  if (args.positional.size() < 2) return Usage(argv[0]);
-  OptionReader opts(args, 0);
-  const int64_t parts = opts.Int("parts", 0, true, 2, 64);
-  const double fraction =
-      opts.Double("buffer-fraction", 0.0, true, 1e-6, 1.0);
-  if (!opts.NoUnknownFlags()) return 2;
-  if (parts < 2 || fraction <= 0.0 || fraction > 1.0) return Usage(argv[0]);
+  if (!SplitArgs(argc, argv, 2, &args)) return 2;
+  FlagReader flags(args);
+  const int64_t parts = flags.Int("parts", 0, 2, 64);
+  const double fraction = flags.Double("buffer-fraction", 0.0, 1e-6, 1.0);
+  if (!flags.NoUnknownFlags()) return 2;
+  if (!args.positional.empty()) return Usage(argv[0]);
+  if (parts == 0 || fraction == 0.0) {
+    std::fprintf(stderr,
+                 "simulate needs --parts=N and --buffer-fraction=F\n");
+    return 2;
+  }
 
   std::printf("swaps per virtual iteration, %lld^3 partitions, buffer %.3f "
               "of total requirement\n",
@@ -776,7 +755,7 @@ bool ParseCancelList(const std::string& value,
     auto vi = colon == std::string::npos
                   ? Result<int64_t>(Status::InvalidArgument("missing ':'"))
                   : ParseInt64(item.substr(colon + 1));
-    if (!idx.ok() || !vi.ok() || *idx < 1 || *vi < 1) {
+    if (!idx.ok() || !vi.ok() || *idx < 1 || *vi < 1 || *vi > kIntMax) {
       std::fprintf(stderr,
                    "--cancel-at-vi expects IDX:VI pairs (1-based), got "
                    "'%s'\n",
@@ -790,22 +769,22 @@ bool ParseCancelList(const std::string& value,
 
 int Jobs(int argc, char** argv) {
   Args args;
-  if (!SplitArgs(argc, argv, 2, &args)) return Usage(argv[0]);
-  if (args.positional.empty()) return Usage(argv[0]);
-  OptionReader opts(args, 1);
-  constexpr int64_t kIntMax = std::numeric_limits<int>::max();
-  JobServiceOptions service_options;
-  service_options.num_workers =
-      static_cast<int>(opts.Int("workers", 2, false, 1, 64));
-  service_options.total_threads =
-      static_cast<int>(opts.Int("total-threads", 0, false, 0, kIntMax));
-  const bool quiet = opts.Present("quiet");
-  std::map<int64_t, int> cancel_at;
-  if (opts.Present("cancel-at-vi") &&
-      !ParseCancelList(args.flags.at("cancel-at-vi"), &cancel_at)) {
+  if (!SplitArgs(argc, argv, 2, &args) ||
+      !OnePositional(args, "<specfile>")) {
     return 2;
   }
-  if (!opts.ok() || !opts.NoUnknownFlags()) return 2;
+  FlagReader flags(args);
+  JobServiceOptions service_options;
+  service_options.num_workers =
+      static_cast<int>(flags.Int("workers", 2, 1, 64));
+  service_options.total_threads =
+      static_cast<int>(flags.Int("total-threads", 0, 0, kIntMax));
+  const bool quiet = flags.Bool("quiet");
+  std::map<int64_t, int> cancel_at;
+  if (!ParseCancelList(flags.Text("cancel-at-vi", ""), &cancel_at) ||
+      !flags.NoUnknownFlags()) {
+    return 2;
+  }
 
   // One job per non-comment line, in `decompose` argument syntax.
   const std::string& spec_path = args.positional[0];
@@ -826,8 +805,12 @@ int Jobs(int argc, char** argv) {
     if (tokens.empty() || tokens.front()[0] == '#') continue;
     Args job_args;
     DecomposeConfig config;
-    if (!SplitTokens(tokens, &job_args) ||
-        !ParseDecomposeConfig(job_args, &config)) {
+    bool parsed = SplitTokens(tokens, &job_args);
+    if (parsed) {
+      FlagReader job_flags(job_args);
+      parsed = ReadDecomposeConfig(job_args, &job_flags, &config);
+    }
+    if (!parsed) {
       std::fprintf(stderr, "%s:%lld: bad job line\n", spec_path.c_str(),
                    static_cast<long long>(line_number));
       return 2;
@@ -979,141 +962,72 @@ int Client(int argc, char** argv) {
         argv[0]);
     return 2;
   }
-  const std::string verb = argv[2];
-  std::string host = "127.0.0.1";
-  int64_t port = 7214;
-  bool want_compress = false;
-  std::string token;
-  JsonValue request = JsonValue::Object();
-  request.Set("cmd", verb);
-  JsonValue options = JsonValue::Object();
-  JsonValue params = JsonValue::Object();
-  JsonValue generate = JsonValue::Object();
-  bool has_options = false, has_params = false, has_generate = false;
-  for (int i = 3; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const size_t eq = arg.find('=');
-    if (arg.rfind("--", 0) != 0 || eq == std::string::npos) {
-      std::fprintf(stderr, "client flags are --key=value, got '%s'\n",
-                   arg.c_str());
-      return 2;
-    }
-    const std::string key = arg.substr(2, eq - 2);
-    const std::string value = arg.substr(eq + 1);
-    const auto kv = [&]() -> Result<std::pair<std::string, std::string>> {
-      const size_t peq = value.find('=');
-      if (peq == std::string::npos || peq == 0) {
-        return Status::InvalidArgument("--" + key +
-                                       " expects key=value, got '" + value +
-                                       "'");
-      }
-      return std::make_pair(value.substr(0, peq), value.substr(peq + 1));
-    };
-    if (key == "host") {
-      host = value;
-    } else if (key == "token") {
-      token = value;
-    } else if (key == "compress") {
-      if (value != "deflate" && value != "none") {
-        std::fprintf(stderr, "bad --compress '%s' (deflate|none)\n",
-                     value.c_str());
-        return 2;
-      }
-      want_compress = value == "deflate";
-    } else if (key == "port") {
-      const auto parsed = ParseInt64(value);
-      if (!parsed.ok()) {
-        std::fprintf(stderr, "bad --port '%s'\n", value.c_str());
-        return 2;
-      }
-      port = *parsed;
-    } else if (key == "tenant" || key == "name" || key == "solver" ||
-               key == "state") {
-      request.Set(key, value);
-    } else if (key == "priority" || key == "job" || key == "parts" ||
-               key == "gen-rank" || key == "gen-seed") {
-      const auto parsed = ParseInt64(value);
-      if (!parsed.ok()) {
-        std::fprintf(stderr, "bad --%s '%s'\n", key.c_str(), value.c_str());
-        return 2;
-      }
-      if (key == "parts") {
-        generate.Set("parts", *parsed);
-        has_generate = true;
-      } else if (key == "gen-rank") {
-        generate.Set("rank", *parsed);
-        has_generate = true;
-      } else if (key == "gen-seed") {
-        generate.Set("seed", *parsed);
-        has_generate = true;
-      } else {
-        request.Set(key, *parsed);
-      }
-    } else if (key == "timeout") {
-      const auto parsed = ParseDouble(value);
-      if (!parsed.ok()) {
-        std::fprintf(stderr, "bad --timeout '%s'\n", value.c_str());
-        return 2;
-      }
-      request.Set("timeout_seconds", *parsed);
-    } else if (key == "noise") {
-      const auto parsed = ParseDouble(value);
-      if (!parsed.ok()) {
-        std::fprintf(stderr, "bad --noise '%s'\n", value.c_str());
-        return 2;
-      }
-      generate.Set("noise", *parsed);
-      has_generate = true;
-    } else if (key == "opt") {
-      const auto pair = kv();
-      if (!pair.ok()) {
-        std::fprintf(stderr, "%s\n", pair.status().ToString().c_str());
-        return 2;
-      }
-      options.Set(pair->first, pair->second);
-      has_options = true;
-    } else if (key == "param") {
-      const auto pair = kv();
-      if (!pair.ok()) {
-        std::fprintf(stderr, "%s\n", pair.status().ToString().c_str());
-        return 2;
-      }
-      params.Set(pair->first, pair->second);
-      has_params = true;
-    } else if (key == "generate") {
-      // IxJxK dims list.
-      JsonValue dims = JsonValue::Array();
-      size_t start = 0;
-      while (start <= value.size()) {
-        const size_t x = value.find('x', start);
-        const std::string piece = value.substr(
-            start, x == std::string::npos ? std::string::npos : x - start);
-        const auto parsed = ParseInt64(piece);
-        if (!parsed.ok()) {
-          std::fprintf(stderr, "bad --generate dims '%s'\n", value.c_str());
-          return 2;
-        }
-        dims.Append(*parsed);
-        if (x == std::string::npos) break;
-        start = x + 1;
-      }
-      generate.Set("dims", std::move(dims));
-      has_generate = true;
-    } else {
-      std::fprintf(stderr, "unknown client flag --%s\n", key.c_str());
-      return 2;
-    }
+  Args args;
+  if (!SplitArgs(argc, argv, 2, &args) || !OnePositional(args, "<verb>")) {
+    return 2;
   }
-  if (has_options) request.Set("options", std::move(options));
-  if (has_params) request.Set("params", std::move(params));
-  if (has_generate) request.Set("generate", std::move(generate));
+  FlagReader flags(args);
+  const std::string host = flags.Text("host", "127.0.0.1");
+  const int64_t port = flags.Int("port", 7214, 1, 65535);
+  const std::string compress = flags.Text("compress", "none");
+  const std::string token = flags.Text("token", "");
+  JsonValue request = JsonValue::Object();
+  request.Set("cmd", args.positional[0]);
+  for (const char* key : {"tenant", "name", "solver", "state"}) {
+    if (flags.Has(key)) request.Set(key, flags.Text(key, ""));
+  }
+  if (flags.Has("priority")) {
+    request.Set("priority", flags.Int("priority", 0, -kIntMax, kIntMax));
+  }
+  if (flags.Has("job")) request.Set("job", flags.Int("job", 0, 1));
+  if (flags.Has("timeout")) {
+    request.Set("timeout_seconds", flags.Double("timeout", 0.0, 0.0, 1e9));
+  }
+  // Flag name -> request field name.
+  using Rename = std::pair<const char*, const char*>;
+  for (const auto& [flag, field] :
+       {Rename("opt", "options"), Rename("param", "params")}) {
+    JsonValue object = JsonValue::Object();
+    for (const auto& [key, value] : flags.Pairs(flag)) object.Set(key, value);
+    if (!object.object_items().empty()) request.Set(field, std::move(object));
+  }
+  JsonValue generate = JsonValue::Object();
+  if (flags.Has("generate")) {
+    const Result<std::vector<int64_t>> dims =
+        ParseDims(flags.Text("generate", ""));
+    if (!dims.ok()) return ReportBad("--generate", dims.status()), 2;
+    JsonValue array = JsonValue::Array();
+    for (const int64_t dim : *dims) array.Append(dim);
+    generate.Set("dims", std::move(array));
+  }
+  for (const auto& [flag, field] :
+       {Rename("parts", "parts"), Rename("gen-rank", "rank"),
+        Rename("gen-seed", "seed")}) {
+    if (flags.Has(flag)) generate.Set(field, flags.Int(flag, 0));
+  }
+  if (flags.Has("noise")) {
+    generate.Set("noise", flags.Double("noise", 0.0, 0.0, 1e9));
+  }
+  if (!generate.object_items().empty()) {
+    request.Set("generate", std::move(generate));
+  }
+  if (compress != "deflate" && compress != "none") {
+    std::fprintf(stderr, "bad --compress '%s' (deflate|none)\n",
+                 compress.c_str());
+    return 2;
+  }
+  if (!token.empty() && request.Find("tenant") == nullptr) {
+    std::fprintf(stderr, "--token requires --tenant=NAME\n");
+    return 2;
+  }
+  if (!flags.NoUnknownFlags()) return 2;
 
   auto client = TpcpdClient::Connect(host, static_cast<int>(port));
   if (!client.ok()) {
     std::fprintf(stderr, "%s\n", client.status().ToString().c_str());
     return 1;
   }
-  if (want_compress) {
+  if (compress == "deflate") {
     // Best effort: an older daemon declines and we keep speaking plain.
     const auto granted = (*client)->NegotiateCompression();
     if (!granted.ok()) {
@@ -1122,13 +1036,8 @@ int Client(int argc, char** argv) {
     }
   }
   if (!token.empty()) {
-    const JsonValue* tenant = request.Find("tenant");
-    if (tenant == nullptr) {
-      std::fprintf(stderr, "--token requires --tenant=NAME\n");
-      return 2;
-    }
-    const Status authed =
-        (*client)->Authenticate(tenant->string_value(), token);
+    const Status authed = (*client)->Authenticate(
+        request.Find("tenant")->string_value(), token);
     if (!authed.ok()) {
       std::fprintf(stderr, "%s\n", authed.ToString().c_str());
       return 1;
@@ -1151,13 +1060,13 @@ int Client(int argc, char** argv) {
 int DistWorker(int argc, char** argv) {
   Args args;
   if (!SplitArgs(argc, argv, 2, &args)) return 2;
-  OptionReader opts(args, 0);
-  const std::string uri = opts.Text("uri", "");
-  const std::string prefix = opts.Text("prefix", "factors");
-  const int64_t port = opts.Int("port", 0, false, 1, 65535);
-  const int64_t worker = opts.Int("worker", -1, false, 0, 63);
-  if (!opts.ok() || !opts.NoUnknownFlags() || uri.empty() || port == 0 ||
-      worker < 0) {
+  FlagReader flags(args);
+  const std::string uri = flags.Text("uri", "");
+  const std::string prefix = flags.Text("prefix", "factors");
+  const int64_t port = flags.Int("port", 0, 1, 65535);
+  const int64_t worker = flags.Int("worker", -1, 0, 63);
+  if (!flags.NoUnknownFlags() || !args.positional.empty() || uri.empty() ||
+      port == 0 || worker < 0) {
     std::fprintf(stderr,
                  "dist-worker needs --uri=... --port=N --worker=N\n");
     return 2;
@@ -1177,59 +1086,17 @@ int DistWorker(int argc, char** argv) {
 /// arguments.
 int Dist(int argc, char** argv) {
   Args args;
-  if (!SplitArgs(argc, argv, 2, &args)) return Usage(argv[0]);
-  int64_t workers = 2;
-  if (auto it = args.flags.find("workers"); it != args.flags.end()) {
-    auto parsed = ParseInt64(it->second);
-    if (!parsed.ok() || *parsed < 1 || *parsed > 64) {
-      std::fprintf(stderr, "--workers expects an integer in [1, 64]\n");
-      return 2;
-    }
-    workers = *parsed;
-    args.flags.erase(it);
-  }
-  int64_t heartbeat_ms = 1000;
-  if (auto it = args.flags.find("heartbeat-ms"); it != args.flags.end()) {
-    auto parsed = ParseInt64(it->second);
-    if (!parsed.ok() || *parsed < 0) {
-      std::fprintf(stderr, "--heartbeat-ms expects an integer >= 0\n");
-      return 2;
-    }
-    heartbeat_ms = *parsed;
-    args.flags.erase(it);
-  }
-  int64_t max_respawns = 2;
-  if (auto it = args.flags.find("max-respawns"); it != args.flags.end()) {
-    auto parsed = ParseInt64(it->second);
-    if (!parsed.ok() || *parsed < 0) {
-      std::fprintf(stderr, "--max-respawns expects an integer >= 0\n");
-      return 2;
-    }
-    max_respawns = *parsed;
-    args.flags.erase(it);
-  }
-  DegradeMode degrade = DegradeMode::kShrink;
-  if (auto it = args.flags.find("degrade"); it != args.flags.end()) {
-    auto parsed = DegradeModeFromName(it->second);
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
-      return 2;
-    }
-    degrade = *parsed;
-    args.flags.erase(it);
-  }
-  bool overlap = false;
-  if (auto it = args.flags.find("overlap"); it != args.flags.end()) {
-    if (it->second == "on") {
-      overlap = true;
-    } else if (it->second != "off") {
-      std::fprintf(stderr, "--overlap expects on or off\n");
-      return 2;
-    }
-    args.flags.erase(it);
-  }
+  if (!SplitArgs(argc, argv, 2, &args)) return 2;
+  FlagReader flags(args);
+  const int64_t workers = flags.Int("workers", 2, 1, 64);
+  const int64_t heartbeat_ms = flags.Int("heartbeat-ms", 1000, 0, kIntMax);
+  const int64_t max_respawns = flags.Int("max-respawns", 2, 0, kIntMax);
+  const bool overlap = flags.OnOff("overlap");
+  const Result<DegradeMode> degrade =
+      DegradeModeFromName(flags.Text("degrade", "shrink"));
+  if (!degrade.ok()) return ReportBad("--degrade", degrade.status()), 2;
   DecomposeConfig config;
-  if (!ParseDecomposeConfig(args, &config)) return 2;
+  if (!ReadDecomposeConfig(args, &flags, &config)) return 2;
   TwoPhaseCpOptions& options = config.options;
   if (config.solver != "2pcp") {
     std::fprintf(stderr, "dist supports only the 2pcp solver\n");
@@ -1282,7 +1149,7 @@ int Dist(int argc, char** argv) {
   dopts.num_workers = static_cast<int>(workers);
   dopts.heartbeat_ms = static_cast<int>(heartbeat_ms);
   dopts.max_respawns = static_cast<int>(max_respawns);
-  dopts.degrade = degrade;
+  dopts.degrade = *degrade;
   dopts.overlap = overlap;
   // Recovery lines go to stdout so harnesses (the CI chaos-smoke job) can
   // grep for "respawning" / "degrading".
@@ -1411,7 +1278,7 @@ int main(int argc, char** argv) {
   if (command == "dist") return Dist(argc, argv);
   if (command == "dist-worker") return DistWorker(argc, argv);
   if (command == "simulate") return Simulate(argc, argv);
-  if (command == "solvers") return Solvers();
+  if (command == "solvers") return argc == 2 ? Solvers() : Usage(argv[0]);
   if (command == "client") return Client(argc, argv);
   return Usage(argv[0]);
 }
