@@ -599,9 +599,8 @@ int Plan(int argc, char** argv) {
       flags.Int("link-bandwidth-mbps", 1250, 1);
   TwoPhaseCpOptions options;
   if (!flags.ok() || !ReadOptions(&flags, &options)) return 2;
-  const std::string uri = ToStorageUri(args.positional[0]);
 
-  auto session = Session::Open({uri});
+  auto session = Session::Open({ToStorageUri(args.positional[0])});
   if (!session.ok()) return ReportBad("open storage", session.status()), 1;
   auto store = (*session)->OpenTensorStore();
   if (!store.ok()) {
@@ -804,13 +803,10 @@ int Jobs(int argc, char** argv) {
     while (fields >> token) tokens.push_back(token);
     if (tokens.empty() || tokens.front()[0] == '#') continue;
     Args job_args;
+    const bool split = SplitTokens(tokens, &job_args);
+    FlagReader job_flags(job_args);
     DecomposeConfig config;
-    bool parsed = SplitTokens(tokens, &job_args);
-    if (parsed) {
-      FlagReader job_flags(job_args);
-      parsed = ReadDecomposeConfig(job_args, &job_flags, &config);
-    }
-    if (!parsed) {
+    if (!split || !ReadDecomposeConfig(job_args, &job_flags, &config)) {
       std::fprintf(stderr, "%s:%lld: bad job line\n", spec_path.c_str(),
                    static_cast<long long>(line_number));
       return 2;
