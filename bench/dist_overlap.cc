@@ -1,18 +1,17 @@
-// Distributed Phase-2 overlap pipeline: barrier vs pipelined wall-clock,
-// and weighted vs modulo ownership balance on a skewed store.
+// Distributed Phase-2 overlap pipeline: a forked fleet against the
+// in-process engine, and weighted vs modulo ownership balance on a skewed
+// store.
 //
 //   bench_dist_overlap [--json=BENCH_dist_overlap.json]
 //
 // Part 1 — overlap: a 2-worker *forked* run (fork + exec of this binary,
 // the same process topology as `tpcp_tool dist`) on a fiber-order plan
-// whose singleton waves make deferrable relays common, once with
-// `overlap=off` (strict per-wave barrier) and once with `overlap=on`
-// (deferred relays ride inside the next wave's compute window). The
-// relay link is throttled (DistributedRunOptions::relay_throttle_us) so
-// loopback pays a slow link's serialization cost identically in both
-// modes and the pipeline's hiding is measurable in wall-clock. Both runs
-// must agree bit-for-bit on the final factors and keep measured ==
-// predicted on the byte ledger — the bench records both checks.
+// whose singleton waves make deferrable relays common (deferred relays
+// ride inside the next wave's compute window), next to an in-process
+// TwoPhaseCp run of the same store recipe. The fleet must match the
+// engine bit-for-bit on the final factors and keep measured == predicted
+// on the byte ledger — the bench records both checks, plus both Phase-2
+// wall-clocks and the relay volume the pipeline hid.
 //
 // Part 2 — ownership: on a skewed grid (parts {1, K, K}: one giant
 // mode-0 unit next to 2K small ones), per-worker plan-step counts and
@@ -29,6 +28,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -52,7 +52,6 @@ namespace {
 constexpr int64_t kDim = 24;
 constexpr int64_t kParts = 4;
 constexpr int kWorkers = 2;
-constexpr int kThrottleUs = 1500;
 constexpr uint64_t kSeed = 31;
 
 TwoPhaseCpOptions BenchOptions() {
@@ -67,7 +66,7 @@ TwoPhaseCpOptions BenchOptions() {
   options.schedule = ScheduleType::kFiberOrder;
   options.buffer_fraction = 0.5;
   options.max_virtual_iterations = 3;
-  options.fit_tolerance = -1.0;  // fixed work in both modes
+  options.fit_tolerance = -1.0;  // fixed work in both runs
   return options;
 }
 
@@ -78,19 +77,20 @@ GridPartition BenchGrid() {
 }
 
 /// Deterministic store prep (same recipe for every run root): synthetic
-/// tensor + Phase 1, leaving block factors at "f".
-void PrepareStore(Env* env, const TwoPhaseCpOptions& options,
-                  const GridPartition& grid) {
-  BlockTensorStore input(env, "t", grid);
+/// tensor + Phase 1, leaving block factors at "f". Returns the engine so
+/// the in-process run can continue into Phase 2.
+std::unique_ptr<TwoPhaseCp> PrepareStore(BlockTensorStore* input,
+                                         BlockFactorStore* factors,
+                                         const TwoPhaseCpOptions& options) {
   LowRankSpec spec;
-  spec.shape = grid.tensor_shape();
+  spec.shape = input->grid().tensor_shape();
   spec.rank = options.rank;
   spec.noise_level = 0.05;
   spec.seed = kSeed;
-  bench::CheckOk(GenerateLowRankIntoStore(spec, &input), "generate");
-  BlockFactorStore factors(env, "f", grid, options.rank);
-  TwoPhaseCp cp(&input, &factors, options);
-  bench::CheckOk(cp.RunPhase1(), "phase 1");
+  bench::CheckOk(GenerateLowRankIntoStore(spec, input), "generate");
+  auto cp = std::make_unique<TwoPhaseCp>(input, factors, options);
+  bench::CheckOk(cp->RunPhase1(), "phase 1");
+  return cp;
 }
 
 struct OverlapRun {
@@ -104,24 +104,38 @@ struct OverlapRun {
   std::string root;
 };
 
+/// The in-process reference: Phase 1 and Phase 2 of TwoPhaseCp against a
+/// fresh store under `root`. Returns the Phase-2 wall-clock.
+double RunEngine(const std::string& root) {
+  const TwoPhaseCpOptions options = BenchOptions();
+  const GridPartition grid = BenchGrid();
+  OpenedEnv env = bench::CheckOk(OpenEnv("posix://" + root), "open env");
+  BlockTensorStore input(env.get(), "t", grid);
+  BlockFactorStore factors(env.get(), "f", grid, options.rank);
+  const std::unique_ptr<TwoPhaseCp> cp =
+      PrepareStore(&input, &factors, options);
+  Stopwatch watch;
+  bench::CheckOk(cp->RunPhase2(), "phase 2");
+  return watch.ElapsedSeconds();
+}
+
 /// One forked 2-worker distributed run against a fresh store under
 /// `root`. Workers are real child processes: fork + exec of this binary
 /// in its hidden `--dist-worker` mode.
 OverlapRun RunDistributed(const std::string& self_exe,
-                          const std::string& root, bool overlap) {
+                          const std::string& root) {
   OverlapRun run;
   run.root = root;
   const TwoPhaseCpOptions options = BenchOptions();
   const GridPartition grid = BenchGrid();
   OpenedEnv env = bench::CheckOk(OpenEnv("posix://" + root), "open env");
-  PrepareStore(env.get(), options, grid);
+  BlockTensorStore input(env.get(), "t", grid);
   BlockFactorStore factors(env.get(), "f", grid, options.rank);
+  PrepareStore(&input, &factors, options);
 
   std::vector<pid_t> children;
   DistributedRunOptions dopts;
   dopts.num_workers = kWorkers;
-  dopts.overlap = overlap;
-  dopts.relay_throttle_us = kThrottleUs;
   dopts.spawn_worker = [&children, &self_exe, &root](int port,
                                                      int worker) -> Status {
     const pid_t pid = ::fork();
@@ -288,25 +302,22 @@ int main(int argc, char** argv) {
   }
   const std::string scratch = tmpl;
 
-  std::printf("dist overlap pipeline (%d workers, throttle %d us/frame)\n",
-              tpcp::kWorkers, tpcp::kThrottleUs);
+  std::printf("dist overlap pipeline (%d workers) vs in-process engine, "
+              "phase 2\n",
+              tpcp::kWorkers);
   tpcp::bench::PrintRule();
-  const tpcp::OverlapRun barrier =
-      tpcp::RunDistributed("/proc/self/exe", scratch + "/barrier", false);
+  const double engine_seconds = tpcp::RunEngine(scratch + "/engine");
   const tpcp::OverlapRun pipelined =
-      tpcp::RunDistributed("/proc/self/exe", scratch + "/pipelined", true);
+      tpcp::RunDistributed("/proc/self/exe", scratch + "/pipelined");
   const bool identical =
-      tpcp::FactorsIdentical(barrier.root, pipelined.root);
-  std::printf("barrier    %.3f s  (hidden 0.000 s, overlapped 0 B)\n",
-              barrier.wall_seconds);
+      tpcp::FactorsIdentical(scratch + "/engine", pipelined.root);
+  std::printf("engine     %.3f s\n", engine_seconds);
   std::printf("pipelined  %.3f s  (hidden %.3f s, overlapped %llu B)\n",
               pipelined.wall_seconds, pipelined.hidden_seconds,
               static_cast<unsigned long long>(pipelined.overlapped_bytes));
-  std::printf("speedup %.2fx, factors %s, ledger %s\n",
-              barrier.wall_seconds / pipelined.wall_seconds,
+  std::printf("factors %s, ledger %s\n",
               identical ? "IDENTICAL" : "DIVERGED",
-              barrier.ledger_exact && pipelined.ledger_exact ? "exact"
-                                                             : "INEXACT");
+              pipelined.ledger_exact ? "exact" : "INEXACT");
 
   std::printf("\nweighted vs modulo ownership on skewed parts {1,%lld,%lld}, "
               "3 workers\n",
@@ -321,21 +332,14 @@ int main(int argc, char** argv) {
   }
 
   if (!json_path.empty()) {
-    auto run_json = [](const tpcp::OverlapRun& run, const char* mode) {
-      JsonValue obj = JsonValue::Object();
-      obj.Set("mode", mode)
-          .Set("wall_seconds", run.wall_seconds)
-          .Set("hidden_seconds", run.hidden_seconds)
-          .Set("overlapped_bytes", run.overlapped_bytes)
-          .Set("up_bytes", run.up_bytes)
-          .Set("down_bytes", run.down_bytes)
-          .Set("persist_bytes", run.persist_bytes)
-          .Set("ledger_exact", run.ledger_exact);
-      return obj;
-    };
-    JsonValue runs = JsonValue::Array();
-    runs.Append(run_json(barrier, "barrier"));
-    runs.Append(run_json(pipelined, "pipelined"));
+    JsonValue pipelined_json = JsonValue::Object();
+    pipelined_json.Set("wall_seconds", pipelined.wall_seconds)
+        .Set("hidden_seconds", pipelined.hidden_seconds)
+        .Set("overlapped_bytes", pipelined.overlapped_bytes)
+        .Set("up_bytes", pipelined.up_bytes)
+        .Set("down_bytes", pipelined.down_bytes)
+        .Set("persist_bytes", pipelined.persist_bytes)
+        .Set("ledger_exact", pipelined.ledger_exact);
     JsonValue ownership = JsonValue::Array();
     for (const tpcp::OwnershipRow& row : skew) {
       JsonValue steps = JsonValue::Array();
@@ -357,10 +361,8 @@ int main(int argc, char** argv) {
     JsonValue top = JsonValue::Object();
     top.Set("bench", "dist_overlap")
         .Set("workers", tpcp::kWorkers)
-        .Set("relay_throttle_us", tpcp::kThrottleUs)
-        .Set("runs", runs)
-        .Set("pipelined_faster",
-             pipelined.wall_seconds < barrier.wall_seconds)
+        .Set("engine_wall_seconds", engine_seconds)
+        .Set("pipelined", pipelined_json)
         .Set("factors_identical", identical)
         .Set("skewed_ownership", ownership)
         .Set("skew_workers", 3);

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "api/job_service.h"
 #include "grid/manifest.h"
 
 namespace tpcp {
@@ -43,45 +42,7 @@ Result<BlockTensorStore*> Session::OpenTensorStore() {
 Result<SolveResult> Session::Decompose(
     const std::string& solver_name, const TwoPhaseCpOptions& options,
     const std::map<std::string, std::string>& params) {
-  // A caller-provided cancellation token must keep working on the
-  // blocking path, but the job layer owns its tokens (JobService::Cancel
-  // is the control surface there); run the synchronous engine inline in
-  // that case — the results are identical either way.
-  if (options.cancel != nullptr) {
-    return RunSolver(solver_name, options, params);
-  }
-  // Preflight the tensor store so a missing dataset surfaces on the
-  // calling thread, exactly as the pre-job synchronous API did. (Rank and
-  // solver validation happen synchronously inside Submit.)
-  if (!tensor_.has_value()) {
-    TPCP_RETURN_IF_ERROR(OpenTensorStore().status());
-  }
-
-  JobServiceOptions service_options;
-  service_options.num_workers = 1;
-  JobService service(service_options);
-  JobSpec spec;
-  spec.session.env = env();
-  spec.session.tensor_prefix = options_.tensor_prefix;
-  spec.session.factor_prefix = options_.factor_prefix;
-  spec.solver = solver_name;
-  spec.options = options;
-  spec.params = params;
-  // Resuming stays an explicit opt-in (options.resume_phase2) on the
-  // blocking path; only JobService resubmissions auto-detect checkpoints.
-  spec.auto_resume = false;
-  TPCP_ASSIGN_OR_RETURN(const JobId id, service.Submit(std::move(spec)));
-  TPCP_ASSIGN_OR_RETURN(JobInfo info, service.Await(id));
-
-  factors_.reset();
-  if (info.state != JobState::kSucceeded) return info.status;
-  if (info.result.factors_persisted) {
-    TPCP_ASSIGN_OR_RETURN(
-        BlockFactorStore store,
-        BlockFactorStore::Open(env(), options_.factor_prefix));
-    factors_.emplace(std::move(store));
-  }
-  return std::move(info.result);
+  return RunSolver(solver_name, options, params);
 }
 
 Result<SolveResult> Session::RunSolver(

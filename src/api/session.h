@@ -87,24 +87,20 @@ class Session {
   }
 
   /// Runs the named registry solver over the session's tensor store
-  /// (opening it on demand). Creates/overwrites the factor store at
-  /// factor_prefix with options.rank. `params` passes solver-specific
-  /// knobs; unknown names are InvalidArgument.
-  ///
-  /// This is the blocking convenience path: it submits one job to a
-  /// private JobService and awaits it (api/job_service.h), producing
-  /// bit-identical results to the pre-job synchronous engine. Long-running
-  /// or concurrent work should use a JobService directly for poll/cancel/
-  /// resume control.
+  /// (opening it on demand), blocking on the calling thread. Creates/
+  /// overwrites the factor store at factor_prefix with options.rank.
+  /// `params` passes solver-specific knobs; unknown names are
+  /// InvalidArgument. Same as RunSolver. Long-running or concurrent work
+  /// should use a JobService (api/job_service.h) for poll/cancel/resume
+  /// control; options.cancel stops this call too.
   Result<SolveResult> Decompose(
       const std::string& solver, const TwoPhaseCpOptions& options,
       const std::map<std::string, std::string>& params = {});
 
-  /// The synchronous engine path behind Decompose, executed on the calling
-  /// thread. JobService workers call this; most other callers want
-  /// Decompose. With options.resume_phase2 set, the existing factor store
-  /// (and any Phase-2 checkpoint in its manifest) is kept and continued
-  /// instead of being recreated.
+  /// The engine path behind Decompose; JobService workers call it. With
+  /// options.resume_phase2 set, the existing factor store (and any
+  /// Phase-2 checkpoint in its manifest) is kept and continued instead of
+  /// being recreated.
   Result<SolveResult> RunSolver(
       const std::string& solver, const TwoPhaseCpOptions& options,
       const std::map<std::string, std::string>& params = {});

@@ -77,8 +77,7 @@ struct ClusterSimConfig {
   int measure_cycles = 2;
   ClusterLink link;
 
-  /// Price the overlapped pipeline (deferred relays hidden behind the next
-  /// wave's compute) instead of the strict barrier.
+  /// No effect; removed with perfbench's assignment.
   bool overlap = false;
   /// Compute seconds per plan step (factor update + exchange encode) and
   /// per buffer swap (unit load from the store) — the knobs that place
@@ -134,9 +133,8 @@ struct ClusterOverlapCost {
   std::string ToString() const;
 };
 
-/// Prices both executions of `dplan` under `config` (config.overlap gates
-/// only which number `plan --workers` reports as the headline; both are
-/// always computed here).
+/// Prices both executions of `dplan` under `config`. The pipelined figure
+/// is the one dist runs; the barrier figure is its unpipelined reference.
 ClusterOverlapCost SimulateClusterOverlap(const DistributedPlan& dplan,
                                           int64_t rank,
                                           const ClusterSimConfig& config);

@@ -3,7 +3,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <map>
 #include <memory>
 #include <string>
@@ -74,7 +73,7 @@ struct RelayFrame {
   bool last = false;
   JsonValue msg;
   /// Recipients whose delivery is deferred into the next wave's compute
-  /// window (overlap pipeline; CanDeferPast-approved).
+  /// window (CanDeferPast-approved).
   std::vector<int> deferred_to;
 };
 
@@ -94,8 +93,8 @@ struct RelayFrame {
 class RelayTask {
  public:
   RelayTask(std::vector<std::unique_ptr<FrameChannel>>* channels,
-            DistributedRunResult* result, int throttle_us)
-      : channels_(channels), result_(result), throttle_us_(throttle_us) {}
+            DistributedRunResult* result)
+      : channels_(channels), result_(result) {}
   ~RelayTask() {
     if (thread_.joinable()) thread_.join();
   }
@@ -111,10 +110,6 @@ class RelayTask {
       Stopwatch busy;
       for (RelayFrame& frame : frames) {
         for (int v : frame.deferred_to) {
-          if (throttle_us_ > 0) {
-            std::this_thread::sleep_for(
-                std::chrono::microseconds(throttle_us_));
-          }
           const Status s = (*channels_)[static_cast<size_t>(v)]->Send(frame.msg);
           if (!s.ok()) {
             status_ = Annotate(v, s);
@@ -135,7 +130,7 @@ class RelayTask {
 
   /// Joins the relay (called once the wave's collection is complete) and
   /// folds its telemetry: relay time that fit inside the collection window
-  /// is time a barrier execution would have serialized — hidden_seconds.
+  /// is time an unpipelined exchange would have serialized — hidden_seconds.
   Status Finish(int* fault_worker) {
     if (!thread_.joinable()) return Status::OK();
     const double window = window_.ElapsedSeconds();
@@ -149,7 +144,6 @@ class RelayTask {
  private:
   std::vector<std::unique_ptr<FrameChannel>>* channels_;
   DistributedRunResult* result_;
-  int throttle_us_;
   std::thread thread_;
   Stopwatch window_;
   uint64_t sent_bytes_ = 0;
@@ -311,10 +305,6 @@ Status RunFleetAttempt(BlockFactorStore* factors,
   init.Set("workers", static_cast<int64_t>(fleet_size));
   init.Set("resume", options.resume_phase2);
   init.Set("hb_ms", static_cast<int64_t>(dopts.heartbeat_ms));
-  // The overlap knob travels outside the options deliberately: it is not
-  // math-shaping (both settings are bit-identical), so it must not enter
-  // the options fingerprint workers echo back.
-  init.Set("overlap", dopts.overlap);
   init.Set("grid", EncodeGrid(factors->grid()));
   JsonValue options_map = JsonValue::Object();
   for (const auto& [key, value] : OptionsToMap(options)) {
@@ -374,10 +364,10 @@ Status RunFleetAttempt(BlockFactorStore* factors,
                                              : state->fit_trace.back();
   std::vector<double> fit_trace = state->fit_trace;
 
-  // Overlap pipeline state: the previous wave's deferred frames, relayed
-  // by a background thread while the fleet computes the current wave. The
-  // task object outlives each wave's thread and joins on any exit path.
-  RelayTask relay(&channels, result, dopts.relay_throttle_us);
+  // Pipeline state: the previous wave's deferred frames, relayed by a
+  // background thread while the fleet computes the current wave. The task
+  // object outlives each wave's thread and joins on any exit path.
+  RelayTask relay(&channels, result);
   std::vector<RelayFrame> deferred;
 
   for (int vi = state->committed_vi; vi < options.max_virtual_iterations;
@@ -470,16 +460,11 @@ Status RunFleetAttempt(BlockFactorStore* factors,
           // this image before its next refresh. The prediction applies
           // the identical rule, so measured == predicted stays exact.
           if (!dplan.ImageLiveFor(frame.pos, v)) continue;
-          // Overlap pipeline: recipients that provably do not read the
-          // image during the next wave get it relayed in the background
-          // while that wave computes.
-          if (dopts.overlap && dplan.CanDeferPast(frame.pos, v, wave_end)) {
+          // Recipients that provably do not read the image during the next
+          // wave get it relayed in the background while that wave computes.
+          if (dplan.CanDeferPast(frame.pos, v, wave_end)) {
             frame.deferred_to.push_back(v);
             continue;
-          }
-          if (dopts.relay_throttle_us > 0) {
-            std::this_thread::sleep_for(
-                std::chrono::microseconds(dopts.relay_throttle_us));
           }
           TPCP_RETURN_IF_ERROR(send(v, frame.msg));
           result->measured[static_cast<size_t>(v)].down_bytes +=

@@ -12,17 +12,17 @@
 //  - Drives the wave loop: broadcasts each conflict-free wave, collects
 //    the owners' metadata images (in worker-id order), relays them to
 //    every non-owner, and barriers on wave_commit/wave_ack.
-//  - Overlap pipeline (DistributedRunOptions::overlap): relays whose
-//    recipients provably do not read the image during the next wave
-//    (DistributedPlan::CanDeferPast — the planner's liveness analysis
-//    applied across one wave boundary) are deferred and sent by a
-//    background relay thread *while the next wave computes*; the rest are
-//    sent immediately as before. Deferred frames are confirmed absorbed at
-//    the next wave's commit barrier and never cross a virtual-iteration
-//    boundary, so every commit/checkpoint cut sees the identical metadata
-//    state and the identical ledger as barrier execution — the pipeline is
-//    bit-identical by construction and only the wall-clock shrinks. The
-//    hidden relay work is reported as overlapped_bytes / hidden_seconds.
+//  - Pipelines the exchange: relays whose recipients provably do not read
+//    the image during the next wave (DistributedPlan::CanDeferPast — the
+//    planner's liveness analysis applied across one wave boundary) are
+//    deferred and sent by a background relay thread *while the next wave
+//    computes*; the rest are sent immediately. Deferred frames are
+//    confirmed absorbed at the next wave's commit barrier and never cross
+//    a virtual-iteration boundary, so every commit/checkpoint cut sees the
+//    same metadata state and ledger as a single-process run — only the
+//    wall-clock shrinks. The hidden relay work is reported as
+//    overlapped_bytes / hidden_seconds; schedules with nothing to defer
+//    (mode-centric) report zero.
 //  - At each virtual-iteration boundary collects every worker's surrogate
 //    fit and requires them bitwise equal (a divergence is an Internal
 //    error, never silently averaged), then applies the engine's exact
@@ -108,18 +108,8 @@ struct DistributedRunOptions {
   /// Operator-visible recovery lines ("dist: worker 1 failed …"). Optional.
   std::function<void(const std::string&)> log;
 
-  /// Overlapped exchange/compute pipeline: defer the relays
-  /// CanDeferPast proves safe into the next wave's compute window
-  /// (coordinator relay thread + worker absorb-while-compute). Off runs
-  /// the strict per-wave barrier. Not a math-shaping option — both
-  /// settings produce bit-identical factors, fit traces, checkpoints, and
-  /// ledgers — so it is deliberately excluded from ResumeFingerprint.
+  /// No effect; removed with perfbench's assignment.
   bool overlap = false;
-  /// Test/bench-only simulated link throttle: the coordinator sleeps this
-  /// long per relayed absorb frame (immediate and deferred alike), so a
-  /// slow link's serialization cost is paid identically in both modes and
-  /// the pipeline's hiding becomes measurable on loopback. 0 = off.
-  int relay_throttle_us = 0;
 };
 
 /// Outcome of a distributed run: the engine-equivalent Phase-2 result plus
@@ -161,8 +151,8 @@ struct DistributedRunResult {
   /// windows; a subset of the measured down_bytes, which stay exact.
   uint64_t overlapped_bytes = 0;
   /// Wall-clock seconds of background relay work that finished before the
-  /// wave's collection did — time a barrier execution would have appended
-  /// to the critical path.
+  /// wave's collection did — time an unpipelined exchange would have
+  /// appended to the critical path.
   double hidden_seconds = 0.0;
 };
 

@@ -112,12 +112,11 @@ class AbsorbBuffer {
  public:
   /// `completed` collects the plan positions whose images finished
   /// installing — the worker's absorb-completeness gate reads it at the
-  /// wave commit barrier. `state_mu` (overlap pipeline only, may be null)
-  /// serializes the install against a concurrently computing wave; frame
-  /// decode stays outside the lock, so absorbs and compute overlap on the
-  /// expensive part.
+  /// wave commit barrier. `state_mu` serializes the install against a
+  /// concurrently computing wave; frame decode stays outside the lock, so
+  /// absorbs and compute overlap on the expensive part.
   Status Add(RefinementState* state, const JsonValue& msg,
-             std::set<int64_t>* completed, std::mutex* state_mu = nullptr) {
+             std::set<int64_t>* completed, std::mutex* state_mu) {
     TPCP_ASSIGN_OR_RETURN(const int64_t mode, GetInt(msg, "mode"));
     TPCP_ASSIGN_OR_RETURN(const int64_t part, GetInt(msg, "part"));
     TPCP_ASSIGN_OR_RETURN(const int64_t pos, GetInt(msg, "pos"));
@@ -146,8 +145,7 @@ class AbsorbBuffer {
     const ModePartition unit{static_cast<int>(mode), part};
     Status s;
     {
-      std::unique_lock<std::mutex> lock;
-      if (state_mu != nullptr) lock = std::unique_lock<std::mutex>(*state_mu);
+      std::lock_guard<std::mutex> lock(*state_mu);
       s = state->AbsorbExchange(unit, image);
     }
     pending_.erase(pos);
@@ -227,11 +225,6 @@ Status ServeDistWorker(Env* base_env, const std::string& factor_prefix,
   TPCP_ASSIGN_OR_RETURN(const TwoPhaseCpOptions options,
                         OptionsFromMap(options_map));
   TPCP_ASSIGN_OR_RETURN(const int64_t hb_ms, GetIntOr(init, "hb_ms", 0));
-  // Overlap is an execution-shape knob (absorb-while-compute), never a
-  // math-shaping one, so it rides alongside the options instead of inside
-  // them and stays out of ResumeFingerprint.
-  TPCP_ASSIGN_OR_RETURN(const bool overlap,
-                        GetBoolOr(init, "overlap", false));
 
   // From init on, heartbeat so the coordinator's quiet-period deadline
   // never fires while this worker computes; mirror a (generous) deadline
@@ -299,20 +292,21 @@ Status ServeDistWorker(Env* base_env, const std::string& factor_prefix,
   std::set<ModePartition> pending_persist;
   std::set<int64_t> absorbed;
   // Positions whose absorbs CanDeferPast proved safe to slide into the
-  // next wave (overlap pipeline); they are owed at that wave's commit.
+  // next wave; they are owed at that wave's commit.
   std::set<int64_t> deferred_expected;
   int64_t wave_begin = 0;
   int64_t wave_end = 0;
 
-  // Overlap pipeline state. The compute thread runs one wave's owned
-  // steps (pool access + update + exchange upload) while the main thread
-  // keeps receiving — installing the previous wave's deferred absorbs as
-  // the relay thread streams them. state_mu serializes RefinementState
-  // and pool mutation between the two; the deferral proof guarantees the
-  // interleavings are semantically disjoint (an absorbed unit is never
-  // one this wave reads or refreshes), so the lock is purely for memory
-  // ordering. Declared after state/pool/channel so its destructor joins
-  // the thread before any of them die on an error path.
+  // Pipeline state. When the previous wave deferred absorbs to this
+  // worker, the compute thread runs this wave's owned steps (pool access +
+  // update + exchange upload) while the main thread keeps receiving —
+  // installing those absorbs as the relay thread streams them. state_mu
+  // serializes RefinementState and pool mutation between the two; the
+  // deferral proof guarantees the interleavings are semantically disjoint
+  // (an absorbed unit is never one this wave reads or refreshes), so the
+  // lock is purely for memory ordering. Declared after state/pool/channel
+  // so its destructor joins the thread before any of them die on an error
+  // path.
   std::mutex state_mu;
   struct ComputeTask {
     std::thread thread;
@@ -322,11 +316,10 @@ Status ServeDistWorker(Env* base_env, const std::string& factor_prefix,
     }
   } compute;
 
-  // One wave's owned steps plus the trailing wave_done. `synchronized`
-  // (overlap) takes state_mu around pool/state mutation and keeps the
-  // wire encode outside it so absorb installs interleave with uploads.
-  const auto run_owned_steps = [&](int64_t begin, int64_t end,
-                                   bool synchronized) -> Status {
+  // One wave's owned steps plus the trailing wave_done. Takes state_mu
+  // around pool/state mutation and keeps the wire encode outside it so
+  // absorb installs interleave with uploads.
+  const auto run_owned_steps = [&](int64_t begin, int64_t end) -> Status {
     for (int64_t pos = begin; pos < end; ++pos) {
       if (dplan.OwnerAt(pos) != worker_id) continue;
       if (hooks.crash_at_step == pos) {
@@ -337,8 +330,7 @@ Status ServeDistWorker(Env* base_env, const std::string& factor_prefix,
       const ModePartition unit = plan.UnitAt(pos);
       RefinementState::ExchangeImage image;
       {
-        std::unique_lock<std::mutex> lock(state_mu, std::defer_lock);
-        if (synchronized) lock.lock();
+        std::lock_guard<std::mutex> lock(state_mu);
         TPCP_RETURN_IF_ERROR(pool.Access(unit, pos));
         state.ApplyUpdate(plan.StepAt(pos), plan.ShardBlocksAt(pos));
         image = state.ExportExchange(unit);
@@ -362,17 +354,18 @@ Status ServeDistWorker(Env* base_env, const std::string& factor_prefix,
       TPCP_ASSIGN_OR_RETURN(const int64_t end, GetInt(msg, "end"));
       wave_begin = begin;
       wave_end = end;
-      // Safe under overlap too: channels are FIFO and the coordinator
-      // launches the deferred relay only after this wave's broadcast, so
-      // every deferred absorb of the previous wave arrives after this
-      // clear and before this wave's commit gate reads the set.
+      // Channels are FIFO and the coordinator launches the deferred relay
+      // only after this wave's broadcast, so every deferred absorb of the
+      // previous wave arrives after this clear and before this wave's
+      // commit gate reads the set.
       absorbed.clear();
-      if (overlap) {
+      if (!deferred_expected.empty()) {
+        // Absorbs are owed during this wave: compute on the side so the
+        // main loop can install them as they arrive.
         TPCP_CHECK(!compute.thread.joinable());
         compute.status = Status::OK();
         compute.thread = std::thread([&, begin, end] {
-          const Status s = run_owned_steps(begin, end,
-                                           /*synchronized=*/true);
+          const Status s = run_owned_steps(begin, end);
           if (!s.ok()) {
             compute.status = s;
             // Unblock the main Recv loop; the error surfaces at the
@@ -381,12 +374,10 @@ Status ServeDistWorker(Env* base_env, const std::string& factor_prefix,
           }
         });
       } else {
-        TPCP_RETURN_IF_ERROR(run_owned_steps(begin, end,
-                                             /*synchronized=*/false));
+        TPCP_RETURN_IF_ERROR(run_owned_steps(begin, end));
       }
     } else if (tag == "absorb") {
-      TPCP_RETURN_IF_ERROR(absorbs.Add(&state, msg, &absorbed,
-                                       overlap ? &state_mu : nullptr));
+      TPCP_RETURN_IF_ERROR(absorbs.Add(&state, msg, &absorbed, &state_mu));
     } else if (tag == "wave_commit") {
       if (compute.thread.joinable()) {
         compute.thread.join();
@@ -412,7 +403,7 @@ Status ServeDistWorker(Env* base_env, const std::string& factor_prefix,
       for (int64_t pos = wave_begin; pos < wave_end; ++pos) {
         if (dplan.OwnerAt(pos) == worker_id) continue;
         if (!dplan.ImageLiveFor(pos, worker_id)) continue;
-        if (overlap && dplan.CanDeferPast(pos, worker_id, wave_end)) {
+        if (dplan.CanDeferPast(pos, worker_id, wave_end)) {
           deferred_expected.insert(pos);
           continue;
         }

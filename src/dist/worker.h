@@ -11,15 +11,16 @@
 // against pre-wave metadata and absorbing the rest afterwards is
 // bit-identical to the engine executing the whole wave.
 //
-// Overlap pipeline (init's "overlap" flag): each wave's owned steps run
-// on a compute thread while the protocol thread keeps receiving, so the
-// previous wave's *deferred* absorbs — the ones
+// Pipelined exchange: the previous wave's *deferred* absorbs — the ones
 // DistributedPlan::CanDeferPast proves no owned step reads before the
-// next commit — install concurrently with compute. The commit gate then
-// demands the deferred set of the previous wave plus every non-deferrable
-// live image of this one, which keeps the metadata state at every commit
-// identical to barrier execution (and deferral never crosses a
-// virtual-iteration boundary, so fits and checkpoints match bit-for-bit).
+// next commit — arrive while the current wave computes. When any are owed
+// to this worker, the wave's owned steps run on a compute thread and the
+// protocol thread installs the absorbs concurrently; otherwise the wave
+// runs inline. The commit gate demands the deferred set of the previous
+// wave plus every non-deferrable live image of this one, which keeps the
+// metadata state at every commit identical to the single-process engine's
+// (and deferral never crosses a virtual-iteration boundary, so fits and
+// checkpoints match bit-for-bit).
 //
 // The worker's buffer pool runs against a private in-memory overlay of the
 // shared factor store (storage/overlay_env.h): evicted dirty sub-factors
@@ -33,7 +34,7 @@
 //
 //   worker -> coord   {"t":"hello","worker":W}
 //   coord -> worker   {"t":"init","workers":N,"resume":B,"hb_ms":H,
-//                      "overlap":B,"grid":…,"options":…}
+//                      "grid":…,"options":…}
 //   worker -> coord   {"t":"hb"}   (every H ms from init on; carries no
 //                     protocol state — the coordinator skips it — and only
 //                     keeps the channel's quiet-period deadline from
@@ -46,8 +47,8 @@
 //                      step, chunked under the frame ceiling)
 //   worker -> coord   {"t":"wave_done"}
 //   coord -> worker   {"t":"absorb",… same fields as xchg …}   (relayed;
-//                     under overlap, deferred images of wave w arrive
-//                     during wave w+1 and are owed at its commit)
+//                     deferred images of wave w arrive during wave w+1
+//                     and are owed at its commit)
 //   coord -> worker   {"t":"wave_commit"}
 //   worker -> coord   {"t":"wave_ack"}
 //   coord -> worker   {"t":"vi_end"}

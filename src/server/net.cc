@@ -47,15 +47,11 @@ sockaddr_in LoopbackAddress(int port) {
 
 /// Recognizes the connection hello (see net.h) and builds its reply.
 /// Returns true when `payload` was a hello — the caller answers with
-/// `*response` (always a plain frame: the peer cannot decode deflate
-/// until it has read the grant) and, when `*grant` is set, switches the
-/// connection to deflate for everything after it. A hello naming a
-/// tenant authenticates the connection: on success `*auth_tenant` is
-/// bound; on rejection the reply is {"ok":false,...}, nothing is granted
-/// and the binding is untouched.
+/// `*response`. A hello naming a tenant authenticates the connection: on
+/// success `*auth_tenant` is bound; on rejection the reply is
+/// {"ok":false,...} and the binding is untouched.
 bool MaybeHandleHello(Tpcpd* daemon, const std::string& payload,
-                      std::string* response, bool* grant,
-                      std::string* auth_tenant) {
+                      std::string* response, std::string* auth_tenant) {
   const Result<JsonValue> request = JsonValue::Parse(payload);
   if (!request.ok() || !request->is_object()) return false;
   const JsonValue* cmd = request->Find("cmd");
@@ -63,7 +59,6 @@ bool MaybeHandleHello(Tpcpd* daemon, const std::string& payload,
       cmd->string_value() != "hello") {
     return false;
   }
-  *grant = false;
   JsonValue reply = JsonValue::Object();
   if (const JsonValue* tenant = request->Find("tenant")) {
     std::string token;
@@ -83,11 +78,7 @@ bool MaybeHandleHello(Tpcpd* daemon, const std::string& payload,
     *auth_tenant = *authed;
     reply.Set("tenant", *authed);
   }
-  const JsonValue* compress = request->Find("compress");
-  *grant = compress != nullptr && compress->is_string() &&
-           compress->string_value() == "deflate" && DeflateSupported();
   reply.Set("ok", true);
-  reply.Set("compress", *grant ? "deflate" : "none");
   *response = reply.Serialize();
   return true;
 }
@@ -114,10 +105,7 @@ Status FrameChannel::RecvRaw(JsonValue* message) {
 }
 
 Status FrameChannel::SendPayload(const std::string& payload) {
-  TPCP_ASSIGN_OR_RETURN(const std::string frame,
-                        decoder_.deflate_enabled()
-                            ? EncodeFrameDeflate(payload)
-                            : EncodeFrame(payload));
+  TPCP_ASSIGN_OR_RETURN(const std::string frame, EncodeFrame(payload));
   return SendBytes(frame.data(), frame.size());
 }
 
@@ -167,8 +155,6 @@ Status FrameChannel::RecvPayload(std::string* payload) {
   }
   return Status::OK();
 }
-
-void FrameChannel::EnableDeflate() { decoder_.EnableDeflate(); }
 
 int FrameChannel::ReleaseFd() {
   std::lock_guard<std::mutex> lock(send_mu_);
@@ -314,15 +300,10 @@ void TpcpdServer::ServeConnection(FrameChannel* channel) {
       break;
     }
     std::string response;
-    bool grant = false;
-    if (!MaybeHandleHello(daemon_, payload, &response, &grant,
-                          &auth_tenant)) {
+    if (!MaybeHandleHello(daemon_, payload, &response, &auth_tenant)) {
       response = daemon_->HandleRequest(payload, auth_tenant);
     }
     if (!channel->SendPayload(response).ok()) break;
-    // The grant itself ships plain: the client enables its decoder only
-    // after reading it.
-    if (grant) channel->EnableDeflate();
   }
   // Under mu_, so the destructor never closes a channel being destroyed.
   std::lock_guard<std::mutex> lock(mu_);
@@ -345,24 +326,6 @@ Result<JsonValue> TpcpdClient::Call(const JsonValue& request) {
   JsonValue response;
   TPCP_RETURN_IF_ERROR(channel_->Recv(&response));
   return response;
-}
-
-Result<bool> TpcpdClient::NegotiateCompression() {
-  if (channel_->deflate_enabled()) return true;
-  if (!DeflateSupported()) return false;  // nothing to offer
-  JsonValue hello = JsonValue::Object();
-  hello.Set("cmd", "hello");
-  hello.Set("compress", "deflate");
-  TPCP_ASSIGN_OR_RETURN(const JsonValue reply, Call(hello));
-  // A pre-hello server answers with an unknown-command error; any reply
-  // without an explicit deflate grant means "keep speaking plain".
-  const JsonValue* granted = reply.Find("compress");
-  if (granted == nullptr || !granted->is_string() ||
-      granted->string_value() != "deflate") {
-    return false;
-  }
-  channel_->EnableDeflate();
-  return true;
 }
 
 Status TpcpdClient::Authenticate(const std::string& tenant,

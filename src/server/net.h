@@ -25,18 +25,8 @@
 // (bad JSON, unknown command) is an ordinary error response and the
 // connection stays usable.
 //
-// Frame compression is negotiated per connection: a client may open with
-//   {"cmd":"hello","compress":"deflate"}
-// which the connection layer answers itself (it never reaches the
-// daemon) with {"ok":true,"compress":"deflate"} when this build carries
-// zlib — from then on both directions may send deflate frames
-// (server/wire.h) for payloads above the size threshold — or
-// {"ok":true,"compress":"none"} otherwise. Clients that never say hello,
-// and servers that predate it (they answer with an unknown-command
-// error), keep speaking plain frames: the negotiation is strictly
-// opt-in on both ends.
-//
-// The hello also carries tenant authentication:
+// The connection layer answers a hello itself (it never reaches the
+// daemon). The hello carries tenant authentication:
 //   {"cmd":"hello","tenant":"acme","token":"s3cret"}
 // On success ({"ok":true,"tenant":"acme"}) the connection is bound to
 // that tenant: every later request on it reaches the daemon with the
@@ -87,12 +77,6 @@ class FrameChannel {
   /// an error response on a live connection.
   Status SendPayload(const std::string& payload);
   Status RecvPayload(std::string* payload);
-
-  /// Deflates large sends and accepts compressed frames from now on. Call
-  /// only once the peer negotiated it (server/wire.h), from the thread
-  /// that sends.
-  void EnableDeflate();
-  bool deflate_enabled() const { return decoder_.deflate_enabled(); }
 
   /// Shuts the socket down, which wakes a Send or Recv blocked on another
   /// thread with EOF; later calls fail with FailedPrecondition. Takes no
@@ -195,25 +179,17 @@ class TpcpdClient {
   /// not valid protocol (never expected).
   Result<JsonValue> Call(const JsonValue& request);
 
-  /// Offers the server deflate frame compression (the hello above).
-  /// Returns true when granted — large frames then travel compressed in
-  /// both directions. False (no error) when the server declined or
-  /// predates the hello. Call at most once, before other traffic.
-  Result<bool> NegotiateCompression();
-
   /// Authenticates this connection as `tenant` (hello with token).
   /// InvalidArgument when the server rejects the credentials — the
   /// connection stays usable, unauthenticated.
   Status Authenticate(const std::string& tenant, const std::string& token);
 
-  bool compression_enabled() const { return channel_->deflate_enabled(); }
-
  private:
   explicit TpcpdClient(std::unique_ptr<FrameChannel> channel)
       : channel_(std::move(channel)) {}
 
-  /// Persistent across Calls: with compression on, response bytes buffered
-  /// past one frame boundary must not be dropped between calls.
+  /// Persistent across Calls: response bytes buffered past one frame
+  /// boundary must not be dropped between calls.
   std::unique_ptr<FrameChannel> channel_;
 };
 

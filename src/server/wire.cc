@@ -1,13 +1,7 @@
 #include "server/wire.h"
 
-#if defined(TPCP_HAVE_ZLIB)
-#include <zlib.h>
-#endif
-
 namespace tpcp {
 namespace {
-
-constexpr uint32_t kCompressedFlag = 0x80000000u;
 
 void AppendBe32(uint32_t value, std::string* out) {
   out->push_back(static_cast<char>((value >> 24) & 0xff));
@@ -30,46 +24,7 @@ uint32_t ReadBe32(const std::string& buffer, size_t offset) {
              static_cast<unsigned char>(buffer[offset + 3]));
 }
 
-#if defined(TPCP_HAVE_ZLIB)
-/// Raw-deflate `input`. Empty string when deflate cannot shrink it below
-/// `max_out` bytes (i.e. compression is not worth it).
-std::string DeflateBytes(const std::string& input, size_t max_out) {
-  uLongf bound = compressBound(static_cast<uLong>(input.size()));
-  std::string out(static_cast<size_t>(bound), '\0');
-  const int rc = compress2(
-      reinterpret_cast<Bytef*>(&out[0]), &bound,
-      reinterpret_cast<const Bytef*>(input.data()),
-      static_cast<uLong>(input.size()), Z_DEFAULT_COMPRESSION);
-  if (rc != Z_OK || static_cast<size_t>(bound) >= max_out) return {};
-  out.resize(static_cast<size_t>(bound));
-  return out;
-}
-
-Result<std::string> InflateBytes(const std::string& input,
-                                 uint32_t expected_size) {
-  std::string out(expected_size, '\0');
-  uLongf out_size = expected_size;
-  const int rc = uncompress(
-      reinterpret_cast<Bytef*>(&out[0]), &out_size,
-      reinterpret_cast<const Bytef*>(input.data()),
-      static_cast<uLong>(input.size()));
-  if (rc != Z_OK || out_size != expected_size) {
-    return Status::InvalidArgument(
-        "compressed frame does not inflate to its declared size");
-  }
-  return out;
-}
-#endif  // TPCP_HAVE_ZLIB
-
 }  // namespace
-
-bool DeflateSupported() {
-#if defined(TPCP_HAVE_ZLIB)
-  return true;
-#else
-  return false;
-#endif
-}
 
 Result<std::string> EncodeFrame(const std::string& payload) {
   if (payload.empty()) {
@@ -88,47 +43,12 @@ Result<std::string> EncodeFrame(const std::string& payload) {
   return frame;
 }
 
-Result<std::string> EncodeFrameDeflate(const std::string& payload,
-                                       size_t threshold) {
-#if defined(TPCP_HAVE_ZLIB)
-  if (payload.size() >= threshold && payload.size() <= kMaxFrameBytes &&
-      payload.size() > 8) {
-    // Only worth the flag bit when deflate beats the plain encoding
-    // (compressed bytes + the 4-byte uncompressed-size word).
-    const std::string deflated = DeflateBytes(payload, payload.size() - 4);
-    if (!deflated.empty()) {
-      std::string frame;
-      frame.reserve(8 + deflated.size());
-      AppendBe32(kCompressedFlag |
-                     static_cast<uint32_t>(deflated.size()),
-                 &frame);
-      AppendBe32(static_cast<uint32_t>(payload.size()), &frame);
-      frame += deflated;
-      return frame;
-    }
-  }
-#else
-  (void)threshold;
-#endif
-  return EncodeFrame(payload);
-}
-
 Status FrameDecoder::Feed(const char* data, size_t size) {
   if (!error_.ok()) return error_;
   buffer_.append(data, size);
   // Peel off every complete frame currently buffered.
   while (buffer_.size() >= 4) {
-    const uint32_t word = ReadBe32(buffer_, 0);
-    const bool compressed = (word & kCompressedFlag) != 0;
-    const uint32_t length = word & ~kCompressedFlag;
-    if (compressed && (!deflate_enabled_ || !DeflateSupported())) {
-      // Without negotiation the flag bit is just an absurd length — keep
-      // the pre-compression error contract.
-      error_ = Status::InvalidArgument(
-          "frame length " + std::to_string(word) + " exceeds the " +
-          std::to_string(kMaxFrameBytes) + "-byte limit");
-      return error_;
-    }
+    const uint32_t length = ReadBe32(buffer_, 0);
     if (length == 0) {
       error_ = Status::InvalidArgument("zero-length frame");
       return error_;
@@ -139,31 +59,9 @@ Status FrameDecoder::Feed(const char* data, size_t size) {
           std::to_string(kMaxFrameBytes) + "-byte limit");
       return error_;
     }
-    if (!compressed) {
-      if (buffer_.size() < 4 + static_cast<size_t>(length)) break;
-      ready_.push_back(buffer_.substr(4, length));
-      buffer_.erase(0, 4 + static_cast<size_t>(length));
-      continue;
-    }
-#if defined(TPCP_HAVE_ZLIB)
-    // Compressed frame: [flagged length][4-byte uncompressed size][bytes].
-    if (buffer_.size() < 8) break;
-    const uint32_t uncompressed = ReadBe32(buffer_, 4);
-    if (uncompressed == 0 || uncompressed > kMaxFrameBytes) {
-      error_ = Status::InvalidArgument(
-          "compressed frame declares an invalid uncompressed size of " +
-          std::to_string(uncompressed) + " bytes");
-      return error_;
-    }
-    if (buffer_.size() < 8 + static_cast<size_t>(length)) break;
-    auto inflated = InflateBytes(buffer_.substr(8, length), uncompressed);
-    if (!inflated.ok()) {
-      error_ = inflated.status();
-      return error_;
-    }
-    ready_.push_back(std::move(*inflated));
-    buffer_.erase(0, 8 + static_cast<size_t>(length));
-#endif
+    if (buffer_.size() < 4 + static_cast<size_t>(length)) break;
+    ready_.push_back(buffer_.substr(4, length));
+    buffer_.erase(0, 4 + static_cast<size_t>(length));
   }
   return Status::OK();
 }

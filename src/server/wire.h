@@ -10,19 +10,6 @@
 // neither balloon daemon memory with one giant length word nor wedge a
 // connection with a zero-length frame. Encoding and decoding are pure
 // byte-string transforms, testable without any socket.
-//
-// Large payloads may travel deflate-compressed when both ends negotiated
-// it (a "compress":"deflate" field in the connection hello — see
-// server/net.h). A compressed frame sets the top bit of the length word:
-//
-//   [4-byte BE: 0x80000000 | deflate-byte count]
-//   [4-byte BE uncompressed payload length][deflate bytes]
-//
-// Both the deflate-byte count and the declared uncompressed length obey
-// the kMaxFrameBytes ceiling. A decoder that has not been told the peer
-// negotiated compression treats the flag bit as a malformed length —
-// pre-compression servers and clients are therefore wire-compatible by
-// construction.
 
 #ifndef TPCP_SERVER_WIRE_H_
 #define TPCP_SERVER_WIRE_H_
@@ -41,26 +28,9 @@ namespace tpcp {
 /// larger is a corrupt or hostile length prefix.
 constexpr uint32_t kMaxFrameBytes = 1u << 20;
 
-/// Frames at or above this payload size are worth compressing; smaller
-/// ones ship plain (the deflate header would eat the gain).
-constexpr size_t kCompressThresholdBytes = 4096;
-
-/// True when this build carries zlib (TPCP_HAVE_ZLIB); without it
-/// compression is never offered, never accepted.
-bool DeflateSupported();
-
 /// Wrap `payload` in a length-prefixed frame. InvalidArgument when the
 /// payload is empty or exceeds kMaxFrameBytes.
 Result<std::string> EncodeFrame(const std::string& payload);
-
-/// Like EncodeFrame, but emits a compressed frame when the payload is at
-/// least `threshold` bytes, zlib is built in, AND deflate actually
-/// shrinks it — otherwise the plain frame, byte-identical to
-/// EncodeFrame's. Callers must only use this after the peer negotiated
-/// "compress":"deflate".
-Result<std::string> EncodeFrameDeflate(
-    const std::string& payload,
-    size_t threshold = kCompressThresholdBytes);
 
 /// Incremental frame decoder: feed raw bytes as they arrive, pop complete
 /// payloads. Once a malformed prefix is seen (zero-length or oversized
@@ -86,17 +56,10 @@ class FrameDecoder {
   /// truncated streams at connection close).
   bool has_partial() const { return !buffer_.empty(); }
 
-  /// Accept compressed frames from now on. Call only once the peer
-  /// negotiated "compress":"deflate"; before that, the flag bit latches
-  /// the usual malformed-length error.
-  void EnableDeflate() { deflate_enabled_ = true; }
-  bool deflate_enabled() const { return deflate_enabled_; }
-
  private:
   std::string buffer_;
   std::vector<std::string> ready_;
   Status error_ = Status::OK();
-  bool deflate_enabled_ = false;
 };
 
 }  // namespace tpcp

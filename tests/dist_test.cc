@@ -274,6 +274,10 @@ TEST(DistPhase2Test, WorkersProduceBitIdenticalFactorsAndExactByteLedger) {
     EXPECT_EQ(result.final_workers, workers);
     EXPECT_FALSE(result.finished_single_process);
     EXPECT_EQ(result.wasted_bytes, 0u);
+    // Mode-centric waves keep every worker busy every wave: nothing can
+    // be deferred, so the pipelined exchange relays everything at once.
+    EXPECT_EQ(result.overlapped_bytes, 0u);
+    EXPECT_EQ(result.hidden_seconds, 0.0);
     ExpectFactorsBitIdentical(ref_env.get(), env->get(), options.rank);
 
     // The byte ledger: what the coordinator counted on the wire equals
@@ -701,7 +705,7 @@ TEST(DistPhase2Test, DeadAbsorbPruningShrinksLedgerAndPreservesMath) {
 
 /// Fiber-order options: singleton waves whose live images the liveness
 /// analysis can actually defer — mode-centric waves keep every worker
-/// busy every wave, so overlap would be a trivial no-op there.
+/// busy every wave, so the pipeline has nothing to defer there.
 TwoPhaseCpOptions OverlapOptions() {
   TwoPhaseCpOptions options = DistOptions();
   options.schedule = ScheduleType::kFiberOrder;
@@ -718,45 +722,35 @@ TEST(DistPhase2Test, OverlapPipelineBitIdenticalAndExactLedger) {
   const GridPartition grid = TestGrid();
 
   for (const int workers : {2, 4}) {
-    for (const bool overlap : {false, true}) {
-      SCOPED_TRACE(std::to_string(workers) + " workers, overlap " +
-                   (overlap ? "on" : "off"));
-      const std::string root = ::testing::TempDir() + "dist_overlap_w" +
-                               std::to_string(workers) +
-                               (overlap ? "_on" : "_off");
-      auto env = OpenEnv("posix://" + root);
-      ASSERT_TRUE(env.ok()) << env.status().ToString();
-      PreparePhase1Store(env->get(), options);
-      BlockFactorStore factors(env->get(), "f", grid, options.rank);
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    const std::string root =
+        ::testing::TempDir() + "dist_overlap_w" + std::to_string(workers);
+    auto env = OpenEnv("posix://" + root);
+    ASSERT_TRUE(env.ok()) << env.status().ToString();
+    PreparePhase1Store(env->get(), options);
+    BlockFactorStore factors(env->get(), "f", grid, options.rank);
 
-      WorkerFleet fleet;
-      DistributedRunOptions dopts;
-      dopts.num_workers = workers;
-      dopts.overlap = overlap;
-      dopts.spawn_worker = SpawnInProcess(&fleet, env->get());
-      DistributedRunResult result;
-      const Status status =
-          RunDistributedPhase2(&factors, options, dopts, &result);
-      fleet.Join();
-      ASSERT_TRUE(status.ok()) << status.ToString();
-      for (const Status& worker_status : fleet.statuses) {
-        EXPECT_TRUE(worker_status.ok()) << worker_status.ToString();
-      }
-
-      // The pipeline is pure latency hiding: identical math, identical
-      // wire ledger — only the telemetry shows the deferral happened.
-      ExpectPhase2Equal(result.phase2, reference);
-      ExpectFactorsBitIdentical(ref_env.get(), env->get(), options.rank);
-      ExpectLedgerExact(result);
-      if (overlap) {
-        EXPECT_GT(result.overlapped_bytes, 0u)
-            << "fiber-order run deferred nothing — the pipeline idled";
-        EXPECT_GE(result.hidden_seconds, 0.0);
-      } else {
-        EXPECT_EQ(result.overlapped_bytes, 0u);
-        EXPECT_EQ(result.hidden_seconds, 0.0);
-      }
+    WorkerFleet fleet;
+    DistributedRunOptions dopts;
+    dopts.num_workers = workers;
+    dopts.spawn_worker = SpawnInProcess(&fleet, env->get());
+    DistributedRunResult result;
+    const Status status =
+        RunDistributedPhase2(&factors, options, dopts, &result);
+    fleet.Join();
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    for (const Status& worker_status : fleet.statuses) {
+      EXPECT_TRUE(worker_status.ok()) << worker_status.ToString();
     }
+
+    // The pipeline is pure latency hiding: identical math, identical
+    // wire ledger — only the telemetry shows the deferral happened.
+    ExpectPhase2Equal(result.phase2, reference);
+    ExpectFactorsBitIdentical(ref_env.get(), env->get(), options.rank);
+    ExpectLedgerExact(result);
+    EXPECT_GT(result.overlapped_bytes, 0u)
+        << "fiber-order run deferred nothing — the pipeline idled";
+    EXPECT_GE(result.hidden_seconds, 0.0);
   }
 }
 
@@ -798,7 +792,6 @@ TEST(DistPhase2Test, OverlapSupervisorRecoveryBitIdentical) {
   std::vector<std::string> logs;
   DistributedRunOptions dopts;
   dopts.num_workers = 2;
-  dopts.overlap = true;
   dopts.heartbeat_ms = 100;
   dopts.spawn_worker = SpawnInProcess(&fleet, env->get(), faults);
   dopts.log = [&logs](const std::string& line) { logs.push_back(line); };
@@ -840,8 +833,8 @@ TEST(DistPhase2Test, OverlapChaosDisconnectMidRelayRecoversExactly) {
   WorkerFleet fleet;
   SpawnFaults faults;
   faults.chaos_worker = 1;
-  // Worker-1 recv frames: 0 init, then waves and relayed absorbs. Under
-  // overlap on fiber-order, the absorbs arriving while a wave computes
+  // Worker-1 recv frames: 0 init, then waves and relayed absorbs. On
+  // fiber-order, the absorbs arriving while a wave computes
   // are exactly the deferred ones — index 8 lands the disconnect in that
   // stream, mid-run.
   faults.chaos.events.push_back(
@@ -849,7 +842,6 @@ TEST(DistPhase2Test, OverlapChaosDisconnectMidRelayRecoversExactly) {
   std::vector<std::string> logs;
   DistributedRunOptions dopts;
   dopts.num_workers = 2;
-  dopts.overlap = true;
   dopts.heartbeat_ms = 100;
   dopts.accept_timeout_ms = 1500;
   dopts.spawn_worker = SpawnInProcess(&fleet, env->get(), faults);
@@ -1061,7 +1053,7 @@ TEST(DistPhase2Test, SkewedStoreFleetSizesBitIdentical) {
   // One giant part: mode 0 is a single unit spanning twice the dim, so
   // part % N would pile its every step *and* every part-0 step onto
   // worker 0. The weighted map spreads the rest; the math must not care
-  // either way, for 2 and 4 workers, overlap on.
+  // either way, for 2 and 4 workers.
   auto skew = GridPartition::Create(Shape({2 * kDim, kDim, kDim}),
                                     {1, kParts, kParts});
   ASSERT_TRUE(skew.ok()) << skew.status().ToString();
@@ -1082,7 +1074,6 @@ TEST(DistPhase2Test, SkewedStoreFleetSizesBitIdentical) {
     WorkerFleet fleet;
     DistributedRunOptions dopts;
     dopts.num_workers = workers;
-    dopts.overlap = true;
     dopts.spawn_worker = SpawnInProcess(&fleet, env->get());
     DistributedRunResult result;
     const Status status =

@@ -161,88 +161,28 @@ TEST(WireTest, OversizedAndZeroLengthFramesLatchAnError) {
   EXPECT_TRUE(EncodeFrame(std::string(kMaxFrameBytes, 'x')).ok());
 }
 
-// ---- deflate compression ---------------------------------------------------
-
-TEST(WireTest, DeflateFrameRoundTripsAndShrinks) {
-  if (!DeflateSupported()) GTEST_SKIP() << "built without zlib";
-  // Highly compressible payload well above the threshold.
-  const std::string payload =
-      "{\"data\":\"" + std::string(64 * 1024, 'a') + "\"}";
-  const auto plain = EncodeFrame(payload);
-  const auto frame = EncodeFrameDeflate(payload);
-  ASSERT_TRUE(plain.ok() && frame.ok());
-  EXPECT_LT(frame->size(), plain->size());
-  // Byte-by-byte feed: chunk boundaries must not matter for compressed
-  // frames either.
-  FrameDecoder decoder;
-  decoder.EnableDeflate();
-  for (const char c : *frame) {
-    ASSERT_TRUE(decoder.Feed(&c, 1).ok());
+TEST(WireTest, TopBitLengthWordLatchesExceedsError) {
+  // A length word with the top bit set is just an absurd length: it fails
+  // the kMaxFrameBytes check however many bytes follow it.
+  const std::string payload = "{\"cmd\":\"list\"}";
+  const uint32_t word = 0x80000000u | static_cast<uint32_t>(payload.size());
+  std::string frame;
+  for (const int shift : {24, 16, 8, 0}) {
+    frame.push_back(static_cast<char>((word >> shift) & 0xff));
   }
+  frame += payload;
+  FrameDecoder decoder;
+  EXPECT_FALSE(decoder.Feed(frame).ok());
+  EXPECT_TRUE(decoder.failed());
+  EXPECT_NE(decoder.error().ToString().find("exceeds"), std::string::npos)
+      << decoder.error().ToString();
   std::string out;
-  ASSERT_TRUE(decoder.Next(&out));
-  EXPECT_EQ(out, payload);
-  EXPECT_FALSE(decoder.has_partial());
-}
-
-TEST(WireTest, DeflateFallsBackToPlainWhenNotWorthIt) {
-  // Below the threshold: byte-identical to the plain encoding, so a
-  // negotiated connection still interoperates frame-for-frame on small
-  // messages.
-  const std::string small = "{\"cmd\":\"list\"}";
-  const auto plain = EncodeFrame(small);
-  const auto framed = EncodeFrameDeflate(small);
-  ASSERT_TRUE(plain.ok() && framed.ok());
-  EXPECT_EQ(*framed, *plain);
-  // Incompressible payload above the threshold: deflate cannot win, so
-  // the plain frame ships.
-  std::string noise(8192, '\0');
-  uint64_t x = 88172645463325252ull;  // xorshift64: deterministic noise
-  for (char& c : noise) {
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    c = static_cast<char>(x & 0xff);
-  }
-  const auto noisy = EncodeFrameDeflate(noise, /*threshold=*/4096);
-  const auto noisy_plain = EncodeFrame(noise);
-  ASSERT_TRUE(noisy.ok() && noisy_plain.ok());
-  EXPECT_EQ(*noisy, *noisy_plain);
-}
-
-TEST(WireTest, CompressedFrameWithoutNegotiationLatchesAnError) {
-  if (!DeflateSupported()) GTEST_SKIP() << "built without zlib";
-  const std::string payload =
-      "{\"k\":\"" + std::string(16 * 1024, 'z') + "\"}";
-  const auto frame = EncodeFrameDeflate(payload);
-  const auto plain = EncodeFrame(payload);
-  ASSERT_TRUE(frame.ok() && plain.ok());
-  ASSERT_NE(*frame, *plain);  // actually compressed
-  FrameDecoder decoder;  // never told about the negotiation
-  EXPECT_FALSE(decoder.Feed(*frame).ok());
-  EXPECT_TRUE(decoder.failed());
-  // Same contract as any absurd length prefix — a pre-compression peer
-  // sees a malformed frame, not undefined behavior.
-  EXPECT_NE(decoder.error().ToString().find("exceeds"), std::string::npos);
-}
-
-TEST(WireTest, CorruptCompressedFrameIsRejectedNotCrashed) {
-  if (!DeflateSupported()) GTEST_SKIP() << "built without zlib";
-  const std::string payload =
-      "{\"k\":\"" + std::string(16 * 1024, 'z') + "\"}";
-  auto frame = EncodeFrameDeflate(payload);
-  ASSERT_TRUE(frame.ok());
-  // Lie about the declared uncompressed size (low byte of word two).
-  (*frame)[7] = static_cast<char>((*frame)[7] ^ 0x01);
-  FrameDecoder decoder;
-  decoder.EnableDeflate();
-  EXPECT_FALSE(decoder.Feed(*frame).ok());
-  EXPECT_TRUE(decoder.failed());
+  EXPECT_FALSE(decoder.Next(&out));
 }
 
 // ---- channel ---------------------------------------------------------------
 
-TEST(FrameChannelTest, DeadlineCloseAndDeflateOverLoopback) {
+TEST(FrameChannelTest, DeadlineAndCloseOverLoopback) {
   int port = 0;
   auto listen_fd = Listen(&port);
   if (!listen_fd.ok()) {
@@ -260,11 +200,7 @@ TEST(FrameChannelTest, DeadlineCloseAndDeflateOverLoopback) {
   const Status silent = (*server)->Recv(&message);
   EXPECT_TRUE(silent.IsIOError()) << silent.ToString();
 
-  // Large payloads round-trip compressed once both ends enable deflate.
-  if (DeflateSupported()) {
-    (*client)->EnableDeflate();
-    (*server)->EnableDeflate();
-  }
+  // A large payload round-trips after the timed-out Recv.
   JsonValue big = JsonValue::Object();
   big.Set("blob", std::string(64 * 1024, 'x'));
   ASSERT_TRUE((*client)->Send(big).ok());
@@ -469,43 +405,47 @@ TEST(ProtocolTest, ClientOfAStoppedServerGetsIOErrorsNotSigpipe) {
   }
 }
 
-TEST(ProtocolTest, HelloNegotiatesDeflateAndTrafficStillFlows) {
+TEST(ProtocolTest, HelloIgnoresCompressOfferAndFramesStayPlain) {
   auto daemon = TestDaemon();
   ASSERT_NE(daemon, nullptr);
   auto server = TpcpdServer::Listen(daemon.get(), 0);
   if (!server.ok()) {
     GTEST_SKIP() << "sockets unavailable: " << server.status().ToString();
   }
-  const int port = (*server)->bound_port();
-  {
-    auto client = TpcpdClient::Connect("127.0.0.1", port);
-    ASSERT_TRUE(client.ok()) << client.status().ToString();
-    auto granted = (*client)->NegotiateCompression();
-    ASSERT_TRUE(granted.ok()) << granted.status().ToString();
-    // Grant tracks the build: with zlib the server says yes, without it
-    // the client never even offers.
-    EXPECT_EQ(*granted, DeflateSupported());
-    EXPECT_EQ((*client)->compression_enabled(), DeflateSupported());
-    // The negotiated connection still serves ordinary requests.
-    JsonValue request = JsonValue::Object();
-    request.Set("cmd", "tenant-stats");
-    auto response = (*client)->Call(request);
-    ASSERT_TRUE(response.ok()) << response.status().ToString();
-    EXPECT_TRUE(response->Find("ok")->bool_value());
+  auto channel = Connect("127.0.0.1", (*server)->bound_port());
+  ASSERT_TRUE(channel.ok()) << channel.status().ToString();
+  // A compress offer is not part of the hello: the connection layer
+  // answers it without forwarding it to the daemon, and grants nothing.
+  JsonValue hello = JsonValue::Object();
+  hello.Set("cmd", "hello");
+  hello.Set("compress", "deflate");
+  ASSERT_TRUE((*channel)->Send(hello).ok());
+  JsonValue reply;
+  ASSERT_TRUE((*channel)->Recv(&reply).ok());
+  EXPECT_EQ(reply.Serialize(), "{\"ok\":true}");
+
+  // A response of 4 KiB or more on that connection is a plain frame: the
+  // unknown-command error echoes the long command name back.
+  JsonValue request = JsonValue::Object();
+  request.Set("cmd", std::string(5000, 'q'));
+  ASSERT_TRUE((*channel)->Send(request).ok());
+  const int fd = (*channel)->ReleaseFd();
+  FrameDecoder decoder;
+  std::string payload;
+  while (!decoder.Next(&payload)) {
+    char buf[4096];
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    ASSERT_GT(n, 0) << "connection ended before a full frame";
+    ASSERT_TRUE(decoder.Feed(buf, static_cast<size_t>(n)).ok())
+        << decoder.error().ToString();
   }
-  {
-    // A hello without a compress offer is answered by the connection
-    // layer ("none"), not forwarded to the daemon as an unknown command.
-    auto client = TpcpdClient::Connect("127.0.0.1", port);
-    ASSERT_TRUE(client.ok());
-    JsonValue hello = JsonValue::Object();
-    hello.Set("cmd", "hello");
-    auto response = (*client)->Call(hello);
-    ASSERT_TRUE(response.ok()) << response.status().ToString();
-    EXPECT_TRUE(response->Find("ok")->bool_value());
-    ASSERT_NE(response->Find("compress"), nullptr);
-    EXPECT_EQ(response->Find("compress")->string_value(), "none");
-  }
+  ::close(fd);
+  EXPECT_GE(payload.size(), 4096u);
+  auto response = JsonValue::Parse(payload);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_FALSE(response->Find("ok")->bool_value());
+  EXPECT_NE(response->Find("error")->string_value().find("unknown command"),
+            std::string::npos);
 }
 
 TEST(ProtocolTest, HelloAuthenticatesTenantAndGuardsTheConnection) {

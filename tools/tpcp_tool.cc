@@ -25,7 +25,7 @@
 //
 //   tpcp_tool plan      <dir|uri> [options] [--plan-waves=8]
 //                       [--workers=0|N|auto] [--link-latency-us=100]
-//                       [--link-bandwidth-mbps=1250] [--overlap=on|off]
+//                       [--link-bandwidth-mbps=1250]
 //       Prints the Phase-2 execution plan a decompose run with these
 //       options would execute — waves, batch widths, shard counts,
 //       predicted swaps before/after conflict-aware reordering — without
@@ -33,14 +33,14 @@
 //       grep it. With --workers=N the cluster simulator adds per-worker
 //       ownership ("dist:"), predicted swaps / exchange bytes / transfer
 //       seconds per virtual iteration ("cluster:", priced by the link
-//       flags) and the overlapped-vs-barrier wall-clock
+//       flags) and the pipelined-vs-barrier wall-clock
 //       ("cluster-overlap:"). --workers=auto searches N=1..8, one
-//       "cluster-auto:" row each plus the chosen fleet size (--overlap=on
-//       picks by pipelined wall-clock, off by barrier).
+//       "cluster-auto:" row each plus the fleet size with the cheapest
+//       pipelined wall-clock.
 //
 //   tpcp_tool dist      <dir|uri> [options] [--workers=2]
 //                       [--heartbeat-ms=1000] [--max-respawns=2]
-//                       [--degrade=off|shrink|single] [--overlap=on|off]
+//                       [--degrade=off|shrink|single]
 //       Distributed Phase 2: runs Phase 1 in-process, then spawns N local
 //       worker processes (re-exec'ing this binary as `dist-worker`) and
 //       drives them through the wave protocol (dist/coordinator.h).
@@ -49,9 +49,9 @@
 //       via heartbeats, respawned from the last checkpoint up to
 //       --max-respawns times, then the run degrades per --degrade (shed
 //       the worker, or finish in-process); recovery lines print to
-//       stdout ("dist: worker N failed ..."). --overlap=on pipelines the
-//       wave relay into the next wave's compute window (bit-identical
-//       output; the hidden relay volume prints as an "overlap:" line).
+//       stdout ("dist: worker N failed ..."). The wave relay is pipelined
+//       into the next wave's compute window; when any relay was hidden
+//       that way, its volume prints as an "overlap:" line.
 //       Needs a store worker processes can open — not mem://.
 //       `dist-worker` is the internal worker entry point.
 //
@@ -137,11 +137,10 @@ int Usage(const char* argv0) {
       "             (each specfile line: decompose arguments; # comments)\n"
       "  %s plan      <dir|uri> [options] [--plan-waves=8] "
       "[--workers=0|N|auto]\n"
-      "             [--link-latency-us=100] [--link-bandwidth-mbps=1250] "
-      "[--overlap=on|off]\n"
+      "             [--link-latency-us=100] [--link-bandwidth-mbps=1250]\n"
       "  %s dist      <dir|uri> [options] [--workers=2] "
       "[--heartbeat-ms=1000] [--max-respawns=2]\n"
-      "             [--degrade=off|shrink|single] [--overlap=on|off]\n"
+      "             [--degrade=off|shrink|single]\n"
       "  %s simulate  --parts=N --buffer-fraction=F\n"
       "  %s solvers\n"
       "  %s client    <verb> [...]   (alone: lists the verbs)\n"
@@ -290,18 +289,6 @@ class FlagReader {
     if (raw == nullptr) return false;
     const Result<bool> value = ParseBool(*raw);
     return value.ok() ? *value : Bad(flag, value.status(), false);
-  }
-
-  /// --flag=on|off; absent: off.
-  bool OnOff(const char* flag) {
-    const std::string value = Text(flag, "off");
-    if (value != "on" && value != "off") {
-      return Bad(flag,
-                 Status::InvalidArgument("expects on or off, got '" +
-                                         value + "'"),
-                 false);
-    }
-    return value == "on";
   }
 
   /// The repeatable --flag=k=v entries.
@@ -589,11 +576,10 @@ int Plan(int argc, char** argv) {
   }
   FlagReader flags(args);
   const int64_t plan_waves = flags.Int("plan-waves", 8, 0);
-  // --workers=auto searches fleet sizes with the overlap-aware simulator
+  // --workers=auto searches fleet sizes with the pipelined simulator
   // instead of pricing one explicit N.
   const bool workers_auto = flags.Text("workers", "") == "auto";
   const int64_t workers = workers_auto ? 0 : flags.Int("workers", 0, 0, 64);
-  const bool plan_overlap = flags.OnOff("overlap");
   const int64_t link_latency_us = flags.Int("link-latency-us", 100, 0);
   const int64_t link_bandwidth_mbps =
       flags.Int("link-bandwidth-mbps", 1250, 1);
@@ -631,7 +617,6 @@ int Plan(int argc, char** argv) {
   csim.link.latency_seconds = static_cast<double>(link_latency_us) * 1e-6;
   csim.link.bandwidth_bytes_per_second =
       static_cast<double>(link_bandwidth_mbps) * 1e6;
-  csim.overlap = plan_overlap;
   if (workers > 0) {
     // Cluster view: ownership split plus the simulator's predicted
     // per-worker swaps, exchange bytes and link-priced transfer time.
@@ -648,9 +633,8 @@ int Plan(int argc, char** argv) {
                     .ToString()
                     .c_str());
   } else if (workers_auto) {
-    // Fleet-size search: price every N, pick the cheapest per-vi
-    // wall-clock (pipelined when --overlap=on, barrier otherwise).
-    // N=1 is the degenerate single-worker fleet — the comparison floor.
+    // Fleet-size search: price every N, pick the cheapest pipelined
+    // per-vi wall-clock. N=1 is the degenerate single-worker fleet — the comparison floor.
     int best = 0;
     double best_seconds = 0.0;
     for (int n = 1; n <= 8; ++n) {
@@ -658,8 +642,7 @@ int Plan(int argc, char** argv) {
       csim.num_workers = n;
       const ClusterOverlapCost cost =
           SimulateClusterOverlap(dplan, options.rank, csim);
-      const double seconds = plan_overlap ? cost.pipelined_seconds_per_vi
-                                          : cost.barrier_seconds_per_vi;
+      const double seconds = cost.pipelined_seconds_per_vi;
       std::printf("cluster-auto: workers=%d barrier_s/vi=%.6f "
                   "pipelined_s/vi=%.6f hidden_s/vi=%.6f\n",
                   n, cost.barrier_seconds_per_vi,
@@ -671,9 +654,8 @@ int Plan(int argc, char** argv) {
       }
     }
     std::printf("cluster-auto: chosen workers=%d predicted_s/vi=%.6f "
-                "(%s)\n",
-                best, best_seconds,
-                plan_overlap ? "pipelined" : "barrier");
+                "(pipelined)\n",
+                best, best_seconds);
   }
   return 0;
 }
@@ -944,7 +926,7 @@ int Client(int argc, char** argv) {
     std::fprintf(
         stderr,
         "usage: %s client <verb> [--host=127.0.0.1] [--port=7214]\n"
-        "                 [--compress=deflate] [--token=SECRET] ...\n"
+        "                 [--token=SECRET] ...\n"
         "(--token authenticates the connection as --tenant; required for\n"
         " tenants registered with token=)\n"
         "verbs:\n"
@@ -965,7 +947,6 @@ int Client(int argc, char** argv) {
   FlagReader flags(args);
   const std::string host = flags.Text("host", "127.0.0.1");
   const int64_t port = flags.Int("port", 7214, 1, 65535);
-  const std::string compress = flags.Text("compress", "none");
   const std::string token = flags.Text("token", "");
   JsonValue request = JsonValue::Object();
   request.Set("cmd", args.positional[0]);
@@ -1007,11 +988,6 @@ int Client(int argc, char** argv) {
   if (!generate.object_items().empty()) {
     request.Set("generate", std::move(generate));
   }
-  if (compress != "deflate" && compress != "none") {
-    std::fprintf(stderr, "bad --compress '%s' (deflate|none)\n",
-                 compress.c_str());
-    return 2;
-  }
   if (!token.empty() && request.Find("tenant") == nullptr) {
     std::fprintf(stderr, "--token requires --tenant=NAME\n");
     return 2;
@@ -1022,14 +998,6 @@ int Client(int argc, char** argv) {
   if (!client.ok()) {
     std::fprintf(stderr, "%s\n", client.status().ToString().c_str());
     return 1;
-  }
-  if (compress == "deflate") {
-    // Best effort: an older daemon declines and we keep speaking plain.
-    const auto granted = (*client)->NegotiateCompression();
-    if (!granted.ok()) {
-      std::fprintf(stderr, "%s\n", granted.status().ToString().c_str());
-      return 1;
-    }
   }
   if (!token.empty()) {
     const Status authed = (*client)->Authenticate(
@@ -1087,7 +1055,6 @@ int Dist(int argc, char** argv) {
   const int64_t workers = flags.Int("workers", 2, 1, 64);
   const int64_t heartbeat_ms = flags.Int("heartbeat-ms", 1000, 0, kIntMax);
   const int64_t max_respawns = flags.Int("max-respawns", 2, 0, kIntMax);
-  const bool overlap = flags.OnOff("overlap");
   const Result<DegradeMode> degrade =
       DegradeModeFromName(flags.Text("degrade", "shrink"));
   if (!degrade.ok()) return ReportBad("--degrade", degrade.status()), 2;
@@ -1146,7 +1113,6 @@ int Dist(int argc, char** argv) {
   dopts.heartbeat_ms = static_cast<int>(heartbeat_ms);
   dopts.max_respawns = static_cast<int>(max_respawns);
   dopts.degrade = *degrade;
-  dopts.overlap = overlap;
   // Recovery lines go to stdout so harnesses (the CI chaos-smoke job) can
   // grep for "respawning" / "degrading".
   dopts.log = [](const std::string& line) {
@@ -1224,7 +1190,7 @@ int Dist(int argc, char** argv) {
                 dist.respawns, dist.degrades, finish.c_str(),
                 HumanBytes(dist.wasted_bytes).c_str());
   }
-  if (overlap) {
+  if (dist.overlapped_bytes > 0) {
     std::printf("  overlap: relayed %s inside compute windows (hid "
                 "%.3fs)\n",
                 HumanBytes(dist.overlapped_bytes).c_str(),
