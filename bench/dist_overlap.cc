@@ -11,7 +11,10 @@
 // TwoPhaseCp run of the same store recipe. The fleet must match the
 // engine bit-for-bit on the final factors and keep measured == predicted
 // on the byte ledger — the bench records both checks, plus both Phase-2
-// wall-clocks and the relay volume the pipeline hid.
+// wall-clocks and the relay volume the pipeline hid. The two clocks time
+// different things: the engine's covers RunPhase2 alone, the fleet's also
+// covers forking and exec'ing the workers, their handshake and
+// heartbeats, so they are not a cost ratio of the exchange.
 //
 // Part 2 — ownership: on a skewed grid (parts {1, K, K}: one giant
 // mode-0 unit next to 2K small ones), per-worker plan-step counts and
@@ -94,6 +97,7 @@ std::unique_ptr<TwoPhaseCp> PrepareStore(BlockTensorStore* input,
 }
 
 struct OverlapRun {
+  /// RunDistributedPhase2 end to end, worker spawn and handshake included.
   double wall_seconds = 0.0;
   double hidden_seconds = 0.0;
   uint64_t overlapped_bytes = 0;
@@ -312,7 +316,8 @@ int main(int argc, char** argv) {
   const bool identical =
       tpcp::FactorsIdentical(scratch + "/engine", pipelined.root);
   std::printf("engine     %.3f s\n", engine_seconds);
-  std::printf("pipelined  %.3f s  (hidden %.3f s, overlapped %llu B)\n",
+  std::printf("fleet      %.3f s  incl. worker spawn + handshake "
+              "(hidden %.3f s, overlapped %llu B)\n",
               pipelined.wall_seconds, pipelined.hidden_seconds,
               static_cast<unsigned long long>(pipelined.overlapped_bytes));
   std::printf("factors %s, ledger %s\n",
@@ -333,7 +338,7 @@ int main(int argc, char** argv) {
 
   if (!json_path.empty()) {
     JsonValue pipelined_json = JsonValue::Object();
-    pipelined_json.Set("wall_seconds", pipelined.wall_seconds)
+    pipelined_json.Set("wall_seconds_with_spawn", pipelined.wall_seconds)
         .Set("hidden_seconds", pipelined.hidden_seconds)
         .Set("overlapped_bytes", pipelined.overlapped_bytes)
         .Set("up_bytes", pipelined.up_bytes)
@@ -361,7 +366,7 @@ int main(int argc, char** argv) {
     JsonValue top = JsonValue::Object();
     top.Set("bench", "dist_overlap")
         .Set("workers", tpcp::kWorkers)
-        .Set("engine_wall_seconds", engine_seconds)
+        .Set("engine_phase2_seconds", engine_seconds)
         .Set("pipelined", pipelined_json)
         .Set("factors_identical", identical)
         .Set("skewed_ownership", ownership)

@@ -353,7 +353,7 @@ void JobService::Execute(Job* job) {
       }
     }
     auto result =
-        (*session)->RunSolver(spec.solver, spec.options, spec.params);
+        (*session)->Decompose(spec.solver, spec.options, spec.params);
     if (result.ok()) {
       outcome = std::move(result).value();
     } else {

@@ -42,12 +42,6 @@ Result<BlockTensorStore*> Session::OpenTensorStore() {
 Result<SolveResult> Session::Decompose(
     const std::string& solver_name, const TwoPhaseCpOptions& options,
     const std::map<std::string, std::string>& params) {
-  return RunSolver(solver_name, options, params);
-}
-
-Result<SolveResult> Session::RunSolver(
-    const std::string& solver_name, const TwoPhaseCpOptions& options,
-    const std::map<std::string, std::string>& params) {
   if (!tensor_.has_value()) {
     TPCP_RETURN_IF_ERROR(OpenTensorStore().status());
   }
@@ -85,15 +79,21 @@ Result<SolveResult> Session::RunSolver(
   context.options = options;
   context.pool = pool.get();
   context.params = params;
-  TPCP_RETURN_IF_ERROR(solver->Prepare(context));
-  TPCP_RETURN_IF_ERROR(solver->Run());
-  SolveResult result = solver->result();
-  if (factors_.has_value()) {
-    TPCP_RETURN_IF_ERROR(WriteManifest(
+  Status status = solver->Prepare(context);
+  if (status.ok()) status = solver->Run();
+  if (status.ok() && factors_.has_value()) {
+    status = WriteManifest(
         env(), options_.factor_prefix,
-        StoreManifest::Factors(tensor_->grid(), options.rank)));
-    result.factors_persisted = true;
+        StoreManifest::Factors(tensor_->grid(), options.rank));
   }
+  if (!status.ok()) {
+    // The blocks may be half rewritten and have no manifest; hand out no
+    // store for them.
+    factors_.reset();
+    return status;
+  }
+  SolveResult result = solver->result();
+  if (factors_.has_value()) result.factors_persisted = true;
   return result;
 }
 

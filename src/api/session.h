@@ -81,27 +81,23 @@ class Session {
     return tensor_.has_value() ? &*tensor_ : nullptr;
   }
 
-  /// The factor store of the last Decompose call (nullptr before that).
+  /// The factor store of the last successful Decompose call (nullptr
+  /// before one, after a failed or cancelled one, and after a solver that
+  /// writes no factors).
   BlockFactorStore* factor_store() {
     return factors_.has_value() ? &*factors_ : nullptr;
   }
 
   /// Runs the named registry solver over the session's tensor store
   /// (opening it on demand), blocking on the calling thread. Creates/
-  /// overwrites the factor store at factor_prefix with options.rank.
-  /// `params` passes solver-specific knobs; unknown names are
-  /// InvalidArgument. Same as RunSolver. Long-running or concurrent work
-  /// should use a JobService (api/job_service.h) for poll/cancel/resume
-  /// control; options.cancel stops this call too.
-  Result<SolveResult> Decompose(
-      const std::string& solver, const TwoPhaseCpOptions& options,
-      const std::map<std::string, std::string>& params = {});
-
-  /// The engine path behind Decompose; JobService workers call it. With
+  /// overwrites the factor store at factor_prefix with options.rank; with
   /// options.resume_phase2 set, the existing factor store (and any
-  /// Phase-2 checkpoint in its manifest) is kept and continued instead of
-  /// being recreated.
-  Result<SolveResult> RunSolver(
+  /// Phase-2 checkpoint in its manifest) is kept and continued instead.
+  /// `params` passes solver-specific knobs; unknown names are
+  /// InvalidArgument. options.cancel stops the run. JobService workers
+  /// (api/job_service.h) call this for poll/cancel/resume control over
+  /// long-running or concurrent work.
+  Result<SolveResult> Decompose(
       const std::string& solver, const TwoPhaseCpOptions& options,
       const std::map<std::string, std::string>& params = {});
 

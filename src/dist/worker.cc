@@ -297,16 +297,15 @@ Status ServeDistWorker(Env* base_env, const std::string& factor_prefix,
   int64_t wave_begin = 0;
   int64_t wave_end = 0;
 
-  // Pipeline state. When the previous wave deferred absorbs to this
-  // worker, the compute thread runs this wave's owned steps (pool access +
-  // update + exchange upload) while the main thread keeps receiving —
-  // installing those absorbs as the relay thread streams them. state_mu
-  // serializes RefinementState and pool mutation between the two; the
-  // deferral proof guarantees the interleavings are semantically disjoint
-  // (an absorbed unit is never one this wave reads or refreshes), so the
-  // lock is purely for memory ordering. Declared after state/pool/channel
-  // so its destructor joins the thread before any of them die on an error
-  // path.
+  // Pipeline state. The compute thread runs each wave's owned steps (pool
+  // access + update + exchange upload) while the main thread keeps
+  // receiving — installing the previous wave's deferred absorbs as the
+  // relay thread streams them. state_mu serializes RefinementState and
+  // pool mutation between the two; the deferral proof guarantees the
+  // interleavings are semantically disjoint (an absorbed unit is never one
+  // this wave reads or refreshes), so the lock is purely for memory
+  // ordering. Declared after state/pool/channel so its destructor joins
+  // the thread before any of them die on an error path.
   std::mutex state_mu;
   struct ComputeTask {
     std::thread thread;
@@ -359,23 +358,19 @@ Status ServeDistWorker(Env* base_env, const std::string& factor_prefix,
       // previous wave arrives after this clear and before this wave's
       // commit gate reads the set.
       absorbed.clear();
-      if (!deferred_expected.empty()) {
-        // Absorbs are owed during this wave: compute on the side so the
-        // main loop can install them as they arrive.
-        TPCP_CHECK(!compute.thread.joinable());
-        compute.status = Status::OK();
-        compute.thread = std::thread([&, begin, end] {
-          const Status s = run_owned_steps(begin, end);
-          if (!s.ok()) {
-            compute.status = s;
-            // Unblock the main Recv loop; the error surfaces at the
-            // commit-barrier join (or as the Recv failure it caused).
-            channel->Close();
-          }
-        });
-      } else {
-        TPCP_RETURN_IF_ERROR(run_owned_steps(begin, end));
-      }
+      // Compute on the side so the main loop can install the previous
+      // wave's deferred absorbs as the relay streams them.
+      TPCP_CHECK(!compute.thread.joinable());
+      compute.status = Status::OK();
+      compute.thread = std::thread([&, begin, end] {
+        const Status s = run_owned_steps(begin, end);
+        if (!s.ok()) {
+          compute.status = s;
+          // Unblock the main Recv loop; the error surfaces at the
+          // commit-barrier join (or as the Recv failure it caused).
+          channel->Close();
+        }
+      });
     } else if (tag == "absorb") {
       TPCP_RETURN_IF_ERROR(absorbs.Add(&state, msg, &absorbed, &state_mu));
     } else if (tag == "wave_commit") {

@@ -13,14 +13,13 @@
 //
 // Pipelined exchange: the previous wave's *deferred* absorbs — the ones
 // DistributedPlan::CanDeferPast proves no owned step reads before the
-// next commit — arrive while the current wave computes. When any are owed
-// to this worker, the wave's owned steps run on a compute thread and the
-// protocol thread installs the absorbs concurrently; otherwise the wave
-// runs inline. The commit gate demands the deferred set of the previous
-// wave plus every non-deferrable live image of this one, which keeps the
-// metadata state at every commit identical to the single-process engine's
-// (and deferral never crosses a virtual-iteration boundary, so fits and
-// checkpoints match bit-for-bit).
+// next commit — arrive while the current wave computes. Every wave's owned
+// steps run on a compute thread and the protocol thread installs the
+// absorbs concurrently. The commit gate demands the deferred set of the
+// previous wave plus every non-deferrable live image of this one, which
+// keeps the metadata state at every commit identical to the single-process
+// engine's (and deferral never crosses a virtual-iteration boundary, so
+// fits and checkpoints match bit-for-bit).
 //
 // The worker's buffer pool runs against a private in-memory overlay of the
 // shared factor store (storage/overlay_env.h): evicted dirty sub-factors

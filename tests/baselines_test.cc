@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "api/session.h"
 #include "core/cost_model.h"
 #include "baselines/haten2_sim.h"
 #include "baselines/naive_oocp.h"
@@ -67,49 +66,6 @@ TEST(NaiveOocpTest, TimeBudgetStopsRun) {
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->timed_out);
   EXPECT_LT(result->iterations, 1000000);
-}
-
-/// Runs registry solver `solver` over a fresh in-memory copy of `tensor`.
-SolveResult SolveFresh(const std::string& solver, const DenseTensor& tensor,
-                       const GridPartition& grid,
-                       const TwoPhaseCpOptions& options) {
-  auto session = Session::Open({});
-  EXPECT_TRUE(session.ok());
-  auto store = (*session)->CreateTensorStore(grid);
-  EXPECT_TRUE(store.ok());
-  EXPECT_TRUE((*store)->ImportTensor(tensor).ok());
-  auto result = (*session)->Decompose(solver, options);
-  EXPECT_TRUE(result.ok()) << result.status().ToString();
-  return result.ok() ? *result : SolveResult();
-}
-
-TEST(GridParafacTest, PinsModeCentricLruAndConverges) {
-  const GridPartition grid = GridPartition::Uniform(Shape({10, 10, 10}), 2);
-  const DenseTensor tensor = ExactLowRank(grid.tensor_shape(), 2, 4);
-
-  TwoPhaseCpOptions options;
-  options.rank = 2;
-  // Deliberately request HO+FOR; the baseline must pin MC+LRU regardless.
-  options.schedule = ScheduleType::kHilbertOrder;
-  options.policy = PolicyType::kForward;
-  const SolveResult baseline =
-      SolveFresh("grid-parafac", tensor, grid, options);
-  ASSERT_EQ(baseline.solver, "grid-parafac");
-  EXPECT_GT(Fit(tensor, baseline.decomposition), 0.9);
-
-  // The pin is exact: 2pcp run with MC+LRU gives bit-identical factors.
-  options.schedule = ScheduleType::kModeCentric;
-  options.policy = PolicyType::kLru;
-  const SolveResult pinned = SolveFresh("2pcp", tensor, grid, options);
-  EXPECT_EQ(baseline.fit_trace, pinned.fit_trace);
-  ASSERT_EQ(baseline.decomposition.num_modes(),
-            pinned.decomposition.num_modes());
-  for (int mode = 0; mode < pinned.decomposition.num_modes(); ++mode) {
-    EXPECT_TRUE(baseline.decomposition.factor(mode) ==
-                pinned.decomposition.factor(mode))
-        << "mode " << mode;
-  }
-  EXPECT_EQ(baseline.decomposition.lambda(), pinned.decomposition.lambda());
 }
 
 TEST(Haten2SimTest, DecomposesSparseTensor) {

@@ -152,6 +152,24 @@ TEST(WireTest, OversizedAndZeroLengthFramesLatchAnError) {
     EXPECT_FALSE(decoder.Feed("more", 4).ok());
   }
   {
+    // A length word with the top bit set is just an absurd length: it
+    // fails the kMaxFrameBytes check however many bytes follow it.
+    const std::string payload = "{\"cmd\":\"list\"}";
+    const uint32_t word = 0x80000000u | static_cast<uint32_t>(payload.size());
+    std::string frame;
+    for (const int shift : {24, 16, 8, 0}) {
+      frame.push_back(static_cast<char>((word >> shift) & 0xff));
+    }
+    frame += payload;
+    FrameDecoder decoder;
+    EXPECT_FALSE(decoder.Feed(frame).ok());
+    EXPECT_TRUE(decoder.failed());
+    EXPECT_NE(decoder.error().ToString().find("exceeds"), std::string::npos)
+        << decoder.error().ToString();
+    std::string out;
+    EXPECT_FALSE(decoder.Next(&out));
+  }
+  {
     FrameDecoder decoder;
     EXPECT_FALSE(decoder.Feed(std::string(4, '\0')).ok());
     EXPECT_TRUE(decoder.failed());
@@ -159,25 +177,6 @@ TEST(WireTest, OversizedAndZeroLengthFramesLatchAnError) {
   EXPECT_FALSE(EncodeFrame("").ok());
   EXPECT_FALSE(EncodeFrame(std::string(kMaxFrameBytes + 1, 'x')).ok());
   EXPECT_TRUE(EncodeFrame(std::string(kMaxFrameBytes, 'x')).ok());
-}
-
-TEST(WireTest, TopBitLengthWordLatchesExceedsError) {
-  // A length word with the top bit set is just an absurd length: it fails
-  // the kMaxFrameBytes check however many bytes follow it.
-  const std::string payload = "{\"cmd\":\"list\"}";
-  const uint32_t word = 0x80000000u | static_cast<uint32_t>(payload.size());
-  std::string frame;
-  for (const int shift : {24, 16, 8, 0}) {
-    frame.push_back(static_cast<char>((word >> shift) & 0xff));
-  }
-  frame += payload;
-  FrameDecoder decoder;
-  EXPECT_FALSE(decoder.Feed(frame).ok());
-  EXPECT_TRUE(decoder.failed());
-  EXPECT_NE(decoder.error().ToString().find("exceeds"), std::string::npos)
-      << decoder.error().ToString();
-  std::string out;
-  EXPECT_FALSE(decoder.Next(&out));
 }
 
 // ---- channel ---------------------------------------------------------------

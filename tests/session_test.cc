@@ -145,17 +145,41 @@ TEST(SessionTest, NaiveOocpRunsThroughRegistry) {
 
 TEST(SessionTest, GridParafacPinsModeCentricLru) {
   const LowRankSpec spec = TestSpec();
-  auto session = Session::Open({});
-  ASSERT_TRUE(session.ok());
-  auto grid = GridPartition::CreateUniform(spec.shape, 2);
-  ASSERT_TRUE(grid.ok());
-  auto store = (*session)->CreateTensorStore(*grid);
-  ASSERT_TRUE(store.ok());
-  ASSERT_TRUE((*store)->ImportTensor(MakeLowRankTensor(spec)).ok());
-  auto result = (*session)->Decompose("grid-parafac", TestOptions());
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result->solver, "grid-parafac");
-  EXPECT_GT(result->surrogate_fit, 0.8);
+  const DenseTensor tensor = MakeLowRankTensor(spec);
+  const GridPartition grid = GridPartition::Uniform(spec.shape, 2);
+  const auto solve = [&](const std::string& solver,
+                         const TwoPhaseCpOptions& options) {
+    auto session = Session::Open({});
+    EXPECT_TRUE(session.ok());
+    auto store = (*session)->CreateTensorStore(grid);
+    EXPECT_TRUE(store.ok());
+    EXPECT_TRUE((*store)->ImportTensor(tensor).ok());
+    auto result = (*session)->Decompose(solver, options);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    return result.ok() ? *result : SolveResult();
+  };
+
+  // Deliberately request HO+FOR; the solver must pin MC+LRU regardless.
+  TwoPhaseCpOptions options = TestOptions();
+  options.schedule = ScheduleType::kHilbertOrder;
+  options.policy = PolicyType::kForward;
+  const SolveResult baseline = solve("grid-parafac", options);
+  EXPECT_EQ(baseline.solver, "grid-parafac");
+  EXPECT_GT(baseline.surrogate_fit, 0.8);
+
+  // The pin is exact: 2pcp run with MC+LRU gives bit-identical factors.
+  options.schedule = ScheduleType::kModeCentric;
+  options.policy = PolicyType::kLru;
+  const SolveResult pinned = solve("2pcp", options);
+  EXPECT_EQ(baseline.fit_trace, pinned.fit_trace);
+  ASSERT_EQ(baseline.decomposition.num_modes(),
+            pinned.decomposition.num_modes());
+  for (int mode = 0; mode < pinned.decomposition.num_modes(); ++mode) {
+    EXPECT_TRUE(baseline.decomposition.factor(mode) ==
+                pinned.decomposition.factor(mode))
+        << "mode " << mode;
+  }
+  EXPECT_EQ(baseline.decomposition.lambda(), pinned.decomposition.lambda());
 }
 
 TEST(SessionTest, Haten2SolverReportsShuffleAccounting) {
@@ -222,6 +246,7 @@ TEST(SessionTest, FailedRunLeavesNoFactorManifest) {
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsIOError());
   EXPECT_FALSE((*session)->env()->FileExists("factors/MANIFEST"));
+  EXPECT_EQ((*session)->factor_store(), nullptr);
 }
 
 TEST(SessionTest, SuccessfulRunWritesFactorManifest) {

@@ -1045,7 +1045,7 @@ int DistWorker(int argc, char** argv) {
 }
 
 /// `dist` — Phase 1 in-process, Phase 2 across N spawned worker
-/// processes. Mirrors Session::RunSolver's factor-store lifecycle exactly
+/// processes. Mirrors Session::Decompose's factor-store lifecycle exactly
 /// so the resulting store is byte-identical to `decompose` with the same
 /// arguments.
 int Dist(int argc, char** argv) {
@@ -1085,7 +1085,7 @@ int Dist(int argc, char** argv) {
   const GridPartition& grid = (*store)->grid();
   Env* env = (*session)->env();
 
-  // Factor-store lifecycle as Session::RunSolver: a fresh run must not
+  // Factor-store lifecycle as Session::Decompose: a fresh run must not
   // inherit a stale manifest; a resume must keep its checkpoint.
   const std::string factor_prefix = "factors";
   if (!options.resume_phase2) {
@@ -1156,7 +1156,7 @@ int Dist(int argc, char** argv) {
     return 1;
   }
 
-  // Final manifest, as Session::RunSolver writes after a successful run.
+  // Final manifest, as Session::Decompose writes after a successful run.
   if (const Status s =
           WriteManifest(env, factor_prefix,
                         StoreManifest::Factors(grid, options.rank));
