@@ -56,6 +56,8 @@ expect_exit 2 decompose "$DIR/depth0" --no-such-option=1
 expect_exit 2 decompose "$DIR/depth0" --prefetch-depth=-1
 expect_exit 2 decompose "$DIR/depth0" 4 mc
 expect_exit 2 simulate --parts=4 --buffer-fraction=0.5 extra
+# The fleet runs no solver params; one is a typo, not a silent no-op.
+expect_exit 2 dist "$DIR/depth0" --param=x=1
 # An out-of-range port is refused before any connection attempt.
 expect_exit 2 client list --port=4294974510
 if grep -q "connect" "$DIR/out.txt"; then
