@@ -155,7 +155,7 @@ int main(int argc, char** argv) {
   options.fit_tolerance = -1.0;  // fixed work for a stable measured rate
   // The simulator below replays the native HO cycle, so pin the source
   // order (block-centric schedules otherwise reorder by default).
-  options.plan_reorder_auto = false;
+  options.plan_reorder = false;
   auto result = (*session)->Decompose("2pcp", options);
   if (!result.ok()) {
     std::fprintf(stderr, "decompose: %s\n",

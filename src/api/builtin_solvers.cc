@@ -58,71 +58,6 @@ void CopyTwoPhaseResult(const TwoPhaseCpResult& from, SolveResult* to) {
   to->phase2_start_iteration = from.phase2_start_iteration;
 }
 
-/// "2pcp": the two-phase engine. "grid-parafac" reuses it with the
-/// conventional mode-centric + LRU configuration pinned (Phan & Cichocki).
-class TwoPhaseSolver : public Solver {
- public:
-  explicit TwoPhaseSolver(bool grid_parafac) : grid_parafac_(grid_parafac) {}
-
-  const char* name() const override {
-    return grid_parafac_ ? "grid-parafac" : "2pcp";
-  }
-
-  bool WritesFactorStore() const override { return true; }
-
-  void NormalizeOptions(TwoPhaseCpOptions* options) const override {
-    if (grid_parafac_) {
-      options->schedule = ScheduleType::kModeCentric;
-      options->policy = PolicyType::kLru;
-    }
-  }
-
-  Status Prepare(const SolverContext& context) override {
-    TPCP_RETURN_IF_ERROR(RequireInput(context, name()));
-    TPCP_RETURN_IF_ERROR(CheckParams(context.params, {}, name()));
-    if (context.factors == nullptr) {
-      return Status::InvalidArgument("solver '" + std::string(name()) +
-                                     "' requires a factor store");
-    }
-    if (!(context.input->grid() == context.factors->grid())) {
-      return Status::InvalidArgument(
-          "input store and factor store must share one grid");
-    }
-    if (context.factors->rank() != context.options.rank) {
-      return Status::InvalidArgument("factor store rank does not match "
-                                     "options.rank");
-    }
-    context_ = context;
-    prepared_ = true;
-    return Status::OK();
-  }
-
-  Status Run() override {
-    if (!prepared_) {
-      return Status::FailedPrecondition("Prepare must succeed before Run");
-    }
-    result_ = SolveResult();
-    result_.solver = name();
-    Stopwatch watch;
-    TwoPhaseCpOptions options = context_.options;
-    NormalizeOptions(&options);
-    TwoPhaseCp engine(context_.input, context_.factors, options);
-    auto k = engine.Run(context_.pool);
-    if (!k.ok()) return k.status();
-    CopyTwoPhaseResult(engine.result(), &result_);
-    result_.total_seconds = watch.ElapsedSeconds();
-    return Status::OK();
-  }
-
-  const SolveResult& result() const override { return result_; }
-
- private:
-  bool grid_parafac_;
-  bool prepared_ = false;
-  SolverContext context_;
-  SolveResult result_;
-};
-
 /// "naive-oocp": conventional out-of-core ALS streaming the whole tensor
 /// per mode update (Table II's Naive CP row).
 class NaiveOocpSolver : public Solver {
@@ -259,6 +194,54 @@ class Haten2Solver : public Solver {
 };
 
 }  // namespace
+
+const char* TwoPhaseSolver::name() const {
+  return grid_parafac_ ? "grid-parafac" : "2pcp";
+}
+
+void TwoPhaseSolver::NormalizeOptions(TwoPhaseCpOptions* options) const {
+  if (grid_parafac_) {
+    options->schedule = ScheduleType::kModeCentric;
+    options->policy = PolicyType::kLru;
+  }
+}
+
+Status TwoPhaseSolver::Prepare(const SolverContext& context) {
+  TPCP_RETURN_IF_ERROR(RequireInput(context, name()));
+  TPCP_RETURN_IF_ERROR(CheckParams(context.params, {}, name()));
+  if (context.factors == nullptr) {
+    return Status::InvalidArgument("solver '" + std::string(name()) +
+                                   "' requires a factor store");
+  }
+  if (!(context.input->grid() == context.factors->grid())) {
+    return Status::InvalidArgument(
+        "input store and factor store must share one grid");
+  }
+  if (context.factors->rank() != context.options.rank) {
+    return Status::InvalidArgument("factor store rank does not match "
+                                   "options.rank");
+  }
+  context_ = context;
+  prepared_ = true;
+  return Status::OK();
+}
+
+Status TwoPhaseSolver::Run() {
+  if (!prepared_) {
+    return Status::FailedPrecondition("Prepare must succeed before Run");
+  }
+  result_ = SolveResult();
+  result_.solver = name();
+  Stopwatch watch;
+  TwoPhaseCpOptions options = context_.options;
+  NormalizeOptions(&options);
+  TwoPhaseCp engine(context_.input, context_.factors, options);
+  auto k = engine.Run(context_.pool, Phase2());
+  if (!k.ok()) return k.status();
+  CopyTwoPhaseResult(engine.result(), &result_);
+  result_.total_seconds = watch.ElapsedSeconds();
+  return Status::OK();
+}
 
 void RegisterBuiltinSolvers(SolverRegistry* registry) {
   registry->Register(

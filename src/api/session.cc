@@ -42,12 +42,18 @@ Result<BlockTensorStore*> Session::OpenTensorStore() {
 Result<SolveResult> Session::Decompose(
     const std::string& solver_name, const TwoPhaseCpOptions& options,
     const std::map<std::string, std::string>& params) {
+  TPCP_ASSIGN_OR_RETURN(std::unique_ptr<Solver> solver,
+                        SolverRegistry::Global().Create(solver_name));
+  return Decompose(solver.get(), options, params);
+}
+
+Result<SolveResult> Session::Decompose(
+    Solver* solver, const TwoPhaseCpOptions& options,
+    const std::map<std::string, std::string>& params) {
   if (!tensor_.has_value()) {
     TPCP_RETURN_IF_ERROR(OpenTensorStore().status());
   }
   TPCP_RETURN_IF_ERROR(ValidateOptions(options));
-  TPCP_ASSIGN_OR_RETURN(std::unique_ptr<Solver> solver,
-                        SolverRegistry::Global().Create(solver_name));
   // Only factor-writing solvers get a factor store; one-shot baselines
   // must not leave a rank-N manifest with no factors behind, or clobber
   // the store of an earlier two-phase run. The manifest itself is written

@@ -7,8 +7,8 @@
 //   - datasets: manifest-backed BlockTensorStore / BlockFactorStore
 //     creation and reopening (grid/manifest.h);
 //   - solvers:  any algorithm in the SolverRegistry ("2pcp", "naive-oocp",
-//     "grid-parafac", "haten2", or user-registered ones), all returning a
-//     unified SolveResult.
+//     "grid-parafac", "haten2", or user-registered ones) or one the caller
+//     built (the "dist" fleet), all returning a unified SolveResult.
 //
 // Minimal use:
 //
@@ -99,6 +99,14 @@ class Session {
   /// long-running or concurrent work.
   Result<SolveResult> Decompose(
       const std::string& solver, const TwoPhaseCpOptions& options,
+      const std::map<std::string, std::string>& params = {});
+
+  /// The same factor-store lifecycle around a solver the caller built —
+  /// one that is not in the registry, such as the dist fleet
+  /// (dist/distributed_solver.h), whose spawner is not a string param.
+  /// `solver` must outlive the call.
+  Result<SolveResult> Decompose(
+      Solver* solver, const TwoPhaseCpOptions& options,
       const std::map<std::string, std::string>& params = {});
 
   /// Names in the solver registry, sorted.

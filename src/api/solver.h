@@ -131,6 +131,37 @@ class Solver {
   virtual const SolveResult& result() const = 0;
 };
 
+/// "2pcp": the two-phase engine (core/two_phase_cp.h). With
+/// `grid_parafac` it is "grid-parafac", the same engine with the
+/// conventional mode-centric + LRU configuration pinned (Phan & Cichocki).
+/// A subclass may run Phase 2 somewhere else by overriding Phase2
+/// (dist/distributed_solver.h).
+class TwoPhaseSolver : public Solver {
+ public:
+  explicit TwoPhaseSolver(bool grid_parafac = false)
+      : grid_parafac_(grid_parafac) {}
+
+  const char* name() const override;
+  bool WritesFactorStore() const override { return true; }
+  void NormalizeOptions(TwoPhaseCpOptions* options) const override;
+  /// Requires an input and a factor store over one grid, at options.rank;
+  /// takes no params.
+  Status Prepare(const SolverContext& context) override;
+  Status Run() override;
+  const SolveResult& result() const override { return result_; }
+
+ protected:
+  /// The Phase-2 runner handed to TwoPhaseCp::Run; empty (the default)
+  /// keeps the in-process Phase2Engine.
+  virtual Phase2Runner Phase2() { return nullptr; }
+
+ private:
+  bool grid_parafac_;
+  bool prepared_ = false;
+  SolverContext context_;
+  SolveResult result_;
+};
+
 /// Process-wide registry of solver factories. Thread-safe. Pre-populated
 /// with the built-ins: "2pcp", "naive-oocp", "grid-parafac", "haten2".
 class SolverRegistry {

@@ -109,9 +109,8 @@ uint64_t TwoPhaseCpOptions::ResumeFingerprint() const {
   // still auto-resume after an upgrade), and the reorder window — which
   // the planner reads only when reordering is on — never separates two
   // specs that produce identical runs.
-  // The *effective* decision is hashed: with the block-centric auto
-  // default on, a default FO/ZO/HO run and an explicit --plan-reorder run
-  // of the same spec execute the same plan and must resume each other.
+  // The *effective* decision is hashed: plan_reorder on an MC run changes
+  // nothing, so it must not separate two specs either.
   const bool reorder = EffectivePlanReorder();
   if (reorder || shard_slab_blocks != 0) {
     hash = HashWord(hash, reorder ? 1u : 0u);
@@ -151,7 +150,7 @@ std::string TwoPhaseCpOptions::ToString() const {
     out += " compute_threads=" + std::to_string(compute_threads);
   }
   if (EffectivePlanReorder()) {
-    out += plan_reorder ? " plan_reorder=1" : " plan_reorder=auto";
+    out += " plan_reorder=1";
     if (plan_reorder_window > 0) {
       out += " plan_reorder_window=" + std::to_string(plan_reorder_window);
     }
@@ -188,7 +187,6 @@ std::map<std::string, std::string> OptionsToMap(
   map["io_threads"] = std::to_string(options.io_threads);
   map["compute_threads"] = std::to_string(options.compute_threads);
   map["plan_reorder"] = options.plan_reorder ? "1" : "0";
-  map["plan_reorder_auto"] = options.plan_reorder_auto ? "1" : "0";
   map["plan_reorder_window"] = std::to_string(options.plan_reorder_window);
   map["shard_slab_blocks"] = std::to_string(options.shard_slab_blocks);
   map["kernel_fma"] = options.kernel_fma ? "1" : "0";
@@ -240,9 +238,6 @@ Status ApplyOption(const std::string& key, const std::string& value,
     return SetField(key, value, &o.compute_threads);
   }
   if (key == "plan_reorder") return SetField(key, value, &o.plan_reorder);
-  if (key == "plan_reorder_auto") {
-    return SetField(key, value, &o.plan_reorder_auto);
-  }
   if (key == "plan_reorder_window") {
     return SetField(key, value, &o.plan_reorder_window);
   }

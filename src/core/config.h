@@ -93,24 +93,22 @@ struct TwoPhaseCpOptions {
   /// budget and policy become math-shaping too (through the certification
   /// outcome); a resume under a different budget is caught by the plan
   /// fingerprint recorded in the checkpoint.
-  bool plan_reorder = false;
-  /// Automatic reordering default: when plan_reorder is not requested
-  /// explicitly, block-centric schedules (FO/ZO/HO and the SN/RND
-  /// ablations) run the reordering pass anyway — their native cycles
-  /// segment into singleton waves, and the parity gate already protects
-  /// tight buffers (an uncertified candidate is rejected and the source
-  /// order executes). Mode-centric cycles are already mode-contiguous, so
-  /// MC runs are untouched and keep their pre-auto fingerprints. Set
-  /// false to pin the source order (tool: --plan-reorder-auto=0).
-  bool plan_reorder_auto = true;
+  ///
+  /// On by default, and applied to block-centric schedules (FO/ZO/HO and
+  /// the SN/RND ablations) only: their native cycles segment into
+  /// singleton waves, and the parity gate already protects tight buffers
+  /// (an uncertified candidate is rejected and the source order
+  /// executes). Mode-centric cycles are already mode-contiguous, so MC
+  /// runs never reorder. Set false to pin the source order (tool:
+  /// --plan-reorder=0).
+  bool plan_reorder = true;
   /// Reordering window in schedule steps (0 = one virtual iteration).
   int64_t plan_reorder_window = 0;
 
   /// The reordering decision the engine (and the resume fingerprint)
-  /// actually uses: an explicit plan_reorder, or the block-centric auto
-  /// default.
+  /// actually uses: plan_reorder on a block-centric schedule.
   bool EffectivePlanReorder() const {
-    return plan_reorder || (plan_reorder_auto && IsBlockCentric(schedule));
+    return plan_reorder && IsBlockCentric(schedule);
   }
   /// Intra-step sharding: slab blocks per shard for the Eq.-3 slab
   /// accumulation of steps in singleton waves (0 = off). Chunk partials

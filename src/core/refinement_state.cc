@@ -10,6 +10,23 @@
 
 namespace tpcp {
 
+Result<std::map<ModePartition, Matrix>> SeedSubFactors(
+    BlockFactorStore* store) {
+  const GridPartition& grid = store->grid();
+  std::map<ModePartition, Matrix> seeds;
+  for (int mode = 0; mode < grid.num_modes(); ++mode) {
+    for (int64_t part = 0; part < grid.parts(mode); ++part) {
+      const std::vector<BlockIndex> slab = store->SlabBlocks(mode, part);
+      TPCP_CHECK(!slab.empty());
+      TPCP_ASSIGN_OR_RETURN(Matrix seed,
+                            store->ReadBlockFactor(slab.front(), mode));
+      TPCP_RETURN_IF_ERROR(store->WriteSubFactor(mode, part, seed));
+      seeds.emplace(ModePartition{mode, part}, std::move(seed));
+    }
+  }
+  return seeds;
+}
+
 RefinementState::RefinementState(BlockFactorStore* store, double ridge,
                                  ThreadPool* compute_pool, KernelArith arith)
     : store_(store), grid_(store->grid()), rank_(store->rank()),
@@ -38,21 +55,15 @@ Status RefinementState::Initialize(bool resume) {
   // (resume) — and hold transiently for the metadata pass (A totals
   // Σ_i I_i·F doubles — small next to the U data).
   std::map<ModePartition, Matrix> a_init;
-  for (const auto& [unit, slab] : slabs_) {
-    TPCP_CHECK(!slab.empty());
-    Matrix seed;
-    if (resume) {
-      TPCP_ASSIGN_OR_RETURN(seed,
+  if (resume) {
+    for (const auto& [unit, slab] : slabs_) {
+      TPCP_ASSIGN_OR_RETURN(a_init[unit],
                             store_->ReadSubFactor(unit.mode, unit.part));
-    } else {
-      TPCP_ASSIGN_OR_RETURN(seed,
-                            store_->ReadBlockFactor(slab.front(), unit.mode));
-      TPCP_RETURN_IF_ERROR(
-          store_->WriteSubFactor(unit.mode, unit.part, seed));
     }
-    g_[unit] = Gram(seed, arith_);
-    a_init[unit] = std::move(seed);
+  } else {
+    TPCP_ASSIGN_OR_RETURN(a_init, SeedSubFactors(store_));
   }
+  for (const auto& [unit, a] : a_init) g_[unit] = Gram(a, arith_);
 
   // Pass 2: per block, compute M^(h)_l and the surrogate norm n_l. Blocks
   // are independent (each writes only its own m_ row and norm slot and

@@ -44,6 +44,14 @@
 
 namespace tpcp {
 
+/// The fresh-run Phase-2 seed: every sub-factor A^(i)_(ki) starts as the
+/// Phase-1 factor of the first block of its slab. Reads that block factor
+/// and writes the sub-factor, unit by unit in (mode, part) order, and
+/// returns the seeds. RefinementState::Initialize(false) and the dist
+/// coordinator's fresh run both seed through this one function.
+Result<std::map<ModePartition, Matrix>> SeedSubFactors(
+    BlockFactorStore* store);
+
 /// In-memory state of the Phase-2 refinement.
 class RefinementState {
  public:
@@ -61,11 +69,10 @@ class RefinementState {
 
   /// Seeds every sub-factor A^(i)_(ki) and computes the M/G/norm
   /// metadata, reading every block factor once. With `resume` false the
-  /// seeds come from the Phase-1 factors (the first block of each slab)
-  /// and are persisted; with `resume` true the sub-factors already in the
-  /// store are used as-is, which restarts an interrupted refinement from
-  /// its last persisted state (everything else in Phase 2 is derivable
-  /// from {A, U}). The per-block metadata pass is sharded across the
+  /// seeds come from SeedSubFactors (and are persisted); with `resume`
+  /// true the sub-factors already in the store are used as-is, which
+  /// restarts an interrupted refinement from its last persisted state
+  /// (everything else in Phase 2 is derivable from {A, U}). The per-block metadata pass is sharded across the
   /// compute pool (block results are independent — bit-identical at any
   /// thread count).
   Status Initialize(bool resume = false);

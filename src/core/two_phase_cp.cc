@@ -106,11 +106,16 @@ Status TwoPhaseCp::RunPhase1(ThreadPool* pool) {
   return Status::OK();
 }
 
-Status TwoPhaseCp::RunPhase2() {
+Status TwoPhaseCp::RunPhase2(const Phase2Runner& runner) {
   TPCP_CHECK(phase1_done_) << "RunPhase2 requires RunPhase1 first";
-  Phase2Engine engine(factors_, options_);
   Phase2Result phase2;
-  const Status status = engine.Run(&phase2);
+  Status status;
+  if (runner) {
+    status = runner(factors_, options_, &phase2);
+  } else {
+    Phase2Engine engine(factors_, options_);
+    status = engine.Run(&phase2);
+  }
   if (!status.ok() && !status.IsCancelled()) return status;
   // Copy the phase's outcome on success AND on cancellation: a cancelled
   // run reports its partial trace (alongside Status::Cancelled) so callers
@@ -139,7 +144,8 @@ Status TwoPhaseCp::AssembleResult() {
   return Status::OK();
 }
 
-Result<KruskalTensor> TwoPhaseCp::Run(ThreadPool* pool) {
+Result<KruskalTensor> TwoPhaseCp::Run(ThreadPool* pool,
+                                      const Phase2Runner& phase2) {
   if (options_.resume_phase2) {
     // The block factors of the interrupted (or completed) earlier run are
     // already in the store; redoing Phase 1 would only recompute them.
@@ -147,7 +153,7 @@ Result<KruskalTensor> TwoPhaseCp::Run(ThreadPool* pool) {
   } else {
     TPCP_RETURN_IF_ERROR(RunPhase1(pool));
   }
-  TPCP_RETURN_IF_ERROR(RunPhase2());
+  TPCP_RETURN_IF_ERROR(RunPhase2(phase2));
   TPCP_RETURN_IF_ERROR(AssembleResult());
   return result_.decomposition;
 }

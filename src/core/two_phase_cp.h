@@ -4,6 +4,7 @@
 #ifndef TPCP_CORE_TWO_PHASE_CP_H_
 #define TPCP_CORE_TWO_PHASE_CP_H_
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -40,6 +41,16 @@ struct TwoPhaseCpResult {
   int phase2_start_iteration = 0;
 };
 
+struct Phase2Result;
+
+/// Phase 2 run somewhere other than this process's Phase2Engine (the dist
+/// fleet, dist/distributed_solver.h): refines the sub-factors of
+/// `factors` in place and fills `result` as Phase2Engine::Run would.
+using Phase2Runner =
+    std::function<Status(BlockFactorStore* factors,
+                         const TwoPhaseCpOptions& options,
+                         Phase2Result* result)>;
+
 /// Orchestrates the two phases over Env-resident block data.
 class TwoPhaseCp {
  public:
@@ -60,16 +71,18 @@ class TwoPhaseCp {
   void AssumePhase1Factors() { phase1_done_ = true; }
 
   /// Phase 2: schedule-driven iterative refinement under the buffer budget,
-  /// delegated to Phase2Engine. options.prefetch_depth sets how far ahead
-  /// the data path loads (see buffer/prefetch_pipeline.h); results are
-  /// identical for every depth.
-  Status RunPhase2();
+  /// delegated to Phase2Engine, or to `runner` when one is given.
+  /// options.prefetch_depth sets how far ahead the data path loads (see
+  /// buffer/prefetch_pipeline.h); results are identical for every depth.
+  Status RunPhase2(const Phase2Runner& runner = nullptr);
 
   /// Runs both phases and assembles the final KruskalTensor. With
   /// options.resume_phase2 set, Phase 1 is skipped — the block factors
   /// persisted by the interrupted (or completed) earlier run are reused —
   /// and Phase 2 continues from its manifest checkpoint if one exists.
-  Result<KruskalTensor> Run(ThreadPool* pool = nullptr);
+  /// `phase2` is passed to RunPhase2.
+  Result<KruskalTensor> Run(ThreadPool* pool = nullptr,
+                            const Phase2Runner& phase2 = nullptr);
 
   const TwoPhaseCpResult& result() const { return result_; }
 

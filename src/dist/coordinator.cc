@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/names.h"
+#include "core/refinement_state.h"
 #include "dist/exchange.h"
 #include "grid/manifest.h"
 #include "server/net.h"
@@ -228,9 +229,7 @@ Status RunFleetAttempt(BlockFactorStore* factors,
   const int64_t vi_len = schedule.virtual_iteration_length();
   const DistributedPlan dplan(&plan, options.rank, fleet_size);
   const int io_timeout_ms =
-      dopts.io_timeout_ms != 0
-          ? dopts.io_timeout_ms
-          : (dopts.heartbeat_ms > 0 ? 10 * dopts.heartbeat_ms : -1);
+      dopts.heartbeat_ms > 0 ? 10 * dopts.heartbeat_ms : -1;
 
   // Drain connections a failed attempt may have left in the backlog so a
   // stale hello cannot be mistaken for a respawned worker's.
@@ -697,23 +696,10 @@ Status RunDistributedPhase2(BlockFactorStore* factors,
       if (!state.fit_trace.empty()) state.last_fit = state.fit_trace.back();
     }
   } else {
-    // Fresh run: seed every sub-factor exactly as
-    // RefinementState::Initialize(false) would — same source block, same
-    // write order — so the workers (which always initialize in resume
-    // mode) read the state a single-process fresh run would have written.
-    for (int mode = 0; mode < grid.num_modes(); ++mode) {
-      for (int64_t part = 0; part < grid.parts(mode); ++part) {
-        const std::vector<BlockIndex> slab = factors->SlabBlocks(mode, part);
-        if (slab.empty()) {
-          return Status::Internal("dist: empty slab for mode " +
-                                  std::to_string(mode) + " part " +
-                                  std::to_string(part));
-        }
-        TPCP_ASSIGN_OR_RETURN(const Matrix seed,
-                              factors->ReadBlockFactor(slab.front(), mode));
-        TPCP_RETURN_IF_ERROR(factors->WriteSubFactor(mode, part, seed));
-      }
-    }
+    // Fresh run: seed the sub-factors as the engine does, so the workers
+    // (which always initialize in resume mode) read the state a
+    // single-process fresh run would have written.
+    TPCP_RETURN_IF_ERROR(SeedSubFactors(factors).status());
   }
 
   result->plan_fingerprint = plan.fingerprint();
@@ -725,7 +711,7 @@ Status RunDistributedPhase2(BlockFactorStore* factors,
                                          0);
   SnapshotLedger(*result, &state);
 
-  int port = dopts.listen_port;
+  int port = 0;  // ephemeral
   TPCP_ASSIGN_OR_RETURN(const int listen_fd, Listen(&port));
   ListenGuard listen_guard{listen_fd};
 

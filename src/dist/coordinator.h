@@ -5,10 +5,10 @@
 // Responsibilities, in protocol order:
 //
 //  - Builds the plan exactly as Phase2Engine::Run would (same
-//    Phase2PlannerOptions), mirrors its checkpoint-resume validation, and
-//    seeds fresh runs' sub-factors precisely as
-//    RefinementState::Initialize(false) would — so workers can always
-//    initialize in resume mode against the persisted state.
+//    Phase2PlannerOptions), checks a resume with the engine's own
+//    ValidateResume, and seeds a fresh run's sub-factors with the
+//    engine's own SeedSubFactors — so workers can always initialize in
+//    resume mode against the persisted state.
 //  - Drives the wave loop: broadcasts each conflict-free wave, collects
 //    the owners' metadata images (in worker-id order), relays them to
 //    every non-owner, and barriers on wave_commit/wave_ack.
@@ -82,25 +82,20 @@ struct DistributedRunOptions {
   /// identical on coordinator and workers, fingerprint-validated at hello
   /// and on checkpoint resume.
   int num_workers = 2;
-  /// Coordinator listen port (0 = ephemeral).
-  int listen_port = 0;
   /// How long to wait for each worker to connect before declaring the
   /// spawn dead.
   int accept_timeout_ms = 30000;
   /// Launches worker `worker`, which must call ServeDistWorker against
-  /// 127.0.0.1:`port`. Required. The callback returns once the worker is
+  /// 127.0.0.1:`port` (an ephemeral port the coordinator listens on). Required. The callback returns once the worker is
   /// *launched* (forked / thread started), not once it connects. Under
   /// recovery the callback is invoked again for the same worker id (and,
   /// after a degrade, for a smaller id range).
   std::function<Status(int port, int worker)> spawn_worker;
 
-  /// Interval at which workers heartbeat to the coordinator. <= 0
-  /// disables heartbeats (and, with io_timeout_ms == 0, all deadlines —
-  /// the pre-supervision wire behavior).
+  /// Interval at which workers heartbeat to the coordinator. Every worker
+  /// channel gets a quiet-period deadline of 10 * heartbeat_ms in both
+  /// directions; <= 0 disables heartbeats and deadlines alike.
   int heartbeat_ms = 1000;
-  /// Quiet-period deadline on every worker channel in both directions.
-  /// 0 derives 10 * heartbeat_ms; < 0 disables deadlines.
-  int io_timeout_ms = 0;
   /// Fleet restarts at the same size before the supervisor degrades.
   int max_respawns = 2;
   /// What to do once the respawn budget is spent.

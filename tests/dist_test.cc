@@ -23,7 +23,10 @@
 //     retry layer (no respawn needed),
 //   * dead metadata absorbs are pruned on block-centric schedules: the
 //     relay moves strictly fewer bytes than the unpruned protocol while
-//     measured == predicted stays exact and the math does not move.
+//     measured == predicted stays exact and the math does not move,
+//   * Session runs the fleet as a solver (dist/distributed_solver.h): its
+//     factor store is byte-identical to a "2pcp" run's, MANIFEST included,
+//     and a failed fleet leaves the session no factor store.
 //
 // Workers run as in-process threads here (ServeDistWorker is the exact
 // code path the spawned `tpcp_tool dist-worker` processes execute); the
@@ -40,10 +43,12 @@
 #include <thread>
 #include <vector>
 
+#include "api/session.h"
 #include "core/phase2_engine.h"
 #include "core/two_phase_cp.h"
 #include "data/synthetic.h"
 #include "dist/coordinator.h"
+#include "dist/distributed_solver.h"
 #include "dist/faulty_channel.h"
 #include "dist/worker.h"
 #include "grid/block_tensor_store.h"
@@ -1085,6 +1090,97 @@ TEST(DistPhase2Test, SkewedStoreFleetSizesBitIdentical) {
                               *skew);
     ExpectLedgerExact(result);
   }
+}
+
+/// A session over a fresh posix store at `root` holding the test tensor
+/// (tensor prefix "t", factor prefix "f", as the in-process workers
+/// expect).
+std::unique_ptr<Session> OpenGeneratedSession(const std::string& root,
+                                              const TwoPhaseCpOptions& options) {
+  SessionOptions session_options;
+  session_options.env_uri = "posix://" + ::testing::TempDir() + root;
+  session_options.tensor_prefix = "t";
+  session_options.factor_prefix = "f";
+  auto session = Session::Open(session_options);
+  EXPECT_TRUE(session.ok()) << session.status().ToString();
+  auto store = (*session)->CreateTensorStore(TestGrid());
+  EXPECT_TRUE(store.ok()) << store.status().ToString();
+  LowRankSpec spec;
+  spec.shape = TestGrid().tensor_shape();
+  spec.rank = options.rank;
+  spec.noise_level = 0.05;
+  spec.seed = kGenSeed;
+  EXPECT_TRUE(GenerateLowRankIntoStore(spec, *store).ok());
+  return std::move(*session);
+}
+
+/// Every file of the factor store, by name.
+std::map<std::string, std::string> FactorFiles(Env* env) {
+  std::map<std::string, std::string> files;
+  for (const std::string& name : env->ListFiles("f/")) {
+    EXPECT_TRUE(env->ReadFile(name, &files[name]).ok()) << name;
+  }
+  return files;
+}
+
+TEST(DistPhase2Test, SessionRunsTheFleetAsASolverByteIdenticalTo2pcp) {
+  const TwoPhaseCpOptions options = DistOptions();
+
+  std::unique_ptr<Session> engine =
+      OpenGeneratedSession("dist_session_2pcp", options);
+  const Result<SolveResult> reference = engine->Decompose("2pcp", options);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+
+  std::unique_ptr<Session> session =
+      OpenGeneratedSession("dist_session_fleet", options);
+  {
+    WorkerFleet fleet;
+    DistributedRunOptions dopts;
+    dopts.spawn_worker = SpawnInProcess(&fleet, session->env());
+    DistributedSolver solver(dopts);
+    const Result<SolveResult> run = session->Decompose(&solver, options);
+    fleet.Join();
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    EXPECT_EQ(run->solver, "dist");
+    EXPECT_TRUE(run->factors_persisted);
+    EXPECT_EQ(run->blocks_decomposed, reference->blocks_decomposed);
+    EXPECT_EQ(run->phase1_mean_block_fit, reference->phase1_mean_block_fit);
+    EXPECT_EQ(run->virtual_iterations, reference->virtual_iterations);
+    EXPECT_EQ(run->surrogate_fit, reference->surrogate_fit);
+    EXPECT_EQ(run->fit_trace, reference->fit_trace);
+    for (int mode = 0; mode < TestGrid().num_modes(); ++mode) {
+      EXPECT_TRUE(run->decomposition.factor(mode) ==
+                  reference->decomposition.factor(mode))
+          << "mode " << mode;
+    }
+    EXPECT_EQ(solver.dist_result().final_workers, 2);
+    ExpectLedgerExact(solver.dist_result());
+    ASSERT_NE(session->factor_store(), nullptr);
+    // The whole factor store, MANIFEST included, is the 2pcp run's.
+    const std::map<std::string, std::string> files =
+        FactorFiles(session->env());
+    EXPECT_EQ(files.count(ManifestFileName("f")), 1u);
+    EXPECT_EQ(files, FactorFiles(engine->env()));
+  }
+
+  // A fleet that fails (a worker crash, no recovery) fails the Decompose,
+  // and the session hands out no store for the half-rewritten blocks.
+  WorkerFleet fleet;
+  SpawnFaults faults;
+  faults.crash_worker = 1;
+  faults.crash_at_step = CrashPosInSecondVi(PlanFor(options), options.rank);
+  DistributedRunOptions dopts;
+  dopts.max_respawns = 0;
+  dopts.degrade = DegradeMode::kOff;
+  dopts.spawn_worker = SpawnInProcess(&fleet, session->env(), faults);
+  DistributedSolver solver(dopts);
+  const Result<SolveResult> failed = session->Decompose(&solver, options);
+  fleet.Join();
+  ASSERT_FALSE(failed.ok());
+  EXPECT_NE(failed.status().ToString().find("dist worker"),
+            std::string::npos)
+      << failed.status().ToString();
+  EXPECT_EQ(session->factor_store(), nullptr);
 }
 
 }  // namespace

@@ -499,8 +499,7 @@ TEST(JobRecordTest, OptionsMapRoundTripsTheResumeFingerprint) {
   options.prefetch_depth = 2;
   options.io_threads = 3;
   options.compute_threads = 2;
-  options.plan_reorder = true;
-  options.plan_reorder_auto = false;
+  options.plan_reorder = false;
 
   const auto map = OptionsToMap(options);
   const auto round = OptionsFromMap(map);
@@ -521,7 +520,6 @@ TEST(JobRecordTest, OptionsMapRoundTripsTheResumeFingerprint) {
   EXPECT_EQ(round->io_threads, options.io_threads);
   EXPECT_EQ(round->compute_threads, options.compute_threads);
   EXPECT_EQ(round->plan_reorder, options.plan_reorder);
-  EXPECT_EQ(round->plan_reorder_auto, options.plan_reorder_auto);
   // The property everything above exists for: a record-recovered job
   // fingerprints identically, so its checkpoint is honoured.
   EXPECT_EQ(round->ResumeFingerprint(), options.ResumeFingerprint());

@@ -3,9 +3,10 @@
 # to end on a temporary posix store, and malformed command lines exit 2
 # before doing any work.
 #
-#   sh tests/tpcp_tool_cli_test.sh path/to/tpcp_tool
+#   sh tests/tpcp_tool_cli_test.sh path/to/tpcp_tool path/to/tpcpd
 set -u
 TOOL=$1
+TPCPD=$2
 DIR=$(mktemp -d "${TMPDIR:-/tmp}/tpcp_tool_cli.XXXXXX") || exit 1
 trap 'rm -rf "$DIR"' EXIT
 FAILED=0
@@ -44,6 +45,31 @@ done
 diff -r "$DIR/depth0/factors" "$DIR/depth2/factors" > /dev/null ||
   fail "prefetch depth 0 and 2 left different factors"
 
+# dist runs Phase 2 on two forked worker processes, under the same
+# factor-store lifecycle as decompose: on a mode-centric and a fiber-order
+# plan, its factor directory (MANIFEST included) must be byte-identical to
+# decompose's on an identically generated store. Fiber order has singleton
+# waves, so some relays are pipelined into compute windows.
+for schedule in mc fo; do
+  for run in decompose dist; do
+    expect_exit 0 generate "$DIR/$schedule-$run" --dims=12x12x12 --parts=2 \
+      --rank=3 --seed=7
+  done
+  expect_exit 0 decompose "$DIR/$schedule-decompose" --rank=3 \
+    --schedule=$schedule --buffer-fraction=0.5 --max-virtual-iterations=4 \
+    --fit-tolerance=-1
+  expect_exit 0 dist "$DIR/$schedule-dist" --rank=3 --schedule=$schedule \
+    --buffer-fraction=0.5 --max-virtual-iterations=4 --fit-tolerance=-1 \
+    --workers=2
+  grep -q "dist: decomposed .* across 2 workers" "$DIR/out.txt" ||
+    fail "dist --schedule=$schedule printed no fleet summary"
+  diff -r "$DIR/$schedule-decompose/factors" "$DIR/$schedule-dist/factors" \
+    > /dev/null ||
+    fail "dist and decompose left different factors on $schedule"
+done
+grep -q "overlap: relayed" "$DIR/out.txt" ||
+  fail "dist --schedule=fo relayed nothing inside a compute window"
+
 # A one-line jobs spec in the same flags-only syntax.
 echo "$DIR/depth0 --rank=3 --max-virtual-iterations=4" > "$DIR/jobs.spec"
 expect_exit 0 jobs "$DIR/jobs.spec" --workers=1 --quiet
@@ -58,10 +84,27 @@ expect_exit 2 decompose "$DIR/depth0" 4 mc
 expect_exit 2 simulate --parts=4 --buffer-fraction=0.5 extra
 # The fleet runs no solver params; one is a typo, not a silent no-op.
 expect_exit 2 dist "$DIR/depth0" --param=x=1
+# Worker processes cannot open another process's memory store.
+expect_exit 2 dist mem://
 # An out-of-range port is refused before any connection attempt.
 expect_exit 2 client list --port=4294974510
 if grep -q "connect" "$DIR/out.txt"; then
   fail "client tried to connect with an out-of-range port"
 fi
+
+# tpcpd range-checks its integer flags and exits non-zero before it
+# listens; an unchecked --port would wrap onto another port. `timeout`
+# turns a daemon that listens anyway into a failed case, not a hung test.
+for flags in --port=4294974510 --port=-1 --total-threads=0 \
+    --total-threads=4294967297 --max-jobs=0 --total-buffer-mb=-1 \
+    --total-buffer-mb=17592186044416; do
+  timeout 10 "$TPCPD" "--tenant=a,$DIR/tenant" $flags > "$DIR/out.txt" 2>&1
+  got=$?
+  if [ "$got" -eq 0 ] || [ "$got" -eq 124 ] ||
+      grep -q "listening" "$DIR/out.txt"; then
+    fail "tpcpd $flags exited $got, want a refusal before listening"
+    cat "$DIR/out.txt"
+  fi
+done
 
 exit $FAILED

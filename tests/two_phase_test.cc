@@ -142,7 +142,7 @@ TEST(TwoPhaseCpTest, VictimHintsMeasuredSwapsMatchSimulator) {
   // Pin the source order: this test replays the *native* FO cycle through
   // the simulator, so the engine must not adopt the block-centric
   // reordering default.
-  options.plan_reorder_auto = false;
+  options.plan_reorder = false;
   options.policy = PolicyType::kLru;
   options.policy_victim_hints = true;
   options.buffer_fraction = 1.0 / 3.0;

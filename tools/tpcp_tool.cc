@@ -106,11 +106,9 @@
 #include "core/progress_observer.h"
 #include "core/swap_simulator.h"
 #include "core/phase2_engine.h"
-#include "core/two_phase_cp.h"
 #include "data/synthetic.h"
-#include "dist/coordinator.h"
+#include "dist/distributed_solver.h"
 #include "dist/worker.h"
-#include "grid/manifest.h"
 #include "schedule/planner.h"
 #include "server/json.h"
 #include "server/net.h"
@@ -456,8 +454,26 @@ int Generate(int argc, char** argv) {
   return 0;
 }
 
-/// One decomposition request: the shared vocabulary of `decompose`,
-/// `dist` and every line of a `jobs` spec file.
+/// Opens the session at `uri` and its tensor store, reporting a failure
+/// on stderr (nullptr then). The open path of `decompose`, `plan` and
+/// `dist`.
+std::unique_ptr<Session> OpenStore(const std::string& uri) {
+  auto session = Session::Open({uri});
+  if (!session.ok()) {
+    ReportBad("open storage", session.status());
+    return nullptr;
+  }
+  auto store = (*session)->OpenTensorStore();
+  if (!store.ok()) {
+    ReportBad("open tensor store", store.status());
+    std::fprintf(stderr, "(run `generate` first?)\n");
+    return nullptr;
+  }
+  return std::move(*session);
+}
+
+/// One decomposition request: the shared vocabulary of `decompose` and
+/// every line of a `jobs` spec file.
 struct DecomposeConfig {
   std::string uri;
   std::string solver = "2pcp";
@@ -491,17 +507,11 @@ int Decompose(int argc, char** argv) {
   StderrProgress progress;
   if (config.progress) options.observer = &progress;
 
-  auto session = Session::Open({config.uri});
-  if (!session.ok()) return ReportBad("open storage", session.status()), 1;
-  auto store = (*session)->OpenTensorStore();
-  if (!store.ok()) {
-    ReportBad("open tensor store", store.status());
-    std::fprintf(stderr, "(run `generate` first?)\n");
-    return 1;
-  }
-  const GridPartition& grid = (*store)->grid();
+  const std::unique_ptr<Session> session = OpenStore(config.uri);
+  if (session == nullptr) return 1;
+  const GridPartition& grid = session->tensor_store()->grid();
 
-  auto result = (*session)->Decompose(solver, options, config.params);
+  auto result = session->Decompose(solver, options, config.params);
   if (!result.ok()) return ReportBad("decompose", result.status()), 1;
   const SolveResult& r = *result;
 
@@ -555,8 +565,8 @@ int Decompose(int argc, char** argv) {
                   static_cast<unsigned long long>(r.shuffle_records));
     }
   }
-  std::printf("  I/O:     %s\n", (*session)->env()->stats().ToString().c_str());
-  if ((*session)->factor_store() != nullptr) {
+  std::printf("  I/O:     %s\n", session->env()->stats().ToString().c_str());
+  if (session->factor_store() != nullptr) {
     std::printf("factors written under %s\n", args.positional[0].c_str());
   }
   return 0;
@@ -586,15 +596,10 @@ int Plan(int argc, char** argv) {
   TwoPhaseCpOptions options;
   if (!flags.ok() || !ReadOptions(&flags, &options)) return 2;
 
-  auto session = Session::Open({ToStorageUri(args.positional[0])});
-  if (!session.ok()) return ReportBad("open storage", session.status()), 1;
-  auto store = (*session)->OpenTensorStore();
-  if (!store.ok()) {
-    ReportBad("open tensor store", store.status());
-    std::fprintf(stderr, "(run `generate` first?)\n");
-    return 1;
-  }
-  const GridPartition& grid = (*store)->grid();
+  const std::unique_ptr<Session> session =
+      OpenStore(ToStorageUri(args.positional[0]));
+  if (session == nullptr) return 1;
+  const GridPartition& grid = session->tensor_store()->grid();
 
   const UpdateSchedule schedule =
       UpdateSchedule::Create(options.schedule, grid);
@@ -1044,99 +1049,73 @@ int DistWorker(int argc, char** argv) {
   return 0;
 }
 
-/// `dist` — Phase 1 in-process, Phase 2 across N spawned worker
-/// processes. Mirrors Session::Decompose's factor-store lifecycle exactly
-/// so the resulting store is byte-identical to `decompose` with the same
-/// arguments.
+/// `dist` — `decompose` with Phase 2 across N spawned worker processes
+/// (dist/distributed_solver.h). The Session runs it like any solver, so
+/// the store it leaves is byte-identical to `decompose` with the same
+/// arguments. What is left here is the fleet: its flags, the fork/exec
+/// spawner, reaping the workers and the fleet's report lines.
 int Dist(int argc, char** argv) {
   Args args;
-  if (!SplitArgs(argc, argv, 2, &args)) return 2;
+  if (!SplitArgs(argc, argv, 2, &args) ||
+      !OnePositional(args, "<dir|uri>")) {
+    return 2;
+  }
   FlagReader flags(args);
-  const int64_t workers = flags.Int("workers", 2, 1, 64);
-  const int64_t heartbeat_ms = flags.Int("heartbeat-ms", 1000, 0, kIntMax);
-  const int64_t max_respawns = flags.Int("max-respawns", 2, 0, kIntMax);
+  DistributedRunOptions fleet;
+  fleet.num_workers = static_cast<int>(flags.Int("workers", 2, 1, 64));
+  fleet.heartbeat_ms =
+      static_cast<int>(flags.Int("heartbeat-ms", 1000, 0, kIntMax));
+  fleet.max_respawns =
+      static_cast<int>(flags.Int("max-respawns", 2, 0, kIntMax));
   const Result<DegradeMode> degrade =
       DegradeModeFromName(flags.Text("degrade", "shrink"));
   if (!degrade.ok()) return ReportBad("--degrade", degrade.status()), 2;
-  DecomposeConfig config;
-  if (!ReadDecomposeConfig(args, &flags, &config)) return 2;
-  TwoPhaseCpOptions& options = config.options;
-  if (config.solver != "2pcp") {
-    std::fprintf(stderr, "dist supports only the 2pcp solver\n");
-    return 2;
-  }
-  if (config.uri.rfind("mem://", 0) == 0) {
+  fleet.degrade = *degrade;
+  const bool progress = flags.Bool("progress");
+  TwoPhaseCpOptions options;
+  if (!flags.ok() || !ReadOptions(&flags, &options)) return 2;
+  const std::string uri = ToStorageUri(args.positional[0]);
+  if (uri.rfind("mem://", 0) == 0) {
     std::fprintf(stderr,
                  "dist workers are separate processes; the store must be "
                  "openable by all of them (posix://, not mem://)\n");
     return 2;
   }
-  StderrProgress progress;
-  if (config.progress) options.observer = &progress;
+  StderrProgress progress_lines;
+  if (progress) options.observer = &progress_lines;
 
-  auto session = Session::Open({config.uri});
-  if (!session.ok()) return ReportBad("open storage", session.status()), 1;
-  auto store = (*session)->OpenTensorStore();
-  if (!store.ok()) {
-    ReportBad("open tensor store", store.status());
-    std::fprintf(stderr, "(run `generate` first?)\n");
-    return 1;
-  }
-  const GridPartition& grid = (*store)->grid();
-  Env* env = (*session)->env();
-
-  // Factor-store lifecycle as Session::Decompose: a fresh run must not
-  // inherit a stale manifest; a resume must keep its checkpoint.
-  const std::string factor_prefix = "factors";
-  if (!options.resume_phase2) {
-    const Status stale = env->DeleteFile(ManifestFileName(factor_prefix));
-    if (!stale.ok() && !stale.IsNotFound()) {
-      return ReportBad("dist", stale), 1;
-    }
-  }
-  BlockFactorStore factors(env, factor_prefix, grid, options.rank);
-
-  TwoPhaseCp cp(*store, &factors, options);
-  if (!options.resume_phase2) {
-    std::unique_ptr<ThreadPool> pool;
-    if (options.num_threads > 1) {
-      pool = std::make_unique<ThreadPool>(options.num_threads);
-    }
-    if (const Status s = cp.RunPhase1(pool.get()); !s.ok()) {
-      return ReportBad("phase 1", s), 1;
-    }
-  }
-
-  std::vector<pid_t> children;
-  DistributedRunOptions dopts;
-  dopts.num_workers = static_cast<int>(workers);
-  dopts.heartbeat_ms = static_cast<int>(heartbeat_ms);
-  dopts.max_respawns = static_cast<int>(max_respawns);
-  dopts.degrade = *degrade;
   // Recovery lines go to stdout so harnesses (the CI chaos-smoke job) can
   // grep for "respawning" / "degrading".
-  dopts.log = [](const std::string& line) {
+  fleet.log = [](const std::string& line) {
     std::printf("%s\n", line.c_str());
     std::fflush(stdout);
   };
-  dopts.spawn_worker = [&children, &config](int port, int worker) -> Status {
+  std::vector<pid_t> children;
+  fleet.spawn_worker = [&children, &uri](int port, int worker) -> Status {
+    // The argv is built before fork(): the Session keeps its Phase-1 pool
+    // threads alive, and the child of a multi-threaded process may call
+    // only async-signal-safe functions — here execv and _exit.
+    std::vector<std::string> words = {
+        "tpcp_tool", "dist-worker", "--uri=" + uri,
+        "--port=" + std::to_string(port),
+        "--worker=" + std::to_string(worker)};
+    std::vector<char*> child_argv;
+    for (std::string& word : words) child_argv.push_back(word.data());
+    child_argv.push_back(nullptr);
     const pid_t pid = ::fork();
     if (pid < 0) return Status::IOError("fork failed");
     if (pid == 0) {
-      const std::string uri_arg = "--uri=" + config.uri;
-      const std::string port_arg = "--port=" + std::to_string(port);
-      const std::string worker_arg = "--worker=" + std::to_string(worker);
-      ::execl("/proc/self/exe", "tpcp_tool", "dist-worker", uri_arg.c_str(),
-              port_arg.c_str(), worker_arg.c_str(),
-              static_cast<char*>(nullptr));
+      ::execv("/proc/self/exe", child_argv.data());
       ::_exit(127);
     }
     children.push_back(pid);
     return Status::OK();
   };
 
-  DistributedRunResult dist;
-  const Status run = RunDistributedPhase2(&factors, options, dopts, &dist);
+  const std::unique_ptr<Session> session = OpenStore(uri);
+  if (session == nullptr) return 1;
+  DistributedSolver solver(fleet);
+  const Result<SolveResult> result = session->Decompose(&solver, options);
   // Reap all workers either way; on a coordinator error the closed
   // channels make them exit on their own.
   bool worker_failed = false;
@@ -1148,7 +1127,8 @@ int Dist(int argc, char** argv) {
       }
     }
   }
-  if (!run.ok()) return ReportBad("dist", run), 1;
+  if (!result.ok()) return ReportBad("dist", result.status()), 1;
+  const DistributedRunResult& dist = solver.dist_result();
   // After an in-run recovery, crashed/abandoned worker processes exiting
   // non-zero is the expected debris of a successful run.
   if (worker_failed && dist.respawns == 0 && dist.degrades == 0) {
@@ -1156,30 +1136,22 @@ int Dist(int argc, char** argv) {
     return 1;
   }
 
-  // Final manifest, as Session::Decompose writes after a successful run.
-  if (const Status s =
-          WriteManifest(env, factor_prefix,
-                        StoreManifest::Factors(grid, options.rank));
-      !s.ok()) {
-    return ReportBad("dist", s), 1;
-  }
-
-  const Phase2Result& p2 = dist.phase2;
-  std::printf("dist: decomposed %s (grid %s) at rank %lld across %lld "
+  const SolveResult& r = *result;
+  const GridPartition& grid = session->tensor_store()->grid();
+  std::printf("dist: decomposed %s (grid %s) at rank %lld across %d "
               "workers [%s + %s]\n",
               grid.tensor_shape().ToString().c_str(), grid.ToString().c_str(),
-              static_cast<long long>(options.rank),
-              static_cast<long long>(workers),
+              static_cast<long long>(options.rank), fleet.num_workers,
               ScheduleTypeName(options.schedule),
               PolicyTypeName(options.policy));
-  if (p2.start_iteration > 0) {
+  if (r.phase2_start_iteration > 0) {
     std::printf("  resumed at vi %d (phase 1 skipped)\n",
-                p2.start_iteration);
+                r.phase2_start_iteration);
   }
   std::printf("  phase 2: %.2fs, %d virtual iterations (%s), surrogate "
               "fit %.4f\n",
-              p2.seconds, p2.virtual_iterations,
-              p2.converged ? "converged" : "cap", p2.surrogate_fit);
+              r.phase2_seconds, r.virtual_iterations,
+              r.converged ? "converged" : "cap", r.surrogate_fit);
   if (dist.respawns > 0 || dist.degrades > 0) {
     const std::string finish =
         dist.finished_single_process
@@ -1196,7 +1168,7 @@ int Dist(int argc, char** argv) {
                 HumanBytes(dist.overlapped_bytes).c_str(),
                 dist.hidden_seconds);
   }
-  for (int w = 0; w < dopts.num_workers; ++w) {
+  for (int w = 0; w < fleet.num_workers; ++w) {
     const WorkerTraffic& t = dist.measured[static_cast<size_t>(w)];
     std::printf("  worker %d: xchg up %s / down %s (%lld msgs), "
                 "persisted %s\n",

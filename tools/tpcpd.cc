@@ -14,11 +14,14 @@
 //   --state=dir|uri        persisted job queue (default mem:// — queue
 //                          dies with the process; use posix:// to make
 //                          restarts resume the backlog)
-//   --port=N               listen port on 127.0.0.1 (0 = ephemeral;
-//                          default 7214)
-//   --total-buffer-mb=N    daemon-wide buffer ceiling (default 256)
-//   --total-threads=N      daemon-wide thread ceiling (default 8)
-//   --max-jobs=N           daemon-wide running-job ceiling (default 4)
+//   --port=N               listen port on 127.0.0.1, 0..65535 (0 =
+//                          ephemeral; default 7214)
+//   --total-buffer-mb=N    daemon-wide buffer ceiling, >= 1 (default 256)
+//   --total-threads=N      daemon-wide thread ceiling, >= 1 (default 8)
+//   --max-jobs=N           daemon-wide running-job ceiling, >= 1
+//                          (default 4)
+//
+// A malformed or out-of-range flag exits 1 before the daemon listens.
 //
 // The daemon logs one line per scheduler event ("admitted", "starts",
 // "preempts", "preempted", "succeeded", "recovered", ...) on stdout, and
@@ -28,6 +31,7 @@
 
 #include <csignal>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -79,10 +83,26 @@ int main(int argc, char** argv) {
       options.state_uri = ToStorageUri(value);
       continue;
     }
+    // Each integer flag's range, checked before any narrowing cast or
+    // shift: an out-of-range --port must not wrap onto another port.
+    int64_t min = 1;
+    int64_t max = std::numeric_limits<int>::max();
+    if (key == "port") {
+      min = 0;
+      max = 65535;
+    } else if (key == "total-buffer-mb") {
+      max = static_cast<int64_t>(std::numeric_limits<uint64_t>::max() >> 20);
+    } else if (key != "total-threads" && key != "max-jobs") {
+      return Fail("unknown flag --" + key);
+    }
     const auto number = ParseInt64(value);
     if (!number.ok()) {
       return Fail("flag --" + key + " expects an integer, got '" + value +
                   "'");
+    }
+    if (*number < min || *number > max) {
+      return Fail("flag --" + key + " must be in [" + std::to_string(min) +
+                  ", " + std::to_string(max) + "], got " + value);
     }
     if (key == "port") {
       port = static_cast<int>(*number);
@@ -90,10 +110,8 @@ int main(int argc, char** argv) {
       options.total_buffer_bytes = static_cast<uint64_t>(*number) << 20;
     } else if (key == "total-threads") {
       options.total_threads = static_cast<int>(*number);
-    } else if (key == "max-jobs") {
-      options.max_running_jobs = static_cast<int>(*number);
     } else {
-      return Fail("unknown flag --" + key);
+      options.max_running_jobs = static_cast<int>(*number);
     }
   }
   if (options.tenants.empty()) {
