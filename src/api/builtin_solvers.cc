@@ -195,17 +195,6 @@ class Haten2Solver : public Solver {
 
 }  // namespace
 
-const char* TwoPhaseSolver::name() const {
-  return grid_parafac_ ? "grid-parafac" : "2pcp";
-}
-
-void TwoPhaseSolver::NormalizeOptions(TwoPhaseCpOptions* options) const {
-  if (grid_parafac_) {
-    options->schedule = ScheduleType::kModeCentric;
-    options->policy = PolicyType::kLru;
-  }
-}
-
 Status TwoPhaseSolver::Prepare(const SolverContext& context) {
   TPCP_RETURN_IF_ERROR(RequireInput(context, name()));
   TPCP_RETURN_IF_ERROR(CheckParams(context.params, {}, name()));

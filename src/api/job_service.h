@@ -18,9 +18,8 @@
 // Cancelled (or crashed-after-checkpoint) two-phase jobs leave their
 // factor store resumable; resubmitting the same spec finds the
 // Phase2Checkpoint in the store manifest and continues the refinement
-// (JobSpec::auto_resume). Session::Decompose itself is rebuilt as a
-// one-job submit-and-await over this service, so the blocking API is the
-// convenience path, not a second engine.
+// (JobSpec::auto_resume). Each job runs Session::Decompose on a worker
+// thread, so the service adds scheduling, not a second engine.
 
 #ifndef TPCP_API_JOB_SERVICE_H_
 #define TPCP_API_JOB_SERVICE_H_

@@ -101,10 +101,9 @@ class Session {
       const std::string& solver, const TwoPhaseCpOptions& options,
       const std::map<std::string, std::string>& params = {});
 
-  /// The same factor-store lifecycle around a solver the caller built —
-  /// one that is not in the registry, such as the dist fleet
-  /// (dist/distributed_solver.h), whose spawner is not a string param.
-  /// `solver` must outlive the call.
+  /// The same, around a solver the caller built — one that is not in the
+  /// registry, such as the dist fleet's DistributedSolver
+  /// (dist/coordinator.h), whose spawner is not a string param.
   Result<SolveResult> Decompose(
       Solver* solver, const TwoPhaseCpOptions& options,
       const std::map<std::string, std::string>& params = {});

@@ -134,16 +134,23 @@ class Solver {
 /// "2pcp": the two-phase engine (core/two_phase_cp.h). With
 /// `grid_parafac` it is "grid-parafac", the same engine with the
 /// conventional mode-centric + LRU configuration pinned (Phan & Cichocki).
-/// A subclass may run Phase 2 somewhere else by overriding Phase2
-/// (dist/distributed_solver.h).
+/// A subclass may run Phase 2 elsewhere by overriding Phase2
+/// (DistributedSolver, dist/coordinator.h).
 class TwoPhaseSolver : public Solver {
  public:
   explicit TwoPhaseSolver(bool grid_parafac = false)
       : grid_parafac_(grid_parafac) {}
 
-  const char* name() const override;
+  const char* name() const override {
+    return grid_parafac_ ? "grid-parafac" : "2pcp";
+  }
   bool WritesFactorStore() const override { return true; }
-  void NormalizeOptions(TwoPhaseCpOptions* options) const override;
+  void NormalizeOptions(TwoPhaseCpOptions* options) const override {
+    if (grid_parafac_) {
+      options->schedule = ScheduleType::kModeCentric;
+      options->policy = PolicyType::kLru;
+    }
+  }
   /// Requires an input and a factor store over one grid, at options.rank;
   /// takes no params.
   Status Prepare(const SolverContext& context) override;

@@ -109,13 +109,8 @@ Status TwoPhaseCp::RunPhase1(ThreadPool* pool) {
 Status TwoPhaseCp::RunPhase2(const Phase2Runner& runner) {
   TPCP_CHECK(phase1_done_) << "RunPhase2 requires RunPhase1 first";
   Phase2Result phase2;
-  Status status;
-  if (runner) {
-    status = runner(factors_, options_, &phase2);
-  } else {
-    Phase2Engine engine(factors_, options_);
-    status = engine.Run(&phase2);
-  }
+  const Status status = runner ? runner(factors_, options_, &phase2)
+                               : Phase2Engine(factors_, options_).Run(&phase2);
   if (!status.ok() && !status.IsCancelled()) return status;
   // Copy the phase's outcome on success AND on cancellation: a cancelled
   // run reports its partial trace (alongside Status::Cancelled) so callers

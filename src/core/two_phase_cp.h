@@ -43,9 +43,9 @@ struct TwoPhaseCpResult {
 
 struct Phase2Result;
 
-/// Phase 2 run somewhere other than this process's Phase2Engine (the dist
-/// fleet, dist/distributed_solver.h): refines the sub-factors of
-/// `factors` in place and fills `result` as Phase2Engine::Run would.
+/// Phase 2 run outside this process's Phase2Engine (DistributedSolver's
+/// fleet, dist/coordinator.h): refines the sub-factors of `factors` in
+/// place and fills `result` as Phase2Engine::Run would.
 using Phase2Runner =
     std::function<Status(BlockFactorStore* factors,
                          const TwoPhaseCpOptions& options,

@@ -789,4 +789,15 @@ Status RunDistributedPhase2(BlockFactorStore* factors,
   return Status::OK();
 }
 
+Phase2Runner DistributedSolver::Phase2() {
+  return [this](BlockFactorStore* factors, const TwoPhaseCpOptions& options,
+                Phase2Result* result) {
+    dist_ = DistributedRunResult();
+    const Status status =
+        RunDistributedPhase2(factors, options, fleet_, &dist_);
+    *result = dist_.phase2;
+    return status;
+  };
+}
+
 }  // namespace tpcp

@@ -62,10 +62,11 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
+#include <utility>
 #include <vector>
 
-#include <string>
-
+#include "api/solver.h"
 #include "core/block_factors.h"
 #include "core/config.h"
 #include "core/phase2_engine.h"
@@ -161,6 +162,32 @@ Status RunDistributedPhase2(BlockFactorStore* factors,
                             const TwoPhaseCpOptions& options,
                             const DistributedRunOptions& dopts,
                             DistributedRunResult* result);
+
+/// The fleet as a Session solver: "2pcp" with Phase 2 run by
+/// RunDistributedPhase2 and Phase 1 in-process (skipped on resume_phase2).
+/// Session::Decompose(&solver, options) then owns the factor-store
+/// lifecycle as for any solver, so the store is byte-identical to a "2pcp"
+/// run's, MANIFEST included. The result has no buffer_stats or swap
+/// counts: the buffer pools live in the workers. Not in the registry — a
+/// fleet needs a spawner, which is not a string param.
+class DistributedSolver : public TwoPhaseSolver {
+ public:
+  explicit DistributedSolver(DistributedRunOptions fleet)
+      : fleet_(std::move(fleet)) {}
+
+  const char* name() const override { return "dist"; }
+
+  /// The fleet's side of the last Phase 2 this solver ran: wire ledgers,
+  /// recovery and overlap telemetry.
+  const DistributedRunResult& dist_result() const { return dist_; }
+
+ protected:
+  Phase2Runner Phase2() override;
+
+ private:
+  DistributedRunOptions fleet_;
+  DistributedRunResult dist_;
+};
 
 }  // namespace tpcp
 

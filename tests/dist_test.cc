@@ -24,7 +24,7 @@
 //   * dead metadata absorbs are pruned on block-centric schedules: the
 //     relay moves strictly fewer bytes than the unpruned protocol while
 //     measured == predicted stays exact and the math does not move,
-//   * Session runs the fleet as a solver (dist/distributed_solver.h): its
+//   * Session runs the fleet as a solver (dist/coordinator.h): its
 //     factor store is byte-identical to a "2pcp" run's, MANIFEST included,
 //     and a failed fleet leaves the session no factor store.
 //
@@ -48,7 +48,6 @@
 #include "core/two_phase_cp.h"
 #include "data/synthetic.h"
 #include "dist/coordinator.h"
-#include "dist/distributed_solver.h"
 #include "dist/faulty_channel.h"
 #include "dist/worker.h"
 #include "grid/block_tensor_store.h"

@@ -40,12 +40,14 @@
 //
 //   tpcp_tool dist      <dir|uri> [options] [--workers=2]
 //                       [--heartbeat-ms=1000] [--max-respawns=2]
-//                       [--degrade=off|shrink|single]
-//       Distributed Phase 2: runs Phase 1 in-process, then spawns N local
-//       worker processes (re-exec'ing this binary as `dist-worker`) and
-//       drives them through the wave protocol (dist/coordinator.h).
-//       Factors and fit trace are bit-identical to `decompose` with the
-//       same options. A worker that dies or wedges mid-run is detected
+//                       [--degrade=off|shrink|single] [--progress]
+//       `decompose` with Phase 2 distributed: the session runs the fleet
+//       solver (DistributedSolver, dist/coordinator.h), which runs Phase 1
+//       in-process, then spawns N local worker processes (re-exec'ing
+//       this binary as `dist-worker`) and drives them through the wave
+//       protocol. Factors, fit trace and MANIFEST are bit-identical to
+//       `decompose` with the same options. The fleet takes no --solver or
+//       --param. A worker that dies or wedges mid-run is detected
 //       via heartbeats, respawned from the last checkpoint up to
 //       --max-respawns times, then the run degrades per --degrade (shed
 //       the worker, or finish in-process); recovery lines print to
@@ -75,7 +77,7 @@
 //
 // [options] are the decomposition options: the keys of core/config.h's
 // OptionsToMap spelled with '-' for '_' (--rank=8, --schedule=mc,
-// --max-virtual-iterations=40, --plan-reorder-auto=0), documented there.
+// --max-virtual-iterations=40, --plan-reorder=0), documented there.
 // core/config parses and range-checks them; the tool's one own default is
 // --schedule=ho. A flag given without a value means 1 (--resume-phase2).
 //
@@ -107,7 +109,7 @@
 #include "core/swap_simulator.h"
 #include "core/phase2_engine.h"
 #include "data/synthetic.h"
-#include "dist/distributed_solver.h"
+#include "dist/coordinator.h"
 #include "dist/worker.h"
 #include "schedule/planner.h"
 #include "server/json.h"
@@ -138,7 +140,7 @@ int Usage(const char* argv0) {
       "             [--link-latency-us=100] [--link-bandwidth-mbps=1250]\n"
       "  %s dist      <dir|uri> [options] [--workers=2] "
       "[--heartbeat-ms=1000] [--max-respawns=2]\n"
-      "             [--degrade=off|shrink|single]\n"
+      "             [--degrade=off|shrink|single] [--progress]\n"
       "  %s simulate  --parts=N --buffer-fraction=F\n"
       "  %s solvers\n"
       "  %s client    <verb> [...]   (alone: lists the verbs)\n"
@@ -1031,7 +1033,6 @@ int DistWorker(int argc, char** argv) {
   if (!SplitArgs(argc, argv, 2, &args)) return 2;
   FlagReader flags(args);
   const std::string uri = flags.Text("uri", "");
-  const std::string prefix = flags.Text("prefix", "factors");
   const int64_t port = flags.Int("port", 0, 1, 65535);
   const int64_t worker = flags.Int("worker", -1, 0, 63);
   if (!flags.NoUnknownFlags() || !args.positional.empty() || uri.empty() ||
@@ -1042,7 +1043,8 @@ int DistWorker(int argc, char** argv) {
   }
   auto opened = OpenEnv(uri);
   if (!opened.ok()) return ReportBad("dist-worker", opened.status()), 1;
-  const Status s = ServeDistWorker(opened->get(), prefix,
+  const Status s = ServeDistWorker(opened->get(),
+                                   SessionOptions().factor_prefix,
                                    static_cast<int>(port),
                                    static_cast<int>(worker));
   if (!s.ok()) return ReportBad("dist-worker", s), 1;
@@ -1050,7 +1052,7 @@ int DistWorker(int argc, char** argv) {
 }
 
 /// `dist` — `decompose` with Phase 2 across N spawned worker processes
-/// (dist/distributed_solver.h). The Session runs it like any solver, so
+/// (dist/coordinator.h). The Session runs it like any solver, so
 /// the store it leaves is byte-identical to `decompose` with the same
 /// arguments. What is left here is the fleet: its flags, the fork/exec
 /// spawner, reaping the workers and the fleet's report lines.

@@ -32,6 +32,8 @@
 #include <csignal>
 #include <cstdio>
 #include <limits>
+#include <map>
+#include <utility>
 #include <string>
 #include <thread>
 #include <vector>
@@ -53,6 +55,15 @@ std::string ToStorageUri(const std::string& dir_or_uri) {
   if (dir_or_uri.find("://") != std::string::npos) return dir_or_uri;
   return "posix://" + dir_or_uri;
 }
+
+/// The integer flags and their ranges, checked before any narrowing cast
+/// or shift: an out-of-range --port must not wrap onto another port.
+const std::map<std::string, std::pair<int64_t, int64_t>> kIntFlags = {
+    {"port", {0, 65535}},
+    {"total-buffer-mb",
+     {1, static_cast<int64_t>(std::numeric_limits<uint64_t>::max() >> 20)}},
+    {"total-threads", {1, std::numeric_limits<int>::max()}},
+    {"max-jobs", {1, std::numeric_limits<int>::max()}}};
 
 int Fail(const std::string& message) {
   std::fprintf(stderr, "tpcpd: %s\n", message.c_str());
@@ -83,26 +94,14 @@ int main(int argc, char** argv) {
       options.state_uri = ToStorageUri(value);
       continue;
     }
-    // Each integer flag's range, checked before any narrowing cast or
-    // shift: an out-of-range --port must not wrap onto another port.
-    int64_t min = 1;
-    int64_t max = std::numeric_limits<int>::max();
-    if (key == "port") {
-      min = 0;
-      max = 65535;
-    } else if (key == "total-buffer-mb") {
-      max = static_cast<int64_t>(std::numeric_limits<uint64_t>::max() >> 20);
-    } else if (key != "total-threads" && key != "max-jobs") {
-      return Fail("unknown flag --" + key);
-    }
+    const auto range = kIntFlags.find(key);
+    if (range == kIntFlags.end()) return Fail("unknown flag --" + key);
+    const auto [min, max] = range->second;
     const auto number = ParseInt64(value);
-    if (!number.ok()) {
-      return Fail("flag --" + key + " expects an integer, got '" + value +
-                  "'");
-    }
-    if (*number < min || *number > max) {
-      return Fail("flag --" + key + " must be in [" + std::to_string(min) +
-                  ", " + std::to_string(max) + "], got " + value);
+    if (!number.ok() || *number < min || *number > max) {
+      return Fail("flag --" + key + " expects an integer in [" +
+                  std::to_string(min) + ", " + std::to_string(max) +
+                  "], got '" + value + "'");
     }
     if (key == "port") {
       port = static_cast<int>(*number);
