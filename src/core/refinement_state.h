@@ -72,9 +72,9 @@ class RefinementState {
   /// seeds come from SeedSubFactors (and are persisted); with `resume`
   /// true the sub-factors already in the store are used as-is, which
   /// restarts an interrupted refinement from its last persisted state
-  /// (everything else in Phase 2 is derivable from {A, U}). The per-block metadata pass is sharded across the
-  /// compute pool (block results are independent — bit-identical at any
-  /// thread count).
+  /// (everything else in Phase 2 is derivable from {A, U}). The per-block
+  /// metadata pass is sharded across the compute pool (block results are
+  /// independent — bit-identical at any thread count).
   Status Initialize(bool resume = false);
 
   /// BufferPool load hook: materializes ⟨i,ki⟩ (A + U-slab) from the store.

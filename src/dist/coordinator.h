@@ -87,10 +87,11 @@ struct DistributedRunOptions {
   /// spawn dead.
   int accept_timeout_ms = 30000;
   /// Launches worker `worker`, which must call ServeDistWorker against
-  /// 127.0.0.1:`port` (an ephemeral port the coordinator listens on). Required. The callback returns once the worker is
-  /// *launched* (forked / thread started), not once it connects. Under
-  /// recovery the callback is invoked again for the same worker id (and,
-  /// after a degrade, for a smaller id range).
+  /// 127.0.0.1:`port`, the ephemeral port the coordinator listens on.
+  /// Required. The callback returns once the worker is *launched* (forked
+  /// / thread started), not once it connects. Under recovery the callback
+  /// is invoked again for the same worker id (and, after a degrade, for a
+  /// smaller id range).
   std::function<Status(int port, int worker)> spawn_worker;
 
   /// Interval at which workers heartbeat to the coordinator. Every worker

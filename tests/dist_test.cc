@@ -1094,8 +1094,8 @@ TEST(DistPhase2Test, SkewedStoreFleetSizesBitIdentical) {
 /// A session over a fresh posix store at `root` holding the test tensor
 /// (tensor prefix "t", factor prefix "f", as the in-process workers
 /// expect).
-std::unique_ptr<Session> OpenGeneratedSession(const std::string& root,
-                                              const TwoPhaseCpOptions& options) {
+std::unique_ptr<Session> OpenGeneratedSession(
+    const std::string& root, const TwoPhaseCpOptions& options) {
   SessionOptions session_options;
   session_options.env_uri = "posix://" + ::testing::TempDir() + root;
   session_options.tensor_prefix = "t";

@@ -33,9 +33,9 @@
 #include <cstdio>
 #include <limits>
 #include <map>
-#include <utility>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "server/daemon.h"
