@@ -1132,6 +1132,14 @@ TEST(DistPhase2Test, SessionRunsTheFleetAsASolverByteIdenticalTo2pcp) {
 
   std::unique_ptr<Session> session =
       OpenGeneratedSession("dist_session_fleet", options);
+  // Like "2pcp", the fleet takes no solver params: Prepare refuses one
+  // before anything is spawned.
+  {
+    DistributedSolver solver{DistributedRunOptions()};
+    const Result<SolveResult> run =
+        session->Decompose(&solver, options, {{"x", "1"}});
+    EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
+  }
   {
     WorkerFleet fleet;
     DistributedRunOptions dopts;
