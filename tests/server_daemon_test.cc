@@ -14,6 +14,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <map>
 #include <mutex>
 #include <string>
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "core/names.h"
+#include "core/phase2_engine.h"
 #include "core/two_phase_cp.h"
 #include "data/synthetic.h"
 #include "grid/block_tensor_store.h"
@@ -194,6 +196,49 @@ TEST(TpcpdAdmissionTest, RejectsWhatCanNeverFit) {
   auto record = (*daemon)->Await(*id, 120.0);
   ASSERT_TRUE(record.ok());
   EXPECT_EQ(record->state, ServerJobState::kSucceeded);
+}
+
+// A fraction-sized generate-submit is charged the pool the engine will
+// size from its grid, not the tenant's whole quota, and that size is what
+// the record persists — so the charge binds the run.
+TEST(TpcpdAdmissionTest, FractionSubmitIsChargedTheResolvedBuffer) {
+  auto grid = GridPartition::CreateUniform(Shape({kDim, kDim, kDim}), kParts);
+  ASSERT_TRUE(grid.ok());
+  TwoPhaseCpOptions full = CubeSubmit("alice", 0, false).options;
+  full.buffer_fraction = 1.0;
+  TwoPhaseCpOptions quarter = full;
+  quarter.buffer_fraction = 0.25;
+  const uint64_t full_bytes = Phase2PlannerOptions(full, *grid).buffer_bytes;
+  const uint64_t quarter_bytes =
+      Phase2PlannerOptions(quarter, *grid).buffer_bytes;
+  ASSERT_LT(quarter_bytes, full_bytes);
+
+  TpcpdOptions options;
+  TenantConfig tenant;
+  tenant.name = "alice";
+  tenant.quota.buffer_bytes = (quarter_bytes + full_bytes) / 2;
+  options.tenants.push_back(tenant);
+  auto daemon = Tpcpd::Start(std::move(options));
+  ASSERT_TRUE(daemon.ok()) << daemon.status().ToString();
+
+  SubmitRequest request = CubeSubmit("alice", 0, false);
+  request.options = full;
+  auto rejected = (*daemon)->Submit(request);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_TRUE(rejected.status().IsResourceExhausted())
+      << rejected.status().ToString();
+  EXPECT_TRUE((*daemon)->List("alice", "").empty())
+      << "rejected submit left job state behind";
+
+  request.options = quarter;
+  auto id = (*daemon)->Submit(request);
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  auto record = (*daemon)->Await(*id, 120.0);
+  ASSERT_TRUE(record.ok());
+  EXPECT_EQ(record->state, ServerJobState::kSucceeded) << record->detail;
+  EXPECT_EQ(record->budget_buffer_bytes, quarter_bytes);
+  EXPECT_EQ(record->options.at("buffer_bytes"),
+            std::to_string(quarter_bytes));
 }
 
 TEST(TpcpdAdmissionTest, AggregateUsageStaysBoundedUnderConcurrentLoad) {
@@ -421,6 +466,41 @@ TEST(TpcpdRestartTest, PersistedQueueSurvivesRestartAndResumes) {
   auto ref_env = NewMemEnv();
   ReferenceRun(ref_env.get(), CubeSubmit("alice", 0, true).options);
   ExpectFactorsBitIdentical(ref_env.get(), alice_uri, interrupted);
+}
+
+// A record recovery cannot decode still owns its id: the next submit must
+// neither overwrite `jobs/<id>` nor reuse the old job's store directory.
+TEST(TpcpdRestartTest, UndecodableRecordKeepsItsId) {
+  const std::string root = ::testing::TempDir() + "tpcpd_skipped_id";
+  std::filesystem::remove_all(root);
+  const std::string state_uri = "posix://" + root + "/state";
+  const std::string garbage = "tpcpd-job 1\nid 7\ntenant alice\n";
+  {
+    auto state = OpenEnv(state_uri);
+    ASSERT_TRUE(state.ok()) << state.status().ToString();
+    ASSERT_TRUE((*state)->WriteFile("jobs/7", garbage).ok());
+  }
+
+  LogCapture log;
+  TpcpdOptions options;
+  options.state_uri = state_uri;
+  TenantConfig tenant;
+  tenant.name = "alice";
+  options.tenants.push_back(tenant);
+  options.log = log.Sink();
+  auto daemon = Tpcpd::Start(std::move(options));
+  ASSERT_TRUE(daemon.ok()) << daemon.status().ToString();
+  EXPECT_TRUE(log.Contains("skipping corrupt job record jobs/7"));
+  auto id = (*daemon)->Submit(CubeSubmit("alice", 0, false));
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  EXPECT_EQ(*id, 8);
+  daemon->reset();
+
+  auto state = OpenEnv(state_uri);
+  ASSERT_TRUE(state.ok());
+  std::string text;
+  ASSERT_TRUE((*state)->ReadFile("jobs/7", &text).ok());
+  EXPECT_EQ(text, garbage);
 }
 
 // ---- codecs ----------------------------------------------------------------
