@@ -4,8 +4,10 @@
 #include <chrono>
 
 #include "api/session.h"
+#include "core/phase2_engine.h"
 #include "data/synthetic.h"
 #include "util/format.h"
+#include "util/parse.h"
 
 namespace tpcp {
 
@@ -105,16 +107,24 @@ void Tpcpd::Recover() {
   const std::vector<std::string> files = state_env_->ListFiles(kJobPrefix);
   int64_t recovered = 0;
   for (const std::string& file : files) {
+    // The file name owns its id whether or not the body decodes, so a
+    // skipped record's jobs/<id> and job-<id>/ are never handed out again.
+    const Result<int64_t> file_id =
+        ParseInt64(file.substr(std::string(kJobPrefix).size()));
+    if (file_id.ok()) next_id_ = std::max(next_id_, *file_id + 1);
     std::string text;
     if (!state_env_->ReadFile(file, &text).ok()) continue;
-    const Result<ServerJobRecord> decoded = DecodeServerJobRecord(text);
+    Result<ServerJobRecord> decoded = DecodeServerJobRecord(text);
+    if (decoded.ok() && !(file_id.ok() && *file_id == decoded->id)) {
+      decoded = Status::Corruption("record id " + std::to_string(decoded->id) +
+                                   " does not match its file name");
+    }
     if (!decoded.ok()) {
       LogLine("tpcpd: skipping corrupt job record " + file + ": " +
               decoded.status().ToString());
       continue;
     }
     ServerJobRecord record = *decoded;
-    next_id_ = std::max(next_id_, record.id + 1);
     next_seq_ = std::max(next_seq_, record.seq + 1);
     if (tenants_.count(record.tenant) == 0) {
       LogLine("tpcpd: job " + std::to_string(record.id) +
@@ -149,8 +159,8 @@ void Tpcpd::Recover() {
 }
 
 void Tpcpd::PersistRecord(const ServerJobRecord& record) {
-  const Status status = state_env_->WriteFile(JobFileName(record.id),
-                                              EncodeServerJobRecord(record));
+  const Status status = state_env_->WriteFile(
+      JobFileName(record.id), JobRecordToJson(record).Serialize());
   if (!status.ok()) {
     LogLine("tpcpd: failed to persist job " + std::to_string(record.id) +
             ": " + status.ToString());
@@ -161,20 +171,14 @@ void Tpcpd::LogLine(const std::string& line) const {
   if (options_.log) options_.log(line);
 }
 
-Status Tpcpd::GenerateInput(const SubmitRequest& request, Tenant* tenant,
+Status Tpcpd::GenerateInput(const SubmitRequest& request,
+                            const GridPartition& grid, Tenant* tenant,
                             int64_t job_id) {
-  if (request.gen_dims.empty()) {
-    return Status::InvalidArgument("generate needs a non-empty dims list");
-  }
   SessionOptions session_options;
   session_options.env = tenant->env.get();
   session_options.tensor_prefix = TensorPrefix(job_id);
   session_options.factor_prefix = FactorPrefix(job_id);
   TPCP_ASSIGN_OR_RETURN(auto session, Session::Open(session_options));
-  TPCP_ASSIGN_OR_RETURN(
-      const GridPartition grid,
-      GridPartition::CreateUniform(Shape(request.gen_dims),
-                                   request.gen_parts));
   TPCP_ASSIGN_OR_RETURN(BlockTensorStore * store,
                         session->CreateTensorStore(grid));
   LowRankSpec spec;
@@ -198,8 +202,23 @@ Result<int64_t> Tpcpd::Submit(const SubmitRequest& request) {
     return Status::InvalidArgument("unknown solver '" + request.solver +
                                    "'");
   }
-  const JobBudget budget =
-      ComputeJobBudget(request.options, tenant->config.quota);
+  // The charge is the pool the run gets. A generate-submit's buffer
+  // resolves against its grid exactly as the engine sizes it; any other
+  // fraction submit is charged the tenant quota. Either way the charged
+  // size is persisted as the job's buffer_bytes, so the charge binds.
+  TwoPhaseCpOptions options = request.options;
+  GridPartition grid;
+  if (request.generate) {
+    if (request.gen_dims.empty()) {
+      return Status::InvalidArgument("generate needs a non-empty dims list");
+    }
+    TPCP_ASSIGN_OR_RETURN(grid,
+                          GridPartition::CreateUniform(
+                              Shape(request.gen_dims), request.gen_parts));
+    options.buffer_bytes = Phase2PlannerOptions(options, grid).buffer_bytes;
+  }
+  const JobBudget budget = ComputeJobBudget(options, tenant->config.quota);
+  options.buffer_bytes = budget.buffer_bytes;
   if (!BudgetFitsQuota(budget, tenant->config.quota)) {
     return Status::ResourceExhausted(
         "job budget (" + HumanBytes(budget.buffer_bytes) + ", " +
@@ -223,7 +242,7 @@ Result<int64_t> Tpcpd::Submit(const SubmitRequest& request) {
     seq = next_seq_++;
   }
   if (request.generate) {
-    TPCP_RETURN_IF_ERROR(GenerateInput(request, tenant, id));
+    TPCP_RETURN_IF_ERROR(GenerateInput(request, grid, tenant, id));
   }
 
   ServerJob job;
@@ -238,7 +257,7 @@ Result<int64_t> Tpcpd::Submit(const SubmitRequest& request) {
       tenant->config.storage_uri + "#job-" + std::to_string(id);
   job.record.budget_buffer_bytes = budget.buffer_bytes;
   job.record.budget_threads = budget.threads;
-  job.record.options = OptionsToMap(request.options);
+  job.record.options = OptionsToMap(options);
   job.record.params = request.params;
   job.budget = budget;
   {
@@ -635,25 +654,6 @@ void Tpcpd::OnServiceTransition(const JobInfo& info) {
 
 // ---- protocol --------------------------------------------------------------
 
-JsonValue Tpcpd::RecordToJson(const ServerJobRecord& record) const {
-  JsonValue out = JsonValue::Object();
-  out.Set("id", record.id);
-  out.Set("tenant", record.tenant);
-  out.Set("name", record.name);
-  out.Set("priority", record.priority);
-  out.Set("seq", record.seq);
-  out.Set("state", ServerJobStateName(record.state));
-  out.Set("preemptions", record.preemptions);
-  out.Set("resumed", record.resumed);
-  out.Set("fit", record.fit);
-  out.Set("solver", record.solver);
-  out.Set("session_uri", record.session_uri);
-  out.Set("budget_buffer_bytes", record.budget_buffer_bytes);
-  out.Set("budget_threads", record.budget_threads);
-  if (!record.detail.empty()) out.Set("detail", record.detail);
-  return out;
-}
-
 Result<std::string> Tpcpd::Authenticate(const std::string& tenant,
                                         const std::string& token) const {
   const auto it = tenants_.find(tenant);
@@ -712,28 +712,17 @@ Result<JsonValue> Tpcpd::Dispatch(const JsonValue& request,
     submit.priority = static_cast<int>(priority);
     TPCP_ASSIGN_OR_RETURN(submit.solver,
                           GetStringOr(request, "solver", "2pcp"));
-    if (const JsonValue* options = request.Find("options")) {
-      if (!options->is_object()) {
+    std::map<std::string, std::string> options;
+    if (const JsonValue* object = request.Find("options")) {
+      if (!object->is_object()) {
         return Status::InvalidArgument("field 'options' must be an object");
       }
-      for (const auto& [key, value] : options->object_items()) {
-        TPCP_ASSIGN_OR_RETURN(const std::string text,
-                              JsonOptionToString(key, value));
-        TPCP_RETURN_IF_ERROR(ApplyOption(key, text, &submit.options));
+      for (const auto& [key, value] : object->object_items()) {
+        TPCP_ASSIGN_OR_RETURN(options[key], JsonOptionToString(key, value));
       }
     }
-    if (const JsonValue* params = request.Find("params")) {
-      if (!params->is_object()) {
-        return Status::InvalidArgument("field 'params' must be an object");
-      }
-      for (const auto& [key, value] : params->object_items()) {
-        if (!value.is_string()) {
-          return Status::InvalidArgument("param '" + key +
-                                         "' must be a string");
-        }
-        submit.params[key] = value.string_value();
-      }
-    }
+    TPCP_ASSIGN_OR_RETURN(submit.options, OptionsFromMap(options));
+    TPCP_ASSIGN_OR_RETURN(submit.params, GetStringMap(request, "params"));
     if (const JsonValue* generate = request.Find("generate")) {
       if (!generate->is_object()) {
         return Status::InvalidArgument(
@@ -771,7 +760,7 @@ Result<JsonValue> Tpcpd::Dispatch(const JsonValue& request,
     TPCP_ASSIGN_OR_RETURN(const std::string owner, JobTenant(id));
     TPCP_RETURN_IF_ERROR(CheckTenantAccess(owner, auth_tenant));
     TPCP_ASSIGN_OR_RETURN(const ServerJobRecord record, Poll(id));
-    response.Set("job", RecordToJson(record));
+    response.Set("job", JobRecordToJson(record));
     if (const Result<JobProgress> progress = Progress(id); progress.ok()) {
       JsonValue live = JsonValue::Object();
       live.Set("phase1_blocks_done", progress->phase1_blocks_done);
@@ -792,7 +781,7 @@ Result<JsonValue> Tpcpd::Dispatch(const JsonValue& request,
                           GetDoubleOr(request, "timeout_seconds", 10.0));
     timeout = std::min(timeout, 3600.0);
     TPCP_ASSIGN_OR_RETURN(const ServerJobRecord record, Await(id, timeout));
-    response.Set("job", RecordToJson(record));
+    response.Set("job", JobRecordToJson(record));
     response.Set("terminal", IsTerminal(record.state));
     return response;
   }
@@ -816,7 +805,7 @@ Result<JsonValue> Tpcpd::Dispatch(const JsonValue& request,
       // An unfiltered list only shows the jobs this connection may act on:
       // open tenants' plus the authenticated tenant's own.
       if (!CheckTenantAccess(record.tenant, auth_tenant).ok()) continue;
-      array.Append(RecordToJson(record));
+      array.Append(JobRecordToJson(record));
     }
     response.Set("jobs", std::move(array));
     return response;

@@ -6,7 +6,9 @@
 //
 //   * Tenancy + admission control (server/tenant.h): every job is charged
 //     a budget; a job only starts when the budget fits its tenant's quota
-//     and the daemon totals, so aggregate usage is provably bounded.
+//     and the daemon totals, so aggregate usage is provably bounded. The
+//     charged buffer is persisted as the job's buffer_bytes, so a run
+//     never sizes a larger pool than it was charged.
 //   * Priority scheduling with preemption: a higher-priority job that
 //     cannot start preempts strictly-lower-priority running jobs via
 //     Cancel. The victim checkpoints (within one vi), re-queues as
@@ -18,9 +20,11 @@
 //     way plain round-robin (one turn each, regardless of duration)
 //     would.
 //   * A survivable queue (server/job_record.h): every job's record is
-//     rewritten on each transition into the daemon's state Env; a
-//     restarted daemon re-admits the non-terminal backlog and running
-//     jobs auto-resume from their checkpoints.
+//     rewritten on each transition into the daemon's state Env as the
+//     same JSON object poll returns; a restarted daemon re-admits the
+//     non-terminal backlog and running jobs auto-resume from their
+//     checkpoints. A record it cannot decode is left on disk and keeps
+//     its id.
 //
 // The protocol front door is HandleRequest (one JSON request object in,
 // one JSON response object out) — the socket layer (server/net.h) only
@@ -41,6 +45,7 @@
 #include <vector>
 
 #include "api/job_service.h"
+#include "grid/grid_partition.h"
 #include "server/job_record.h"
 #include "server/json.h"
 #include "server/tenant.h"
@@ -130,9 +135,13 @@ class Tpcpd {
 
   // ---- typed surface (what HandleRequest dispatches to) ----
 
-  /// Validates, charges nothing yet, persists the record and queues the
-  /// job. InvalidArgument / NotFound / ResourceExhausted on a bad spec,
-  /// unknown tenant, or a budget that can never fit the tenant's quota.
+  /// Validates, resolves the budget, persists the record and queues the
+  /// job (charging nothing until it starts). A generate-submit's buffer is
+  /// resolved from its grid the way the engine sizes its pool; any other
+  /// submit without buffer_bytes is charged the tenant's buffer quota. The
+  /// charged size is persisted as options.buffer_bytes. InvalidArgument /
+  /// NotFound / ResourceExhausted on a bad spec, unknown tenant, or a
+  /// budget that can never fit the tenant's quota (nothing is generated).
   Result<int64_t> Submit(const SubmitRequest& request);
   Result<ServerJobRecord> Poll(int64_t id) const;
   /// Live engine progress of a running job (Phase-1 block counts, last
@@ -201,11 +210,11 @@ class Tpcpd {
   void PersistRecord(const ServerJobRecord& record);
   void LogLine(const std::string& line) const;
   /// Builds the synthetic input for a generate-submit; called outside mu_.
-  Status GenerateInput(const SubmitRequest& request, Tenant* tenant,
+  Status GenerateInput(const SubmitRequest& request,
+                       const GridPartition& grid, Tenant* tenant,
                        int64_t job_id);
 
   // HandleRequest helpers (build/parse protocol JSON).
-  JsonValue RecordToJson(const ServerJobRecord& record) const;
   Result<JsonValue> Dispatch(const JsonValue& request,
                              const std::string& auth_tenant);
   /// OK when `auth_tenant` may act on `tenant`'s jobs: the tenant is open

@@ -1,67 +1,68 @@
 #include "server/job_record.h"
 
-#include <cstdio>
-#include <sstream>
-#include <vector>
-
-#include "util/format.h"
-#include "util/parse.h"
+#include <limits>
 
 namespace tpcp {
 
 namespace {
 
-/// Values travel one per whitespace-delimited token; escape the bytes
-/// that would break that (and '%' itself).
-std::string EscapeValue(const std::string& value) {
-  std::string out;
-  for (const char c : value) {
-    if (c == ' ' || c == '%' || c == '\n' || c == '\r' || c == '\t') {
-      char buf[4];
-      std::snprintf(buf, sizeof(buf), "%%%02x",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
+JsonValue StringMapToJson(const std::map<std::string, std::string>& map) {
+  JsonValue out = JsonValue::Object();
+  for (const auto& [key, value] : map) out.Set(key, value);
   return out;
 }
 
-Result<std::string> UnescapeValue(const std::string& value) {
-  std::string out;
-  for (size_t i = 0; i < value.size(); ++i) {
-    if (value[i] != '%') {
-      out.push_back(value[i]);
-      continue;
-    }
-    if (i + 2 >= value.size()) {
-      return Status::Corruption("truncated %-escape in job record value");
-    }
-    unsigned code = 0;
-    for (int k = 1; k <= 2; ++k) {
-      const char h = value[i + k];
-      code <<= 4;
-      if (h >= '0' && h <= '9') {
-        code |= static_cast<unsigned>(h - '0');
-      } else if (h >= 'a' && h <= 'f') {
-        code |= static_cast<unsigned>(h - 'a' + 10);
-      } else {
-        return Status::Corruption("bad %-escape in job record value");
-      }
-    }
-    out.push_back(static_cast<char>(code));
-    i += 2;
+/// `object[key]` as an int, or `fallback` when absent.
+Result<int> GetInt32Or(const JsonValue& object, const std::string& key,
+                       int fallback) {
+  TPCP_ASSIGN_OR_RETURN(const int64_t value, GetIntOr(object, key, fallback));
+  if (value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument("field '" + key + "' is out of range");
   }
-  return out;
+  return static_cast<int>(value);
 }
 
-void EmitField(const std::string& key, const std::string& value,
-               std::string* out) {
-  *out += key;
-  out->push_back(' ');
-  *out += EscapeValue(value);
-  out->push_back('\n');
+Result<ServerJobRecord> ReadRecord(const JsonValue& object) {
+  if (!object.is_object()) {
+    return Status::InvalidArgument("not a JSON object");
+  }
+  ServerJobRecord record;
+  TPCP_ASSIGN_OR_RETURN(record.id, GetInt(object, "id"));
+  TPCP_ASSIGN_OR_RETURN(record.tenant, GetString(object, "tenant"));
+  TPCP_ASSIGN_OR_RETURN(record.solver, GetString(object, "solver"));
+  if (record.id <= 0 || record.tenant.empty() || record.solver.empty()) {
+    return Status::InvalidArgument("missing id/tenant/solver");
+  }
+  TPCP_ASSIGN_OR_RETURN(const std::string state, GetString(object, "state"));
+  TPCP_ASSIGN_OR_RETURN(record.state, ServerJobStateFromName(state));
+  TPCP_ASSIGN_OR_RETURN(record.name, GetStringOr(object, "name", ""));
+  TPCP_ASSIGN_OR_RETURN(record.priority, GetInt32Or(object, "priority", 0));
+  TPCP_ASSIGN_OR_RETURN(record.seq, GetIntOr(object, "seq", 0));
+  TPCP_ASSIGN_OR_RETURN(record.preemptions,
+                        GetInt32Or(object, "preemptions", 0));
+  TPCP_ASSIGN_OR_RETURN(record.resumed, GetBoolOr(object, "resumed", false));
+  TPCP_ASSIGN_OR_RETURN(record.detail, GetStringOr(object, "detail", ""));
+  // The serializer writes a non-finite fit (no fit yet) as null.
+  const JsonValue* fit = object.Find("fit");
+  if (fit != nullptr && fit->is_null()) {
+    record.fit = std::numeric_limits<double>::quiet_NaN();
+  } else {
+    TPCP_ASSIGN_OR_RETURN(record.fit, GetDoubleOr(object, "fit", 0.0));
+  }
+  TPCP_ASSIGN_OR_RETURN(record.session_uri,
+                        GetStringOr(object, "session_uri", ""));
+  TPCP_ASSIGN_OR_RETURN(const int64_t buffer,
+                        GetIntOr(object, "budget_buffer_bytes", 0));
+  if (buffer < 0) {
+    return Status::InvalidArgument("field 'budget_buffer_bytes' is negative");
+  }
+  record.budget_buffer_bytes = static_cast<uint64_t>(buffer);
+  TPCP_ASSIGN_OR_RETURN(record.budget_threads,
+                        GetInt32Or(object, "budget_threads", 0));
+  TPCP_ASSIGN_OR_RETURN(record.options, GetStringMap(object, "options"));
+  TPCP_ASSIGN_OR_RETURN(record.params, GetStringMap(object, "params"));
+  return record;
 }
 
 }  // namespace
@@ -94,108 +95,34 @@ Result<ServerJobState> ServerJobStateFromName(const std::string& name) {
   return Status::InvalidArgument("unknown job state '" + name + "'");
 }
 
-std::string EncodeServerJobRecord(const ServerJobRecord& record) {
-  std::string out = "tpcpd-job 1\n";
-  EmitField("id", std::to_string(record.id), &out);
-  EmitField("tenant", record.tenant, &out);
-  EmitField("name", record.name, &out);
-  EmitField("priority", std::to_string(record.priority), &out);
-  EmitField("seq", std::to_string(record.seq), &out);
-  EmitField("state", ServerJobStateName(record.state), &out);
-  EmitField("preemptions", std::to_string(record.preemptions), &out);
-  EmitField("resumed", record.resumed ? "1" : "0", &out);
-  if (!record.detail.empty()) EmitField("detail", record.detail, &out);
-  EmitField("fit", RoundTripDouble(record.fit), &out);
-  EmitField("solver", record.solver, &out);
-  EmitField("session_uri", record.session_uri, &out);
-  EmitField("budget_buffer", std::to_string(record.budget_buffer_bytes),
-            &out);
-  EmitField("budget_threads", std::to_string(record.budget_threads), &out);
-  for (const auto& [key, value] : record.options) {
-    out += "opt " + key + " " + EscapeValue(value) + "\n";
-  }
-  for (const auto& [key, value] : record.params) {
-    out += "param " + key + " " + EscapeValue(value) + "\n";
-  }
-  out += "end\n";
+JsonValue JobRecordToJson(const ServerJobRecord& record) {
+  JsonValue out = JsonValue::Object();
+  out.Set("id", record.id);
+  out.Set("tenant", record.tenant);
+  out.Set("name", record.name);
+  out.Set("priority", record.priority);
+  out.Set("seq", record.seq);
+  out.Set("state", ServerJobStateName(record.state));
+  out.Set("preemptions", record.preemptions);
+  out.Set("resumed", record.resumed);
+  out.Set("fit", record.fit);
+  out.Set("solver", record.solver);
+  out.Set("session_uri", record.session_uri);
+  out.Set("budget_buffer_bytes", record.budget_buffer_bytes);
+  out.Set("budget_threads", record.budget_threads);
+  if (!record.detail.empty()) out.Set("detail", record.detail);
+  out.Set("options", StringMapToJson(record.options));
+  out.Set("params", StringMapToJson(record.params));
   return out;
 }
 
 Result<ServerJobRecord> DecodeServerJobRecord(const std::string& text) {
-  std::istringstream in(text);
-  std::string line;
-  if (!std::getline(in, line) || line != "tpcpd-job 1") {
-    return Status::Corruption("job record missing 'tpcpd-job 1' header");
-  }
-  ServerJobRecord record;
-  record.solver.clear();
-  bool ended = false;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    if (line == "end") {
-      ended = true;
-      break;
-    }
-    const size_t sp = line.find(' ');
-    if (sp == std::string::npos) {
-      return Status::Corruption("malformed job record line: '" + line + "'");
-    }
-    const std::string key = line.substr(0, sp);
-    std::string raw = line.substr(sp + 1);
-    if (key == "opt" || key == "param") {
-      const size_t sp2 = raw.find(' ');
-      if (sp2 == std::string::npos) {
-        return Status::Corruption("malformed job record line: '" + line +
-                                  "'");
-      }
-      const std::string sub = raw.substr(0, sp2);
-      TPCP_ASSIGN_OR_RETURN(const std::string value,
-                            UnescapeValue(raw.substr(sp2 + 1)));
-      (key == "opt" ? record.options : record.params)[sub] = value;
-      continue;
-    }
-    TPCP_ASSIGN_OR_RETURN(const std::string value, UnescapeValue(raw));
-    int64_t number = 0;
-    if (key == "id") {
-      TPCP_ASSIGN_OR_RETURN(record.id, ParseInt64(value));
-    } else if (key == "tenant") {
-      record.tenant = value;
-    } else if (key == "name") {
-      record.name = value;
-    } else if (key == "priority") {
-      TPCP_ASSIGN_OR_RETURN(number, ParseInt64(value));
-      record.priority = static_cast<int>(number);
-    } else if (key == "seq") {
-      TPCP_ASSIGN_OR_RETURN(record.seq, ParseInt64(value));
-    } else if (key == "state") {
-      TPCP_ASSIGN_OR_RETURN(record.state, ServerJobStateFromName(value));
-    } else if (key == "preemptions") {
-      TPCP_ASSIGN_OR_RETURN(number, ParseInt64(value));
-      record.preemptions = static_cast<int>(number);
-    } else if (key == "resumed") {
-      TPCP_ASSIGN_OR_RETURN(record.resumed, ParseBool(value));
-    } else if (key == "detail") {
-      record.detail = value;
-    } else if (key == "fit") {
-      TPCP_ASSIGN_OR_RETURN(record.fit, ParseDouble(value));
-    } else if (key == "solver") {
-      record.solver = value;
-    } else if (key == "session_uri") {
-      record.session_uri = value;
-    } else if (key == "budget_buffer") {
-      TPCP_ASSIGN_OR_RETURN(record.budget_buffer_bytes, ParseUint64(value));
-    } else if (key == "budget_threads") {
-      TPCP_ASSIGN_OR_RETURN(number, ParseInt64(value));
-      record.budget_threads = static_cast<int>(number);
-    } else {
-      // Unknown fields are skipped so older daemons read newer records.
-    }
-  }
-  if (!ended) {
-    return Status::Corruption("job record truncated (no 'end' trailer)");
-  }
-  if (record.id <= 0 || record.tenant.empty() || record.solver.empty()) {
-    return Status::Corruption("job record missing id/tenant/solver");
+  const Result<JsonValue> parsed = JsonValue::Parse(text);
+  Result<ServerJobRecord> record =
+      parsed.ok() ? ReadRecord(*parsed)
+                  : Result<ServerJobRecord>(parsed.status());
+  if (!record.ok()) {
+    return Status::Corruption("bad job record: " + record.status().message());
   }
   return record;
 }

@@ -1,28 +1,27 @@
 // Persisted job records — the survivable half of the tpcpd queue.
 //
-// The daemon writes one manifest-style text record per job into its state
-// Env (`jobs/<id>`) and rewrites it on every scheduler transition. A
-// record carries everything needed to re-create the job after a daemon
-// restart: identity (tenant, name, priority, admission sequence), the
-// serialized solver options, and the storage URI of the job's factor
-// store. Recovery re-admits every non-terminal record; because the
-// *effective* options (with the resolved buffer budget) are what gets
-// persisted, a re-created spec fingerprints identically to the original
-// run and Phase-2 auto-resume continues from the store's checkpoint
+// The daemon writes one record per job into its state Env (`jobs/<id>`)
+// and rewrites it on every scheduler transition. A record carries
+// everything needed to re-create the job after a daemon restart: identity
+// (tenant, name, priority, admission sequence), the serialized solver
+// options, and the storage URI of the job's factor store. Recovery
+// re-admits every non-terminal record; because the *effective* options
+// (with the admission-resolved buffer_bytes) are what gets persisted, a
+// re-created spec fingerprints identically to the original run and
+// Phase-2 auto-resume continues from the store's checkpoint
 // bit-identically.
 //
-// Record format (one field per line, values %-escaped):
+// The record is one JSON object (server/json.h), and it is the same
+// object the wire protocol's poll / await / list return under "job":
 //
-//   tpcpd-job 1
-//   id 7
-//   tenant alice
-//   ...
-//   opt rank 16
-//   param grid 4
-//   end
+//   {"budget_buffer_bytes":1152,"budget_threads":1,"fit":0.98,"id":7,
+//    "name":"","options":{"rank":"16",...},"params":{},"preemptions":0,
+//    "priority":0,"resumed":false,"seq":7,"session_uri":"mem://#job-7",
+//    "solver":"2pcp","state":"succeeded","tenant":"alice"}
 //
-// The `end` trailer makes a truncated write detectable: a record without
-// it is rejected at recovery instead of resurrecting a half-written job.
+// The strict whole-input parse makes a truncated write detectable: a
+// record cut anywhere is not one complete JSON value, so it is rejected at
+// recovery instead of resurrecting a half-written job.
 
 #ifndef TPCP_SERVER_JOB_RECORD_H_
 #define TPCP_SERVER_JOB_RECORD_H_
@@ -31,7 +30,7 @@
 #include <map>
 #include <string>
 
-#include "core/config.h"
+#include "server/json.h"
 #include "util/status.h"
 
 namespace tpcp {
@@ -90,7 +89,16 @@ struct ServerJobRecord {
   std::map<std::string, std::string> params;
 };
 
-std::string EncodeServerJobRecord(const ServerJobRecord& record);
+/// The record as a JSON object: every field under its member name
+/// (`budget_buffer_bytes`, `budget_threads`, ...), `state` by name, a
+/// non-finite `fit` as null, `detail` only when non-empty, and `options` /
+/// `params` as objects of strings.
+JsonValue JobRecordToJson(const ServerJobRecord& record);
+
+/// Parses a persisted record. Corruption unless `text` is exactly one JSON
+/// object with `id > 0` and non-empty `tenant` and `solver` strings, a
+/// known `state`, and every other present field of its encoded type.
+/// Unknown keys are skipped; `"fit":null` reads as NaN.
 Result<ServerJobRecord> DecodeServerJobRecord(const std::string& text);
 
 }  // namespace tpcp

@@ -405,4 +405,22 @@ Result<bool> GetBoolOr(const JsonValue& object, const std::string& key,
   return value->bool_value();
 }
 
+Result<std::map<std::string, std::string>> GetStringMap(
+    const JsonValue& object, const std::string& key) {
+  std::map<std::string, std::string> out;
+  const JsonValue* map = object.Find(key);
+  if (map == nullptr) return out;
+  if (!map->is_object()) {
+    return Status::InvalidArgument("field '" + key + "' must be an object");
+  }
+  for (const auto& [name, value] : map->object_items()) {
+    if (!value.is_string()) {
+      return Status::InvalidArgument("field '" + key + "." + name +
+                                     "' must be a string");
+    }
+    out[name] = value.string_value();
+  }
+  return out;
+}
+
 }  // namespace tpcp

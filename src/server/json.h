@@ -126,6 +126,11 @@ Result<double> GetDoubleOr(const JsonValue& object, const std::string& key,
 /// `object[key]` as a bool, or `fallback` when the key is absent.
 Result<bool> GetBoolOr(const JsonValue& object, const std::string& key,
                        bool fallback);
+/// `object[key]` as an object of strings, or empty when the key is absent.
+/// InvalidArgument naming the field when it is not an object or one of
+/// its values is not a string.
+Result<std::map<std::string, std::string>> GetStringMap(
+    const JsonValue& object, const std::string& key);
 
 }  // namespace tpcp
 

@@ -69,10 +69,11 @@ struct ResourceUsage {
 };
 
 /// The budget a job with these options is charged. Buffer: an explicit
-/// buffer_bytes, else the full tenant buffer quota (a fraction-sized
-/// buffer resolves only against the store at run time, so admission
-/// charges conservatively). Threads: the larger of the Phase-1 pool and
-/// the Phase-2 compute + prefetch-I/O pools.
+/// buffer_bytes, else the full tenant buffer quota (a fraction resolves
+/// only against a grid; Tpcpd::Submit resolves a generate-submit's
+/// fraction before calling this, and persists the charged size as the
+/// job's buffer_bytes so the run never outgrows it). Threads: the larger
+/// of the Phase-1 pool and the Phase-2 compute + prefetch-I/O pools.
 JobBudget ComputeJobBudget(const TwoPhaseCpOptions& options,
                            const TenantQuota& quota);
 

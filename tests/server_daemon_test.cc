@@ -7,14 +7,18 @@
 //     to an uninterrupted run,
 //   * the persisted queue survives a daemon restart: backlog re-admits,
 //     the interrupted job auto-resumes from its checkpoint,
-//   * the job-record and options codecs round-trip exactly (the property
-//     the resume fingerprint depends on).
+//   * the persisted job record is the JSON object poll returns, its
+//     decoder rejects every truncation and mistyped field, and the record
+//     and options codecs round-trip exactly (the property the resume
+//     fingerprint depends on).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <string>
@@ -503,12 +507,73 @@ TEST(TpcpdRestartTest, UndecodableRecordKeepsItsId) {
   EXPECT_EQ(text, garbage);
 }
 
+// The persisted record and the wire's "job" object are one encoding:
+// `jobs/<id>` holds byte for byte what poll returns, and every field the
+// wire carried before keeps its name and JSON type.
+TEST(TpcpdRestartTest, PersistedRecordIsThePolledJob) {
+  const std::string root = ::testing::TempDir() + "tpcpd_record_is_poll";
+  std::filesystem::remove_all(root);
+  TpcpdOptions options;
+  options.state_uri = "posix://" + root + "/state";
+  TenantConfig tenant;
+  tenant.name = "alice";
+  options.tenants.push_back(tenant);
+  auto daemon = Tpcpd::Start(std::move(options));
+  ASSERT_TRUE(daemon.ok()) << daemon.status().ToString();
+  auto succeeds = (*daemon)->Submit(CubeSubmit("alice", 0, false));
+  ASSERT_TRUE(succeeds.ok()) << succeeds.status().ToString();
+  SubmitRequest no_input = CubeSubmit("alice", 0, false);
+  no_input.generate = false;  // nothing to decompose: fails with a detail
+  auto fails = (*daemon)->Submit(no_input);
+  ASSERT_TRUE(fails.ok()) << fails.status().ToString();
+  ASSERT_TRUE((*daemon)->Await(*succeeds, 120.0).ok());
+  ASSERT_TRUE((*daemon)->Await(*fails, 120.0).ok());
+
+  auto state = OpenEnv("posix://" + root + "/state");
+  ASSERT_TRUE(state.ok());
+  using Kind = JsonValue::Kind;
+  const std::vector<std::pair<std::string, Kind>> wire_fields = {
+      {"id", Kind::kInt},          {"tenant", Kind::kString},
+      {"name", Kind::kString},     {"priority", Kind::kInt},
+      {"seq", Kind::kInt},         {"state", Kind::kString},
+      {"preemptions", Kind::kInt}, {"resumed", Kind::kBool},
+      {"solver", Kind::kString},   {"session_uri", Kind::kString},
+      {"budget_buffer_bytes", Kind::kInt},
+      {"budget_threads", Kind::kInt}};
+  for (const int64_t id : {*succeeds, *fails}) {
+    std::string persisted;
+    ASSERT_TRUE(
+        (*state)->ReadFile("jobs/" + std::to_string(id), &persisted).ok());
+    auto response = JsonValue::Parse((*daemon)->HandleRequest(
+        "{\"cmd\":\"poll\",\"job\":" + std::to_string(id) + "}"));
+    ASSERT_TRUE(response.ok());
+    const JsonValue* job = response->Find("job");
+    ASSERT_NE(job, nullptr) << response->Serialize();
+    EXPECT_EQ(job->Serialize(), persisted);
+    for (const auto& [name, kind] : wire_fields) {
+      const JsonValue* field = job->Find(name);
+      ASSERT_NE(field, nullptr) << name;
+      EXPECT_EQ(field->kind(), kind) << name;
+    }
+    ASSERT_NE(job->Find("fit"), nullptr);
+    EXPECT_TRUE(job->Find("fit")->is_number() || job->Find("fit")->is_null());
+    EXPECT_TRUE(job->Find("options")->is_object());
+    EXPECT_TRUE(job->Find("params")->is_object());
+  }
+  auto failed = JsonValue::Parse((*daemon)->HandleRequest(
+      "{\"cmd\":\"poll\",\"job\":" + std::to_string(*fails) + "}"));
+  ASSERT_TRUE(failed.ok());
+  const JsonValue* detail = failed->Find("job")->Find("detail");
+  ASSERT_NE(detail, nullptr) << failed->Serialize();
+  EXPECT_TRUE(detail->is_string());
+}
+
 // ---- codecs ----------------------------------------------------------------
 
-TEST(JobRecordTest, EncodeDecodeRoundTripsEveryField) {
+ServerJobRecord FullRecord() {
   ServerJobRecord record;
   record.id = 42;
-  record.tenant = "team a";  // space: exercises the %-escaping
+  record.tenant = "team a";  // strings keep spaces, '%', tabs and newlines
   record.name = "nightly 100% run\nwith newline";
   record.priority = -3;
   record.seq = 17;
@@ -517,14 +582,19 @@ TEST(JobRecordTest, EncodeDecodeRoundTripsEveryField) {
   record.resumed = true;
   record.detail = "made\troom";
   record.fit = 0.875;
+  record.solver = "grid-parafac";
   record.session_uri = "posix:///data/team%20a#job-42";
   record.budget_buffer_bytes = 123456789;
   record.budget_threads = 5;
   record.options["rank"] = "7";
   record.options["schedule"] = "sn";
   record.params["grid"] = "4 4 4";
+  return record;
+}
 
-  const std::string text = EncodeServerJobRecord(record);
+TEST(JobRecordTest, EncodeDecodeRoundTripsEveryField) {
+  ServerJobRecord record = FullRecord();
+  const std::string text = JobRecordToJson(record).Serialize();
   auto decoded = DecodeServerJobRecord(text);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->id, record.id);
@@ -537,27 +607,92 @@ TEST(JobRecordTest, EncodeDecodeRoundTripsEveryField) {
   EXPECT_EQ(decoded->resumed, record.resumed);
   EXPECT_EQ(decoded->detail, record.detail);
   EXPECT_EQ(decoded->fit, record.fit);
+  EXPECT_EQ(decoded->solver, record.solver);
   EXPECT_EQ(decoded->session_uri, record.session_uri);
   EXPECT_EQ(decoded->budget_buffer_bytes, record.budget_buffer_bytes);
   EXPECT_EQ(decoded->budget_threads, record.budget_threads);
   EXPECT_EQ(decoded->options, record.options);
   EXPECT_EQ(decoded->params, record.params);
+
+  // A job with no fit yet persists it as null, which reads back as NaN.
+  record.fit = std::numeric_limits<double>::quiet_NaN();
+  auto no_fit = DecodeServerJobRecord(JobRecordToJson(record).Serialize());
+  ASSERT_TRUE(no_fit.ok()) << no_fit.status().ToString();
+  EXPECT_TRUE(std::isnan(no_fit->fit));
+}
+
+/// `object` without its `key` member.
+JsonValue Without(const JsonValue& object, const std::string& key) {
+  JsonValue out = JsonValue::Object();
+  for (const auto& [name, value] : object.object_items()) {
+    if (name != key) out.Set(name, value);
+  }
+  return out;
 }
 
 TEST(JobRecordTest, RejectsCorruptRecords) {
   ServerJobRecord record;
   record.id = 1;
   record.tenant = "alice";
-  const std::string text = EncodeServerJobRecord(record);
+  const JsonValue json = JobRecordToJson(record);
+  const std::string text = json.Serialize();
 
-  // Truncated write: the `end` trailer is gone.
-  const std::string truncated = text.substr(0, text.size() - 4);
-  EXPECT_FALSE(DecodeServerJobRecord(truncated).ok());
-  // Wrong header.
-  EXPECT_FALSE(DecodeServerJobRecord("not-a-job 1\nend\n").ok());
+  // Truncated write: the closing brace is gone.
+  EXPECT_FALSE(DecodeServerJobRecord(text.substr(0, text.size() - 1)).ok());
+  // Not one JSON object (the retired text format among them).
+  EXPECT_FALSE(DecodeServerJobRecord("tpcpd-job 1\nid 1\nend\n").ok());
   EXPECT_FALSE(DecodeServerJobRecord("").ok());
+  EXPECT_FALSE(DecodeServerJobRecord("[" + text + "]").ok());
+  EXPECT_FALSE(DecodeServerJobRecord(text + text).ok());
   // Required identity fields must be present.
-  EXPECT_FALSE(DecodeServerJobRecord("tpcpd-job 1\nend\n").ok());
+  for (const char* key : {"id", "tenant", "solver", "state"}) {
+    const auto decoded = DecodeServerJobRecord(Without(json, key).Serialize());
+    ASSERT_FALSE(decoded.ok()) << key;
+    EXPECT_TRUE(decoded.status().IsCorruption()) << key;
+  }
+  JsonValue bad = json;
+  EXPECT_FALSE(DecodeServerJobRecord(bad.Set("id", 0).Serialize()).ok());
+  bad = json;
+  EXPECT_FALSE(DecodeServerJobRecord(bad.Set("tenant", "").Serialize()).ok());
+  // Unknown keys are skipped.
+  bad = json;
+  EXPECT_TRUE(
+      DecodeServerJobRecord(bad.Set("from_the_future", 1).Serialize()).ok());
+}
+
+// Deterministic mutation of the one record decoder that reads from disk:
+// no truncation decodes, no single-byte flip crashes it (the sanitizer
+// builds run this too), and a wrongly typed field is refused, not coerced.
+TEST(JobRecordTest, MutatedRecordsAreRejectedNotMisread) {
+  const JsonValue json = JobRecordToJson(FullRecord());
+  const std::string text = json.Serialize();
+  for (size_t size = 0; size < text.size(); ++size) {
+    EXPECT_FALSE(DecodeServerJobRecord(text.substr(0, size)).ok()) << size;
+  }
+  for (size_t i = 0; i < text.size(); ++i) {
+    for (const int mask : {0x01, 0x20, 0x80, 0xff}) {
+      std::string flipped = text;
+      flipped[i] = static_cast<char>(flipped[i] ^ mask);
+      const auto decoded = DecodeServerJobRecord(flipped);
+      if (!decoded.ok()) {
+        EXPECT_TRUE(decoded.status().IsCorruption()) << i;
+      }
+    }
+  }
+  JsonValue rank = JsonValue::Object();
+  rank.Set("rank", 7);
+  const std::vector<std::pair<std::string, JsonValue>> wrong = {
+      {"id", JsonValue("7")},        {"state", JsonValue("paused")},
+      {"options", rank},             {"params", JsonValue("grid=4")},
+      {"fit", JsonValue("high")},    {"resumed", JsonValue(1)},
+      {"priority", JsonValue(1.5)},  {"budget_buffer_bytes", JsonValue(-1)},
+      {"budget_threads", JsonValue(int64_t{1} << 40)}};
+  for (const auto& [key, value] : wrong) {
+    JsonValue bad = json;
+    bad.Set(key, value);
+    EXPECT_FALSE(DecodeServerJobRecord(bad.Serialize()).ok())
+        << bad.Serialize();
+  }
 }
 
 TEST(JobRecordTest, OptionsMapRoundTripsTheResumeFingerprint) {
