@@ -107,4 +107,56 @@ for flags in --port=4294974510 --port=-1 --total-threads=0 \
   fi
 done
 
+# A tpcpd restart on a posix --state keeps its finished jobs and its ids.
+# Every daemon and client call runs under `timeout`, so a hang is a failed
+# case, not a hung suite.
+DAEMON=
+PORT=
+# start_daemon LOG: starts tpcpd on an ephemeral port and sets DAEMON to
+# its pid and PORT to the port from its "listening on" line.
+start_daemon() {
+  timeout 120 "$TPCPD" --port=0 --state="$DIR/tpcpd/state" \
+    "--tenant=a,$DIR/tpcpd/a" > "$1" 2>&1 &
+  DAEMON=$!
+  PORT=
+  for _ in $(seq 1 100); do
+    PORT=$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9][0-9]*\).*/\1/p' "$1")
+    [ -n "$PORT" ] && return 0
+    sleep 0.1
+  done
+  fail "tpcpd printed no listening line"
+  cat "$1"
+  return 1
+}
+stop_daemon() {
+  kill -TERM "$DAEMON" 2> /dev/null
+  wait "$DAEMON" || fail "tpcpd did not stop cleanly on SIGTERM"
+}
+client() {
+  timeout 60 "$TOOL" client "$@" --port="$PORT" > "$DIR/out.txt" 2>&1
+}
+if start_daemon "$DIR/tpcpd1.log"; then
+  client submit --tenant=a --generate=8x8x8 --opt=rank=2 ||
+    fail "tpcpd submit failed: $(cat "$DIR/out.txt")"
+  client await --job=1 --timeout=50
+  grep -q '"state":"succeeded"' "$DIR/out.txt" ||
+    fail "tpcpd job 1 did not succeed: $(cat "$DIR/out.txt")"
+  stop_daemon
+  record="$DIR/tpcpd/state/jobs/1"
+  if [ "$(head -c 1 "$record")" != "{" ] ||
+      [ "$(tail -c 1 "$record")" != "}" ] ||
+      [ "$(wc -l < "$record")" -ne 0 ]; then
+    fail "state/jobs/1 is not one JSON object: $(cat "$record")"
+  fi
+fi
+if start_daemon "$DIR/tpcpd2.log"; then
+  client list
+  grep -q '"id":1,.*"state":"succeeded"' "$DIR/out.txt" ||
+    fail "restarted tpcpd lost job 1: $(cat "$DIR/out.txt")"
+  client submit --tenant=a --generate=8x8x8 --opt=rank=2
+  grep -q '"job":2' "$DIR/out.txt" ||
+    fail "restarted tpcpd reused an id: $(cat "$DIR/out.txt")"
+  stop_daemon
+fi
+
 exit $FAILED
