@@ -217,9 +217,12 @@ TEST(TpcpdAdmissionTest, FractionSubmitIsChargedTheResolvedBuffer) {
       Phase2PlannerOptions(quarter, *grid).buffer_bytes;
   ASSERT_LT(quarter_bytes, full_bytes);
 
+  const std::string root = ::testing::TempDir() + "tpcpd_fraction_charge";
+  std::filesystem::remove_all(root);
   TpcpdOptions options;
   TenantConfig tenant;
   tenant.name = "alice";
+  tenant.storage_uri = "posix://" + root;
   tenant.quota.buffer_bytes = (quarter_bytes + full_bytes) / 2;
   options.tenants.push_back(tenant);
   auto daemon = Tpcpd::Start(std::move(options));
@@ -233,6 +236,8 @@ TEST(TpcpdAdmissionTest, FractionSubmitIsChargedTheResolvedBuffer) {
       << rejected.status().ToString();
   EXPECT_TRUE((*daemon)->List("alice", "").empty())
       << "rejected submit left job state behind";
+  EXPECT_FALSE(std::filesystem::exists(root + "/job-1"))
+      << "rejected submit generated its input";
 
   request.options = quarter;
   auto id = (*daemon)->Submit(request);
