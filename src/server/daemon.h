@@ -7,8 +7,9 @@
 //   * Tenancy + admission control (server/tenant.h): every job is charged
 //     a budget; a job only starts when the budget fits its tenant's quota
 //     and the daemon totals, so aggregate usage is provably bounded. The
-//     charged buffer is persisted as the job's buffer_bytes, so a run
-//     never sizes a larger pool than it was charged.
+//     charged buffer is persisted as the job's buffer_bytes, which is the
+//     pool the run sizes (unless, without a grid at admission, one unit
+//     of the job's store alone outgrows it).
 //   * Priority scheduling with preemption: a higher-priority job that
 //     cannot start preempts strictly-lower-priority running jobs via
 //     Cancel. The victim checkpoints (within one vi), re-queues as

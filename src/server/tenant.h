@@ -72,7 +72,7 @@ struct ResourceUsage {
 /// buffer_bytes, else the full tenant buffer quota (a fraction resolves
 /// only against a grid; Tpcpd::Submit resolves a generate-submit's
 /// fraction before calling this, and persists the charged size as the
-/// job's buffer_bytes so the run never outgrows it). Threads: the larger
+/// job's buffer_bytes, the pool the run then sizes). Threads: the larger
 /// of the Phase-1 pool and the Phase-2 compute + prefetch-I/O pools.
 JobBudget ComputeJobBudget(const TwoPhaseCpOptions& options,
                            const TenantQuota& quota);
