@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 
 #include "api/session.h"
 #include "core/phase2_engine.h"
@@ -111,7 +112,9 @@ void Tpcpd::Recover() {
     // skipped record's jobs/<id> and job-<id>/ are never handed out again.
     const Result<int64_t> file_id =
         ParseInt64(file.substr(std::string(kJobPrefix).size()));
-    if (file_id.ok()) next_id_ = std::max(next_id_, *file_id + 1);
+    if (file_id.ok() && *file_id < std::numeric_limits<int64_t>::max()) {
+      next_id_ = std::max(next_id_, *file_id + 1);
+    }
     std::string text;
     if (!state_env_->ReadFile(file, &text).ok()) continue;
     Result<ServerJobRecord> decoded = DecodeServerJobRecord(text);

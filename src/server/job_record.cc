@@ -43,7 +43,7 @@ Result<ServerJobRecord> ReadRecord(const JsonValue& object) {
                         GetInt32Or(object, "preemptions", 0));
   TPCP_ASSIGN_OR_RETURN(record.resumed, GetBoolOr(object, "resumed", false));
   TPCP_ASSIGN_OR_RETURN(record.detail, GetStringOr(object, "detail", ""));
-  // The serializer writes a non-finite fit (no fit yet) as null.
+  // The serializer writes a non-finite fit as null.
   const JsonValue* fit = object.Find("fit");
   if (fit != nullptr && fit->is_null()) {
     record.fit = std::numeric_limits<double>::quiet_NaN();

@@ -619,7 +619,7 @@ TEST(JobRecordTest, EncodeDecodeRoundTripsEveryField) {
   EXPECT_EQ(decoded->options, record.options);
   EXPECT_EQ(decoded->params, record.params);
 
-  // A job with no fit yet persists it as null, which reads back as NaN.
+  // A non-finite fit persists as null, which reads back as NaN.
   record.fit = std::numeric_limits<double>::quiet_NaN();
   auto no_fit = DecodeServerJobRecord(JobRecordToJson(record).Serialize());
   ASSERT_TRUE(no_fit.ok()) << no_fit.status().ToString();
