@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <condition_variable>
+#include <mutex>
+#include <thread>
 
 #include "core/two_phase_cp.h"
 #include "data/synthetic.h"
@@ -88,6 +91,100 @@ TEST(RefinementStateTest, DirtyEvictPersistsUpdatedFactor) {
   auto after = f.factors->ReadSubFactor(1, 0);
   ASSERT_TRUE(after.ok());
   EXPECT_FALSE(*after == *before);  // the update changed the factor
+}
+
+/// Forwards to a base Env; once armed, every WriteFile announces itself and
+/// then blocks until released, holding a writeback mid-flight.
+class BlockingWriteEnv : public Env {
+ public:
+  explicit BlockingWriteEnv(Env* base) : base_(base) {}
+
+  void Arm() {
+    std::lock_guard<std::mutex> lock(mu_);
+    armed_ = true;
+  }
+  void WaitUntilWriting() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return writing_; });
+  }
+  void Release() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      released_ = true;
+    }
+    cv_.notify_all();
+  }
+
+  Status WriteFile(const std::string& name,
+                   const std::string& data) override {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      if (armed_) {
+        writing_ = true;
+        cv_.notify_all();
+        cv_.wait(lock, [this] { return released_; });
+      }
+    }
+    return base_->WriteFile(name, data);
+  }
+  Status ReadFile(const std::string& name, std::string* out) override {
+    return base_->ReadFile(name, out);
+  }
+  bool FileExists(const std::string& name) override {
+    return base_->FileExists(name);
+  }
+  Status DeleteFile(const std::string& name) override {
+    return base_->DeleteFile(name);
+  }
+  Result<uint64_t> FileSize(const std::string& name) override {
+    return base_->FileSize(name);
+  }
+  std::vector<std::string> ListFiles(const std::string& prefix) override {
+    return base_->ListFiles(prefix);
+  }
+
+ private:
+  Env* base_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool armed_ = false;
+  bool writing_ = false;
+  bool released_ = false;
+};
+
+// A dist worker uploads CurrentSubFactor at persist boundaries while its
+// pipeline may be writing the same unit back on an I/O thread. Until that
+// write lands, the store still holds the old A, so the resident copy must
+// stay visible.
+TEST(RefinementStateTest, CurrentSubFactorSeesUpdateDuringWriteback) {
+  Fixture f = MakeFixture(2, 3);
+  BlockingWriteEnv env(f.env.get());
+  BlockFactorStore factors(&env, "f", f.grid, 2);
+  RefinementState state(&factors);
+  ASSERT_TRUE(state.Initialize().ok());
+  const ModePartition unit{1, 0};
+  ASSERT_TRUE(state.LoadUnit(unit).ok());
+  UpdateStep step;
+  step.block = {0, 0, 0};
+  step.mode = 1;
+  state.ApplyUpdate(step);
+  auto updated = state.CurrentSubFactor(unit);
+  ASSERT_TRUE(updated.ok());
+  auto stored = factors.ReadSubFactor(1, 0);
+  ASSERT_TRUE(stored.ok());
+  ASSERT_FALSE(*stored == *updated);
+
+  env.Arm();
+  Status evicted;
+  std::thread writeback(
+      [&] { evicted = state.EvictUnit(unit, /*dirty=*/true); });
+  env.WaitUntilWriting();
+  auto during = state.CurrentSubFactor(unit);
+  env.Release();
+  writeback.join();
+  ASSERT_TRUE(evicted.ok()) << evicted.ToString();
+  ASSERT_TRUE(during.ok()) << during.status().ToString();
+  EXPECT_TRUE(*during == *updated);
 }
 
 TEST(RefinementStateTest, UpdatesImproveSurrogateFit) {
