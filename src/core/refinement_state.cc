@@ -123,23 +123,25 @@ Status RefinementState::LoadUnit(const ModePartition& unit) {
 }
 
 Status RefinementState::EvictUnit(const ModePartition& unit, bool dirty) {
-  // Extract the payload under the lock, write it back outside: a slow
-  // writeback must not block concurrent loads of other units.
-  UnitData data;
-  bool write;
+  // Write back first and drop the unit after the write lands: until then
+  // the store holds the old A, and CurrentSubFactor must keep finding the
+  // resident copy. The write runs outside the lock so a slow writeback
+  // does not block loads of other units; nothing mutates an evicting
+  // unit's payload (the pool no longer pins it) and map nodes are stable.
+  const UnitData* data;
   {
     std::lock_guard<std::mutex> lock(resident_mu_);
     auto it = resident_.find(unit);
     TPCP_CHECK(it != resident_.end());
-    data = std::move(it->second);
-    write = dirty || data.dirty;
-    resident_.erase(it);
+    data = &it->second;
   }
-  if (write) {
-    TPCP_RETURN_IF_ERROR(
-        store_->WriteSubFactor(unit.mode, unit.part, data.a));
+  Status status = Status::OK();
+  if (dirty || data->dirty) {
+    status = store_->WriteSubFactor(unit.mode, unit.part, data->a);
   }
-  return Status::OK();
+  std::lock_guard<std::mutex> lock(resident_mu_);
+  resident_.erase(unit);
+  return status;
 }
 
 void RefinementState::ApplyUpdate(const UpdateStep& step,

@@ -11,8 +11,9 @@
 // recomposed on demand) and immune to division-by-zero.
 //
 // Bulk data (the units ⟨i,ki⟩ = {A^(i)_(ki); U^(i)-slab}) moves through the
-// BufferPool; this class provides the load/evict callbacks and the update
-// rule that runs against resident units.
+// prefetch pipeline (buffer/prefetch_pipeline.h); this class provides its
+// load/evict callbacks and the update rule that runs against resident
+// units.
 //
 // Concurrency model (the Phase-2 parallel compute engine):
 //  - LoadUnit/EvictUnit are safe concurrently for distinct units (the
@@ -77,14 +78,15 @@ class RefinementState {
   /// independent — bit-identical at any thread count).
   Status Initialize(bool resume = false);
 
-  /// BufferPool load hook: materializes ⟨i,ki⟩ (A + U-slab) from the store.
+  /// Pipeline load hook: materializes ⟨i,ki⟩ (A + U-slab) from the store.
   /// Safe to call concurrently with LoadUnit/EvictUnit for *distinct* units
   /// (the prefetch pipeline runs loads on worker threads); the store's Env
   /// must be thread-safe.
   Status LoadUnit(const ModePartition& unit);
 
-  /// BufferPool evict hook: writes A back if dirty, drops the unit. Same
-  /// concurrency contract as LoadUnit.
+  /// Pipeline evict hook: writes A back if dirty, then drops the unit — so
+  /// CurrentSubFactor sees the resident copy until the store holds it.
+  /// Same concurrency contract as LoadUnit.
   Status EvictUnit(const ModePartition& unit, bool dirty);
 
   /// Applies the update rule for `step` (unit must be resident):
@@ -141,9 +143,10 @@ class RefinementState {
   /// serialize absorbs against ApplyUpdate/SurrogateFit.
   Status AbsorbExchange(const ModePartition& unit, const ExchangeImage& image);
 
-  /// The unit's current sub-factor A: the resident copy when loaded, the
-  /// store's otherwise. Used by workers to upload dirty sub-factors at
-  /// persist boundaries without forcing an eviction.
+  /// The unit's current sub-factor A: the resident copy when loaded (or
+  /// still being written back), the store's otherwise. Used by workers to
+  /// upload dirty sub-factors at persist boundaries without forcing an
+  /// eviction; safe against the pipeline's concurrent loads/writebacks.
   Result<Matrix> CurrentSubFactor(const ModePartition& unit) const;
 
   /// Number of update-rule applications so far.
