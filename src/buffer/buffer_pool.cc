@@ -14,11 +14,6 @@ BufferPool::BufferPool(uint64_t capacity_bytes, UnitCatalog catalog,
       << "buffer cannot hold the largest data unit";
 }
 
-void BufferPool::SetCallbacks(LoadCallback on_load, EvictCallback on_evict) {
-  on_load_ = std::move(on_load);
-  on_evict_ = std::move(on_evict);
-}
-
 Status BufferPool::Access(const ModePartition& unit, int64_t pos) {
   ++stats_.accesses;
   auto it = resident_.find(unit);
@@ -30,10 +25,10 @@ Status BufferPool::Access(const ModePartition& unit, int64_t pos) {
 
   const uint64_t bytes = catalog_.UnitBytes(unit);
   while (used_ + bytes > capacity_) {
-    TPCP_RETURN_IF_ERROR(EvictOne(unit, pos));
-  }
-  if (on_load_ != nullptr) {
-    TPCP_RETURN_IF_ERROR(on_load_(unit));
+    const std::vector<ModePartition> candidates = EvictionCandidates(unit);
+    TPCP_CHECK(!candidates.empty())
+        << "buffer pool wedged: nothing evictable while over capacity";
+    Remove(policy_->ChooseVictim(candidates, pos));
   }
   resident_.emplace(unit, Entry{});
   used_ += bytes;
@@ -82,12 +77,6 @@ void BufferPool::TouchResident(const ModePartition& unit, int64_t pos) {
   policy_->OnAccess(unit, pos);
 }
 
-void BufferPool::Pin(const ModePartition& unit) {
-  auto it = resident_.find(unit);
-  TPCP_CHECK(it != resident_.end()) << "Pin on non-resident unit";
-  ++it->second.pins;
-}
-
 void BufferPool::Unpin(const ModePartition& unit) {
   auto it = resident_.find(unit);
   TPCP_CHECK(it != resident_.end()) << "Unpin on non-resident unit";
@@ -103,25 +92,6 @@ std::vector<ModePartition> BufferPool::EvictionCandidates(
     if (entry.pins == 0 && !(unit == keep)) candidates.push_back(unit);
   }
   return candidates;
-}
-
-Status BufferPool::EvictOne(const ModePartition& keep, int64_t pos) {
-  const std::vector<ModePartition> candidates = EvictionCandidates(keep);
-  TPCP_CHECK(!candidates.empty())
-      << "buffer pool wedged: nothing evictable while over capacity";
-  return Evict(policy_->ChooseVictim(candidates, pos));
-}
-
-Status BufferPool::Evict(ModePartition unit) {
-  auto it = resident_.find(unit);
-  TPCP_CHECK(it != resident_.end());
-  TPCP_CHECK_EQ(it->second.pins, 0) << "evicting a pinned unit";
-  const bool dirty = it->second.dirty;
-  if (on_evict_ != nullptr) {
-    TPCP_RETURN_IF_ERROR(on_evict_(unit, dirty));
-  }
-  Remove(unit);
-  return Status::OK();
 }
 
 bool BufferPool::Remove(ModePartition unit) {
@@ -156,14 +126,6 @@ void BufferPool::Discard(const ModePartition& unit) {
   stats_.bytes_out -= bytes;
 }
 
-uint64_t BufferPool::pinned_bytes() const {
-  uint64_t bytes = 0;
-  for (const auto& [unit, entry] : resident_) {
-    if (entry.pins > 0) bytes += catalog_.UnitBytes(unit);
-  }
-  return bytes;
-}
-
 bool BufferPool::IsResident(const ModePartition& unit) const {
   return resident_.count(unit) > 0;
 }
@@ -173,9 +135,14 @@ bool BufferPool::IsPinned(const ModePartition& unit) const {
   return it != resident_.end() && it->second.pins > 0;
 }
 
-Status BufferPool::Flush() {
+Status BufferPool::Flush(const EvictCallback& evict) {
   while (!resident_.empty()) {
-    TPCP_RETURN_IF_ERROR(Evict(resident_.begin()->first));
+    const auto& [unit, entry] = *resident_.begin();
+    TPCP_CHECK_EQ(entry.pins, 0) << "flushing a pinned unit";
+    if (evict != nullptr) {
+      TPCP_RETURN_IF_ERROR(evict(unit, entry.dirty));
+    }
+    Remove(unit);
   }
   return Status::OK();
 }

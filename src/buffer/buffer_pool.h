@@ -1,13 +1,15 @@
 // Buffer pool over data units ⟨i, ki⟩ with pluggable replacement.
 //
-// Used in three ways:
-//  - by the Phase-2 prefetch pipeline, which drives residency with the
-//    non-blocking Reserve/Pin/Unpin API and performs the data movement
-//    itself (on worker threads, or inline at prefetch depth 0);
-//  - by the dist worker's owned-step loop, with load/evict callbacks that
-//    move real data through an Env (Access);
-//  - by the swap simulator (core/swap_simulator.h), with no callbacks, to
-//    count data swaps exactly as the paper's Figure 12 does.
+// The pool only keeps the books: residency, pins, dirty bits, victims and
+// swap counts. It is used in two ways:
+//  - by the Phase-2 prefetch pipeline (the engine's and every dist
+//    worker's one data path), which drives residency with the
+//    non-blocking Reserve/TouchResident/Unpin API and performs the data
+//    movement itself (on worker threads, or inline at prefetch depth 0);
+//  - by the swap simulator (core/swap_simulator.h), whose count-only
+//    Access replays a trace to count data swaps exactly as the paper's
+//    Figure 12 does.
+// The one data-movement hook left is the evict callback handed to Flush.
 //
 // The pool itself is not thread-safe: all calls must come from one thread
 // (the Phase-2 compute thread). The pipeline confines pool bookkeeping to
@@ -55,8 +57,6 @@ struct BufferStats {
 /// Byte-budget buffer of data units.
 class BufferPool {
  public:
-  /// Called when a unit must be materialized in memory (on miss).
-  using LoadCallback = std::function<Status(const ModePartition&)>;
   /// Called when a unit is evicted; `dirty` indicates it must be persisted.
   using EvictCallback = std::function<Status(const ModePartition&, bool dirty)>;
   /// A victim evicted by Reserve: the unit and whether it was dirty.
@@ -68,19 +68,16 @@ class BufferPool {
   BufferPool(uint64_t capacity_bytes, UnitCatalog catalog,
              std::unique_ptr<ReplacementPolicy> policy);
 
-  /// Data-movement hooks (may be left unset for pure simulation).
-  void SetCallbacks(LoadCallback on_load, EvictCallback on_evict);
-
-  /// Touches `unit` at schedule position `pos`: counts a hit or performs a
-  /// swap-in (evicting victims per policy until the unit fits). Pinned
-  /// units are never selected as victims.
+  /// Touches `unit` at schedule position `pos`: counts a hit or a swap-in
+  /// (evicting victims per policy until the unit fits). Moves no data — the
+  /// swap simulator's replay. Pinned units are never selected as victims.
   Status Access(const ModePartition& unit, int64_t pos);
 
   // ---- Non-blocking reservation API (prefetch pipeline) ----
   //
   // Reserve marks a non-resident unit resident-and-pinned and makes room
-  // for it by evicting unpinned victims, but does NOT invoke the load or
-  // evict callbacks: the caller owns the actual data movement. Victims are
+  // for it by evicting unpinned victims; the caller owns the actual data
+  // movement. Victims are
   // reported through `evicted` so the caller can write dirty ones back in
   // the background. Fails with ResourceExhausted — with no side effects —
   // when pinned units block the required space.
@@ -101,9 +98,8 @@ class BufferPool {
     if (hit) ++stats_.hits;
   }
 
-  /// Increments / decrements the unit's pin count. A pinned unit cannot be
-  /// evicted. CHECK-fails if not resident (or, for Unpin, not pinned).
-  void Pin(const ModePartition& unit);
+  /// Decrements the pin count Reserve/TouchResident took. A pinned unit
+  /// cannot be evicted. CHECK-fails if not resident or not pinned.
   void Unpin(const ModePartition& unit);
 
   /// Overlap-stat recorders (compute thread only, like every other call).
@@ -117,8 +113,8 @@ class BufferPool {
   /// eviction / flush). CHECK-fails if not resident.
   void MarkDirty(const ModePartition& unit);
 
-  /// Drops a resident, unpinned unit from the bookkeeping without invoking
-  /// the evict callback, rolling back the reservation's swap accounting.
+  /// Drops a resident, unpinned unit from the bookkeeping, rolling back
+  /// the reservation's swap accounting.
   /// Async error cleanup: the unit was reserved but its load failed, so no
   /// bytes ever moved and no data exists to write back or release.
   void Discard(const ModePartition& unit);
@@ -129,14 +125,12 @@ class BufferPool {
   /// True if the unit is resident with a non-zero pin count.
   bool IsPinned(const ModePartition& unit) const;
 
-  /// Evicts everything (writing back dirty units through the evict
-  /// callback). CHECK-fails if any unit is still pinned.
-  Status Flush();
+  /// Evicts everything, handing each unit to `evict` (when set) first so
+  /// dirty ones are written back. CHECK-fails if any unit is still pinned.
+  Status Flush(const EvictCallback& evict = nullptr);
 
   uint64_t capacity_bytes() const { return capacity_; }
   uint64_t used_bytes() const { return used_; }
-  /// Total bytes of units with a non-zero pin count.
-  uint64_t pinned_bytes() const;
   int64_t resident_units() const {
     return static_cast<int64_t>(resident_.size());
   }
@@ -156,20 +150,15 @@ class BufferPool {
   /// Unpinned resident units other than `keep`.
   std::vector<ModePartition> EvictionCandidates(
       const ModePartition& keep) const;
-  Status EvictOne(const ModePartition& keep, int64_t pos);
-  // `unit` is taken by value: callers may pass a reference into resident_
-  // itself (e.g. Flush), which erase would turn into a dangling key.
-  Status Evict(ModePartition unit);
-  /// Removes `unit` from the pool's bookkeeping without invoking the evict
-  /// callback; returns whether it was dirty.
+  /// Removes `unit` from the pool's bookkeeping; returns whether it was
+  /// dirty. `unit` is taken by value: callers may pass a reference into
+  /// resident_ itself, which erase would turn into a dangling key.
   bool Remove(ModePartition unit);
 
   uint64_t capacity_;
   uint64_t used_ = 0;
   UnitCatalog catalog_;
   std::unique_ptr<ReplacementPolicy> policy_;
-  LoadCallback on_load_;
-  EvictCallback on_evict_;
   std::map<ModePartition, Entry> resident_;
   BufferStats stats_;
 };

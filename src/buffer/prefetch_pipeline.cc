@@ -9,15 +9,14 @@ namespace tpcp {
 
 PrefetchPipeline::PrefetchPipeline(BufferPool* pool,
                                    const ExecutionPlan* plan,
-                                   BufferPool::LoadCallback load,
+                                   LoadCallback load,
                                    BufferPool::EvictCallback evict,
                                    Options options)
     : pool_(pool),
       plan_(plan),
       load_(std::move(load)),
       evict_(std::move(evict)),
-      options_(options),
-      next_issue_(options.start_pos) {
+      options_(std::move(options)) {
   TPCP_CHECK(pool_ != nullptr);
   TPCP_CHECK(plan_ != nullptr);
   TPCP_CHECK(load_ != nullptr);
@@ -73,7 +72,7 @@ bool PrefetchPipeline::TryIssue(int64_t p, bool ahead) {
       auto it = loads_.find(unit);
       if (it != loads_.end()) load = it->second;
     }
-    window_.push_back(WindowSlot{unit, std::move(load),
+    window_.push_back(WindowSlot{p, unit, std::move(load),
                                  /*issued_ahead=*/false, /*was_hit=*/true,
                                  /*counts_against_budget=*/false});
     ++next_issue_;
@@ -179,7 +178,7 @@ bool PrefetchPipeline::TryIssue(int64_t p, bool ahead) {
   // through the whole load, so the time is stall, not a prefetch hit.
   const bool inline_io = io_pool_ == nullptr;
   if (inline_io) pool_->RecordStall(inline_watch.ElapsedSeconds());
-  window_.push_back(WindowSlot{unit, std::move(load), ahead && !inline_io,
+  window_.push_back(WindowSlot{p, unit, std::move(load), ahead && !inline_io,
                                /*was_hit=*/false,
                                /*counts_against_budget=*/true});
   window_load_bytes_ += bytes;
@@ -191,15 +190,19 @@ Status PrefetchPipeline::BeginBatch(int64_t pos, int64_t max_count,
                                     int64_t* acquired) {
   TPCP_CHECK(acquired != nullptr);
   TPCP_CHECK_GE(max_count, 1);
+  TPCP_CHECK(max_count == 1 || options_.runs == nullptr)
+      << "a filtered pipeline acquires one step per batch";
   TPCP_RETURN_IF_ERROR(FirstError());
 
-  // If the window has not reached `pos` (deferred reservations), issue the
-  // missing steps now. The window is empty in that case — every earlier
-  // step already ran and released its pin — so issuing cannot fail.
-  while (next_issue_ <= pos) {
-    TPCP_CHECK(TryIssue(next_issue_, /*ahead=*/false))
+  // Nothing reserved ahead (the first batch, depth 0, or a window that
+  // could not grow): the due step starts here, wherever the caller is.
+  // Every earlier step already ran and released its pin, so it fits.
+  if (window_.empty()) {
+    next_issue_ = pos;
+    TPCP_CHECK(TryIssue(pos, /*ahead=*/false))
         << "reservation failed with an empty window";
   }
+  TPCP_CHECK_EQ(window_.front().pos, pos) << "steps must run in plan order";
   // Grow the window over the rest of the batch. These are due steps, but
   // unlike the first they may fail to reserve (pinned batch mates and
   // prefetches shrink the pool) — the batch then simply splits here and
@@ -242,6 +245,8 @@ Status PrefetchPipeline::BeginBatch(int64_t pos, int64_t max_count,
 
 Status PrefetchPipeline::EndBatch(int64_t pos, int64_t count) {
   TPCP_CHECK_GE(count, 1);
+  TPCP_CHECK(!window_.empty() && window_.front().pos == pos)
+      << "EndBatch of a step BeginBatch did not acquire";
   for (int64_t i = 0; i < count; ++i) {
     TPCP_CHECK(!window_.empty());
     const WindowSlot slot = window_.front();
@@ -250,11 +255,16 @@ Status PrefetchPipeline::EndBatch(int64_t pos, int64_t count) {
     // BeginBatch already released this slot's in-flight budget.
     TPCP_CHECK(!slot.counts_against_budget);
   }
-  // Keep the reservation window the plan's depth ahead of the last
-  // *executed* step (never of the wave end: a buffer-split wave's tail
+  // Keep the reservation window the plan's depth of steps ahead of the
+  // last *executed* one (never of the wave end: a buffer-split wave's tail
   // has not run yet, and overreaching past it would pin units early).
-  const int64_t target = pos + count - 1 + plan_->prefetch_depth();
-  while (next_issue_ <= target) {
+  // Positions the caller does not run are skipped; one it runs recurs
+  // within a cycle, so the skip ends.
+  const size_t depth = static_cast<size_t>(plan_->prefetch_depth());
+  while (window_.size() < depth) {
+    if (options_.runs != nullptr) {
+      while (!options_.runs(next_issue_)) ++next_issue_;
+    }
     if (!TryIssue(next_issue_, /*ahead=*/true)) break;
   }
   return FirstError();
@@ -288,6 +298,16 @@ Status PrefetchPipeline::Drain() {
   pool_->RecordWriteback(writeback_seconds_);
   writeback_seconds_ = 0.0;
   return first_error_;
+}
+
+Status PrefetchPipeline::Flush() {
+  return pool_->Flush([this](const ModePartition& unit, bool dirty) {
+    if (!dirty) return evict_(unit, dirty);
+    Stopwatch watch;
+    const Status status = evict_(unit, dirty);
+    pool_->RecordWriteback(watch.ElapsedSeconds());
+    return status;
+  });
 }
 
 }  // namespace tpcp

@@ -1,5 +1,5 @@
-// Schedule-driven swap pipeline for the Phase-2 refinement — the engine's
-// one data path.
+// Schedule-driven swap pipeline for the Phase-2 refinement — the one data
+// path of the engine and of every dist worker.
 //
 // Phase 2's entire unit-access trace is known in advance (the property the
 // forward-looking replacement policy already exploits), so data movement can
@@ -11,13 +11,13 @@
 //  - All BufferPool bookkeeping (reservations, evictions, pins, policy,
 //    stats) happens on the compute thread inside BeginBatch/EndBatch, so
 //    victim choice is deterministic and the pool needs no locking.
-//  - Worker threads only move bytes: they run the load callback for
+//  - I/O threads only move bytes: they run the load callback for
 //    reserved units and the evict callback for dirty victims.
 //  - A load of a unit whose previous incarnation still has a writeback in
 //    flight waits for that writeback first (per-unit write-then-read
 //    ordering), so results are bit-identical for every depth.
 //
-// Depth 0 is the pipeline with zero lookahead: no worker threads exist and
+// Depth 0 is the pipeline with zero lookahead: no I/O threads exist and
 // every load and writeback runs inline on the compute thread, in the same
 // order a blocking buffer access would perform them. Inline loads are
 // charged to stall_seconds (the compute thread sat through them) and never
@@ -47,21 +47,30 @@ namespace tpcp {
 
 /// Load/writeback engine in front of a BufferPool, driven by an
 /// ExecutionPlan: units are reserved in the plan's (possibly reordered)
-/// step order, the plan's prefetch_depth() steps ahead of the step in
-/// flight (none ahead at depth 0).
+/// step order, the plan's prefetch_depth() executed steps ahead of the
+/// step in flight (none ahead at depth 0).
 ///
 /// Usage (compute thread only; `n` is 1 for serial compute, up to a plan
 /// wave for the parallel engine):
 ///   PrefetchPipeline pipeline(&pool, &plan, load_cb, evict_cb, opts);
-///   for (pos = 0; ...; pos += n) {
+///   for (pos = start; ...; pos += n) {
 ///     TPCP_RETURN_IF_ERROR(pipeline.BeginBatch(pos, want, &n));  // resident
 ///     ... apply updates, pool.MarkDirty(...) ...
 ///     TPCP_RETURN_IF_ERROR(pipeline.EndBatch(pos, n));  // top up the window
 ///   }
 ///   TPCP_RETURN_IF_ERROR(pipeline.Drain());            // join all I/O
-///   TPCP_RETURN_IF_ERROR(pool.Flush());                // sync writebacks
+///   TPCP_RETURN_IF_ERROR(pipeline.Flush());            // sync writebacks
+///
+/// A dist worker executes only the positions it owns. It passes that
+/// ownership as Options::runs and calls BeginBatch(pos, 1) / EndBatch(pos,
+/// 1) at each owned position in plan order; the window then reserves only
+/// owned positions, still keyed by their *global* plan position (the
+/// forward policy's next-use oracle runs on the plan's clock).
 class PrefetchPipeline {
  public:
+  /// Materializes a reserved unit in memory.
+  using LoadCallback = std::function<Status(const ModePartition&)>;
+
   struct Options {
     /// Worker threads moving bytes when the plan's prefetch_depth() > 0.
     /// I/O-bound, so a small number suffices. Unused at depth 0.
@@ -70,21 +79,22 @@ class PrefetchPipeline {
     /// stops growing — no new speculative loads are issued — so a
     /// cancelling engine drains faster. In-flight I/O still completes.
     const CancellationToken* cancel = nullptr;
-    /// First plan position that will be executed (> 0 when a resumed
-    /// refinement continues from a checkpoint cursor).
-    int64_t start_pos = 0;
+    /// The plan positions the caller executes; null means every one. With
+    /// a filter set, every batch is one step (BeginBatch's max_count 1).
+    std::function<bool(int64_t pos)> runs;
   };
 
-  /// `pool` must have no load callback installed for the pipeline's benefit
-  /// (the pipeline performs loads itself through `load`); an evict callback
-  /// on the pool is still honored by the final Flush. Steps must be
-  /// executed in increasing `pos` order starting at options.start_pos.
-  /// `plan` (non-owning, must outlive the pipeline) supplies the step
-  /// order and the prefetch directives. At plan->prefetch_depth() == 0 no
-  /// I/O thread pool is built and all I/O runs inline.
+  /// The pipeline moves every byte itself: `load` materializes reserved
+  /// units and `evict` drops victims, writing dirty ones back (also at
+  /// Flush). Steps must be executed in increasing `pos` order; the first
+  /// BeginBatch may start anywhere (a resumed checkpoint cursor, a
+  /// worker's first owned step). `plan` (non-owning, must outlive the
+  /// pipeline) supplies the step order and the prefetch directives. At
+  /// plan->prefetch_depth() == 0 no I/O thread pool is built and all I/O
+  /// runs inline.
   PrefetchPipeline(BufferPool* pool, const ExecutionPlan* plan,
-                   BufferPool::LoadCallback load,
-                   BufferPool::EvictCallback evict, Options options);
+                   LoadCallback load, BufferPool::EvictCallback evict,
+                   Options options);
 
   /// Joins outstanding I/O. Call Drain() first for error reporting.
   ~PrefetchPipeline();
@@ -105,16 +115,20 @@ class PrefetchPipeline {
   Status BeginBatch(int64_t pos, int64_t max_count, int64_t* acquired);
 
   /// Releases the pins of the `count` steps acquired by BeginBatch and
-  /// extends the reservation window to the plan's depth past the last
-  /// executed step (the window stops growing once the cancellation token
-  /// fires).
+  /// extends the reservation window to the plan's depth of steps past the
+  /// last executed one (the window stops growing once the cancellation
+  /// token fires).
   Status EndBatch(int64_t pos, int64_t count);
 
   /// Waits for all in-flight loads and writebacks, releases the pins of
   /// never-executed prefetches, flushes aggregated overlap stats into the
   /// pool, and returns the first background error (if any). The pool is
-  /// left fully unpinned so BufferPool::Flush may run.
+  /// left fully unpinned so Flush may run.
   Status Drain();
+
+  /// After Drain: evicts every resident unit through the evict callback,
+  /// writing dirty ones back inline (charged to writeback_seconds).
+  Status Flush();
 
  private:
   struct AsyncOp {
@@ -122,6 +136,7 @@ class PrefetchPipeline {
     Status status = Status::OK();
   };
   struct WindowSlot {
+    int64_t pos;
     ModePartition unit;
     // Load this slot's step must wait on (null when the unit was resident
     // with no load in flight).
@@ -147,14 +162,14 @@ class PrefetchPipeline {
 
   BufferPool* pool_;
   const ExecutionPlan* plan_;
-  BufferPool::LoadCallback load_;
+  LoadCallback load_;
   BufferPool::EvictCallback evict_;
   Options options_;
 
   // Window of reserved-but-not-completed steps: front is the next step to
-  // execute, back is the furthest reservation (position next_issue_ - 1).
+  // execute, back is the furthest reservation (before next_issue_).
   std::deque<WindowSlot> window_;
-  int64_t next_issue_;
+  int64_t next_issue_ = 0;
   // Bytes of in-window miss reservations (prefetch loads); capped at half
   // the pool's capacity so the window cannot thrash the policy's working
   // set (see TryIssue).

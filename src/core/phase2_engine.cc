@@ -5,12 +5,8 @@
 #include <memory>
 #include <string>
 
-#include "buffer/prefetch_pipeline.h"
 #include "core/progress_observer.h"
-#include "core/refinement_state.h"
 #include "grid/manifest.h"
-#include "parallel/thread_pool.h"
-#include "schedule/planner.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
 
@@ -115,6 +111,32 @@ Result<std::optional<Phase2Checkpoint>> ValidateResume(
   return manifest->checkpoint;
 }
 
+Phase2Runtime::Phase2Runtime(BlockFactorStore* factors,
+                             const TwoPhaseCpOptions& options,
+                             const ExecutionPlan* plan,
+                             std::function<bool(int64_t)> runs)
+    : compute_pool(options.compute_threads > 1
+                       ? std::make_unique<ThreadPool>(options.compute_threads)
+                       : nullptr),
+      state(factors, options.refinement_ridge, compute_pool.get(),
+            options.kernel_fma ? KernelArith::kFma : KernelArith::kExact),
+      // The forward policy shares the plan's next-use oracle, so victim
+      // choice follows the plan's (possibly reordered) trace by
+      // construction. With policy_victim_hints on, LRU/MRU read the same
+      // oracle as victim advice, recency only breaking ties.
+      pool(Phase2PlannerOptions(options, factors->grid()).buffer_bytes,
+           UnitCatalog(factors->grid(), options.rank),
+           NewPolicy(options.policy, &plan->schedule(), plan->lookahead(),
+                     options.policy_victim_hints)),
+      pipeline(
+          &pool, plan,
+          [this](const ModePartition& unit) { return state.LoadUnit(unit); },
+          [this](const ModePartition& unit, bool dirty) {
+            return state.EvictUnit(unit, dirty);
+          },
+          PrefetchPipeline::Options{options.io_threads, options.cancel,
+                                    std::move(runs)}) {}
+
 bool Phase2Converged(double fit, double prev_fit, double tolerance) {
   // A NaN surrogate (degenerate solve) or a fit regression must keep the
   // refinement running — only a genuine, finite improvement that has
@@ -137,34 +159,25 @@ Status Phase2Engine::Run(Phase2Result* result) {
   Stopwatch watch;
   const GridPartition& grid = factors_->grid();
 
-  // Shared compute pool for batch updates and the full-grid passes
-  // (Initialize pass 2, SurrogateFit). With one compute thread everything
-  // runs inline on this thread, exactly like the serial engine.
-  std::unique_ptr<ThreadPool> compute_pool;
-  if (options_.compute_threads > 1) {
-    compute_pool = std::make_unique<ThreadPool>(options_.compute_threads);
-  }
-
-  RefinementState state(factors_, options_.refinement_ridge,
-                        compute_pool.get(),
-                        options_.kernel_fma ? KernelArith::kFma
-                                            : KernelArith::kExact);
-  TPCP_RETURN_IF_ERROR(state.Initialize(options_.resume_phase2));
-
-  const UpdateSchedule source_schedule =
-      UpdateSchedule::Create(options_.schedule, grid);
-  UnitCatalog catalog(grid, options_.rank);
-
   // One plan up front; every consumer below (wave loop, prefetch pipeline,
   // forward policy, shard chunks) executes it instead of re-deriving
   // structure from the schedule. With the planner knobs at their defaults
   // this is the identity plan — the source order, unsharded — so default
   // runs are bit-identical to the pre-planner engine.
-  const PlannerOptions planner_options =
-      Phase2PlannerOptions(options_, grid);
-  const uint64_t capacity = planner_options.buffer_bytes;
-  const ExecutionPlan plan = Planner::Build(source_schedule, planner_options);
+  const ExecutionPlan plan =
+      Planner::Build(UpdateSchedule::Create(options_.schedule, grid),
+                     Phase2PlannerOptions(options_, grid));
   const UpdateSchedule& schedule = plan.schedule();
+
+  // The compute pool serves batch updates and the full-grid passes
+  // (Initialize pass 2, SurrogateFit); with one compute thread everything
+  // runs inline on this thread, exactly like the serial engine.
+  Phase2Runtime runtime(factors_, options_, &plan);
+  RefinementState& state = runtime.state;
+  BufferPool& pool = runtime.pool;
+  PrefetchPipeline& pipeline = runtime.pipeline;
+  ThreadPool* compute_pool = runtime.compute_pool.get();
+  TPCP_RETURN_IF_ERROR(state.Initialize(options_.resume_phase2));
   const int64_t vi_len = schedule.virtual_iteration_length();
 
   // An interrupted run left a checkpoint in the store manifest; pick its
@@ -186,36 +199,6 @@ Status Phase2Engine::Run(Phase2Result* result) {
     start_vi = resume->iteration;
     result->fit_trace = resume->fit_trace;
   }
-
-  // The forward policy shares the plan's next-use oracle, so victim
-  // choice follows the plan's (possibly reordered) trace by construction.
-  // With policy_victim_hints on, LRU/MRU read the same oracle as victim
-  // advice (the plan's eviction hints), recency only breaking ties.
-  BufferPool pool(capacity, catalog,
-                  NewPolicy(options_.policy, &schedule, plan.lookahead(),
-                            options_.policy_victim_hints));
-  auto load = [&state](const ModePartition& unit) {
-    return state.LoadUnit(unit);
-  };
-  auto evict = [&state](const ModePartition& unit, bool dirty) {
-    return state.EvictUnit(unit, dirty);
-  };
-  // The pipeline moves all bytes itself; the pool's evict callback only
-  // serves the final Flush, whose dirty writes are charged to
-  // writeback_seconds like the pipeline's own writebacks.
-  pool.SetCallbacks(nullptr, [&pool, evict](const ModePartition& unit,
-                                            bool dirty) {
-    if (!dirty) return evict(unit, dirty);
-    Stopwatch w;
-    const Status s = evict(unit, dirty);
-    pool.RecordWriteback(w.ElapsedSeconds());
-    return s;
-  });
-  PrefetchPipeline::Options popts;
-  popts.io_threads = options_.io_threads;
-  popts.cancel = options_.cancel;
-  popts.start_pos = pos;
-  PrefetchPipeline pipeline(&pool, &plan, load, evict, popts);
 
   double prev_fit =
       result->fit_trace.empty() ? state.SurrogateFit()
@@ -252,7 +235,7 @@ Status Phase2Engine::Run(Phase2Result* result) {
       int64_t count = 0;
       loop_status = pipeline.BeginBatch(pos, want, &count);
       if (!loop_status.ok()) break;
-      RunBatch(&state, plan, pos, count, compute_pool.get());
+      RunBatch(&state, plan, pos, count, compute_pool);
       for (int64_t i = 0; i < count; ++i) {
         pool.MarkDirty(schedule.UnitAt(pos + i));
       }
@@ -293,7 +276,7 @@ Status Phase2Engine::Run(Phase2Result* result) {
     // a resubmission with resume_phase2 continues from this exact step.
     // (Unlike the error path below, all in-flight loads completed, so the
     // pool's residency claims are sound and Flush is safe.)
-    TPCP_RETURN_IF_ERROR(pool.Flush());
+    TPCP_RETURN_IF_ERROR(pipeline.Flush());
     Phase2Checkpoint ckpt;
     ckpt.schedule = ScheduleTypeName(options_.schedule);
     ckpt.iteration = result->virtual_iterations;
@@ -316,7 +299,7 @@ Status Phase2Engine::Run(Phase2Result* result) {
   TPCP_RETURN_IF_ERROR(loop_status);
 
   result->surrogate_fit = prev_fit;
-  TPCP_RETURN_IF_ERROR(pool.Flush());
+  TPCP_RETURN_IF_ERROR(pipeline.Flush());
   if (resume.has_value()) {
     // The run completed; retire the checkpoint so a later resume starts a
     // fresh pass instead of replaying a stale cursor.

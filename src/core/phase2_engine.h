@@ -27,13 +27,18 @@
 #ifndef TPCP_CORE_PHASE2_ENGINE_H_
 #define TPCP_CORE_PHASE2_ENGINE_H_
 
+#include <functional>
+#include <memory>
 #include <optional>
 #include <vector>
 
 #include "buffer/buffer_pool.h"
+#include "buffer/prefetch_pipeline.h"
 #include "core/block_factors.h"
 #include "core/config.h"
+#include "core/refinement_state.h"
 #include "grid/manifest.h"
+#include "parallel/thread_pool.h"
 #include "schedule/planner.h"
 
 namespace tpcp {
@@ -63,6 +68,29 @@ Result<std::optional<Phase2Checkpoint>> ValidateResume(
     const Result<StoreManifest>& manifest, const BlockFactorStore& factors,
     const TwoPhaseCpOptions& options, const ExecutionPlan& plan,
     std::optional<uint64_t> ownership_fingerprint = std::nullopt);
+
+/// The Phase-2 machinery one refinement executes `plan` with, wired the
+/// one way the engine and a dist worker (dist/worker.h) both use: a
+/// compute pool (none at compute_threads 1) → a RefinementState over
+/// `factors` → a BufferPool of the plan's budget whose policy reads the
+/// plan's next-use oracle → a PrefetchPipeline moving the state's units
+/// (options.io_threads, options.cancel). `runs` restricts the pipeline to
+/// the positions the caller executes (PrefetchPipeline::Options::runs).
+/// Members are declared so that the pipeline joins its I/O before the
+/// pool and the state die. The caller initializes `state` and drives the
+/// pipeline.
+struct Phase2Runtime {
+  /// `factors` and `plan` (built from Phase2PlannerOptions(options, …))
+  /// must outlive the runtime.
+  Phase2Runtime(BlockFactorStore* factors, const TwoPhaseCpOptions& options,
+                const ExecutionPlan* plan,
+                std::function<bool(int64_t)> runs = nullptr);
+
+  std::unique_ptr<ThreadPool> compute_pool;
+  RefinementState state;
+  BufferPool pool;
+  PrefetchPipeline pipeline;
+};
 
 /// Outcome of one Phase-2 run.
 struct Phase2Result {

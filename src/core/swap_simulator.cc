@@ -5,14 +5,16 @@
 namespace tpcp {
 namespace {
 
-/// The one replay loop both entry points share: a `buffer_bytes` pool
-/// (clamped up to the largest unit) warmed over `warmup_steps` accesses,
-/// then measured over `measure_steps` more. Returns the measured stats.
-BufferStats ReplaySteps(const UpdateSchedule& schedule, int64_t rank,
-                        PolicyType policy, uint64_t buffer_bytes,
-                        int64_t warmup_steps, int64_t measure_steps,
-                        bool victim_hints,
-                        uint64_t* effective_buffer_bytes = nullptr) {
+/// The one replay loop every entry point shares: a `buffer_bytes` pool
+/// (clamped up to the largest unit) warmed over `warmup_steps` positions,
+/// then measured over `measure_steps` more. When `owned` is set, only the
+/// positions whose unit it selects are accessed, each at its global
+/// position. Returns the measured stats.
+BufferStats ReplaySteps(
+    const UpdateSchedule& schedule, int64_t rank, PolicyType policy,
+    uint64_t buffer_bytes, int64_t warmup_steps, int64_t measure_steps,
+    bool victim_hints, uint64_t* effective_buffer_bytes = nullptr,
+    const std::function<bool(const ModePartition&)>& owned = nullptr) {
   UnitCatalog catalog(schedule.grid(), rank);
   const uint64_t capacity =
       std::max(buffer_bytes, catalog.MaxUnitBytes());
@@ -21,17 +23,17 @@ BufferStats ReplaySteps(const UpdateSchedule& schedule, int64_t rank,
   }
   BufferPool pool(capacity, catalog,
                   NewPolicy(policy, &schedule, nullptr, victim_hints));
-  int64_t pos = 0;
-  for (; pos < warmup_steps; ++pos) {
-    const Status s = pool.Access(schedule.StepAt(pos).unit(), pos);
-    TPCP_CHECK(s.ok()) << s.ToString();
-  }
+  const auto replay = [&](int64_t begin, int64_t end) {
+    for (int64_t pos = begin; pos < end; ++pos) {
+      const ModePartition unit = schedule.UnitAt(pos);
+      if (owned != nullptr && !owned(unit)) continue;
+      const Status s = pool.Access(unit, pos);
+      TPCP_CHECK(s.ok()) << s.ToString();
+    }
+  };
+  replay(0, warmup_steps);
   pool.ResetStats();
-  const int64_t end = pos + measure_steps;
-  for (; pos < end; ++pos) {
-    const Status s = pool.Access(schedule.StepAt(pos).unit(), pos);
-    TPCP_CHECK(s.ok()) << s.ToString();
-  }
+  replay(warmup_steps, warmup_steps + measure_steps);
   return pool.stats();
 }
 
@@ -65,15 +67,9 @@ double SimulateSteadyStateSwapsPerVi(const UpdateSchedule& schedule,
                                      uint64_t buffer_bytes,
                                      int warmup_cycles, int measure_cycles,
                                      bool victim_hints) {
-  const int64_t measure_steps =
-      static_cast<int64_t>(measure_cycles) * schedule.cycle_length();
-  const BufferStats stats = ReplaySteps(
-      schedule, rank, policy, buffer_bytes,
-      static_cast<int64_t>(warmup_cycles) * schedule.cycle_length(),
-      measure_steps, victim_hints);
-  return static_cast<double>(stats.swap_ins) *
-         static_cast<double>(schedule.virtual_iteration_length()) /
-         static_cast<double>(measure_steps);
+  return SimulateOwnedSteadyStateSwapsPerVi(
+      schedule, rank, policy, buffer_bytes, warmup_cycles, measure_cycles,
+      victim_hints, nullptr);
 }
 
 double SimulateOwnedSteadyStateSwapsPerVi(
@@ -81,46 +77,15 @@ double SimulateOwnedSteadyStateSwapsPerVi(
     uint64_t buffer_bytes, int warmup_cycles, int measure_cycles,
     bool victim_hints,
     const std::function<bool(const ModePartition&)>& owned) {
-  UnitCatalog catalog(schedule.grid(), rank);
-  const uint64_t capacity = std::max(buffer_bytes, catalog.MaxUnitBytes());
-  BufferPool pool(capacity, catalog,
-                  NewPolicy(policy, &schedule, nullptr, victim_hints));
-  const int64_t warmup_steps =
-      static_cast<int64_t>(warmup_cycles) * schedule.cycle_length();
   const int64_t measure_steps =
       static_cast<int64_t>(measure_cycles) * schedule.cycle_length();
-  int64_t pos = 0;
-  for (; pos < warmup_steps; ++pos) {
-    const ModePartition unit = schedule.UnitAt(pos);
-    if (!owned(unit)) continue;
-    const Status s = pool.Access(unit, pos);
-    TPCP_CHECK(s.ok()) << s.ToString();
-  }
-  pool.ResetStats();
-  const int64_t end = pos + measure_steps;
-  for (; pos < end; ++pos) {
-    const ModePartition unit = schedule.UnitAt(pos);
-    if (!owned(unit)) continue;
-    const Status s = pool.Access(unit, pos);
-    TPCP_CHECK(s.ok()) << s.ToString();
-  }
-  return static_cast<double>(pool.stats().swap_ins) *
+  const BufferStats stats = ReplaySteps(
+      schedule, rank, policy, buffer_bytes,
+      static_cast<int64_t>(warmup_cycles) * schedule.cycle_length(),
+      measure_steps, victim_hints, nullptr, owned);
+  return static_cast<double>(stats.swap_ins) *
          static_cast<double>(schedule.virtual_iteration_length()) /
          static_cast<double>(measure_steps);
-}
-
-double SimulateOwnedSteadyStateSwapsPerVi(const UpdateSchedule& schedule,
-                                          int64_t rank, PolicyType policy,
-                                          uint64_t buffer_bytes,
-                                          int warmup_cycles,
-                                          int measure_cycles,
-                                          bool victim_hints, int worker,
-                                          int num_workers) {
-  return SimulateOwnedSteadyStateSwapsPerVi(
-      schedule, rank, policy, buffer_bytes, warmup_cycles, measure_cycles,
-      victim_hints, [worker, num_workers](const ModePartition& unit) {
-        return unit.part % num_workers == worker;
-      });
 }
 
 SwapSimResult SimulateSwaps(const SwapSimConfig& config) {

@@ -4,8 +4,10 @@
 // per-virtual-iteration swaps depends only on the grid, the schedule, the
 // replacement policy, and the buffer size relative to the total space
 // requirement — not on the data (the paper makes the same observation).
-// This simulator replays the schedule's unit-access trace against a
-// BufferPool with no data movement and reports steady-state swap rates.
+// This simulator replays the schedule's unit-access trace through the
+// BufferPool's count-only Access (no data moves) and reports steady-state
+// swap rates. Every entry point shares one replay loop; the per-worker
+// variant only filters it by ownership.
 
 #ifndef TPCP_CORE_SWAP_SIMULATOR_H_
 #define TPCP_CORE_SWAP_SIMULATOR_H_
@@ -77,11 +79,13 @@ double SimulateSteadyStateSwapsPerVi(const UpdateSchedule& schedule,
                                      bool victim_hints = false);
 
 /// Per-worker variant for the cluster simulator: replays only the plan
-/// positions `owned` selects (one worker's slice of the ownership map)
-/// against a worker-local pool of the same budget, keeping the *global*
-/// position for each access so the next-use oracle sees the plan's real
-/// clock. Returns steady-state swaps per virtual iteration of that
-/// worker's slice, normalized over the same cycle-aligned window as the
+/// positions whose unit `owned` selects (one worker's slice of the
+/// ownership map; null selects every unit, which is
+/// SimulateSteadyStateSwapsPerVi) against a worker-local pool of the same
+/// budget, keeping the *global* position for each access so the next-use
+/// oracle sees the plan's real clock — as a dist worker's pipeline does.
+/// Returns steady-state swaps per virtual iteration of that worker's
+/// slice, normalized over the same cycle-aligned window as the
 /// single-node function (so Σ over workers of any disjoint+exhaustive
 /// ownership split equals the global number).
 double SimulateOwnedSteadyStateSwapsPerVi(
@@ -89,17 +93,6 @@ double SimulateOwnedSteadyStateSwapsPerVi(
     uint64_t buffer_bytes, int warmup_cycles, int measure_cycles,
     bool victim_hints,
     const std::function<bool(const ModePartition&)>& owned);
-
-/// Round-robin convenience overload (unit.part % num_workers == worker) —
-/// kept for parity benches; the cluster cost model passes the weighted
-/// DistributedPlan ownership instead.
-double SimulateOwnedSteadyStateSwapsPerVi(const UpdateSchedule& schedule,
-                                          int64_t rank, PolicyType policy,
-                                          uint64_t buffer_bytes,
-                                          int warmup_cycles,
-                                          int measure_cycles,
-                                          bool victim_hints, int worker,
-                                          int num_workers);
 
 }  // namespace tpcp
 

@@ -302,7 +302,6 @@ Status RunFleetAttempt(BlockFactorStore* factors,
   JsonValue init = JsonValue::Object();
   init.Set("t", "init");
   init.Set("workers", static_cast<int64_t>(fleet_size));
-  init.Set("resume", options.resume_phase2);
   init.Set("hb_ms", static_cast<int64_t>(dopts.heartbeat_ms));
   init.Set("grid", EncodeGrid(factors->grid()));
   JsonValue options_map = JsonValue::Object();

@@ -11,9 +11,7 @@
 #include <utility>
 #include <vector>
 
-#include "buffer/buffer_pool.h"
 #include "core/phase2_engine.h"
-#include "core/refinement_state.h"
 #include "dist/exchange.h"
 #include "schedule/planner.h"
 #include "server/net.h"
@@ -247,37 +245,24 @@ Status ServeDistWorker(Env* base_env, const std::string& factor_prefix,
   std::unique_ptr<Env> overlay = NewOverlayEnv(&retry_base);
   BlockFactorStore store(overlay.get(), factor_prefix, grid, options.rank);
 
-  std::unique_ptr<ThreadPool> compute_pool;
-  if (options.compute_threads > 1) {
-    compute_pool = std::make_unique<ThreadPool>(options.compute_threads);
-  }
-  RefinementState state(&store, options.refinement_ridge,
-                        compute_pool.get(),
-                        options.kernel_fma ? KernelArith::kFma
-                                           : KernelArith::kExact);
+  const ExecutionPlan plan =
+      Planner::Build(UpdateSchedule::Create(options.schedule, grid),
+                     Phase2PlannerOptions(options, grid));
+  const DistributedPlan dplan(&plan, options.rank,
+                              static_cast<int>(num_workers));
+  const auto owned = [&dplan, worker_id](int64_t pos) {
+    return dplan.OwnerAt(pos) == worker_id;
+  };
+  // The engine's wiring, with the pipeline restricted to this worker's
+  // owned positions (global plan positions, so the forward policy's
+  // next-use oracle keeps the plan's clock). The pipeline loads
+  // options.prefetch_depth owned steps ahead on options.io_threads.
+  Phase2Runtime runtime(&store, options, &plan, owned);
+  RefinementState& state = runtime.state;
+  PrefetchPipeline& pipeline = runtime.pipeline;
   // Always "resume": fresh runs were seeded by the coordinator before
   // init, so the persisted sub-factors are the run's true current state.
   TPCP_RETURN_IF_ERROR(state.Initialize(/*resume=*/true));
-
-  const UpdateSchedule source_schedule =
-      UpdateSchedule::Create(options.schedule, grid);
-  const PlannerOptions planner_options =
-      Phase2PlannerOptions(options, grid);
-  const ExecutionPlan plan =
-      Planner::Build(source_schedule, planner_options);
-  const UpdateSchedule& schedule = plan.schedule();
-  const DistributedPlan dplan(&plan, options.rank,
-                              static_cast<int>(num_workers));
-
-  UnitCatalog catalog(grid, options.rank);
-  BufferPool pool(planner_options.buffer_bytes, catalog,
-                  NewPolicy(options.policy, &schedule, plan.lookahead(),
-                            options.policy_victim_hints));
-  pool.SetCallbacks(
-      [&state](const ModePartition& unit) { return state.LoadUnit(unit); },
-      [&state](const ModePartition& unit, bool dirty) {
-        return state.EvictUnit(unit, dirty);
-      });
 
   JsonValue ready = JsonValue::Object();
   ready.Set("t", "ready");
@@ -297,15 +282,17 @@ Status ServeDistWorker(Env* base_env, const std::string& factor_prefix,
   int64_t wave_begin = 0;
   int64_t wave_end = 0;
 
-  // Pipeline state. The compute thread runs each wave's owned steps (pool
-  // access + update + exchange upload) while the main thread keeps
+  // Pipeline state. The compute thread runs each wave's owned steps
+  // (acquire + update + exchange upload) while the main thread keeps
   // receiving — installing the previous wave's deferred absorbs as the
-  // relay thread streams them. state_mu serializes RefinementState and
-  // pool mutation between the two; the deferral proof guarantees the
-  // interleavings are semantically disjoint (an absorbed unit is never one
-  // this wave reads or refreshes), so the lock is purely for memory
-  // ordering. Declared after state/pool/channel so its destructor joins
-  // the thread before any of them die on an error path.
+  // relay thread streams them. state_mu serializes RefinementState
+  // metadata (ApplyUpdate/ExportExchange against AbsorbExchange); the
+  // deferral proof guarantees the interleavings are semantically disjoint
+  // (an absorbed unit is never one this wave reads or refreshes), so the
+  // lock is purely for memory ordering. Loads and writebacks touch only
+  // unit payloads and never take it. Declared after the runtime and the
+  // channel so its destructor joins the thread before any of them die on
+  // an error path (the runtime's pipeline then joins its I/O).
   std::mutex state_mu;
   struct ComputeTask {
     std::thread thread;
@@ -316,25 +303,27 @@ Status ServeDistWorker(Env* base_env, const std::string& factor_prefix,
   } compute;
 
   // One wave's owned steps plus the trailing wave_done. Takes state_mu
-  // around pool/state mutation and keeps the wire encode outside it so
-  // absorb installs interleave with uploads.
+  // around the update only: a BeginBatch stall on a load and the wire
+  // encode stay outside it, so absorb installs interleave with both.
   const auto run_owned_steps = [&](int64_t begin, int64_t end) -> Status {
     for (int64_t pos = begin; pos < end; ++pos) {
-      if (dplan.OwnerAt(pos) != worker_id) continue;
+      if (!owned(pos)) continue;
       if (hooks.crash_at_step == pos) {
         channel->Close();
         return Status::Internal("dist worker crash hook at step " +
                                 std::to_string(pos));
       }
       const ModePartition unit = plan.UnitAt(pos);
+      int64_t acquired = 0;
+      TPCP_RETURN_IF_ERROR(pipeline.BeginBatch(pos, 1, &acquired));
       RefinementState::ExchangeImage image;
       {
         std::lock_guard<std::mutex> lock(state_mu);
-        TPCP_RETURN_IF_ERROR(pool.Access(unit, pos));
         state.ApplyUpdate(plan.StepAt(pos), plan.ShardBlocksAt(pos));
         image = state.ExportExchange(unit);
       }
-      pool.MarkDirty(unit);
+      runtime.pool.MarkDirty(unit);
+      TPCP_RETURN_IF_ERROR(pipeline.EndBatch(pos, 1));
       pending_persist.insert(unit);
       TPCP_RETURN_IF_ERROR(SendExchange(channel.get(), pos, unit, image));
     }
@@ -430,6 +419,7 @@ Status ServeDistWorker(Env* base_env, const std::string& factor_prefix,
       done.Set("t", "persist_done");
       TPCP_RETURN_IF_ERROR(channel->Send(done));
     } else if (tag == "finish") {
+      TPCP_RETURN_IF_ERROR(pipeline.Drain());
       JsonValue bye = JsonValue::Object();
       bye.Set("t", "bye");
       TPCP_RETURN_IF_ERROR(channel->Send(bye));

@@ -3,8 +3,12 @@
 // A worker owns the data units the weighted DistributedPlan ownership map
 // assigns to worker_id (heaviest units first onto the least-loaded
 // worker; schedule/planner.h) and executes exactly their plan positions,
-// serially in plan order, through the same RefinementState / BufferPool
-// machinery as the single-process engine. Everything else it needs — the
+// serially in plan order, on the single-process engine's Phase2Runtime
+// (core/phase2_engine.h): each owned step goes through the same
+// PrefetchPipeline, restricted to the owned positions, so the options'
+// prefetch_depth and io_threads apply to workers too — loads run that many
+// owned steps ahead and dirty writebacks run in the background (depth 0
+// runs both inline). Everything else it needs — the
 // other owners' metadata refreshes (G, slab M) — arrives from the
 // coordinator after each wave; within a conflict-free wave those images
 // touch disjoint metadata no owned step reads, so executing owned steps
@@ -21,7 +25,7 @@
 // engine's (and deferral never crosses a virtual-iteration boundary, so
 // fits and checkpoints match bit-for-bit).
 //
-// The worker's buffer pool runs against a private in-memory overlay of the
+// The worker's pipeline runs against a private in-memory overlay of the
 // shared factor store (storage/overlay_env.h): evicted dirty sub-factors
 // land in the overlay, never in the base store. The base store is written
 // by the coordinator alone, at persist boundaries, after collecting every
@@ -32,8 +36,10 @@
 // dist/exchange.h; "options" is core/config's OptionsToMap as strings):
 //
 //   worker -> coord   {"t":"hello","worker":W}
-//   coord -> worker   {"t":"init","workers":N,"resume":B,"hb_ms":H,
-//                      "grid":…,"options":…}
+//   coord -> worker   {"t":"init","workers":N,"hb_ms":H,"grid":…,
+//                      "options":…}   (workers always initialize from the
+//                     persisted sub-factors; the first "wave" is where
+//                     the attempt starts)
 //   worker -> coord   {"t":"hb"}   (every H ms from init on; carries no
 //                     protocol state — the coordinator skips it — and only
 //                     keeps the channel's quiet-period deadline from
@@ -56,7 +62,7 @@
 //   worker -> coord   {"t":"subfactor","mode":m,"part":p,"a":rows}… then
 //                     {"t":"persist_done"}   (dirty owned units, sorted)
 //   coord -> worker   {"t":"finish"}
-//   worker -> coord   {"t":"bye"}
+//   worker -> coord   {"t":"bye"}   (after draining the pipeline's I/O)
 
 #ifndef TPCP_DIST_WORKER_H_
 #define TPCP_DIST_WORKER_H_

@@ -5,6 +5,9 @@
 #include <tuple>
 #include <vector>
 
+#include "buffer/prefetch_pipeline.h"
+#include "schedule/planner.h"
+
 namespace tpcp {
 namespace {
 
@@ -104,40 +107,36 @@ TEST(BufferPoolTest, LruUsesAccessRecencyNotInsertion) {
   EXPECT_FALSE(pool.IsResident({0, 1}));
 }
 
-TEST(BufferPoolTest, LoadEvictCallbacksFire) {
+TEST(BufferPoolTest, FlushHandsEveryUnitToItsEvictCallback) {
   const GridPartition grid = CubicGrid(8, 2);
   UnitCatalog catalog(grid, 2);
-  BufferPool pool(catalog.UnitBytes({0, 0}), catalog, NewLruPolicy());
-  std::vector<ModePartition> loads;
+  BufferPool pool(2 * catalog.UnitBytes({0, 0}), catalog, NewLruPolicy());
   std::vector<std::pair<ModePartition, bool>> evictions;
-  pool.SetCallbacks(
-      [&loads](const ModePartition& u) {
-        loads.push_back(u);
-        return Status::OK();
-      },
-      [&evictions](const ModePartition& u, bool dirty) {
-        evictions.emplace_back(u, dirty);
-        return Status::OK();
-      });
+  const auto evict = [&evictions](const ModePartition& u, bool dirty) {
+    evictions.emplace_back(u, dirty);
+    return Status::OK();
+  };
   ASSERT_TRUE(pool.Access({0, 0}, 0).ok());
   pool.MarkDirty({0, 0});
-  ASSERT_TRUE(pool.Access({0, 1}, 1).ok());  // evicts dirty {0,0}
-  ASSERT_TRUE(pool.Flush().ok());
-  ASSERT_EQ(loads.size(), 2u);
+  ASSERT_TRUE(pool.Access({0, 1}, 1).ok());
+  ASSERT_TRUE(pool.Flush(evict).ok());
   ASSERT_EQ(evictions.size(), 2u);
   EXPECT_TRUE(evictions[0].second);   // {0,0} was dirty
   EXPECT_FALSE(evictions[1].second);  // {0,1} clean
   EXPECT_EQ(pool.stats().dirty_writebacks, 1u);
+  EXPECT_EQ(pool.resident_units(), 0);
 }
 
-TEST(BufferPoolTest, LoadFailurePropagates) {
+TEST(BufferPoolTest, FlushStopsAtAFailedWriteback) {
   const GridPartition grid = CubicGrid(8, 2);
   UnitCatalog catalog(grid, 2);
   BufferPool pool(catalog.TotalBytes(), catalog, NewLruPolicy());
-  pool.SetCallbacks(
-      [](const ModePartition&) { return Status::IOError("boom"); },
-      nullptr);
-  EXPECT_TRUE(pool.Access({0, 0}, 0).IsIOError());
+  ASSERT_TRUE(pool.Access({0, 0}, 0).ok());
+  const Status s = pool.Flush([](const ModePartition&, bool) {
+    return Status::IOError("boom");
+  });
+  EXPECT_TRUE(s.IsIOError()) << s.ToString();
+  EXPECT_TRUE(pool.IsResident({0, 0}));
 }
 
 TEST(BufferPoolTest, FlushEmptiesPool) {
@@ -161,28 +160,21 @@ TEST(BufferPoolTest, ByteAccountingConsistent) {
   EXPECT_EQ(pool.stats().bytes_out, 1u * catalog.UnitBytes({0, 0}));
 }
 
-TEST(BufferPoolTest, ReservePinsAndReportsEvictionsWithoutCallbacks) {
+TEST(BufferPoolTest, ReservePinsAndReportsEvictions) {
   const GridPartition grid = CubicGrid(8, 2);
   UnitCatalog catalog(grid, 2);
   BufferPool pool(2 * catalog.UnitBytes({0, 0}), catalog, NewLruPolicy());
-  int callback_evictions = 0;
-  pool.SetCallbacks(nullptr, [&callback_evictions](const ModePartition&,
-                                                   bool) {
-    ++callback_evictions;
-    return Status::OK();
-  });
   ASSERT_TRUE(pool.Access({0, 0}, 0).ok());
   pool.MarkDirty({0, 0});
   ASSERT_TRUE(pool.Access({0, 1}, 1).ok());
 
   std::vector<BufferPool::Eviction> evicted;
   ASSERT_TRUE(pool.Reserve({1, 0}, 2, &evicted).ok());
-  // LRU victim {0,0} reported with its dirty bit, evict callback bypassed.
+  // LRU victim {0,0} reported with its dirty bit for the caller to write.
   ASSERT_EQ(evicted.size(), 1u);
   EXPECT_EQ(evicted[0].first.mode, 0);
   EXPECT_EQ(evicted[0].first.part, 0);
   EXPECT_TRUE(evicted[0].second);
-  EXPECT_EQ(callback_evictions, 0);
   EXPECT_TRUE(pool.IsResident({1, 0}));
   EXPECT_TRUE(pool.IsPinned({1, 0}));
   EXPECT_EQ(pool.stats().swap_ins, 3u);
@@ -226,6 +218,61 @@ TEST(BufferPoolTest, AccessNeverEvictsPinnedUnits) {
   // LRU would pick {0,0}; the pin forces {0,1} out instead.
   EXPECT_TRUE(pool.IsResident({0, 0}));
   EXPECT_FALSE(pool.IsResident({0, 1}));
+}
+
+// A dist worker's pipeline at depth 0, restricted to its owned positions,
+// makes the swaps, evictions and victim choices of a count-only Access
+// replay of the same positions.
+TEST(PrefetchPipelineTest, OwnedPositionsAtDepthZeroMatchAccessReplay) {
+  const GridPartition grid = CubicGrid(8, 2);
+  UnitCatalog catalog(grid, 2);
+  PlannerOptions planner_options;
+  planner_options.rank = 2;
+  planner_options.buffer_bytes = catalog.TotalBytes() / 3;  // two units
+  const ExecutionPlan plan = Planner::Build(
+      UpdateSchedule::Create(ScheduleType::kZOrder, grid), planner_options);
+  const auto new_pool = [&] {
+    return BufferPool(planner_options.buffer_bytes, catalog,
+                      NewPolicy(PolicyType::kForward, &plan.schedule(),
+                                plan.lookahead()));
+  };
+  BufferPool replay = new_pool();
+  BufferPool piped = new_pool();
+  int64_t loads = 0;
+  PrefetchPipeline::Options options;
+  options.runs = [&plan](int64_t pos) { return plan.UnitAt(pos).part == 0; };
+  PrefetchPipeline pipeline(
+      &piped, &plan,
+      [&loads](const ModePartition&) {
+        ++loads;
+        return Status::OK();
+      },
+      [](const ModePartition&, bool) { return Status::OK(); }, options);
+
+  for (int64_t pos = 0; pos < 3 * plan.cycle_length(); ++pos) {
+    if (!options.runs(pos)) continue;
+    const ModePartition unit = plan.UnitAt(pos);
+    ASSERT_TRUE(replay.Access(unit, pos).ok());
+    replay.MarkDirty(unit);
+    int64_t acquired = 0;
+    ASSERT_TRUE(pipeline.BeginBatch(pos, 1, &acquired).ok());
+    ASSERT_EQ(acquired, 1);
+    piped.MarkDirty(unit);
+    ASSERT_TRUE(pipeline.EndBatch(pos, 1).ok());
+    for (const ModePartition& u : catalog.AllUnits()) {
+      ASSERT_EQ(piped.IsResident(u), replay.IsResident(u))
+          << "position " << pos << ": unit (" << u.mode << "," << u.part
+          << ")";
+    }
+  }
+  ASSERT_TRUE(pipeline.Drain().ok());
+  EXPECT_GT(replay.stats().swap_outs, 0u);
+  EXPECT_EQ(piped.stats().accesses, replay.stats().accesses);
+  EXPECT_EQ(piped.stats().hits, replay.stats().hits);
+  EXPECT_EQ(piped.stats().swap_ins, replay.stats().swap_ins);
+  EXPECT_EQ(piped.stats().swap_outs, replay.stats().swap_outs);
+  EXPECT_EQ(piped.stats().dirty_writebacks, replay.stats().dirty_writebacks);
+  EXPECT_EQ(static_cast<uint64_t>(loads), piped.stats().swap_ins);
 }
 
 TEST(BufferPoolTest, TouchResidentPinsAndRecordAccessCounts) {

@@ -237,64 +237,74 @@ int64_t CrashPosInSecondVi(const ExecutionPlan& plan, int64_t rank) {
 }
 
 TEST(DistPhase2Test, WorkersProduceBitIdenticalFactorsAndExactByteLedger) {
-  const TwoPhaseCpOptions options = DistOptions();
+  const TwoPhaseCpOptions reference_options = DistOptions();
 
   Phase2Result reference;
   OpenedEnv ref_env =
-      RunEngineReference("dist_ref", options, &reference);
-  ASSERT_EQ(reference.virtual_iterations, options.max_virtual_iterations);
+      RunEngineReference("dist_ref", reference_options, &reference);
+  ASSERT_EQ(reference.virtual_iterations,
+            reference_options.max_virtual_iterations);
 
-  const ExecutionPlan plan = PlanFor(options);
+  const ExecutionPlan plan = PlanFor(reference_options);
   const GridPartition grid = TestGrid();
 
-  for (const int workers : {2, 4}) {
-    const std::string root =
-        ::testing::TempDir() + "dist_w" + std::to_string(workers);
-    auto env = OpenEnv("posix://" + root);
-    ASSERT_TRUE(env.ok()) << env.status().ToString();
-    PreparePhase1Store(env->get(), options);
-    BlockFactorStore factors(env->get(), "f", grid, options.rank);
+  // The fleet's pipelines prefetch at depth 2 on two I/O threads against
+  // the depth-0 engine reference: depth only moves I/O timing, never bits.
+  for (const int depth : {0, 2}) {
+    for (const int workers : {2, 4}) {
+      TwoPhaseCpOptions options = reference_options;
+      options.prefetch_depth = depth;
+      options.io_threads = 2;
+      const std::string root = ::testing::TempDir() + "dist_w" +
+                               std::to_string(workers) + "_d" +
+                               std::to_string(depth);
+      auto env = OpenEnv("posix://" + root);
+      ASSERT_TRUE(env.ok()) << env.status().ToString();
+      PreparePhase1Store(env->get(), options);
+      BlockFactorStore factors(env->get(), "f", grid, options.rank);
 
-    WorkerFleet fleet;
-    DistributedRunOptions dopts;
-    dopts.num_workers = workers;
-    dopts.spawn_worker = SpawnInProcess(&fleet, env->get());
-    DistributedRunResult result;
-    const Status status =
-        RunDistributedPhase2(&factors, options, dopts, &result);
-    fleet.Join();
-    ASSERT_TRUE(status.ok()) << workers << " workers: " << status.ToString();
-    ASSERT_EQ(fleet.statuses.size(), static_cast<size_t>(workers));
-    for (const Status& worker_status : fleet.statuses) {
-      EXPECT_TRUE(worker_status.ok()) << worker_status.ToString();
-    }
+      WorkerFleet fleet;
+      DistributedRunOptions dopts;
+      dopts.num_workers = workers;
+      dopts.spawn_worker = SpawnInProcess(&fleet, env->get());
+      DistributedRunResult result;
+      const Status status =
+          RunDistributedPhase2(&factors, options, dopts, &result);
+      fleet.Join();
+      ASSERT_TRUE(status.ok()) << workers << " workers at depth " << depth
+                               << ": " << status.ToString();
+      ASSERT_EQ(fleet.statuses.size(), static_cast<size_t>(workers));
+      for (const Status& worker_status : fleet.statuses) {
+        EXPECT_TRUE(worker_status.ok()) << worker_status.ToString();
+      }
 
-    // Engine-equivalent result, bit for bit; a clean run reports no
-    // recovery activity.
-    ExpectPhase2Equal(result.phase2, reference);
-    EXPECT_EQ(result.plan_fingerprint, plan.fingerprint());
-    EXPECT_EQ(result.respawns, 0);
-    EXPECT_EQ(result.degrades, 0);
-    EXPECT_EQ(result.final_workers, workers);
-    EXPECT_FALSE(result.finished_single_process);
-    EXPECT_EQ(result.wasted_bytes, 0u);
-    // Mode-centric waves keep every worker busy every wave: nothing can
-    // be deferred, so the pipelined exchange relays everything at once.
-    EXPECT_EQ(result.overlapped_bytes, 0u);
-    EXPECT_EQ(result.hidden_seconds, 0.0);
-    ExpectFactorsBitIdentical(ref_env.get(), env->get(), options.rank);
+      // Engine-equivalent result, bit for bit; a clean run reports no
+      // recovery activity.
+      ExpectPhase2Equal(result.phase2, reference);
+      EXPECT_EQ(result.plan_fingerprint, plan.fingerprint());
+      EXPECT_EQ(result.respawns, 0);
+      EXPECT_EQ(result.degrades, 0);
+      EXPECT_EQ(result.final_workers, workers);
+      EXPECT_FALSE(result.finished_single_process);
+      EXPECT_EQ(result.wasted_bytes, 0u);
+      // Mode-centric waves keep every worker busy every wave: nothing can
+      // be deferred, so the pipelined exchange relays everything at once.
+      EXPECT_EQ(result.overlapped_bytes, 0u);
+      EXPECT_EQ(result.hidden_seconds, 0.0);
+      ExpectFactorsBitIdentical(ref_env.get(), env->get(), options.rank);
 
-    // The byte ledger: what the coordinator counted on the wire equals
-    // what DistributedPlan predicted, exactly, per worker.
-    ASSERT_EQ(result.measured.size(), static_cast<size_t>(workers));
-    ExpectLedgerExact(result);
-    for (int w = 0; w < workers; ++w) {
-      // The run did move data: every worker uploaded something at some
-      // persist boundary unless it owns nothing (possible only when
-      // workers > partitions, not the case here).
-      EXPECT_GT(result.measured[static_cast<size_t>(w)].up_bytes +
-                    result.measured[static_cast<size_t>(w)].down_bytes,
-                0u);
+      // The byte ledger: what the coordinator counted on the wire equals
+      // what DistributedPlan predicted, exactly, per worker.
+      ASSERT_EQ(result.measured.size(), static_cast<size_t>(workers));
+      ExpectLedgerExact(result);
+      for (int w = 0; w < workers; ++w) {
+        // The run did move data: every worker uploaded something at some
+        // persist boundary unless it owns nothing (possible only when
+        // workers > partitions, not the case here).
+        EXPECT_GT(result.measured[static_cast<size_t>(w)].up_bytes +
+                      result.measured[static_cast<size_t>(w)].down_bytes,
+                  0u);
+      }
     }
   }
 }

@@ -49,8 +49,11 @@ diff -r "$DIR/depth0/factors" "$DIR/depth2/factors" > /dev/null ||
 # factor-store lifecycle as decompose: on a mode-centric and a fiber-order
 # plan, its factor directory (MANIFEST included) must be byte-identical to
 # decompose's on an identically generated store. Fiber order has singleton
-# waves, so some relays are pipelined into compute windows.
+# waves, so some relays are pipelined into compute windows; its fleet also
+# prefetches two owned steps ahead while decompose stays at depth 0.
 for schedule in mc fo; do
+  depth=0
+  [ "$schedule" = fo ] && depth=2
   for run in decompose dist; do
     expect_exit 0 generate "$DIR/$schedule-$run" --dims=12x12x12 --parts=2 \
       --rank=3 --seed=7
@@ -60,7 +63,7 @@ for schedule in mc fo; do
     --fit-tolerance=-1
   expect_exit 0 dist "$DIR/$schedule-dist" --rank=3 --schedule=$schedule \
     --buffer-fraction=0.5 --max-virtual-iterations=4 --fit-tolerance=-1 \
-    --workers=2
+    --workers=2 --prefetch-depth=$depth
   grep -q "dist: decomposed .* across 2 workers" "$DIR/out.txt" ||
     fail "dist --schedule=$schedule printed no fleet summary"
   diff -r "$DIR/$schedule-decompose/factors" "$DIR/$schedule-dist/factors" \
