@@ -16,25 +16,14 @@ BufferPool::BufferPool(uint64_t capacity_bytes, UnitCatalog catalog,
 
 Status BufferPool::Access(const ModePartition& unit, int64_t pos) {
   ++stats_.accesses;
-  auto it = resident_.find(unit);
-  if (it != resident_.end()) {
+  if (IsResident(unit)) {
     ++stats_.hits;
     policy_->OnAccess(unit, pos);
     return Status::OK();
   }
-
-  const uint64_t bytes = catalog_.UnitBytes(unit);
-  while (used_ + bytes > capacity_) {
-    const std::vector<ModePartition> candidates = EvictionCandidates(unit);
-    TPCP_CHECK(!candidates.empty())
-        << "buffer pool wedged: nothing evictable while over capacity";
-    Remove(policy_->ChooseVictim(candidates, pos));
-  }
-  resident_.emplace(unit, Entry{});
-  used_ += bytes;
-  ++stats_.swap_ins;
-  stats_.bytes_in += bytes;
-  policy_->OnInsert(unit, pos);
+  std::vector<Eviction> evicted;
+  TPCP_RETURN_IF_ERROR(Reserve(unit, pos, &evicted));
+  Unpin(unit);
   return Status::OK();
 }
 
@@ -138,7 +127,6 @@ bool BufferPool::IsPinned(const ModePartition& unit) const {
 Status BufferPool::Flush(const EvictCallback& evict) {
   while (!resident_.empty()) {
     const auto& [unit, entry] = *resident_.begin();
-    TPCP_CHECK_EQ(entry.pins, 0) << "flushing a pinned unit";
     if (evict != nullptr) {
       TPCP_RETURN_IF_ERROR(evict(unit, entry.dirty));
     }

@@ -68,9 +68,11 @@ class BufferPool {
   BufferPool(uint64_t capacity_bytes, UnitCatalog catalog,
              std::unique_ptr<ReplacementPolicy> policy);
 
-  /// Touches `unit` at schedule position `pos`: counts a hit or a swap-in
-  /// (evicting victims per policy until the unit fits). Moves no data — the
-  /// swap simulator's replay. Pinned units are never selected as victims.
+  /// Touches `unit` at schedule position `pos`: counts a hit, or a swap-in
+  /// through Reserve (evicting victims per policy until the unit fits)
+  /// with the pin released at once. Moves no data — the swap simulator's
+  /// replay. Pinned units are never selected as victims;
+  /// ResourceExhausted when they leave no room.
   Status Access(const ModePartition& unit, int64_t pos);
 
   // ---- Non-blocking reservation API (prefetch pipeline) ----

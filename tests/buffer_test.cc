@@ -127,18 +127,6 @@ TEST(BufferPoolTest, FlushHandsEveryUnitToItsEvictCallback) {
   EXPECT_EQ(pool.resident_units(), 0);
 }
 
-TEST(BufferPoolTest, FlushStopsAtAFailedWriteback) {
-  const GridPartition grid = CubicGrid(8, 2);
-  UnitCatalog catalog(grid, 2);
-  BufferPool pool(catalog.TotalBytes(), catalog, NewLruPolicy());
-  ASSERT_TRUE(pool.Access({0, 0}, 0).ok());
-  const Status s = pool.Flush([](const ModePartition&, bool) {
-    return Status::IOError("boom");
-  });
-  EXPECT_TRUE(s.IsIOError()) << s.ToString();
-  EXPECT_TRUE(pool.IsResident({0, 0}));
-}
-
 TEST(BufferPoolTest, FlushEmptiesPool) {
   const GridPartition grid = CubicGrid(8, 2);
   auto pool = MakePool(grid, 2, 1.0, PolicyType::kLru, nullptr);
