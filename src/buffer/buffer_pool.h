@@ -9,7 +9,7 @@
 //  - by the swap simulator (core/swap_simulator.h), whose count-only
 //    Access replays a trace to count data swaps exactly as the paper's
 //    Figure 12 does.
-// The one data-movement hook left is the evict callback handed to Flush.
+// Its only data-movement hook is the evict callback handed to Flush.
 //
 // The pool itself is not thread-safe: all calls must come from one thread
 // (the Phase-2 compute thread). The pipeline confines pool bookkeeping to
@@ -79,9 +79,8 @@ class BufferPool {
   //
   // Reserve marks a non-resident unit resident-and-pinned and makes room
   // for it by evicting unpinned victims; the caller owns the actual data
-  // movement. Victims are
-  // reported through `evicted` so the caller can write dirty ones back in
-  // the background. Fails with ResourceExhausted — with no side effects —
+  // movement. Victims are reported through `evicted` so the caller can
+  // write dirty ones back in the background. Fails with ResourceExhausted — with no side effects —
   // when pinned units block the required space.
 
   Status Reserve(const ModePartition& unit, int64_t pos,
