@@ -659,6 +659,47 @@ TEST(DistPhase2Test, TransientStorageFaultsAbsorbedWithoutRecovery) {
   ExpectLedgerExact(result);
 }
 
+TEST(DistPhase2Test, TransientCoordinatorWriteFaultsAreRetried) {
+  const TwoPhaseCpOptions options = DistOptions();
+
+  Phase2Result reference;
+  OpenedEnv ref_env =
+      RunEngineReference("dist_flaky_coord_ref", options, &reference);
+  const GridPartition grid = TestGrid();
+
+  auto base = OpenEnv("posix://" + ::testing::TempDir() + "dist_flaky_coord");
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+  PreparePhase1Store(base->get(), options);  // fault-free preparation
+
+  // The coordinator's store sits directly on the faulty env: the seed
+  // writes, the staged sub-factor writes and the manifest writes must all
+  // retry inside the coordinator, or a transient fault fails the run.
+  FaultyEnv flaky(base->get());
+  flaky.TransientReadFaultEvery(7);
+  flaky.TransientWriteFaultEvery(9);
+  BlockFactorStore factors(&flaky, "f", grid, options.rank);
+
+  WorkerFleet fleet;
+  DistributedRunOptions dopts;
+  dopts.num_workers = 2;
+  dopts.max_respawns = 0;
+  dopts.degrade = DegradeMode::kOff;
+  dopts.spawn_worker = SpawnInProcess(&fleet, &flaky);
+  DistributedRunResult result;
+  const Status status = RunDistributedPhase2(&factors, options, dopts, &result);
+  fleet.Join();
+
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(result.respawns, 0);
+  EXPECT_EQ(result.degrades, 0);
+  for (const Status& worker_status : fleet.statuses) {
+    EXPECT_TRUE(worker_status.ok()) << worker_status.ToString();
+  }
+  ExpectPhase2Equal(result.phase2, reference);
+  ExpectFactorsBitIdentical(ref_env.get(), base->get(), options.rank);
+  ExpectLedgerExact(result);
+}
+
 TEST(DistPhase2Test, DeadAbsorbPruningShrinksLedgerAndPreservesMath) {
   // Block-centric schedule: units refresh once per slab block per cycle,
   // so most images die before anyone reads them — the pruning win the
