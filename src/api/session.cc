@@ -56,12 +56,14 @@ Result<SolveResult> Session::Decompose(
   TPCP_RETURN_IF_ERROR(ValidateOptions(options));
   // Only factor-writing solvers get a factor store; one-shot baselines
   // must not leave a rank-N manifest with no factors behind, or clobber
-  // the store of an earlier two-phase run. The manifest itself is written
-  // only after the run succeeds: while the solver is rewriting factor
-  // blocks the store is in flux, and a failed run must not leave a
-  // manifest describing blocks that were never (fully) written. The one
-  // exception is a resume: the interrupted run's manifest carries the
-  // Phase-2 checkpoint, which must survive into the engine.
+  // the store of an earlier two-phase run. The stale manifest goes first:
+  // while the solver is rewriting factor blocks the store is in flux, and
+  // a failed run must not leave a manifest describing blocks that were
+  // never (fully) written. Phase 2 writes the new one when it commits
+  // (Phase2Progress::Commit): a checkpoint on cancel, the plain manifest
+  // on success. The one exception is a resume: the interrupted run's
+  // manifest carries the Phase-2 checkpoint, which must survive into the
+  // engine.
   factors_.reset();
   if (solver->WritesFactorStore()) {
     if (!options.resume_phase2) {
@@ -87,14 +89,8 @@ Result<SolveResult> Session::Decompose(
   context.params = params;
   Status status = solver->Prepare(context);
   if (status.ok()) status = solver->Run();
-  if (status.ok() && factors_.has_value()) {
-    status = WriteManifest(
-        env(), options_.factor_prefix,
-        StoreManifest::Factors(tensor_->grid(), options.rank));
-  }
   if (!status.ok()) {
-    // The blocks may be half rewritten and have no manifest; hand out no
-    // store for them.
+    // The blocks may be half rewritten; hand out no store for them.
     factors_.reset();
     return status;
   }

@@ -35,28 +35,9 @@ void RunBatch(RefinementState* state, const ExecutionPlan& plan,
   });
 }
 
-}  // namespace
-
-PlannerOptions Phase2PlannerOptions(const TwoPhaseCpOptions& options,
-                                    const GridPartition& grid) {
-  UnitCatalog catalog(grid, options.rank);
-  PlannerOptions planner_options;
-  planner_options.rank = options.rank;
-  planner_options.policy = options.policy;
-  planner_options.buffer_bytes =
-      std::max(options.ResolveBufferBytes(catalog.TotalBytes()),
-               catalog.MaxUnitBytes());
-  planner_options.reorder = options.EffectivePlanReorder();
-  planner_options.reorder_window = options.plan_reorder_window;
-  planner_options.shard_chunk_blocks = options.shard_slab_blocks;
-  planner_options.prefetch_depth = options.prefetch_depth;
-  planner_options.victim_hints = options.policy_victim_hints;
-  // Certification (two simulated cycle replays) is only paid when the
-  // reordering pass needs its parity gate.
-  planner_options.certify = options.EffectivePlanReorder();
-  return planner_options;
-}
-
+/// The one checkpoint-resume validator (Phase2Progress::Load). Returns
+/// the checkpoint to continue from, or nullopt for a fresh schedule pass
+/// — on NotFound or a manifest without a checkpoint.
 Result<std::optional<Phase2Checkpoint>> ValidateResume(
     const Result<StoreManifest>& manifest, const BlockFactorStore& factors,
     const TwoPhaseCpOptions& options, const ExecutionPlan& plan,
@@ -111,6 +92,28 @@ Result<std::optional<Phase2Checkpoint>> ValidateResume(
   return manifest->checkpoint;
 }
 
+}  // namespace
+
+PlannerOptions Phase2PlannerOptions(const TwoPhaseCpOptions& options,
+                                    const GridPartition& grid) {
+  UnitCatalog catalog(grid, options.rank);
+  PlannerOptions planner_options;
+  planner_options.rank = options.rank;
+  planner_options.policy = options.policy;
+  planner_options.buffer_bytes =
+      std::max(options.ResolveBufferBytes(catalog.TotalBytes()),
+               catalog.MaxUnitBytes());
+  planner_options.reorder = options.EffectivePlanReorder();
+  planner_options.reorder_window = options.plan_reorder_window;
+  planner_options.shard_chunk_blocks = options.shard_slab_blocks;
+  planner_options.prefetch_depth = options.prefetch_depth;
+  planner_options.victim_hints = options.policy_victim_hints;
+  // Certification (two simulated cycle replays) is only paid when the
+  // reordering pass needs its parity gate.
+  planner_options.certify = options.EffectivePlanReorder();
+  return planner_options;
+}
+
 Phase2Runtime::Phase2Runtime(BlockFactorStore* factors,
                              const TwoPhaseCpOptions& options,
                              const ExecutionPlan* plan,
@@ -144,6 +147,72 @@ bool Phase2Converged(double fit, double prev_fit, double tolerance) {
   const double improvement = fit - prev_fit;
   return std::isfinite(improvement) && improvement >= 0.0 &&
          improvement < tolerance;
+}
+
+Result<Phase2Progress> Phase2Progress::Load(
+    const BlockFactorStore& factors, const TwoPhaseCpOptions& options,
+    const ExecutionPlan& plan, std::optional<uint64_t> ownership_fingerprint) {
+  Phase2Progress progress;
+  progress.schedule = ScheduleTypeName(options.schedule);
+  progress.options_fingerprint = options.ResumeFingerprint();
+  progress.plan_fingerprint = plan.fingerprint();
+  progress.ownership_fingerprint = ownership_fingerprint.value_or(0);
+  if (!options.resume_phase2) return progress;
+  TPCP_ASSIGN_OR_RETURN(
+      const std::optional<Phase2Checkpoint> ckpt,
+      ValidateResume(ReadManifest(factors.env(), factors.prefix()), factors,
+                     options, plan, ownership_fingerprint));
+  if (ckpt.has_value()) {
+    progress.cursor = ckpt->cursor;
+    progress.start_iteration = ckpt->iteration;
+    progress.iteration = ckpt->iteration;
+    progress.fit_trace = ckpt->fit_trace;
+    if (!progress.fit_trace.empty()) {
+      progress.last_fit = progress.fit_trace.back();
+    }
+  }
+  return progress;
+}
+
+bool Phase2Progress::CloseIteration(double fit, int64_t cycle_length,
+                                    double tolerance) {
+  const int vi = iteration++;
+  fit_trace.push_back(fit);
+  converged = cursor >= cycle_length && vi > 0 &&
+              Phase2Converged(fit, last_fit, tolerance);
+  last_fit = fit;
+  return converged;
+}
+
+Status Phase2Progress::Commit(BlockFactorStore* factors,
+                              const std::map<ModePartition, Matrix>& staged,
+                              Cut cut) const {
+  for (const auto& [unit, a] : staged) {
+    TPCP_RETURN_IF_ERROR(factors->WriteSubFactor(unit.mode, unit.part, a));
+  }
+  std::optional<Phase2Checkpoint> ckpt;
+  if (cut == Cut::kCheckpoint) {
+    ckpt.emplace();
+    ckpt->schedule = schedule;
+    ckpt->iteration = iteration;
+    ckpt->cursor = cursor;
+    ckpt->fit_trace = fit_trace;
+    ckpt->options_fingerprint = options_fingerprint;
+    ckpt->plan_fingerprint = plan_fingerprint;
+    ckpt->ownership_fingerprint = ownership_fingerprint;
+  }
+  return WriteManifest(factors->env(), factors->prefix(),
+                       StoreManifest::Factors(factors->grid(),
+                                              factors->rank(),
+                                              std::move(ckpt)));
+}
+
+void Phase2Progress::Fill(Phase2Result* result) const {
+  result->virtual_iterations = iteration;
+  result->start_iteration = start_iteration;
+  result->converged = converged;
+  result->surrogate_fit = last_fit;
+  result->fit_trace = fit_trace;
 }
 
 Phase2Engine::Phase2Engine(BlockFactorStore* factors,
@@ -180,41 +249,22 @@ Status Phase2Engine::Run(Phase2Result* result) {
   TPCP_RETURN_IF_ERROR(state.Initialize(options_.resume_phase2));
   const int64_t vi_len = schedule.virtual_iteration_length();
 
-  // An interrupted run left a checkpoint in the store manifest; pick its
-  // cursor and fit trace up so the refinement continues exactly where it
-  // stopped. A resume without a checkpoint (a completed run being
-  // extended) starts a fresh schedule pass over the persisted sub-factors.
-  std::optional<Phase2Checkpoint> resume;
-  if (options_.resume_phase2) {
-    TPCP_ASSIGN_OR_RETURN(
-        resume,
-        ValidateResume(ReadManifest(factors_->env(), factors_->prefix()),
-                       *factors_, options_, plan));
-  }
-  int64_t pos = 0;
-  int start_vi = 0;
-  result->fit_trace.clear();
-  if (resume.has_value()) {
-    pos = resume->cursor;
-    start_vi = resume->iteration;
-    result->fit_trace = resume->fit_trace;
-  }
-
-  double prev_fit =
-      result->fit_trace.empty() ? state.SurrogateFit()
-                                : result->fit_trace.back();
-  result->start_iteration = start_vi;
-  result->virtual_iterations = start_vi;
-  result->converged = false;
+  // An interrupted run left a checkpoint in the store manifest; its cursor
+  // and fit trace let the refinement continue exactly where it stopped.
+  TPCP_ASSIGN_OR_RETURN(Phase2Progress progress,
+                        Phase2Progress::Load(*factors_, options_, plan));
+  if (progress.fit_trace.empty()) progress.last_fit = state.SurrogateFit();
+  // The wave loop advances the progress cursor in place.
+  int64_t& pos = progress.cursor;
 
   bool cancelled = false;
   Status loop_status = Status::OK();
-  for (int vi = start_vi;
-       vi < options_.max_virtual_iterations && loop_status.ok(); ++vi) {
+  while (progress.iteration < options_.max_virtual_iterations &&
+         loop_status.ok()) {
     // The iteration executes [pos, vi_end) in conflict-free waves. When
     // resuming mid-iteration the first wave starts at the checkpoint
     // cursor — possibly mid-batch, which only shortens the first wave.
-    const int64_t vi_end = static_cast<int64_t>(vi + 1) * vi_len;
+    const int64_t vi_end = static_cast<int64_t>(progress.iteration + 1) * vi_len;
     while (pos < vi_end) {
       // Cancellation polls at wave boundaries, so the checkpoint cursor
       // always lands between waves and a resume — with any compute/buffer
@@ -245,25 +295,13 @@ Status Phase2Engine::Run(Phase2Result* result) {
     }
     if (cancelled || !loop_status.ok()) break;
     const double fit = state.SurrogateFit();
-    result->fit_trace.push_back(fit);
-    result->virtual_iterations = vi + 1;
+    const bool converged = progress.CloseIteration(
+        fit, schedule.cycle_length(), options_.fit_tolerance);
     if (options_.observer != nullptr) {
-      options_.observer->OnVirtualIteration(vi + 1, fit,
+      options_.observer->OnVirtualIteration(progress.iteration, fit,
                                             pool.stats().swap_ins);
     }
-    // Termination is evaluated once per virtual iteration (Definition 3),
-    // but never before one full tensor-filling cycle: early virtual
-    // iterations of a block-centric schedule may only touch a few blocks
-    // (possibly empty ones on sparse data), and their flat fit would fake
-    // convergence before every sub-factor has seen all block information.
-    const bool cycle_completed = pos >= schedule.cycle_length();
-    if (cycle_completed && vi > 0 &&
-        Phase2Converged(fit, prev_fit, options_.fit_tolerance)) {
-      prev_fit = fit;
-      result->converged = true;
-      break;
-    }
-    prev_fit = fit;
+    if (converged) break;
   }
 
   // Always drain, success or not: Flush needs every pin released, and a
@@ -277,41 +315,30 @@ Status Phase2Engine::Run(Phase2Result* result) {
     // (Unlike the error path below, all in-flight loads completed, so the
     // pool's residency claims are sound and Flush is safe.)
     TPCP_RETURN_IF_ERROR(pipeline.Flush());
-    Phase2Checkpoint ckpt;
-    ckpt.schedule = ScheduleTypeName(options_.schedule);
-    ckpt.iteration = result->virtual_iterations;
-    ckpt.cursor = pos;
-    ckpt.fit_trace = result->fit_trace;
-    ckpt.options_fingerprint = options_.ResumeFingerprint();
-    ckpt.plan_fingerprint = plan.fingerprint();
-    TPCP_RETURN_IF_ERROR(WriteManifest(
-        factors_->env(), factors_->prefix(),
-        StoreManifest::Factors(grid, factors_->rank(), std::move(ckpt))));
-    result->surrogate_fit = prev_fit;
+    TPCP_RETURN_IF_ERROR(
+        progress.Commit(factors_, {}, Phase2Progress::Cut::kCheckpoint));
+    progress.Fill(result);
     result->buffer_stats = pool.stats();
     result->seconds = watch.ElapsedSeconds();
     return Status::Cancelled("phase 2 cancelled at virtual iteration " +
-                             std::to_string(result->virtual_iterations) +
+                             std::to_string(progress.iteration) +
                              ", schedule position " + std::to_string(pos));
   }
   // On error, skip the Flush: a failed background load leaves the pool
   // claiming residency for a unit the refinement state never materialized.
   TPCP_RETURN_IF_ERROR(loop_status);
 
-  result->surrogate_fit = prev_fit;
   TPCP_RETURN_IF_ERROR(pipeline.Flush());
-  if (resume.has_value()) {
-    // The run completed; retire the checkpoint so a later resume starts a
-    // fresh pass instead of replaying a stale cursor.
-    TPCP_RETURN_IF_ERROR(
-        WriteManifest(factors_->env(), factors_->prefix(),
-                      StoreManifest::Factors(grid, factors_->rank())));
-  }
+  // The plain manifest ends the run; it also retires a resumed run's
+  // checkpoint, so a later resume starts a fresh pass instead of replaying
+  // a stale cursor.
+  TPCP_RETURN_IF_ERROR(progress.Commit(factors_, {}, Phase2Progress::Cut::kDone));
+  progress.Fill(result);
   result->buffer_stats = pool.stats();
   result->swaps_per_virtual_iteration =
       static_cast<double>(pool.stats().swap_ins) /
-      static_cast<double>(std::max(
-          1, result->virtual_iterations - result->start_iteration));
+      static_cast<double>(
+          std::max(1, progress.iteration - progress.start_iteration));
   result->seconds = watch.ElapsedSeconds();
   if (options_.observer != nullptr) {
     options_.observer->OnPhase2Done(result->virtual_iterations,

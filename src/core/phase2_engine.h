@@ -28,8 +28,10 @@
 #define TPCP_CORE_PHASE2_ENGINE_H_
 
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "buffer/buffer_pool.h"
@@ -51,23 +53,6 @@ namespace tpcp {
 /// on so summaries always carry predicted swaps).
 PlannerOptions Phase2PlannerOptions(const TwoPhaseCpOptions& options,
                                     const GridPartition& grid);
-
-/// The one checkpoint-resume validator, shared by Phase2Engine::Run and
-/// RunDistributedPhase2: a checkpoint either runner refuses, the other
-/// refuses for the same reason. `manifest` is ReadManifest of `factors`.
-/// Returns the checkpoint to continue from (its cursor, iteration and fit
-/// trace), or nullopt for a fresh schedule pass over the persisted
-/// sub-factors — on NotFound or a manifest without a checkpoint. Any
-/// other read error is returned. A checkpoint is refused with
-/// FailedPrecondition when it describes another store or was cut under
-/// another schedule, other math-shaping options or another execution plan
-/// than `options`/`plan`, and — when `ownership_fingerprint` is set (a
-/// distributed resume) — under another ownership map. Corruption when its
-/// cursor disagrees with its iteration count.
-Result<std::optional<Phase2Checkpoint>> ValidateResume(
-    const Result<StoreManifest>& manifest, const BlockFactorStore& factors,
-    const TwoPhaseCpOptions& options, const ExecutionPlan& plan,
-    std::optional<uint64_t> ownership_fingerprint = std::nullopt);
 
 /// The Phase-2 machinery one refinement executes `plan` with, wired the
 /// one way the engine and a dist worker (dist/worker.h) both use: a
@@ -106,6 +91,74 @@ struct Phase2Result {
   int start_iteration = 0;
 };
 
+/// Where one Phase-2 run stands, and the one place its progress reaches
+/// the factor store. Phase2Engine::Run and RunDistributedPhase2 both
+/// load, close and commit through it, so a resume, the convergence rule
+/// and the content and write order of the factors manifest are decided
+/// here once.
+struct Phase2Progress {
+  /// What Commit writes after the staged sub-factors.
+  enum class Cut {
+    kCheckpoint,  // a Phase2Checkpoint at the cursor: the run continues
+    kDone,        // the plain factors manifest that ends the run
+  };
+
+  /// Next plan position to execute (may be mid-iteration after a cancel).
+  int64_t cursor = 0;
+  /// First virtual iteration of this run (> 0 when resumed).
+  int start_iteration = 0;
+  /// Completed virtual iterations.
+  int iteration = 0;
+  /// Surrogate fit per completed iteration, checkpointed prefix included.
+  std::vector<double> fit_trace;
+  /// The fit the next iteration's is compared against: fit_trace.back(),
+  /// or the initial surrogate fit, which the runner sets while the trace
+  /// is empty.
+  double last_fit = 0.0;
+  bool converged = false;
+  /// The identity a checkpoint records (see Phase2Checkpoint).
+  std::string schedule;
+  uint64_t options_fingerprint = 0;
+  uint64_t plan_fingerprint = 0;
+  uint64_t ownership_fingerprint = 0;
+
+  /// The progress a run over `factors` executing `plan` starts from. With
+  /// options.resume_phase2 set, reads the store manifest and continues its
+  /// checkpoint (cursor, iteration and fit trace); a missing manifest or
+  /// one without a checkpoint (a completed run being extended) starts a
+  /// fresh schedule pass over the persisted sub-factors. A checkpoint is
+  /// refused with FailedPrecondition when it describes another store or
+  /// was cut under another schedule, other math-shaping options or another
+  /// execution plan, and — when `ownership_fingerprint` is set (a
+  /// distributed resume) — under another ownership map; with Corruption
+  /// when its cursor disagrees with its iteration count. Any other
+  /// manifest read error is returned.
+  static Result<Phase2Progress> Load(
+      const BlockFactorStore& factors, const TwoPhaseCpOptions& options,
+      const ExecutionPlan& plan,
+      std::optional<uint64_t> ownership_fingerprint = std::nullopt);
+
+  /// Closes the virtual iteration that ends at `cursor` with surrogate
+  /// fit `fit`. Termination is evaluated once per virtual iteration
+  /// (Definition 3), but never before one full tensor-filling cycle
+  /// (`cycle_length` positions) nor on the first iteration: early
+  /// iterations of a block-centric schedule may touch only a few blocks,
+  /// and their flat fit would fake convergence. Returns `converged`.
+  bool CloseIteration(double fit, int64_t cycle_length, double tolerance);
+
+  /// Writes `staged` sub-factors in unit order, then the factors manifest
+  /// for `cut`. Not atomic: a process killed between the sub-factor writes
+  /// and the manifest write leaves the store holding iteration k+1
+  /// factors under the iteration-k checkpoint, which a resume replays
+  /// without noticing.
+  Status Commit(BlockFactorStore* factors,
+                const std::map<ModePartition, Matrix>& staged, Cut cut) const;
+
+  /// Copies the progress into `result`'s iteration, fit and convergence
+  /// fields; timing and buffer fields are the runner's.
+  void Fill(Phase2Result* result) const;
+};
+
 /// Runs the schedule-driven iterative refinement under the buffer budget.
 class Phase2Engine {
  public:
@@ -122,12 +175,13 @@ class Phase2Engine {
   ///
   /// With options.cancel set, the token is polled once per step wave
   /// (every step when compute_threads == 1); on cancellation the engine
-  /// flushes every dirty unit, records a
-  /// Phase2Checkpoint in the factor store's manifest and returns
-  /// Status::Cancelled. A later run with options.resume_phase2 picks the
-  /// checkpoint up (ValidateResume) and continues bit-identically to an
+  /// flushes every dirty unit, commits a checkpoint
+  /// (Phase2Progress::Commit) and returns Status::Cancelled. A later run
+  /// with options.resume_phase2 picks the checkpoint up
+  /// (Phase2Progress::Load) and continues bit-identically to an
   /// uninterrupted run (factors and fit trace; buffer statistics
-  /// restart).
+  /// restart). A successful run ends by committing the plain factors
+  /// manifest.
   Status Run(Phase2Result* result);
 
  private:

@@ -15,6 +15,7 @@
 #include "dist/exchange.h"
 #include "grid/manifest.h"
 #include "server/net.h"
+#include "storage/retry_env.h"
 #include "util/logging.h"
 #include "util/retry.h"
 #include "util/stopwatch.h"
@@ -164,15 +165,7 @@ struct ListenGuard {
 /// attempts. A failed attempt rolls the run back to this state; the next
 /// attempt (any fleet size) replays from here bit-identically.
 struct RunState {
-  int64_t pos = 0;
-  int start_vi = 0;
-  /// Virtual iterations completed and checkpointed.
-  int committed_vi = 0;
-  std::vector<double> fit_trace;
-  /// Last committed fit (fit_trace.back(), or the initial surrogate fit
-  /// when no iteration has committed yet).
-  double last_fit = 0.0;
-  bool converged = false;
+  Phase2Progress progress;
   /// Ledger snapshot at the last checkpoint (same shapes as the result's).
   std::vector<WorkerTraffic> measured;
   std::vector<WorkerTraffic> predicted;
@@ -214,7 +207,8 @@ void RollbackLedger(const RunState& state, DistributedRunResult* result) {
 }
 
 /// One fleet attempt: forms a fleet of `fleet_size` workers, replays the
-/// plan from state->pos, and commits `state` at every checkpoint cut. On
+/// plan from the committed cursor, and commits `state` at every checkpoint
+/// cut. On
 /// failure `*fault_worker` says who to blame: a worker id for channel
 /// faults, kFaultFleet for formation faults, kFaultNone for content
 /// violations (which the supervisor must never retry).
@@ -357,10 +351,14 @@ Status RunFleetAttempt(BlockFactorStore* factors,
     return Status::IOError("dist worker " + std::to_string(w) + ": " + what);
   };
 
-  int64_t pos = state->pos;
-  double prev_fit = state->fit_trace.empty() ? BitsToDouble(init_fit_bits)
-                                             : state->fit_trace.back();
-  std::vector<double> fit_trace = state->fit_trace;
+  // Before its first iteration closes, a run compares against the fit of
+  // the state the workers initialized from.
+  if (state->progress.fit_trace.empty()) {
+    state->progress.last_fit = BitsToDouble(init_fit_bits);
+  }
+  Phase2Progress progress = state->progress;
+  progress.ownership_fingerprint = dplan.ownership_fingerprint();
+  int64_t pos = progress.cursor;
 
   // Pipeline state: the previous wave's deferred frames, relayed by a
   // background thread while the fleet computes the current wave. The task
@@ -368,9 +366,9 @@ Status RunFleetAttempt(BlockFactorStore* factors,
   RelayTask relay(&channels, result);
   std::vector<RelayFrame> deferred;
 
-  for (int vi = state->committed_vi; vi < options.max_virtual_iterations;
-       ++vi) {
-    const int64_t vi_end = static_cast<int64_t>(vi + 1) * vi_len;
+  while (progress.iteration < options.max_virtual_iterations) {
+    const int64_t vi_end =
+        static_cast<int64_t>(progress.iteration + 1) * vi_len;
     const int64_t window_begin = pos;
     while (pos < vi_end) {
       // One plan wave (clipped to the virtual iteration), executed by all
@@ -526,16 +524,17 @@ Status RunFleetAttempt(BlockFactorStore* factors,
         return Status::Internal(
             "dist: surrogate fit diverges across workers at virtual "
             "iteration " +
-            std::to_string(vi + 1));
+            std::to_string(progress.iteration + 1));
       }
     }
-    const double fit = BitsToDouble(fit_bits);
-    fit_trace.push_back(fit);
+    progress.cursor = pos;
+    const bool converged = progress.CloseIteration(
+        BitsToDouble(fit_bits), schedule.cycle_length(),
+        options.fit_tolerance);
 
-    // Persist boundary: collect every worker's dirty sub-factors, write
-    // them to the base store in sorted unit order, then cut the
-    // checkpoint. The base store advances atomically with respect to
-    // worker crashes — a kill at any point leaves it exactly at the
+    // Persist boundary: collect every worker's dirty sub-factors, then
+    // commit them with the checkpoint. Only the coordinator writes the
+    // base store, so a worker killed at any point leaves it exactly at the
     // previous checkpoint.
     JsonValue persist = JsonValue::Object();
     persist.Set("t", "persist");
@@ -587,44 +586,18 @@ Status RunFleetAttempt(BlockFactorStore* factors,
         return worker_fault(w, "persist upload incomplete");
       }
     }
-    for (const auto& [unit, a] : staged) {
-      TPCP_RETURN_IF_ERROR(factors->WriteSubFactor(unit.mode, unit.part, a));
-    }
+    TPCP_RETURN_IF_ERROR(
+        progress.Commit(factors, staged, Phase2Progress::Cut::kCheckpoint));
     for (int v = 0; v < fleet_size; ++v) {
       result->predicted_persist_bytes[static_cast<size_t>(v)] +=
           dplan.PersistBytesForRange(v, window_begin, pos);
     }
-    Phase2Checkpoint ckpt;
-    ckpt.schedule = ScheduleTypeName(options.schedule);
-    ckpt.iteration = vi + 1;
-    ckpt.cursor = pos;
-    ckpt.fit_trace = fit_trace;
-    ckpt.options_fingerprint = options.ResumeFingerprint();
-    ckpt.plan_fingerprint = plan.fingerprint();
-    ckpt.ownership_fingerprint = dplan.ownership_fingerprint();
-    TPCP_RETURN_IF_ERROR(RetryWithBackoff(
-        RetryPolicy(), "dist: write checkpoint manifest", [&]() {
-          return WriteManifest(factors->env(), factors->prefix(),
-                               StoreManifest::Factors(factors->grid(),
-                                                      factors->rank(), ckpt));
-        }));
 
     // Checkpoint cut: commit the run state. Everything up to here replays
     // from the previous checkpoint; everything after is durable.
-    state->pos = pos;
-    state->committed_vi = vi + 1;
-    state->fit_trace = fit_trace;
-    state->last_fit = fit;
+    state->progress = progress;
     SnapshotLedger(*result, state);
-
-    const bool cycle_completed = pos >= schedule.cycle_length();
-    if (cycle_completed && vi > 0 &&
-        Phase2Converged(fit, prev_fit, options.fit_tolerance)) {
-      state->converged = true;
-      prev_fit = fit;
-      break;
-    }
-    prev_fit = fit;
+    if (converged) break;
   }
 
   for (int w = 0; w < fleet_size; ++w) {
@@ -638,10 +611,6 @@ Status RunFleetAttempt(BlockFactorStore* factors,
       return Status::Internal("dist worker " + std::to_string(w) +
                               ": expected bye, got '" + tag + "'");
     }
-  }
-  // A run that never iterated still has a committed fit: the initial one.
-  if (state->fit_trace.empty()) {
-    state->last_fit = BitsToDouble(init_fit_bits);
   }
   return Status::OK();
 }
@@ -675,30 +644,27 @@ Status RunDistributedPhase2(BlockFactorStore* factors,
   const PlannerOptions planner_options = Phase2PlannerOptions(options, grid);
   const ExecutionPlan plan = Planner::Build(source_schedule, planner_options);
 
-  // The engine's resume validator, plus this fleet's ownership map: a
-  // store the engine would refuse to resume is refused here for the same
-  // reasons.
+  // Every coordinator write and read goes through one retrying store, so
+  // a transient storage fault never reaches the protocol.
+  RetryEnv retry_env(factors->env(), RetryPolicy());
+  BlockFactorStore store(&retry_env, factors->prefix(), factors->grid(),
+                         factors->rank());
+
+  // The engine's resume, plus this fleet's ownership map: a store the
+  // engine would refuse to resume is refused here for the same reasons.
   RunState state;
   result->phase2 = Phase2Result();
-  if (options.resume_phase2) {
-    const DistributedPlan resume_dplan(&plan, options.rank, num_workers);
-    TPCP_ASSIGN_OR_RETURN(
-        const std::optional<Phase2Checkpoint> ckpt,
-        ValidateResume(ReadManifest(factors->env(), factors->prefix()),
-                       *factors, options, plan,
-                       resume_dplan.ownership_fingerprint()));
-    if (ckpt.has_value()) {
-      state.pos = ckpt->cursor;
-      state.start_vi = ckpt->iteration;
-      state.committed_vi = ckpt->iteration;
-      state.fit_trace = ckpt->fit_trace;
-      if (!state.fit_trace.empty()) state.last_fit = state.fit_trace.back();
-    }
-  } else {
+  TPCP_ASSIGN_OR_RETURN(
+      state.progress,
+      Phase2Progress::Load(
+          store, options, plan,
+          DistributedPlan(&plan, options.rank, num_workers)
+              .ownership_fingerprint()));
+  if (!options.resume_phase2) {
     // Fresh run: seed the sub-factors as the engine does, so the workers
     // (which always initialize in resume mode) read the state a
     // single-process fresh run would have written.
-    TPCP_RETURN_IF_ERROR(SeedSubFactors(factors).status());
+    TPCP_RETURN_IF_ERROR(SeedSubFactors(&store).status());
   }
 
   result->plan_fingerprint = plan.fingerprint();
@@ -725,13 +691,13 @@ Status RunDistributedPhase2(BlockFactorStore* factors,
   for (;;) {
     int fault = kFaultNone;
     const Status attempt =
-        RunFleetAttempt(factors, options, plan, dopts, listen_fd, port,
+        RunFleetAttempt(&store, options, plan, dopts, listen_fd, port,
                         supervisor.fleet_size(), &state, result, &fault);
     if (attempt.ok()) break;
     RollbackLedger(state, result);
     if (fault == kFaultNone || !IsTransientStatus(attempt)) return attempt;
-    if (state.converged ||
-        state.committed_vi >= options.max_virtual_iterations) {
+    if (state.progress.converged ||
+        state.progress.iteration >= options.max_virtual_iterations) {
       // Every iteration is committed; the fault hit the epilogue. Nothing
       // to replay — finalize from the committed state.
       supervisor.Log("dist: fleet failed after the final checkpoint (" +
@@ -754,35 +720,23 @@ Status RunDistributedPhase2(BlockFactorStore* factors,
     // Degrade floor: finish in-process. The engine resumes from the
     // persisted store (with or without a checkpoint — a fresh-run seed is
     // a valid resume point at position 0) and replays the identical plan,
-    // so the factors stay byte-identical; it also retires the checkpoint
-    // itself.
+    // so the factors stay byte-identical; its commit ends the run.
     TwoPhaseCpOptions engine_options = options;
     engine_options.resume_phase2 = true;
-    Phase2Result engine_result;
-    Phase2Engine engine(factors, engine_options);
-    TPCP_RETURN_IF_ERROR(engine.Run(&engine_result));
-    result->phase2 = engine_result;
-    result->phase2.start_iteration = state.start_vi;
+    TPCP_RETURN_IF_ERROR(
+        Phase2Engine(&store, engine_options).Run(&result->phase2));
+    result->phase2.start_iteration = state.progress.start_iteration;
     result->finished_single_process = true;
     result->final_workers = 0;
     result->phase2.seconds = watch.ElapsedSeconds();
     return Status::OK();
   }
 
-  // The run completed: retire the checkpoint. The store now carries the
-  // plain factors manifest — the same bytes a single-process run's store
-  // holds.
-  TPCP_RETURN_IF_ERROR(RetryWithBackoff(
-      RetryPolicy(), "dist: retire checkpoint manifest", [&]() {
-        return WriteManifest(factors->env(), factors->prefix(),
-                             StoreManifest::Factors(factors->grid(),
-                                                    factors->rank()));
-      }));
-  result->phase2.fit_trace = state.fit_trace;
-  result->phase2.virtual_iterations = state.committed_vi;
-  result->phase2.converged = state.converged;
-  result->phase2.surrogate_fit = state.last_fit;
-  result->phase2.start_iteration = state.start_vi;
+  // The run completed: the plain manifest retires the checkpoint, leaving
+  // the same bytes a single-process run's store holds.
+  TPCP_RETURN_IF_ERROR(
+      state.progress.Commit(&store, {}, Phase2Progress::Cut::kDone));
+  state.progress.Fill(&result->phase2);
   result->final_workers = supervisor.fleet_size();
   result->phase2.seconds = watch.ElapsedSeconds();
   return Status::OK();
