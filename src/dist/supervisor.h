@@ -33,7 +33,6 @@ enum class DegradeMode {
   kSingle,  // skip shrinking: finish in-process immediately
 };
 
-const char* DegradeModeName(DegradeMode mode);
 Result<DegradeMode> DegradeModeFromName(const std::string& name);
 
 /// The supervisor's verdict after one recoverable worker fault.

@@ -181,10 +181,6 @@ const char* KernelVariantName(KernelVariant variant) {
   return variant == KernelVariant::kScalar ? "scalar" : "simd";
 }
 
-const char* KernelArithName(KernelArith arith) {
-  return arith == KernelArith::kExact ? "exact" : "fma";
-}
-
 void MicroKernelNN(const double* a, int64_t lda, const double* b,
                    int64_t ldb, double* c, int64_t ldc, int64_t mb,
                    int64_t nb, int64_t kb, KernelVariant variant,

@@ -36,7 +36,6 @@ bool SimdCompiled();
 const char* SimdTargetName();
 
 const char* KernelVariantName(KernelVariant variant);
-const char* KernelArithName(KernelArith arith);
 
 /// C[mb x nb] += A[mb x kb] * B[kb x nb], row-major with leading
 /// dimensions lda/ldb/ldc — the Gemm NN microkernel. Skips (i, p) pairs

@@ -48,7 +48,6 @@ struct VecD {
 inline VecD Load(const double* p) { return {_mm256_loadu_pd(p)}; }
 inline void Store(double* p, VecD a) { _mm256_storeu_pd(p, a.v); }
 inline VecD Broadcast(double x) { return {_mm256_set1_pd(x)}; }
-inline VecD Zero() { return {_mm256_setzero_pd()}; }
 inline VecD Add(VecD a, VecD b) { return {_mm256_add_pd(a.v, b.v)}; }
 inline VecD Mul(VecD a, VecD b) { return {_mm256_mul_pd(a.v, b.v)}; }
 inline VecD MulAdd(VecD a, VecD b, VecD acc) {
@@ -83,7 +82,6 @@ struct VecD {
 inline VecD Load(const double* p) { return {vld1q_f64(p)}; }
 inline void Store(double* p, VecD a) { vst1q_f64(p, a.v); }
 inline VecD Broadcast(double x) { return {vdupq_n_f64(x)}; }
-inline VecD Zero() { return {vdupq_n_f64(0.0)}; }
 inline VecD Add(VecD a, VecD b) { return {vaddq_f64(a.v, b.v)}; }
 inline VecD Mul(VecD a, VecD b) { return {vmulq_f64(a.v, b.v)}; }
 inline VecD MulAdd(VecD a, VecD b, VecD acc) {
@@ -105,7 +103,6 @@ struct VecD {
 inline VecD Load(const double* p) { return {*p}; }
 inline void Store(double* p, VecD a) { *p = a.v; }
 inline VecD Broadcast(double x) { return {x}; }
-inline VecD Zero() { return {0.0}; }
 inline VecD Add(VecD a, VecD b) { return {a.v + b.v}; }
 inline VecD Mul(VecD a, VecD b) { return {a.v * b.v}; }
 inline VecD MulAdd(VecD a, VecD b, VecD acc) { return {acc.v + a.v * b.v}; }

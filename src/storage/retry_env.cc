@@ -1,7 +1,5 @@
 #include "storage/retry_env.h"
 
-#include <utility>
-
 namespace tpcp {
 
 Status RetryEnv::WriteFile(const std::string& name, const std::string& data) {
@@ -38,25 +36,6 @@ Result<uint64_t> RetryEnv::FileSize(const std::string& name) {
 
 std::vector<std::string> RetryEnv::ListFiles(const std::string& prefix) {
   return delegate_->ListFiles(prefix);
-}
-
-namespace {
-
-/// RetryEnv plus ownership of the wrapped delegate.
-class OwningRetryEnv : public RetryEnv {
- public:
-  OwningRetryEnv(std::unique_ptr<Env> delegate, RetryPolicy policy)
-      : RetryEnv(delegate.get(), policy), owned_(std::move(delegate)) {}
-
- private:
-  std::unique_ptr<Env> owned_;
-};
-
-}  // namespace
-
-std::unique_ptr<Env> NewRetryEnv(std::unique_ptr<Env> delegate,
-                                 RetryPolicy policy) {
-  return std::make_unique<OwningRetryEnv>(std::move(delegate), policy);
 }
 
 }  // namespace tpcp

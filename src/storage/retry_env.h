@@ -7,8 +7,6 @@
 #ifndef TPCP_STORAGE_RETRY_ENV_H_
 #define TPCP_STORAGE_RETRY_ENV_H_
 
-#include <memory>
-
 #include "storage/env.h"
 #include "util/retry.h"
 
@@ -32,10 +30,6 @@ class RetryEnv : public Env {
   Env* delegate_;
   RetryPolicy policy_;
 };
-
-/// Owning variant for the URI factory ("retry+posix://...").
-std::unique_ptr<Env> NewRetryEnv(std::unique_ptr<Env> delegate,
-                                 RetryPolicy policy);
 
 }  // namespace tpcp
 

@@ -403,12 +403,6 @@ Status WriteTensor(Env* env, const std::string& name, const DenseTensor& t) {
   return env->WriteFile(name, SerializeTensor(t));
 }
 
-Result<DenseTensor> ReadTensor(Env* env, const std::string& name) {
-  std::string bytes;
-  TPCP_RETURN_IF_ERROR(env->ReadFile(name, &bytes));
-  return DeserializeTensor(bytes);
-}
-
 Status WriteSparseCoo(Env* env, const std::string& name,
                       const SparseTensor& t) {
   return env->WriteFile(name, SerializeSparseCoo(t));

@@ -70,7 +70,6 @@ Result<uint8_t> PeekRecordKind(const std::string& bytes);
 Status WriteMatrix(Env* env, const std::string& name, const Matrix& m);
 Result<Matrix> ReadMatrix(Env* env, const std::string& name);
 Status WriteTensor(Env* env, const std::string& name, const DenseTensor& t);
-Result<DenseTensor> ReadTensor(Env* env, const std::string& name);
 Status WriteSparseCoo(Env* env, const std::string& name,
                       const SparseTensor& t);
 Status WriteSparseCsf(Env* env, const std::string& name, const CsfTensor& t);

@@ -1,6 +1,5 @@
 #include "util/logging.h"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -9,7 +8,8 @@
 namespace tpcp {
 namespace {
 
-std::atomic<int> g_min_level{static_cast<int>(LogLevel::kInfo)};
+/// Lines below this level are dropped.
+constexpr LogLevel kMinLevel = LogLevel::kInfo;
 std::mutex g_log_mutex;
 
 const char* LevelName(LogLevel level) {
@@ -39,14 +39,6 @@ void Emit(LogLevel level, const std::string& body) {
 
 }  // namespace
 
-void SetLogLevel(LogLevel level) {
-  g_min_level.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
-LogLevel GetLogLevel() {
-  return static_cast<LogLevel>(g_min_level.load(std::memory_order_relaxed));
-}
-
 namespace internal {
 
 LogMessage::LogMessage(LogLevel level, const char* file, int line)
@@ -55,8 +47,7 @@ LogMessage::LogMessage(LogLevel level, const char* file, int line)
 }
 
 LogMessage::~LogMessage() {
-  if (static_cast<int>(level_) >=
-      g_min_level.load(std::memory_order_relaxed)) {
+  if (static_cast<int>(level_) >= static_cast<int>(kMinLevel)) {
     Emit(level_, stream_.str());
   }
 }

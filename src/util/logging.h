@@ -13,10 +13,6 @@ namespace tpcp {
 
 enum class LogLevel : int { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
 
-/// Sets the minimum level that is emitted to stderr. Default: kInfo.
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
-
 namespace internal {
 
 /// Accumulates one log line and emits it on destruction.

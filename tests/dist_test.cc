@@ -20,7 +20,10 @@
 //     boundaries and mid-wave) is either absorbed or recovered from; the
 //     run still completes bit-identically,
 //   * transient storage faults are absorbed below the protocol by the
-//     retry layer (no respawn needed),
+//     retry layer (no respawn needed), the coordinator's own store writes
+//     included,
+//   * an engine cancel and a fleet crash at the same vi boundary cut the
+//     same checkpoint over the same sub-factor bytes,
 //   * dead metadata absorbs are pruned on block-centric schedules: the
 //     relay moves strictly fewer bytes than the unpruned protocol while
 //     measured == predicted stays exact and the math does not move,
@@ -44,10 +47,13 @@
 #include <vector>
 
 #include "api/session.h"
+#include "core/cancellation.h"
 #include "core/phase2_engine.h"
+#include "core/progress_observer.h"
 #include "core/two_phase_cp.h"
 #include "data/synthetic.h"
 #include "dist/coordinator.h"
+#include "dist/exchange.h"
 #include "dist/faulty_channel.h"
 #include "dist/worker.h"
 #include "grid/block_tensor_store.h"
@@ -1239,6 +1245,108 @@ TEST(DistPhase2Test, SessionRunsTheFleetAsASolverByteIdenticalTo2pcp) {
             std::string::npos)
       << failed.status().ToString();
   EXPECT_EQ(session->factor_store(), nullptr);
+}
+
+
+/// Cancels the refinement once it completes iteration `at_vi`, as a
+/// JobService cancel would; the engine stops at the next wave boundary.
+class CancelAfterIteration : public ProgressObserver {
+ public:
+  CancelAfterIteration(CancellationToken* token, int at_vi)
+      : token_(token), at_vi_(at_vi) {}
+  void OnVirtualIteration(int iteration, double fit,
+                          uint64_t swap_ins) override {
+    (void)fit;
+    (void)swap_ins;
+    if (iteration >= at_vi_) token_->Cancel();
+  }
+
+ private:
+  CancellationToken* token_;
+  int at_vi_;
+};
+
+// The engine and the fleet commit through one Phase2Progress: an engine
+// cancelled after vi 0 and a fleet that crashes in vi 1 leave the same
+// checkpoint and the same files, told apart only by the ownership map.
+TEST(DistPhase2Test, EngineAndFleetCutTheSameCheckpoint) {
+  const TwoPhaseCpOptions options = DistOptions();
+  const GridPartition grid = TestGrid();
+  const ExecutionPlan plan = PlanFor(options);
+  const int64_t crash_pos = CrashPosInSecondVi(plan, options.rank);
+  ASSERT_GE(crash_pos, 0);
+
+  auto engine_env = OpenEnv("posix://" + ::testing::TempDir() +
+                            "dist_cut_engine");
+  ASSERT_TRUE(engine_env.ok()) << engine_env.status().ToString();
+  PreparePhase1Store(engine_env->get(), options);
+  {
+    CancellationToken token;
+    CancelAfterIteration canceller(&token, 1);
+    TwoPhaseCpOptions engine_options = options;
+    engine_options.cancel = &token;
+    engine_options.observer = &canceller;
+    BlockFactorStore factors(engine_env->get(), "f", grid, options.rank);
+    Phase2Result result;
+    const Status status = Phase2Engine(&factors, engine_options).Run(&result);
+    ASSERT_TRUE(status.IsCancelled()) << status.ToString();
+  }
+
+  auto fleet_env = OpenEnv("posix://" + ::testing::TempDir() +
+                           "dist_cut_fleet");
+  ASSERT_TRUE(fleet_env.ok()) << fleet_env.status().ToString();
+  PreparePhase1Store(fleet_env->get(), options);
+  {
+    BlockFactorStore factors(fleet_env->get(), "f", grid, options.rank);
+    WorkerFleet fleet;
+    SpawnFaults faults;
+    faults.crash_worker = 1;
+    faults.crash_at_step = crash_pos;
+    DistributedRunOptions dopts;
+    dopts.num_workers = 2;
+    dopts.max_respawns = 0;
+    dopts.degrade = DegradeMode::kOff;
+    dopts.spawn_worker = SpawnInProcess(&fleet, fleet_env->get(), faults);
+    DistributedRunResult result;
+    ASSERT_FALSE(
+        RunDistributedPhase2(&factors, options, dopts, &result).ok());
+    fleet.Join();
+  }
+
+  auto engine_cut = ReadManifest(engine_env->get(), "f");
+  auto fleet_cut = ReadManifest(fleet_env->get(), "f");
+  ASSERT_TRUE(engine_cut.ok()) << engine_cut.status().ToString();
+  ASSERT_TRUE(fleet_cut.ok()) << fleet_cut.status().ToString();
+  EXPECT_TRUE(engine_cut->grid == fleet_cut->grid);
+  EXPECT_EQ(engine_cut->rank, fleet_cut->rank);
+  ASSERT_TRUE(engine_cut->checkpoint.has_value());
+  ASSERT_TRUE(fleet_cut->checkpoint.has_value());
+  const Phase2Checkpoint& engine = *engine_cut->checkpoint;
+  const Phase2Checkpoint& dist = *fleet_cut->checkpoint;
+  EXPECT_EQ(engine.iteration, 1);
+  EXPECT_EQ(engine.cursor, plan.virtual_iteration_length());
+  EXPECT_EQ(engine.schedule, dist.schedule);
+  EXPECT_EQ(engine.iteration, dist.iteration);
+  EXPECT_EQ(engine.cursor, dist.cursor);
+  EXPECT_EQ(engine.options_fingerprint, dist.options_fingerprint);
+  EXPECT_EQ(engine.plan_fingerprint, dist.plan_fingerprint);
+  EXPECT_EQ(engine.ownership_fingerprint, 0u);
+  EXPECT_NE(dist.ownership_fingerprint, 0u);
+  ASSERT_EQ(engine.fit_trace.size(), dist.fit_trace.size());
+  for (size_t i = 0; i < engine.fit_trace.size(); ++i) {
+    EXPECT_EQ(DoubleBits(engine.fit_trace[i]), DoubleBits(dist.fit_trace[i]))
+        << "vi " << i;
+  }
+
+  // Every sub-factor (and block-factor) file holds the same bytes.
+  std::map<std::string, std::string> engine_files =
+      FactorFiles(engine_env->get());
+  std::map<std::string, std::string> fleet_files =
+      FactorFiles(fleet_env->get());
+  EXPECT_EQ(engine_files.erase(ManifestFileName("f")), 1u);
+  EXPECT_EQ(fleet_files.erase(ManifestFileName("f")), 1u);
+  EXPECT_EQ(engine_files.size(), fleet_files.size());
+  EXPECT_TRUE(engine_files == fleet_files);
 }
 
 }  // namespace
