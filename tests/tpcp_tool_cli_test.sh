@@ -17,11 +17,12 @@ fail() {
 }
 
 # expect_exit CODE ARGS...: runs the tool with ARGS (output in out.txt)
-# and requires exit status CODE.
+# and requires exit status CODE. A call that hangs is killed after 300 s
+# and fails with status 124.
 expect_exit() {
   want=$1
   shift
-  "$TOOL" "$@" > "$DIR/out.txt" 2>&1
+  timeout 300 "$TOOL" "$@" > "$DIR/out.txt" 2>&1
   got=$?
   if [ "$got" -ne "$want" ]; then
     fail "tpcp_tool $* exited $got, want $want"
@@ -72,6 +73,32 @@ for schedule in mc fo; do
 done
 grep -q "overlap: relayed" "$DIR/out.txt" ||
   fail "dist --schedule=fo relayed nothing inside a compute window"
+
+# A resume through the tool: a completed decompose leaves the plain
+# manifest, so --resume-phase2 extends the run by a fresh schedule pass
+# over the persisted sub-factors. dist on one store and decompose on an
+# identically generated twin must leave byte-identical factor directories
+# (MANIFEST included), and each ends on the plain manifest again.
+for run in decompose dist; do
+  expect_exit 0 generate "$DIR/resume-$run" --dims=12x12x12 --parts=2 \
+    --rank=3 --seed=7
+  expect_exit 0 decompose "$DIR/resume-$run" --rank=3 --schedule=mc \
+    --buffer-fraction=0.5 --max-virtual-iterations=2 --fit-tolerance=-1
+done
+expect_exit 0 dist "$DIR/resume-dist" --rank=3 --schedule=mc \
+  --buffer-fraction=0.5 --max-virtual-iterations=2 --fit-tolerance=-1 \
+  --workers=2 --resume-phase2
+expect_exit 0 decompose "$DIR/resume-decompose" --rank=3 --schedule=mc \
+  --buffer-fraction=0.5 --max-virtual-iterations=2 --fit-tolerance=-1 \
+  --resume-phase2
+diff -r "$DIR/resume-decompose/factors" "$DIR/resume-dist/factors" \
+  > /dev/null ||
+  fail "dist and decompose resumed to different factors"
+for run in decompose dist; do
+  if grep -q "^ckpt_" "$DIR/resume-$run/factors/MANIFEST"; then
+    fail "$run --resume-phase2 left a checkpoint in its MANIFEST"
+  fi
+done
 
 # A one-line jobs spec in the same flags-only syntax.
 echo "$DIR/depth0 --rank=3 --max-virtual-iterations=4" > "$DIR/jobs.spec"
