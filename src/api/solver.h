@@ -106,9 +106,8 @@ class Solver {
   virtual const char* name() const = 0;
 
   /// True when the solver persists factors through context.factors. The
-  /// Session only creates (and stamps a manifest for) a factor store when
-  /// this returns true, so one-shot baselines leave no empty factor store
-  /// behind.
+  /// Session only creates a factor store when this returns true, so
+  /// one-shot baselines leave no empty factor store behind.
   virtual bool WritesFactorStore() const { return false; }
 
   /// Canonicalizes `options` to what Run will actually execute (e.g.

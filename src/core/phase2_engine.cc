@@ -35,6 +35,30 @@ void RunBatch(RefinementState* state, const ExecutionPlan& plan,
   });
 }
 
+}  // namespace
+
+PlannerOptions Phase2PlannerOptions(const TwoPhaseCpOptions& options,
+                                    const GridPartition& grid) {
+  UnitCatalog catalog(grid, options.rank);
+  PlannerOptions planner_options;
+  planner_options.rank = options.rank;
+  planner_options.policy = options.policy;
+  planner_options.buffer_bytes =
+      std::max(options.ResolveBufferBytes(catalog.TotalBytes()),
+               catalog.MaxUnitBytes());
+  planner_options.reorder = options.EffectivePlanReorder();
+  planner_options.reorder_window = options.plan_reorder_window;
+  planner_options.shard_chunk_blocks = options.shard_slab_blocks;
+  planner_options.prefetch_depth = options.prefetch_depth;
+  planner_options.victim_hints = options.policy_victim_hints;
+  // Certification (two simulated cycle replays) is only paid when the
+  // reordering pass needs its parity gate.
+  planner_options.certify = options.EffectivePlanReorder();
+  return planner_options;
+}
+
+namespace {
+
 /// The one checkpoint-resume validator (Phase2Progress::Load). Returns
 /// the checkpoint to continue from, or nullopt for a fresh schedule pass
 /// — on NotFound or a manifest without a checkpoint.
@@ -93,26 +117,6 @@ Result<std::optional<Phase2Checkpoint>> ValidateResume(
 }
 
 }  // namespace
-
-PlannerOptions Phase2PlannerOptions(const TwoPhaseCpOptions& options,
-                                    const GridPartition& grid) {
-  UnitCatalog catalog(grid, options.rank);
-  PlannerOptions planner_options;
-  planner_options.rank = options.rank;
-  planner_options.policy = options.policy;
-  planner_options.buffer_bytes =
-      std::max(options.ResolveBufferBytes(catalog.TotalBytes()),
-               catalog.MaxUnitBytes());
-  planner_options.reorder = options.EffectivePlanReorder();
-  planner_options.reorder_window = options.plan_reorder_window;
-  planner_options.shard_chunk_blocks = options.shard_slab_blocks;
-  planner_options.prefetch_depth = options.prefetch_depth;
-  planner_options.victim_hints = options.policy_victim_hints;
-  // Certification (two simulated cycle replays) is only paid when the
-  // reordering pass needs its parity gate.
-  planner_options.certify = options.EffectivePlanReorder();
-  return planner_options;
-}
 
 Phase2Runtime::Phase2Runtime(BlockFactorStore* factors,
                              const TwoPhaseCpOptions& options,

@@ -1,9 +1,10 @@
 // The Phase-2 refinement execution engine (Algorithm 2's outer loop).
 //
-// The engine owns the schedule cursor, the buffer pool, the convergence
-// logic and the Phase-2 statistics; the factor data itself lives in a
-// RefinementState backed by the caller's BlockFactorStore. All data
-// movement goes through one PrefetchPipeline (buffer/prefetch_pipeline.h);
+// The engine owns the buffer pool and the Phase-2 statistics; its cursor,
+// fit trace and convergence live in a Phase2Progress, which it shares
+// with the dist coordinator, and the factor data in a RefinementState
+// backed by the caller's BlockFactorStore. All data movement goes
+// through one PrefetchPipeline (buffer/prefetch_pipeline.h);
 // prefetch_depth only sets how far ahead it loads, with depth 0 running
 // every load and writeback inline. The update sequence is the same for
 // every depth, so factors and fit traces are identical; only wall-clock
@@ -150,7 +151,7 @@ struct Phase2Progress {
   /// for `cut`. Not atomic: a process killed between the sub-factor writes
   /// and the manifest write leaves the store holding iteration k+1
   /// factors under the iteration-k checkpoint, which a resume replays
-  /// without noticing.
+  /// without noticing (ROADMAP, "Crash consistency at every write").
   Status Commit(BlockFactorStore* factors,
                 const std::map<ModePartition, Matrix>& staged, Cut cut) const;
 

@@ -5,8 +5,8 @@
 // Responsibilities, in protocol order:
 //
 //  - Builds the plan exactly as Phase2Engine::Run would (same
-//    Phase2PlannerOptions), checks a resume with the engine's own
-//    ValidateResume, and seeds a fresh run's sub-factors with the
+//    Phase2PlannerOptions), loads a resume through the engine's own
+//    Phase2Progress::Load, and seeds a fresh run's sub-factors with the
 //    engine's own SeedSubFactors — so workers can always initialize in
 //    resume mode against the persisted state.
 //  - Drives the wave loop: broadcasts each conflict-free wave, collects
@@ -25,14 +25,15 @@
 //    (mode-centric) report zero.
 //  - At each virtual-iteration boundary collects every worker's surrogate
 //    fit and requires them bitwise equal (a divergence is an Internal
-//    error, never silently averaged), then applies the engine's exact
-//    convergence rule.
-//  - Alone writes the base factor store: collects all workers' dirty
-//    sub-factors at the persist boundary, writes them in sorted unit
-//    order, then cuts a Phase2Checkpoint manifest. The base store never
-//    gets ahead of the checkpoint cursor, so a worker killed at any
-//    instant leaves a store a single-process resume_phase2 run continues
-//    bit-identically.
+//    error, never silently averaged), then closes the iteration with the
+//    engine's Phase2Progress::CloseIteration.
+//  - Alone writes the base factor store, through one RetryEnv: collects
+//    all workers' dirty sub-factors at the persist boundary and commits
+//    them with a checkpoint through the engine's Phase2Progress::Commit,
+//    which also writes the plain manifest that ends the run. The base
+//    store never gets ahead of the checkpoint cursor, so a worker killed
+//    at any instant leaves a store a single-process resume_phase2 run
+//    continues bit-identically.
 //  - Accounts every relayed byte (logical matrix bytes, the
 //    DistributedPlan definition) so tests can assert measured == predicted
 //    exactly against schedule/planner.h's cluster traffic model. The relay

@@ -1001,7 +1001,7 @@ TEST(DistPhase2Test, ResumeUnderDifferentOwnershipMapIsRejected) {
   ExpectFactorsBitIdentical(ref_env.get(), env->get(), options.rank);
 }
 
-// Both runners validate a resume with the one ValidateResume, so a
+// Both runners load a resume with the one Phase2Progress::Load, so a
 // tampered checkpoint is refused by the single-process engine and by the
 // dist coordinator with the same Status. The ownership map is checked on
 // dist resumes only: the engine finishes any fleet's checkpoint.
