@@ -208,10 +208,9 @@ void RollbackLedger(const RunState& state, DistributedRunResult* result) {
 
 /// One fleet attempt: forms a fleet of `fleet_size` workers, replays the
 /// plan from the committed cursor, and commits `state` at every checkpoint
-/// cut. On
-/// failure `*fault_worker` says who to blame: a worker id for channel
-/// faults, kFaultFleet for formation faults, kFaultNone for content
-/// violations (which the supervisor must never retry).
+/// cut. On failure `*fault_worker` says who to blame: a worker id for
+/// channel faults, kFaultFleet for formation faults, kFaultNone for
+/// content violations (which the supervisor must never retry).
 Status RunFleetAttempt(BlockFactorStore* factors,
                        const TwoPhaseCpOptions& options,
                        const ExecutionPlan& plan,
