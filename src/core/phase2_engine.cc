@@ -268,7 +268,8 @@ Status Phase2Engine::Run(Phase2Result* result) {
     // The iteration executes [pos, vi_end) in conflict-free waves. When
     // resuming mid-iteration the first wave starts at the checkpoint
     // cursor — possibly mid-batch, which only shortens the first wave.
-    const int64_t vi_end = static_cast<int64_t>(progress.iteration + 1) * vi_len;
+    const int64_t vi_end =
+        static_cast<int64_t>(progress.iteration + 1) * vi_len;
     while (pos < vi_end) {
       // Cancellation polls at wave boundaries, so the checkpoint cursor
       // always lands between waves and a resume — with any compute/buffer
@@ -336,7 +337,8 @@ Status Phase2Engine::Run(Phase2Result* result) {
   // The plain manifest ends the run; it also retires a resumed run's
   // checkpoint, so a later resume starts a fresh pass instead of replaying
   // a stale cursor.
-  TPCP_RETURN_IF_ERROR(progress.Commit(factors_, {}, Phase2Progress::Cut::kDone));
+  TPCP_RETURN_IF_ERROR(
+      progress.Commit(factors_, {}, Phase2Progress::Cut::kDone));
   progress.Fill(result);
   result->buffer_stats = pool.stats();
   result->swaps_per_virtual_iteration =
