@@ -38,8 +38,8 @@ TwoPhaseCpOptions TestOptions() {
 
 /// Stages the seed-`seed` test tensor into `env` under "tensor".
 void Stage(Env* env, uint64_t seed,
-           SlabFormat format = SlabFormat::kDense) {
-  GridPartition grid = GridPartition::Uniform(TestSpec(seed).shape, 2);
+           SlabFormat format = SlabFormat::kDense, int64_t parts = 2) {
+  GridPartition grid = GridPartition::Uniform(TestSpec(seed).shape, parts);
   auto store = BlockTensorStore::Create(env, "tensor", grid, format);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   ASSERT_TRUE(GenerateLowRankIntoStore(TestSpec(seed), &*store).ok());
@@ -452,6 +452,70 @@ TEST(JobServiceTest, ResubmitWithDifferentSeedRestartsInsteadOfResuming) {
   EXPECT_FALSE(info->resumed);
   EXPECT_EQ(info->result.phase2_start_iteration, 0);
   EXPECT_GT(info->result.blocks_decomposed, 0) << "phase 1 must rerun";
+}
+
+/// Cancels a job at vi 2 on a 2x2x2 store (leaving a checkpoint), then
+/// regenerates the tensor at 3 parts under the same path: the checkpoint
+/// no longer describes the tensor the next job decomposes.
+void CheckpointThenRegenerate(JobService* service, Env* env) {
+  CancelSelfAtVi canceller(service, 2);
+  JobSpec spec = SpecFor(env);
+  spec.options.observer = &canceller;
+  canceller.set_id(1);
+  ASSERT_TRUE(service->Submit(spec).ok());
+  auto cancelled = service->Await(1);
+  ASSERT_TRUE(cancelled.ok());
+  ASSERT_EQ(cancelled->state, JobState::kCancelled)
+      << cancelled->status.ToString();
+  auto manifest = ReadManifest(env, "factors");
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  ASSERT_TRUE(manifest->checkpoint.has_value());
+  Stage(env, 41, SlabFormat::kDense, /*parts=*/3);
+}
+
+TEST(JobServiceTest, ResubmitOnRegeneratedTensorRunsFresh) {
+  // Same spec, same options fingerprint, but a different grid: auto-resume
+  // must not splice the old run's checkpoint onto the new tensor.
+  auto env = NewMemEnv();
+  Stage(env.get(), 41);
+  JobServiceOptions service_options;
+  service_options.num_workers = 1;
+  JobService service(service_options);
+  CheckpointThenRegenerate(&service, env.get());
+
+  auto id = service.Submit(SpecFor(env.get()));
+  ASSERT_TRUE(id.ok());
+  auto info = service.Await(*id);
+  ASSERT_TRUE(info.ok());
+  ASSERT_EQ(info->state, JobState::kSucceeded) << info->status.ToString();
+  EXPECT_FALSE(info->resumed);
+  EXPECT_EQ(info->result.phase2_start_iteration, 0);
+  EXPECT_GT(info->result.blocks_decomposed, 0) << "phase 1 must rerun";
+  auto manifest = ReadManifest(env.get(), "factors");
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  EXPECT_FALSE(manifest->checkpoint.has_value());
+  EXPECT_EQ(manifest->grid.parts(0), 3);
+}
+
+TEST(JobServiceTest, ExplicitResumeOnRegeneratedTensorIsFailedPrecondition) {
+  // An explicit resume of a checkpoint cut on another grid is refused by
+  // the resume validator, before any sub-factor is read.
+  auto env = NewMemEnv();
+  Stage(env.get(), 41);
+  JobServiceOptions service_options;
+  service_options.num_workers = 1;
+  JobService service(service_options);
+  CheckpointThenRegenerate(&service, env.get());
+
+  JobSpec spec = SpecFor(env.get());
+  spec.options.resume_phase2 = true;
+  auto id = service.Submit(spec);
+  ASSERT_TRUE(id.ok());
+  auto info = service.Await(*id);
+  ASSERT_TRUE(info.ok());
+  ASSERT_EQ(info->state, JobState::kFailed);
+  EXPECT_EQ(info->status.code(), StatusCode::kFailedPrecondition)
+      << info->status.ToString();
 }
 
 TEST(JobServiceTest, DestructorCancelsOutstandingJobs) {

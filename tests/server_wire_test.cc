@@ -7,12 +7,18 @@
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
 #include <chrono>
+#include <cstring>
+#include <random>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "server/daemon.h"
 #include "server/json.h"
@@ -179,6 +185,141 @@ TEST(WireTest, OversizedAndZeroLengthFramesLatchAnError) {
   EXPECT_TRUE(EncodeFrame(std::string(kMaxFrameBytes, 'x')).ok());
 }
 
+/// What a byte stream frames into: the complete payloads, whether a
+/// malformed length word (zero, or over kMaxFrameBytes) latched an error,
+/// and whether bytes of an unfinished frame remain.
+struct Framing {
+  std::vector<std::string> frames;
+  bool failed = false;
+  bool partial = false;
+};
+
+/// The framing `stream` spells out, read straight off its length words.
+Framing ReferenceFraming(const std::string& stream) {
+  Framing out;
+  size_t at = 0;
+  while (stream.size() - at >= 4) {
+    uint32_t length = 0;
+    for (size_t i = 0; i < 4; ++i) {
+      length = (length << 8) | static_cast<unsigned char>(stream[at + i]);
+    }
+    if (length == 0 || length > kMaxFrameBytes) {
+      out.failed = true;
+      return out;
+    }
+    if (stream.size() - at - 4 < length) break;
+    out.frames.push_back(stream.substr(at + 4, length));
+    at += 4 + length;
+  }
+  out.partial = at < stream.size();
+  return out;
+}
+
+/// Feeds `stream` to a fresh FrameDecoder in random-sized chunks and
+/// returns what it framed. A latched decoder must stay failed: a further
+/// Feed of any bytes is refused and frames nothing.
+Framing DecodeInChunks(const std::string& stream, std::mt19937* rng) {
+  FrameDecoder decoder;
+  Framing out;
+  std::string payload;
+  for (size_t at = 0; at < stream.size();) {
+    const size_t chunk =
+        std::min<size_t>(stream.size() - at, 1 + (*rng)() % 64);
+    const Status fed = decoder.Feed(stream.data() + at, chunk);
+    while (decoder.Next(&payload)) out.frames.push_back(payload);
+    if (!fed.ok()) {
+      EXPECT_EQ(fed.code(), StatusCode::kInvalidArgument) << fed.ToString();
+      break;
+    }
+    at += chunk;
+  }
+  out.failed = decoder.failed();
+  out.partial = !out.failed && decoder.has_partial();
+  if (out.failed) {
+    EXPECT_EQ(decoder.Feed(stream).code(), StatusCode::kInvalidArgument);
+    EXPECT_FALSE(decoder.Next(&payload));
+    EXPECT_TRUE(decoder.failed());
+  }
+  return out;
+}
+
+TEST(WireTest, MutatedStreamsNeverCrashOrMisframe) {
+  // Every socket byte of tpcpd and dist crosses FrameDecoder. Misframing
+  // here means framing other than what the stream's length words say;
+  // the frame carries no checksum, so a flip to another in-range length
+  // is reframed as written (TCP's checksum guards the bytes), while a
+  // zero or over-cap length latches InvalidArgument.
+  const std::vector<std::string> payloads = {
+      "{\"t\":\"hello\",\"worker\":0}",
+      "{\"blob\":\"" + std::string(300, 'x') + "\"}",
+      std::string(1000, '\x7f'),
+  };
+  std::string stream;
+  std::vector<size_t> word_at;  // offset of each frame's length word
+  for (const std::string& payload : payloads) {
+    word_at.push_back(stream.size());
+    const auto frame = EncodeFrame(payload);
+    ASSERT_TRUE(frame.ok());
+    stream += *frame;
+  }
+  std::mt19937 rng(7);
+
+  // A truncated stream is a partial frame, never an error, and it frames
+  // exactly the complete frames it holds.
+  for (size_t n = 0; n < stream.size(); ++n) {
+    const Framing got = DecodeInChunks(stream.substr(0, n), &rng);
+    ASSERT_FALSE(got.failed) << "prefix " << n;
+    ASSERT_LE(got.frames.size(), payloads.size());
+    for (size_t i = 0; i < got.frames.size(); ++i) {
+      EXPECT_EQ(got.frames[i], payloads[i]) << "prefix " << n;
+    }
+    const bool on_boundary =
+        std::find(word_at.begin(), word_at.end(), n) != word_at.end();
+    EXPECT_EQ(got.frames.size(),
+              static_cast<size_t>(std::upper_bound(word_at.begin(),
+                                                   word_at.end(), n) -
+                                  word_at.begin()) -
+                  1)
+        << "prefix " << n;
+    EXPECT_EQ(got.partial, !on_boundary) << "prefix " << n;
+  }
+
+  // Seeded single-byte flips, alternating between a length word and a
+  // payload byte.
+  for (int trial = 0; trial < 4000; ++trial) {
+    const size_t frame = rng() % payloads.size();
+    const bool in_word = trial % 2 == 0;
+    const size_t at = in_word ? word_at[frame] + rng() % 4
+                              : word_at[frame] + 4 +
+                                    rng() % payloads[frame].size();
+    std::string mutated = stream;
+    mutated[at] = static_cast<char>(mutated[at] ^ (1 + rng() % 255));
+    const Framing got = DecodeInChunks(mutated, &rng);
+    const Framing want = ReferenceFraming(mutated);
+    EXPECT_EQ(got.frames, want.frames) << "flip at " << at;
+    EXPECT_EQ(got.failed, want.failed) << "flip at " << at;
+    EXPECT_EQ(got.partial, want.partial) << "flip at " << at;
+    // Frames ahead of the flipped one come through untouched.
+    ASSERT_GE(got.frames.size(), in_word ? frame : payloads.size());
+    for (size_t i = 0; i < frame; ++i) EXPECT_EQ(got.frames[i], payloads[i]);
+    if (!in_word) {
+      // A payload flip never moves a boundary.
+      EXPECT_FALSE(got.failed);
+      EXPECT_FALSE(got.partial);
+      for (size_t i = 0; i < payloads.size(); ++i) {
+        EXPECT_EQ(got.frames[i].size(), payloads[i].size());
+      }
+    } else if (at - word_at[frame] < 2 &&
+               (static_cast<unsigned char>(mutated[at]) >= 0x10 ||
+                at == word_at[frame])) {
+      // A flip that puts any bit at 2^20 or above in the length word
+      // (every payload here is < 2^16) is an over-cap length: it latches.
+      EXPECT_TRUE(got.failed) << "flip at " << at;
+      EXPECT_EQ(got.frames.size(), frame);
+    }
+  }
+}
+
 // ---- channel ---------------------------------------------------------------
 
 TEST(FrameChannelTest, DeadlineAndCloseOverLoopback) {
@@ -217,6 +358,33 @@ TEST(FrameChannelTest, DeadlineAndCloseOverLoopback) {
   closer.join();
   EXPECT_FALSE(woken.ok());
   EXPECT_EQ((*server)->Send(big).code(), StatusCode::kFailedPrecondition);
+}
+
+TEST(FrameChannelTest, NoDelayIsSetOnBothEnds) {
+  // Request/response frames are small: with Nagle on, each one can sit in
+  // the sender until the peer's delayed ACK fires. Both ends turn it off.
+  int port = 0;
+  auto listen_fd = Listen(&port);
+  if (!listen_fd.ok()) {
+    GTEST_SKIP() << "sockets unavailable: " << listen_fd.status().ToString();
+  }
+  auto client = Connect("127.0.0.1", port);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  auto server = Accept(*listen_fd, /*timeout_ms=*/5000);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  ::close(*listen_fd);
+  const int accepted_fd = (*server)->ReleaseFd();
+  const int connected_fd = (*client)->ReleaseFd();
+  for (const int fd : {accepted_fd, connected_fd}) {
+    const char* end = fd == accepted_fd ? "accepted" : "connected";
+    int nodelay = 0;
+    socklen_t len = sizeof(nodelay);
+    EXPECT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, &len), 0)
+        << end << ": " << std::strerror(errno);
+    EXPECT_NE(nodelay, 0) << "the " << end << " socket keeps Nagle on";
+  }
+  ::close(accepted_fd);
+  ::close(connected_fd);
 }
 
 // ---- protocol dispatch -----------------------------------------------------
