@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -35,6 +36,20 @@ Status PollFor(int fd, short events, int timeout_ms, const char* what) {
     if (ready == 0) return Status::IOError(std::string(what) + " timed out");
     return Status::OK();
   }
+}
+
+/// Turns Nagle off on a connected socket, or closes it. Every frame is a
+/// small request or response its sender then waits on; with Nagle on, a
+/// frame written while an earlier one is unacknowledged sits in the
+/// kernel until the peer's delayed ACK fires (tens of milliseconds).
+Status SetNoDelay(int fd) {
+  const int one = 1;
+  if (::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) != 0) {
+    const Status error = Errno("setsockopt TCP_NODELAY");
+    ::close(fd);
+    return error;
+  }
+  return Status::OK();
 }
 
 sockaddr_in LoopbackAddress(int port) {
@@ -206,7 +221,10 @@ Result<std::unique_ptr<FrameChannel>> Accept(int listen_fd, int timeout_ms) {
   }
   for (;;) {
     const int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd >= 0) return std::make_unique<FrameChannel>(fd);
+    if (fd >= 0) {
+      TPCP_RETURN_IF_ERROR(SetNoDelay(fd));
+      return std::make_unique<FrameChannel>(fd);
+    }
     if (errno != EINTR) return Errno("accept");
   }
 }
@@ -231,6 +249,7 @@ Result<std::unique_ptr<FrameChannel>> Connect(const std::string& host,
           ::close(fd);
           return error;  // IOError: transient, retried
         }
+        TPCP_RETURN_IF_ERROR(SetNoDelay(fd));
         connected_fd = fd;
         return Status::OK();
       }));
