@@ -325,9 +325,10 @@ void JobService::Execute(Job* job) {
     failure = session.status();
   } else {
     // A checkpoint cut by a cancelled/crashed run of this same spec means
-    // the refinement continues; anything else — no checkpoint, or a spec
-    // whose math-shaping options (rank, schedule, seed, init, solve
-    // parameters) differ from the interrupted run's — runs fresh. The
+    // the refinement continues; anything else — no checkpoint, a tensor
+    // regenerated on another grid under the same path, or a spec whose
+    // math-shaping options (rank, schedule, seed, init, solve parameters)
+    // differ from the interrupted run's — runs fresh. The
     // comparison uses the solver-normalized options: the checkpoint was
     // recorded with the configuration the engine actually ran (e.g.
     // grid-parafac's pinned mode-centric schedule), so the spec must be
@@ -338,10 +339,12 @@ void JobService::Execute(Job* job) {
           solver.ok()) {
         (*solver)->NormalizeOptions(&normalized);
       }
+      auto tensor = (*session)->OpenTensorStore();
       auto manifest = ReadManifest((*session)->env(),
                                    spec.session.factor_prefix);
-      if (manifest.ok() && manifest->checkpoint.has_value() &&
+      if (tensor.ok() && manifest.ok() && manifest->checkpoint.has_value() &&
           manifest->kind == StoreManifest::kFactorsKind &&
+          manifest->grid == (*tensor)->grid() &&
           manifest->rank == normalized.rank &&
           manifest->checkpoint->options_fingerprint ==
               normalized.ResumeFingerprint() &&

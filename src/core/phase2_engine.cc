@@ -250,13 +250,15 @@ Status Phase2Engine::Run(Phase2Result* result) {
   BufferPool& pool = runtime.pool;
   PrefetchPipeline& pipeline = runtime.pipeline;
   ThreadPool* compute_pool = runtime.compute_pool.get();
-  TPCP_RETURN_IF_ERROR(state.Initialize(options_.resume_phase2));
   const int64_t vi_len = schedule.virtual_iteration_length();
 
   // An interrupted run left a checkpoint in the store manifest; its cursor
   // and fit trace let the refinement continue exactly where it stopped.
+  // Validated before the state reads a sub-factor, so a checkpoint for
+  // another grid is refused as such instead of as a missing file.
   TPCP_ASSIGN_OR_RETURN(Phase2Progress progress,
                         Phase2Progress::Load(*factors_, options_, plan));
+  TPCP_RETURN_IF_ERROR(state.Initialize(options_.resume_phase2));
   if (progress.fit_trace.empty()) progress.last_fit = state.SurrogateFit();
   // The wave loop advances the progress cursor in place.
   int64_t& pos = progress.cursor;
