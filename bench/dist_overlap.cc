@@ -10,11 +10,12 @@
 // ride inside the next wave's compute window), next to an in-process
 // TwoPhaseCp run of the same store recipe. The fleet must match the
 // engine bit-for-bit on the final factors and keep measured == predicted
-// on the byte ledger — the bench records both checks, plus both Phase-2
-// wall-clocks and the relay volume the pipeline hid. The two clocks time
-// different things: the engine's covers RunPhase2 alone, the fleet's also
-// covers forking and exec'ing the workers, their handshake and
-// heartbeats, so they are not a cost ratio of the exchange.
+// on the byte ledger — the bench records both checks, the Phase-2
+// wall-clocks and the relay volume the pipeline hid. The fleet has two
+// clocks: fleet_phase2_seconds starts once every worker is ready, so it
+// times what the engine's RunPhase2 clock times (the sweep and the final
+// commit); wall_seconds_with_spawn also covers forking and exec'ing the
+// workers and their handshake.
 //
 // Part 2 — ownership: on a skewed grid (parts {1, K, K}: one giant
 // mode-0 unit next to 2K small ones), per-worker plan-step counts and
@@ -99,6 +100,8 @@ std::unique_ptr<TwoPhaseCp> PrepareStore(BlockTensorStore* input,
 struct OverlapRun {
   /// RunDistributedPhase2 end to end, worker spawn and handshake included.
   double wall_seconds = 0.0;
+  /// DistributedRunResult::fleet_phase2_seconds: from the ready fleet on.
+  double fleet_phase2_seconds = 0.0;
   double hidden_seconds = 0.0;
   uint64_t overlapped_bytes = 0;
   uint64_t down_bytes = 0;
@@ -170,6 +173,7 @@ OverlapRun RunDistributed(const std::string& self_exe,
     }
   }
 
+  run.fleet_phase2_seconds = result.fleet_phase2_seconds;
   run.hidden_seconds = result.hidden_seconds;
   run.overlapped_bytes = result.overlapped_bytes;
   run.ledger_exact = result.measured.size() == result.predicted.size();
@@ -316,9 +320,10 @@ int main(int argc, char** argv) {
   const bool identical =
       tpcp::FactorsIdentical(scratch + "/engine", pipelined.root);
   std::printf("engine     %.3f s\n", engine_seconds);
-  std::printf("fleet      %.3f s  incl. worker spawn + handshake "
-              "(hidden %.3f s, overlapped %llu B)\n",
-              pipelined.wall_seconds, pipelined.hidden_seconds,
+  std::printf("fleet      %.3f s  from the ready fleet; %.3f s incl. "
+              "worker spawn + handshake (hidden %.3f s, overlapped %llu B)\n",
+              pipelined.fleet_phase2_seconds, pipelined.wall_seconds,
+              pipelined.hidden_seconds,
               static_cast<unsigned long long>(pipelined.overlapped_bytes));
   std::printf("factors %s, ledger %s\n",
               identical ? "IDENTICAL" : "DIVERGED",
@@ -338,7 +343,8 @@ int main(int argc, char** argv) {
 
   if (!json_path.empty()) {
     JsonValue pipelined_json = JsonValue::Object();
-    pipelined_json.Set("wall_seconds_with_spawn", pipelined.wall_seconds)
+    pipelined_json.Set("fleet_phase2_seconds", pipelined.fleet_phase2_seconds)
+        .Set("wall_seconds_with_spawn", pipelined.wall_seconds)
         .Set("hidden_seconds", pipelined.hidden_seconds)
         .Set("overlapped_bytes", pipelined.overlapped_bytes)
         .Set("up_bytes", pipelined.up_bytes)

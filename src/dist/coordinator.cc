@@ -175,6 +175,9 @@ struct RunState {
   /// like the ledgers; a failed attempt's hidden work is not "savings").
   uint64_t overlapped_bytes = 0;
   double hidden_seconds = 0.0;
+  /// Restarted when an attempt's fleet is ready (DistributedRunResult::
+  /// fleet_phase2_seconds).
+  Stopwatch fleet_ready;
 };
 
 uint64_t LedgerTotalBytes(const DistributedRunResult& result) {
@@ -341,6 +344,7 @@ Status RunFleetAttempt(BlockFactorStore* factors,
           "dist: initial surrogate fit diverges across workers");
     }
   }
+  state->fleet_ready.Restart();
 
   // Channel integrity violations (lost or misordered frames) are
   // worker-attributed transient faults: unlike content violations they do
@@ -738,6 +742,7 @@ Status RunDistributedPhase2(BlockFactorStore* factors,
   state.progress.Fill(&result->phase2);
   result->final_workers = supervisor.fleet_size();
   result->phase2.seconds = watch.ElapsedSeconds();
+  result->fleet_phase2_seconds = state.fleet_ready.ElapsedSeconds();
   return Status::OK();
 }
 

@@ -130,6 +130,11 @@ struct DistributedRunResult {
   /// Per worker, DistributedPlan::PersistBytesForRange over the executed
   /// persist windows.
   std::vector<uint64_t> predicted_persist_bytes;
+  /// Wall-clock seconds from the handshake of the fleet that finished the
+  /// run (every worker ready) to the final commit: phase2.seconds without
+  /// spawning the workers and forming the fleet, so it compares with the
+  /// engine's Phase-2 clock. 0 when the run finished single-process.
+  double fleet_phase2_seconds = 0.0;
 
   /// Recovery telemetry. The ledgers above hold only *committed* traffic
   /// (attempts roll back to their last checkpoint on failure), accrued per
