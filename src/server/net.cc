@@ -38,10 +38,7 @@ Status PollFor(int fd, short events, int timeout_ms, const char* what) {
   }
 }
 
-/// Turns Nagle off on a connected socket, or closes it. Every frame is a
-/// small request or response its sender then waits on; with Nagle on, a
-/// frame written while an earlier one is unacknowledged sits in the
-/// kernel until the peer's delayed ACK fires (tens of milliseconds).
+/// Turns Nagle off on a connected socket (net.h says why), or closes it.
 Status SetNoDelay(int fd) {
   const int one = 1;
   if (::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) != 0) {

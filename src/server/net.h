@@ -2,12 +2,15 @@
 // distributed Phase 2 (dist/).
 //
 // FrameChannel moves server/wire frames over one connected TCP socket
-// (Listen binds 127.0.0.1). Sends use MSG_NOSIGNAL, so a peer that hangs
-// up early surfaces as an IOError and never kills the process with
-// SIGPIPE. An optional quiet-period deadline bounds both directions, so a
-// silent peer fails in bounded time instead of wedging its reader. Status codes are part of the
-// contract, because supervisor recovery and RetryWithBackoff key on
-// IsTransientStatus (util/retry.h):
+// (Listen binds 127.0.0.1). Accept and Connect set TCP_NODELAY on both
+// ends: every frame is a small request or response its sender then waits
+// on, and under Nagle plus the peer's delayed ACK such a frame could sit
+// in the kernel for tens of milliseconds. Sends use MSG_NOSIGNAL, so a
+// peer that hangs up early surfaces as an IOError and never kills the
+// process with SIGPIPE. An optional quiet-period deadline bounds both
+// directions, so a silent peer fails in bounded time instead of wedging
+// its reader. Status codes are part of the contract, because supervisor
+// recovery and RetryWithBackoff key on IsTransientStatus (util/retry.h):
 //
 //  - EOF, deadline expiry and socket errors are IOError (transient);
 //  - a closed channel is FailedPrecondition;
@@ -120,6 +123,7 @@ class FrameChannel {
 Result<int> Listen(int* port);
 /// Blocks for one inbound connection on `listen_fd`. With a non-negative
 /// `timeout_ms`, IOError("accept timed out") when nobody connects in time.
+/// The accepted socket has TCP_NODELAY set, as does Connect's.
 Result<std::unique_ptr<FrameChannel>> Accept(int listen_fd,
                                              int timeout_ms = -1);
 /// Connects to `host:port` (an IPv4 address), retrying refused/transient
