@@ -269,19 +269,15 @@ TEST(WireTest, MutatedStreamsNeverCrashOrMisframe) {
   for (size_t n = 0; n < stream.size(); ++n) {
     const Framing got = DecodeInChunks(stream.substr(0, n), &rng);
     ASSERT_FALSE(got.failed) << "prefix " << n;
-    ASSERT_LE(got.frames.size(), payloads.size());
-    for (size_t i = 0; i < got.frames.size(); ++i) {
-      EXPECT_EQ(got.frames[i], payloads[i]) << "prefix " << n;
-    }
-    const bool on_boundary =
-        std::find(word_at.begin(), word_at.end(), n) != word_at.end();
-    EXPECT_EQ(got.frames.size(),
-              static_cast<size_t>(std::upper_bound(word_at.begin(),
-                                                   word_at.end(), n) -
-                                  word_at.begin()) -
-                  1)
+    // Frames [0, complete) end at or before n; frame `complete` starts
+    // at or before it.
+    const size_t complete =
+        std::upper_bound(word_at.begin(), word_at.end(), n) -
+        word_at.begin() - 1;
+    EXPECT_EQ(got.frames, std::vector<std::string>(
+                              payloads.begin(), payloads.begin() + complete))
         << "prefix " << n;
-    EXPECT_EQ(got.partial, !on_boundary) << "prefix " << n;
+    EXPECT_EQ(got.partial, word_at[complete] != n) << "prefix " << n;
   }
 
   // Seeded single-byte flips, alternating between a length word and a
