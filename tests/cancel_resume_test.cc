@@ -6,6 +6,7 @@
 
 #include "api/session.h"
 #include "core/cancellation.h"
+#include "core/phase2_engine.h"
 #include "core/progress_observer.h"
 #include "core/two_phase_cp.h"
 #include "data/synthetic.h"
@@ -274,6 +275,38 @@ TEST(CancellationTest, ResumeUnderDifferentKernelArithIsRejected) {
   const TwoPhaseCpResult exact_run =
       RunTwoPhase(exact_env.get(), TestOptions());
   EXPECT_NE(exact_run.fit_trace, reference.fit_trace);
+}
+
+TEST(CancellationTest, FingerprintsArePinned) {
+  // Every Phase-2 checkpoint records ResumeFingerprint() and the engine
+  // plan's fingerprint, and a resume compares both against the values it
+  // recomputes. These constants were recorded from an earlier build: if
+  // either moves, checkpoints already on disk stop resuming.
+  const GridPartition grid = GridPartition::Uniform(Shape({32, 32, 32}), 4);
+  struct Pin {
+    ScheduleType schedule;
+    bool reordered;
+    uint64_t resume_fingerprint;
+    uint64_t plan_fingerprint;
+  };
+  const Pin pins[] = {
+      // ZO under default options: plan_reorder is in effect and adopted.
+      {ScheduleType::kZOrder, true, 17858169384445214966ull,
+       8171231719430992384ull},
+      {ScheduleType::kModeCentric, false, 15795328387713669169ull,
+       1242451906396611970ull},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(ScheduleTypeName(pin.schedule));
+    TwoPhaseCpOptions options;
+    options.schedule = pin.schedule;
+    const ExecutionPlan plan =
+        Planner::Build(UpdateSchedule::Create(options.schedule, grid),
+                       Phase2PlannerOptions(options, grid));
+    EXPECT_EQ(plan.stats().reorder_applied, pin.reordered);
+    EXPECT_EQ(options.ResumeFingerprint(), pin.resume_fingerprint);
+    EXPECT_EQ(plan.fingerprint(), pin.plan_fingerprint);
+  }
 }
 
 TEST(CancellationTest, SessionDecomposeHonoursCallerToken) {
