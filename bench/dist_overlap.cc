@@ -4,6 +4,9 @@
 //
 //   bench_dist_overlap [--json=BENCH_dist_overlap.json]
 //
+// Its stores live in a fresh directory under $TMPDIR (default /tmp),
+// removed when the bench exits.
+//
 // Part 1 — overlap: a 2-worker *forked* run (fork + exec of this binary,
 // the same process topology as `tpcp_tool dist`) on a fiber-order plan
 // whose singleton waves make deferrable relays common (deferred relays
@@ -28,9 +31,11 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
@@ -284,6 +289,27 @@ std::string RenderCounts(const std::vector<int64_t>& counts) {
   return s;
 }
 
+// The parent's scratch directory (empty until created). RemoveScratch
+// runs on every exit of the parent: returns from main through atexit, a
+// failed check's abort() through the SIGABRT handler. abort() is raised
+// only synchronously by the bench's own checks, never from inside the
+// allocator, so the handler may free memory. Forked workers exec (or
+// _exit) and so never run either.
+std::string g_scratch;
+
+void RemoveScratch() {
+  if (g_scratch.empty()) return;
+  std::error_code ignored;
+  std::filesystem::remove_all(g_scratch, ignored);
+  g_scratch.clear();
+}
+
+void RemoveScratchAndReraise(int sig) {
+  RemoveScratch();
+  std::signal(sig, SIG_DFL);
+  std::raise(sig);
+}
+
 }  // namespace
 }  // namespace tpcp
 
@@ -303,12 +329,19 @@ int main(int argc, char** argv) {
     return tpcp::ServeDistWorker(env->get(), "f", port, worker).ok() ? 0 : 1;
   }
 
-  char tmpl[] = "/tmp/tpcp_dist_overlap_XXXXXX";
-  if (::mkdtemp(tmpl) == nullptr) {
+  const char* tmpdir = std::getenv("TMPDIR");
+  std::string tmpl = std::string(tmpdir != nullptr && *tmpdir != '\0'
+                                     ? tmpdir
+                                     : "/tmp") +
+                     "/tpcp_dist_overlap_XXXXXX";
+  if (::mkdtemp(tmpl.data()) == nullptr) {
     std::fprintf(stderr, "bench: mkdtemp failed\n");
     return 1;
   }
   const std::string scratch = tmpl;
+  tpcp::g_scratch = scratch;
+  std::atexit(tpcp::RemoveScratch);
+  std::signal(SIGABRT, tpcp::RemoveScratchAndReraise);
 
   std::printf("dist overlap pipeline (%d workers) vs in-process engine, "
               "phase 2\n",
