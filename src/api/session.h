@@ -2,7 +2,7 @@
 //
 // A Session binds three registries into one object:
 //   - storage:  an Env resolved from a URI (storage/env_uri.h), so callers
-//     write "compressed+posix:///data?level=3" instead of hand-chaining
+//     write "compressed+posix:///data" instead of hand-chaining
 //     wrapper constructors;
 //   - datasets: manifest-backed BlockTensorStore / BlockFactorStore
 //     creation and reopening (grid/manifest.h);

@@ -124,14 +124,8 @@ EnvFactoryRegistry::EnvFactoryRegistry() {
   };
 
   // ---- Built-in wrappers. ----
-  wrappers_["compressed"] = [](Env* delegate, UriParams* params)
-      -> Result<std::unique_ptr<Env>> {
-    // The XOR codec has no tunable levels yet; the parameter is validated
-    // and reserved so URIs stay forward-compatible.
-    TPCP_ASSIGN_OR_RETURN(const int64_t level, params->GetInt("level", 1));
-    if (level < 1 || level > 9) {
-      return Status::InvalidArgument("compressed level must be in [1, 9]");
-    }
+  wrappers_["compressed"] = [](Env* delegate,
+                               UriParams*) -> Result<std::unique_ptr<Env>> {
     return std::unique_ptr<Env>(std::make_unique<CompressedEnv>(delegate));
   };
   wrappers_["throttled"] = [](Env* delegate, UriParams* params)

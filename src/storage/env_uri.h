@@ -4,7 +4,7 @@
 //
 //   mem://                            in-memory Env
 //   posix:///var/data/run1            filesystem Env rooted at the path
-//   compressed+posix:///data?level=3  CompressedEnv over a PosixEnv
+//   compressed+posix:///data          CompressedEnv over a PosixEnv
 //   throttled+mem://?mbps=50          ThrottledEnv over a MemEnv
 //   faulty+compressed+mem://          chains compose left-to-right,
 //                                     leftmost outermost

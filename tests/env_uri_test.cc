@@ -28,7 +28,7 @@ TEST(ParseEnvUriTest, PathAndQuery) {
 }
 
 TEST(ParseEnvUriTest, WrapperChainOutermostFirst) {
-  auto parsed = ParseEnvUri("faulty+compressed+posix:///d?level=3");
+  auto parsed = ParseEnvUri("faulty+compressed+posix:///d?fail_reads_after=3");
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->scheme, "posix");
   ASSERT_EQ(parsed->wrappers.size(), 2u);
@@ -81,7 +81,7 @@ TEST(OpenEnvTest, UnknownSchemeAndWrapperRejected) {
 }
 
 TEST(OpenEnvTest, CompressedWrapperIsTransparent) {
-  auto env = OpenEnv("compressed+mem://?level=3");
+  auto env = OpenEnv("compressed+mem://");
   ASSERT_TRUE(env.ok()) << env.status().ToString();
   const std::string payload(4096, 'x');
   ASSERT_TRUE((*env)->WriteFile("f", payload).ok());
@@ -96,11 +96,14 @@ TEST(OpenEnvTest, CompressedWrapperIsTransparent) {
   EXPECT_NE(stored, payload);
 }
 
-TEST(OpenEnvTest, CompressedLevelValidated) {
-  EXPECT_FALSE(OpenEnv("compressed+mem://?level=0").ok());
-  EXPECT_FALSE(OpenEnv("compressed+mem://?level=99").ok());
-  EXPECT_FALSE(OpenEnv("compressed+mem://?level=abc").ok());
-  EXPECT_TRUE(OpenEnv("compressed+mem://?level=9").ok());
+TEST(OpenEnvTest, CompressedTakesNoLevel) {
+  // The XOR codec has no levels, so `level` is an unknown parameter like
+  // any other.
+  auto env = OpenEnv("compressed+mem://?level=3");
+  ASSERT_FALSE(env.ok());
+  EXPECT_EQ(env.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(env.status().message().find("level"), std::string::npos)
+      << env.status().ToString();
 }
 
 TEST(OpenEnvTest, ThrottledWrapperParams) {
@@ -169,7 +172,7 @@ TEST(OpenEnvTest, UnknownParameterRejected) {
 }
 
 TEST(OpenEnvTest, ChainedWrappersComposeLeftmostOutermost) {
-  auto env = OpenEnv("throttled+compressed+mem://?mbps=1000&level=1");
+  auto env = OpenEnv("throttled+compressed+mem://?mbps=1000");
   ASSERT_TRUE(env.ok()) << env.status().ToString();
   EXPECT_NE(dynamic_cast<ThrottledEnv*>(env->get()), nullptr);
   const std::string payload(1024, 'y');

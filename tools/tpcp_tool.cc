@@ -71,7 +71,7 @@
 //       `tpcp_tool client` alone shows the verb flags.
 //
 // <dir|uri> is either a plain directory (shorthand for posix://<dir>) or a
-// storage URI: mem://, posix:///path, compressed+posix:///path?level=3,
+// storage URI: mem://, posix:///path, compressed+posix:///path,
 // throttled+mem://?mbps=50&latency_ms=1, faulty+..., and any registered
 // extension scheme.
 //
