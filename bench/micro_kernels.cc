@@ -129,17 +129,12 @@ void RunAll() {
       static_cast<double>(3 * kTile * kTile) * sizeof(double);
   BenchKernel("gemm_tile_nn", tile_bytes, [&](KernelVariant v) {
     MicroKernelNN(a.data(), kTile, b.data(), kTile, c.data(), kTile, kTile,
-                  kTile, kTile, v, KernelArith::kExact);
+                  kTile, kTile, v);
     g_sink += c.data()[0];
   });
   BenchKernel("gemm_tile_tn", tile_bytes, [&](KernelVariant v) {
     MicroKernelTN(a.data(), kTile, b.data(), kTile, c.data(), kTile, kTile,
-                  kTile, kTile, 1.0, v, KernelArith::kExact);
-    g_sink += c.data()[0];
-  });
-  BenchKernel("gemm_tile_tn_fma", tile_bytes, [&](KernelVariant v) {
-    MicroKernelTN(a.data(), kTile, b.data(), kTile, c.data(), kTile, kTile,
-                  kTile, kTile, 1.0, v, KernelArith::kFma);
+                  kTile, kTile, 1.0, v);
     g_sink += c.data()[0];
   });
 
@@ -152,8 +147,7 @@ void RunAll() {
                           2 * gram_rank * gram_rank) *
       sizeof(double);
   BenchKernel("gram", gram_bytes, [&](KernelVariant v) {
-    GemmVariant(Trans::kYes, tall, Trans::kNo, tall, 1.0, 0.0, &gram_out, v,
-                KernelArith::kExact);
+    GemmVariant(Trans::kYes, tall, Trans::kNo, tall, 1.0, 0.0, &gram_out, v);
     g_sink += gram_out.data()[0];
   });
 

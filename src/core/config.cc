@@ -102,28 +102,17 @@ uint64_t TwoPhaseCpOptions::ResumeFingerprint() const {
   hash = HashDouble(hash, phase1_fit_tolerance);
   hash = HashDouble(hash, phase1_ridge);
   hash = HashDouble(hash, refinement_ridge);
-  // Planner knobs shape the executed step order and the shard chunking —
-  // the numbers, not just the timing — so they are part of the identity.
-  // Hashed only when consumed: default-plan runs keep the exact
-  // fingerprint value pre-planner binaries recorded (so their checkpoints
-  // still auto-resume after an upgrade), and the reorder window — which
-  // the planner reads only when reordering is on — never separates two
-  // specs that produce identical runs.
-  // The *effective* decision is hashed: plan_reorder on an MC run changes
-  // nothing, so it must not separate two specs either.
-  const bool reorder = EffectivePlanReorder();
-  if (reorder || shard_slab_blocks != 0) {
-    hash = HashWord(hash, reorder ? 1u : 0u);
-    hash = HashWord(hash, reorder
-                              ? static_cast<uint64_t>(plan_reorder_window)
-                              : 0u);
-    hash = HashWord(hash, static_cast<uint64_t>(shard_slab_blocks));
-  }
-  // Fused-multiply-add kernels change every Phase-2 rounding sequence.
-  // Hashed only when enabled, like the planner knobs, so checkpoints cut
-  // by pre-FMA binaries keep their fingerprints.
-  if (kernel_fma) {
-    hash = HashWord(hash, 0x666d61u);  // "fma"
+  // Reordering shapes the executed step order — the numbers, not just
+  // the timing — so it is part of the identity, hashed only when in
+  // effect: default-plan runs keep the value pre-planner binaries
+  // recorded. The words 1, 0, 0 are the reorder flag and the retired
+  // window and shard-chunk options at their only remaining value; they
+  // stay so that checkpoints cut before those options were removed
+  // still resume.
+  if (EffectivePlanReorder()) {
+    hash = HashWord(hash, 1u);
+    hash = HashWord(hash, 0u);
+    hash = HashWord(hash, 0u);
   }
   return hash;
 }
@@ -149,16 +138,7 @@ std::string TwoPhaseCpOptions::ToString() const {
   if (compute_threads > 1) {
     out += " compute_threads=" + std::to_string(compute_threads);
   }
-  if (EffectivePlanReorder()) {
-    out += " plan_reorder=1";
-    if (plan_reorder_window > 0) {
-      out += " plan_reorder_window=" + std::to_string(plan_reorder_window);
-    }
-  }
-  if (shard_slab_blocks > 0) {
-    out += " shard_slab_blocks=" + std::to_string(shard_slab_blocks);
-  }
-  if (kernel_fma) out += " kernel_fma=1";
+  if (EffectivePlanReorder()) out += " plan_reorder=1";
   if (policy_victim_hints) out += " policy_victim_hints=1";
   return out;
 }
@@ -187,9 +167,6 @@ std::map<std::string, std::string> OptionsToMap(
   map["io_threads"] = std::to_string(options.io_threads);
   map["compute_threads"] = std::to_string(options.compute_threads);
   map["plan_reorder"] = options.plan_reorder ? "1" : "0";
-  map["plan_reorder_window"] = std::to_string(options.plan_reorder_window);
-  map["shard_slab_blocks"] = std::to_string(options.shard_slab_blocks);
-  map["kernel_fma"] = options.kernel_fma ? "1" : "0";
   map["policy_victim_hints"] = options.policy_victim_hints ? "1" : "0";
   map["max_seconds"] = RoundTripDouble(options.max_seconds);
   return map;
@@ -238,13 +215,6 @@ Status ApplyOption(const std::string& key, const std::string& value,
     return SetField(key, value, &o.compute_threads);
   }
   if (key == "plan_reorder") return SetField(key, value, &o.plan_reorder);
-  if (key == "plan_reorder_window") {
-    return SetField(key, value, &o.plan_reorder_window);
-  }
-  if (key == "shard_slab_blocks") {
-    return SetField(key, value, &o.shard_slab_blocks);
-  }
-  if (key == "kernel_fma") return SetField(key, value, &o.kernel_fma);
   if (key == "policy_victim_hints") {
     return SetField(key, value, &o.policy_victim_hints);
   }
@@ -260,10 +230,6 @@ Status ValidateOptions(const TwoPhaseCpOptions& options) {
   TPCP_RETURN_IF_ERROR(AtLeast("prefetch_depth", options.prefetch_depth, 0));
   TPCP_RETURN_IF_ERROR(AtLeast("max_virtual_iterations",
                                options.max_virtual_iterations, 1));
-  TPCP_RETURN_IF_ERROR(
-      AtLeast("plan_reorder_window", options.plan_reorder_window, 0));
-  TPCP_RETURN_IF_ERROR(
-      AtLeast("shard_slab_blocks", options.shard_slab_blocks, 0));
   // Negated comparisons, so a NaN set through the struct is rejected too.
   if (options.buffer_bytes == 0 &&
       !(options.buffer_fraction > 0.0 && options.buffer_fraction <= 1.0)) {

@@ -102,30 +102,12 @@ struct TwoPhaseCpOptions {
   /// runs never reorder. Set false to pin the source order (tool:
   /// --plan-reorder=0).
   bool plan_reorder = true;
-  /// Reordering window in schedule steps (0 = one virtual iteration).
-  int64_t plan_reorder_window = 0;
 
   /// The reordering decision the engine (and the resume fingerprint)
   /// actually uses: plan_reorder on a block-centric schedule.
   bool EffectivePlanReorder() const {
     return plan_reorder && IsBlockCentric(schedule);
   }
-  /// Intra-step sharding: slab blocks per shard for the Eq.-3 slab
-  /// accumulation of steps in singleton waves (0 = off). Chunk partials
-  /// reduce in slab order, so results are identical for every
-  /// compute_threads value — but differ from the unsharded accumulation,
-  /// making this math-shaping (fingerprinted) as well.
-  int64_t shard_slab_blocks = 0;
-
-  // ---- Kernel arithmetic (linalg/kernels.h) ----
-  /// Run the Phase-2 refinement math (Eq.-3 accumulation, Gram / metadata
-  /// refresh) with fused multiply-add kernels: one rounding per update
-  /// instead of two. Faster on FMA hardware but a *different* rounding
-  /// sequence — math-shaping, so it is part of ResumeFingerprint (hashed
-  /// only when enabled, preserving pre-FMA checkpoint fingerprints) and a
-  /// mismatched resume is rejected. Results are identical across scalar
-  /// and SIMD builds either way (std::fma == hardware FMA).
-  bool kernel_fma = false;
 
   /// Let the backward-looking policies (LRU/MRU) consult the execution
   /// plan's next-use oracle as victim advice: units that are dead for at
@@ -198,10 +180,9 @@ Status ApplyOption(const std::string& key, const std::string& value,
 
 /// The ranges the engine can run: rank, num_threads, compute_threads and
 /// io_threads >= 1, prefetch_depth >= 0, max_virtual_iterations >= 1,
-/// plan_reorder_window and shard_slab_blocks >= 0, buffer_fraction in
-/// (0, 1] unless buffer_bytes is set, max_seconds >= 0. InvalidArgument
-/// naming the first option out of range. The tolerances are free: a
-/// negative one means "never stop early".
+/// buffer_fraction in (0, 1] unless buffer_bytes is set, max_seconds >= 0.
+/// InvalidArgument naming the first option out of range. The tolerances
+/// are free: a negative one means "never stop early".
 Status ValidateOptions(const TwoPhaseCpOptions& options);
 
 /// Defaults + every entry of `map` via ApplyOption, then ValidateOptions.

@@ -17,21 +17,16 @@ namespace {
 /// [pos, pos+count) — across the compute pool when one is given, serially
 /// (in plan order) otherwise. The steps commute exactly
 /// (schedule/conflict.h), so both paths produce bit-identical state.
-/// Shard chunks come from the plan (per plan wave, never per split), so a
-/// resumed or buffer-split wave shards identically.
 void RunBatch(RefinementState* state, const ExecutionPlan& plan,
               int64_t pos, int64_t count, ThreadPool* compute_pool) {
   if (compute_pool == nullptr || count == 1) {
     for (int64_t i = 0; i < count; ++i) {
-      state->ApplyUpdate(plan.StepAt(pos + i), plan.ShardBlocksAt(pos + i));
+      state->ApplyUpdate(plan.StepAt(pos + i));
     }
     return;
   }
-  // Multi-step waves fan out across the pool; their steps never shard
-  // (the plan shards only singleton waves — nesting a shard fan-out in a
-  // step fan-out would deadlock the shared pool), so pass 0 explicitly.
   ParallelFor(compute_pool, 0, count, [&](int64_t i) {
-    state->ApplyUpdate(plan.StepAt(pos + i), /*shard_blocks=*/0);
+    state->ApplyUpdate(plan.StepAt(pos + i));
   });
 }
 
@@ -47,8 +42,6 @@ PlannerOptions Phase2PlannerOptions(const TwoPhaseCpOptions& options,
       std::max(options.ResolveBufferBytes(catalog.TotalBytes()),
                catalog.MaxUnitBytes());
   planner_options.reorder = options.EffectivePlanReorder();
-  planner_options.reorder_window = options.plan_reorder_window;
-  planner_options.shard_chunk_blocks = options.shard_slab_blocks;
   planner_options.prefetch_depth = options.prefetch_depth;
   planner_options.victim_hints = options.policy_victim_hints;
   // Certification (two simulated cycle replays) is only paid when the
@@ -83,9 +76,9 @@ Result<std::optional<Phase2Checkpoint>> ValidateResume(
         ScheduleTypeName(options.schedule) +
         "'; resume with the same schedule");
   }
-  // Math-shaping options (rank, seed, init, solve parameters, FMA
-  // kernels, planner knobs) are hashed into the checkpoint; resuming
-  // under different ones would splice two runs no single spec produces.
+  // Math-shaping options (rank, seed, init, solve parameters, plan
+  // reordering) are hashed into the checkpoint; resuming under different
+  // ones would splice two runs no single spec produces.
   if (ckpt.options_fingerprint != options.ResumeFingerprint()) {
     return Status::FailedPrecondition(
         "checkpoint was cut under different math-shaping options "
@@ -96,14 +89,14 @@ Result<std::optional<Phase2Checkpoint>> ValidateResume(
     return Status::Corruption(
         "checkpoint cursor disagrees with its iteration count");
   }
-  // The cursor indexes the *plan* order. A plan rebuilt from different
-  // reorder/shard options — or a buffer/policy change that flipped the
-  // reordering certification — would replay the cursor against a
-  // different step sequence; refuse instead of silently diverging.
+  // The cursor indexes the *plan* order. A plan rebuilt under a
+  // buffer/policy change that flipped the reordering certification would
+  // replay the cursor against a different step sequence; refuse instead
+  // of silently diverging.
   if (ckpt.plan_fingerprint != plan.fingerprint()) {
     return Status::FailedPrecondition(
         "checkpoint was cut under a different execution plan "
-        "(reordering/sharding options or buffer geometry differ); "
+        "(reordering options or buffer geometry differ); "
         "resume with the original plan options");
   }
   if (ownership_fingerprint.has_value() &&
@@ -125,8 +118,7 @@ Phase2Runtime::Phase2Runtime(BlockFactorStore* factors,
     : compute_pool(options.compute_threads > 1
                        ? std::make_unique<ThreadPool>(options.compute_threads)
                        : nullptr),
-      state(factors, options.refinement_ridge, compute_pool.get(),
-            options.kernel_fma ? KernelArith::kFma : KernelArith::kExact),
+      state(factors, options.refinement_ridge, compute_pool.get()),
       // The forward policy shares the plan's next-use oracle, so victim
       // choice follows the plan's (possibly reordered) trace by
       // construction. With policy_victim_hints on, LRU/MRU read the same
@@ -233,10 +225,10 @@ Status Phase2Engine::Run(Phase2Result* result) {
   const GridPartition& grid = factors_->grid();
 
   // One plan up front; every consumer below (wave loop, prefetch pipeline,
-  // forward policy, shard chunks) executes it instead of re-deriving
-  // structure from the schedule. With the planner knobs at their defaults
-  // this is the identity plan — the source order, unsharded — so default
-  // runs are bit-identical to the pre-planner engine.
+  // forward policy) executes it instead of re-deriving structure from
+  // the schedule. Without reordering this is the identity plan — the
+  // source order — so such runs are bit-identical to the pre-planner
+  // engine.
   const ExecutionPlan plan =
       Planner::Build(UpdateSchedule::Create(options_.schedule, grid),
                      Phase2PlannerOptions(options_, grid));

@@ -12,15 +12,14 @@
 //
 // Execution is plan-driven: the engine builds one ExecutionPlan up front
 // (schedule/planner.h — optional conflict-aware reordering with
-// swap-parity certification, conflict-free waves, prefetch directives,
-// per-step shard chunks) and executes it verbatim. With
-// options.compute_threads > 1 each plan wave is pinned whole in the
-// buffer pool (as much as fits) and its updates dispatch onto a shared
-// compute ThreadPool; steps of a wave commute exactly — same mode,
-// disjoint partitions. Singleton waves (the block-centric FO/ZO/HO case)
-// shard their slab accumulation per the plan's chunk instead, and the
-// full-grid passes (RefinementState::Initialize pass 2, SurrogateFit)
-// shard by block with an in-order reduction — so factors and fit traces
+// swap-parity certification, conflict-free waves, prefetch directives)
+// and executes it verbatim. With options.compute_threads > 1 each plan
+// wave is pinned whole in the buffer pool (as much as fits) and its
+// updates dispatch onto a shared compute ThreadPool; steps of a wave
+// commute exactly — same mode, disjoint partitions. Each step's slab
+// accumulation runs serially in slab order, and the full-grid passes
+// (RefinementState::Initialize pass 2, SurrogateFit) shard by block with
+// an in-order reduction — so factors and fit traces
 // stay bit-identical for every compute_threads × prefetch_depth value of
 // one plan, including across cancel→resume (the plan fingerprint in the
 // checkpoint guarantees the same plan is replayed).

@@ -28,9 +28,9 @@ Result<std::map<ModePartition, Matrix>> SeedSubFactors(
 }
 
 RefinementState::RefinementState(BlockFactorStore* store, double ridge,
-                                 ThreadPool* compute_pool, KernelArith arith)
+                                 ThreadPool* compute_pool)
     : store_(store), grid_(store->grid()), rank_(store->rank()),
-      ridge_(ridge), compute_pool_(compute_pool), arith_(arith) {
+      ridge_(ridge), compute_pool_(compute_pool) {
   for (int mode = 0; mode < grid_.num_modes(); ++mode) {
     for (int64_t part = 0; part < grid_.parts(mode); ++part) {
       slabs_[ModePartition{mode, part}] = store_->SlabBlocks(mode, part);
@@ -63,7 +63,7 @@ Status RefinementState::Initialize(bool resume) {
   } else {
     TPCP_ASSIGN_OR_RETURN(a_init, SeedSubFactors(store_));
   }
-  for (const auto& [unit, a] : a_init) g_[unit] = Gram(a, arith_);
+  for (const auto& [unit, a] : a_init) g_[unit] = Gram(a);
 
   // Pass 2: per block, compute M^(h)_l and the surrogate norm n_l. Blocks
   // are independent (each writes only its own m_ row and norm slot and
@@ -88,8 +88,8 @@ Status RefinementState::Initialize(bool resume) {
           }
           const ModePartition unit{h, block[static_cast<size_t>(h)]};
           m_[static_cast<size_t>(flat)][static_cast<size_t>(h)] =
-              MatTMul(*u, a_init.at(unit), arith_);
-          HadamardInPlace(&norm_acc, Gram(*u, arith_));
+              MatTMul(*u, a_init.at(unit));
+          HadamardInPlace(&norm_acc, Gram(*u));
         }
         double norm_sq = 0.0;
         for (int64_t i = 0; i < norm_acc.size(); ++i) {
@@ -144,8 +144,7 @@ Status RefinementState::EvictUnit(const ModePartition& unit, bool dirty) {
   return status;
 }
 
-void RefinementState::ApplyUpdate(const UpdateStep& step,
-                                  int64_t shard_blocks) {
+void RefinementState::ApplyUpdate(const UpdateStep& step) {
   const ModePartition unit = step.unit();
   UnitData* data_ptr;
   {
@@ -160,60 +159,28 @@ void RefinementState::ApplyUpdate(const UpdateStep& step,
   const int n = grid_.num_modes();
   const int i = unit.mode;
   const std::vector<BlockIndex>& slab = slabs_.at(unit);
-  const int64_t slab_len = static_cast<int64_t>(slab.size());
 
-  // The Eq.-3 slab accumulation over slab positions [lo, hi), in slab
-  // order, into (*t_acc, *s_acc). Reads only frozen metadata (m_/g_ of
-  // modes != i) and this unit's U blocks, so disjoint ranges may run
-  // concurrently.
-  auto accumulate = [&](int64_t lo, int64_t hi, Matrix* t_acc,
-                        Matrix* s_acc) {
-    Matrix w(rank_, rank_);
-    Matrix sw(rank_, rank_);
-    for (int64_t j = lo; j < hi; ++j) {
-      const BlockIndex& block = slab[static_cast<size_t>(j)];
-      const int64_t flat = grid_.FlattenBlock(block);
-      // W = ⊛_{h≠i} M^(h)_l ; SW = ⊛_{h≠i} G^(h)_(l_h).
-      w.Fill(1.0);
-      sw.Fill(1.0);
-      for (int h = 0; h < n; ++h) {
-        if (h == i) continue;
-        HadamardInPlace(
-            &w, m_[static_cast<size_t>(flat)][static_cast<size_t>(h)]);
-        HadamardInPlace(&sw, GramOf(h, block[static_cast<size_t>(h)]));
-      }
-      // T += U_l W
-      Gemm(Trans::kNo, data.u[static_cast<size_t>(j)], Trans::kNo, w, 1.0,
-           1.0, t_acc, arith_);
-      s_acc->Add(sw);
-    }
-  };
-
+  // T = Σ U_l W and S = Σ SW over the slab, in slab order. Reads only
+  // frozen metadata (m_/g_ of modes != i) and this unit's U blocks.
   Matrix t(data.a.rows(), rank_);
   Matrix s(rank_, rank_);
-  const bool sharded = shard_blocks > 0 && slab_len > shard_blocks;
-  if (!sharded) {
-    accumulate(0, slab_len, &t, &s);
-  } else {
-    // Fixed-chunk sharding: chunk boundaries depend only on the slab
-    // length and the plan's chunk size, and the reduction runs in chunk
-    // order on this thread — so the result is identical for every thread
-    // count (the pool only decides which chunks compute concurrently).
-    const int64_t num_chunks = (slab_len + shard_blocks - 1) / shard_blocks;
-    std::vector<Matrix> t_part(static_cast<size_t>(num_chunks));
-    std::vector<Matrix> s_part(static_cast<size_t>(num_chunks));
-    ParallelFor(compute_pool_, 0, num_chunks, [&](int64_t c) {
-      t_part[static_cast<size_t>(c)] = Matrix(data.a.rows(), rank_);
-      s_part[static_cast<size_t>(c)] = Matrix(rank_, rank_);
-      accumulate(c * shard_blocks,
-                 std::min(slab_len, (c + 1) * shard_blocks),
-                 &t_part[static_cast<size_t>(c)],
-                 &s_part[static_cast<size_t>(c)]);
-    });
-    for (int64_t c = 0; c < num_chunks; ++c) {
-      t.Add(t_part[static_cast<size_t>(c)]);
-      s.Add(s_part[static_cast<size_t>(c)]);
+  Matrix w(rank_, rank_);
+  Matrix sw(rank_, rank_);
+  for (size_t j = 0; j < slab.size(); ++j) {
+    const BlockIndex& block = slab[j];
+    const int64_t flat = grid_.FlattenBlock(block);
+    // W = ⊛_{h≠i} M^(h)_l ; SW = ⊛_{h≠i} G^(h)_(l_h).
+    w.Fill(1.0);
+    sw.Fill(1.0);
+    for (int h = 0; h < n; ++h) {
+      if (h == i) continue;
+      HadamardInPlace(&w,
+                      m_[static_cast<size_t>(flat)][static_cast<size_t>(h)]);
+      HadamardInPlace(&sw, GramOf(h, block[static_cast<size_t>(h)]));
     }
+    // T += U_l W
+    Gemm(Trans::kNo, data.u[j], Trans::kNo, w, 1.0, 1.0, &t);
+    s.Add(sw);
   }
 
   ApplyRidge(&s, ridge_);
@@ -228,22 +195,11 @@ void RefinementState::ApplyUpdate(const UpdateStep& step,
   // nodes — they never read mode-i metadata — race with nothing.
   auto g_it = g_.find(unit);
   TPCP_CHECK(g_it != g_.end());
-  g_it->second = Gram(data.a, arith_);
-  if (!sharded) {
-    for (size_t j = 0; j < slab.size(); ++j) {
-      const int64_t flat = grid_.FlattenBlock(slab[j]);
-      m_[static_cast<size_t>(flat)][static_cast<size_t>(i)] =
-          MatTMul(data.u[j], data.a, arith_);
-    }
-  } else {
-    // Sharded steps fan the M refresh out too: each block's M^(i)_l is
-    // self-contained (disjoint m_ entries, frozen inputs), so the result
-    // is identical at any thread count with no reduction at all.
-    ParallelFor(compute_pool_, 0, slab_len, [&](int64_t j) {
-      const int64_t flat = grid_.FlattenBlock(slab[static_cast<size_t>(j)]);
-      m_[static_cast<size_t>(flat)][static_cast<size_t>(i)] =
-          MatTMul(data.u[static_cast<size_t>(j)], data.a, arith_);
-    });
+  g_it->second = Gram(data.a);
+  for (size_t j = 0; j < slab.size(); ++j) {
+    const int64_t flat = grid_.FlattenBlock(slab[j]);
+    m_[static_cast<size_t>(flat)][static_cast<size_t>(i)] =
+        MatTMul(data.u[j], data.a);
   }
   updates_applied_.fetch_add(1, std::memory_order_relaxed);
 }

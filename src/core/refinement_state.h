@@ -39,7 +39,6 @@
 #include <vector>
 
 #include "core/block_factors.h"
-#include "linalg/kernels.h"
 #include "parallel/thread_pool.h"
 #include "schedule/update_schedule.h"
 
@@ -61,12 +60,8 @@ class RefinementState {
   /// (optional, non-owning, must outlive the state) parallelizes the
   /// full-grid passes of Initialize and SurrogateFit; it must not be
   /// shared with a concurrent ParallelFor user while either runs.
-  /// `arith` selects the accumulation arithmetic of the refinement's
-  /// Gemm/Gram/MatTMul calls (TwoPhaseCpOptions::kernel_fma — a
-  /// fingerprinted, math-shaping choice).
   explicit RefinementState(BlockFactorStore* store, double ridge = 0.0,
-                           ThreadPool* compute_pool = nullptr,
-                           KernelArith arith = KernelArith::kExact);
+                           ThreadPool* compute_pool = nullptr);
 
   /// Seeds every sub-factor A^(i)_(ki) and computes the M/G/norm
   /// metadata, reading every block factor once. With `resume` false the
@@ -97,21 +92,7 @@ class RefinementState {
   /// Safe to call concurrently for the steps of one conflict-free batch
   /// (see the file comment); no load/evict of the touched units may be in
   /// flight (the buffer pool's pins enforce that).
-  ///
-  /// With `shard_blocks` > 0 the slab accumulation shards: the slab is cut
-  /// into fixed chunks of `shard_blocks` blocks, chunk partials are
-  /// computed across the compute pool (each accumulated internally in slab
-  /// order) and reduced in chunk order on the calling thread. The chunk
-  /// structure is a pure function of (slab length, shard_blocks) — never
-  /// of the thread count — so a sharded step produces identical bits at
-  /// every compute_threads value (including serial execution); it differs
-  /// from the unsharded (shard_blocks == 0) accumulation, which is why the
-  /// execution plan fingerprints the shard chunk. The slab's M^(i)_l
-  /// refresh also fans out per block (block results are independent —
-  /// identical at any thread count). Sharded calls must not run
-  /// concurrently with other ApplyUpdate calls or ParallelFor users of the
-  /// pool (the planner shards only singleton waves, which guarantees it).
-  void ApplyUpdate(const UpdateStep& step, int64_t shard_blocks = 0);
+  void ApplyUpdate(const UpdateStep& step);
 
   /// Estimated accuracy of the current stitched decomposition against the
   /// Phase-1 surrogate (X_l ≈ [[U_l]]), computable without I/O:
@@ -168,7 +149,6 @@ class RefinementState {
   int64_t rank_;
   double ridge_;
   ThreadPool* compute_pool_;
-  KernelArith arith_;
 
   // Guards the resident_ map's structure. Unit payloads are not covered:
   // a thread only touches units no load/evict is in flight for (the

@@ -319,7 +319,7 @@ Status ServeDistWorker(Env* base_env, const std::string& factor_prefix,
       RefinementState::ExchangeImage image;
       {
         std::lock_guard<std::mutex> lock(state_mu);
-        state.ApplyUpdate(plan.StepAt(pos), plan.ShardBlocksAt(pos));
+        state.ApplyUpdate(plan.StepAt(pos));
         image = state.ExportExchange(unit);
       }
       runtime.pool.MarkDirty(unit);

@@ -19,7 +19,7 @@ constexpr int64_t kTileK = 64;
 
 void GemmVariant(Trans trans_a, const Matrix& a, Trans trans_b,
                  const Matrix& b, double alpha, double beta, Matrix* c,
-                 KernelVariant variant, KernelArith arith) {
+                 KernelVariant variant) {
   const int64_t m = trans_a == Trans::kNo ? a.rows() : a.cols();
   const int64_t k = trans_a == Trans::kNo ? a.cols() : a.rows();
   const int64_t kb2 = trans_b == Trans::kNo ? b.rows() : b.cols();
@@ -56,7 +56,7 @@ void GemmVariant(Trans trans_a, const Matrix& a, Trans trans_b,
           MicroKernelTN(a.data() + p0 * lda + i0, lda,
                         b.data() + p0 * ldb + j0, ldb,
                         c->data() + i0 * ldc + j0, ldc, mb, nb, kb, alpha,
-                        variant, arith);
+                        variant);
         }
       }
     }
@@ -97,17 +97,15 @@ void GemmVariant(Trans trans_a, const Matrix& a, Trans trans_b,
         const int64_t nb = std::min(kTileN, n - j0);
         MicroKernelNN(ap->data() + i0 * lda + p0, lda,
                       bp->data() + p0 * ldb + j0, ldb,
-                      c->data() + i0 * ldc + j0, ldc, mb, nb, kb, variant,
-                      arith);
+                      c->data() + i0 * ldc + j0, ldc, mb, nb, kb, variant);
       }
     }
   }
 }
 
 void Gemm(Trans trans_a, const Matrix& a, Trans trans_b, const Matrix& b,
-          double alpha, double beta, Matrix* c, KernelArith arith) {
-  GemmVariant(trans_a, a, trans_b, b, alpha, beta, c, KernelVariant::kSimd,
-              arith);
+          double alpha, double beta, Matrix* c) {
+  GemmVariant(trans_a, a, trans_b, b, alpha, beta, c, KernelVariant::kSimd);
 }
 
 Matrix MatMul(const Matrix& a, const Matrix& b) {
@@ -116,9 +114,9 @@ Matrix MatMul(const Matrix& a, const Matrix& b) {
   return c;
 }
 
-Matrix MatTMul(const Matrix& a, const Matrix& b, KernelArith arith) {
+Matrix MatTMul(const Matrix& a, const Matrix& b) {
   Matrix c(a.cols(), b.cols());
-  Gemm(Trans::kYes, a, Trans::kNo, b, 1.0, 0.0, &c, arith);
+  Gemm(Trans::kYes, a, Trans::kNo, b, 1.0, 0.0, &c);
   return c;
 }
 
@@ -128,30 +126,6 @@ Matrix MatMulT(const Matrix& a, const Matrix& b) {
   return c;
 }
 
-Matrix Gram(const Matrix& a, KernelArith arith) {
-  return MatTMul(a, a, arith);
-}
-
-void Gemv(const Matrix& a, const Matrix& x, double alpha, double beta,
-          Matrix* y) {
-  TPCP_CHECK_EQ(x.cols(), 1);
-  TPCP_CHECK_EQ(y->cols(), 1);
-  TPCP_CHECK_EQ(a.cols(), x.rows());
-  TPCP_CHECK_EQ(a.rows(), y->rows());
-  for (int64_t i = 0; i < a.rows(); ++i) {
-    double acc = 0.0;
-    const double* row = a.row(i);
-    for (int64_t j = 0; j < a.cols(); ++j) acc += row[j] * x(j, 0);
-    (*y)(i, 0) = alpha * acc + beta * (*y)(i, 0);
-  }
-}
-
-double FrobeniusDot(const Matrix& a, const Matrix& b) {
-  TPCP_CHECK_EQ(a.rows(), b.rows());
-  TPCP_CHECK_EQ(a.cols(), b.cols());
-  double acc = 0.0;
-  for (int64_t i = 0; i < a.size(); ++i) acc += a.data()[i] * b.data()[i];
-  return acc;
-}
+Matrix Gram(const Matrix& a) { return MatTMul(a, a); }
 
 }  // namespace tpcp

@@ -19,42 +19,27 @@ enum class Trans { kNo, kYes };
 ///
 /// op(X) is X or X^T per the corresponding Trans flag. C must already have
 /// the result shape; shape mismatches CHECK-fail.
-///
-/// `arith` selects the accumulation arithmetic (linalg/kernels.h): the
-/// kExact default is bit-identical across the scalar and SIMD kernels;
-/// kFma fuses each multiply-add into one rounding — faster on FMA
-/// hardware, but different numbers, so callers exposing it as an option
-/// must fingerprint it (see TwoPhaseCpOptions::kernel_fma).
 void Gemm(Trans trans_a, const Matrix& a, Trans trans_b, const Matrix& b,
-          double alpha, double beta, Matrix* c,
-          KernelArith arith = KernelArith::kExact);
+          double alpha, double beta, Matrix* c);
 
 /// Gemm with an explicit microkernel variant — the hook the bit-identity
 /// tests and the micro-kernel bench use to compare scalar against SIMD on
 /// the full tiled path. Gemm itself always dispatches kSimd.
 void GemmVariant(Trans trans_a, const Matrix& a, Trans trans_b,
                  const Matrix& b, double alpha, double beta, Matrix* c,
-                 KernelVariant variant, KernelArith arith);
+                 KernelVariant variant);
 
 /// Returns op(A) * op(B) as a fresh matrix (alpha=1, beta=0).
 Matrix MatMul(const Matrix& a, const Matrix& b);
 
 /// Returns A^T * B (the workhorse of Gram and cross-product computations).
-Matrix MatTMul(const Matrix& a, const Matrix& b,
-               KernelArith arith = KernelArith::kExact);
+Matrix MatTMul(const Matrix& a, const Matrix& b);
 
 /// Returns A * B^T.
 Matrix MatMulT(const Matrix& a, const Matrix& b);
 
 /// Returns the F x F Gram matrix A^T A.
-Matrix Gram(const Matrix& a, KernelArith arith = KernelArith::kExact);
-
-/// y = alpha * A * x + beta * y where x, y are column vectors (n x 1).
-void Gemv(const Matrix& a, const Matrix& x, double alpha, double beta,
-          Matrix* y);
-
-/// Sum of element-wise products <A, B> (Frobenius inner product).
-double FrobeniusDot(const Matrix& a, const Matrix& b);
+Matrix Gram(const Matrix& a);
 
 }  // namespace tpcp
 

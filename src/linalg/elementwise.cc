@@ -1,7 +1,5 @@
 #include "linalg/elementwise.h"
 
-#include <cmath>
-
 #include "linalg/kernels.h"
 
 namespace tpcp {
@@ -18,29 +16,6 @@ void HadamardInPlace(Matrix* a, const Matrix& b) {
   // Independent element-wise multiplies: the vector form is trivially
   // bit-identical to the scalar loop.
   HadamardKernel(a->data(), b.data(), a->size(), KernelVariant::kSimd);
-}
-
-Matrix HadamardAll(const std::vector<const Matrix*>& mats) {
-  TPCP_CHECK(!mats.empty());
-  Matrix out = *mats[0];
-  for (size_t i = 1; i < mats.size(); ++i) HadamardInPlace(&out, *mats[i]);
-  return out;
-}
-
-Matrix SafeDivide(const Matrix& a, const Matrix& b, double guard) {
-  Matrix out = a;
-  SafeDivideInPlace(&out, b, guard);
-  return out;
-}
-
-void SafeDivideInPlace(Matrix* a, const Matrix& b, double guard) {
-  TPCP_CHECK_EQ(a->rows(), b.rows());
-  TPCP_CHECK_EQ(a->cols(), b.cols());
-  for (int64_t i = 0; i < a->size(); ++i) {
-    const double denom = b.data()[i];
-    a->data()[i] =
-        std::fabs(denom) <= guard ? 0.0 : a->data()[i] / denom;
-  }
 }
 
 }  // namespace tpcp

@@ -1,10 +1,8 @@
 // Element-wise matrix operations used by the block-ALS update rules:
-// Hadamard products (the paper's ⊛) and guarded element-wise division (⊘).
+// Hadamard products (the paper's ⊛).
 
 #ifndef TPCP_LINALG_ELEMENTWISE_H_
 #define TPCP_LINALG_ELEMENTWISE_H_
-
-#include <vector>
 
 #include "linalg/matrix.h"
 
@@ -15,16 +13,6 @@ Matrix Hadamard(const Matrix& a, const Matrix& b);
 
 /// a ⊛= b in place.
 void HadamardInPlace(Matrix* a, const Matrix& b);
-
-/// Hadamard product of a non-empty list of same-shaped matrices.
-Matrix HadamardAll(const std::vector<const Matrix*>& mats);
-
-/// out(i,j) = a(i,j) / b(i,j), with 0 where |b(i,j)| <= guard. This is the
-/// paper's ⊘ with the safeguard needed for in-place P/Q maintenance.
-Matrix SafeDivide(const Matrix& a, const Matrix& b, double guard = 0.0);
-
-/// a ⊘= b in place with the same guard semantics.
-void SafeDivideInPlace(Matrix* a, const Matrix& b, double guard = 0.0);
 
 }  // namespace tpcp
 

@@ -1,7 +1,6 @@
 #include "linalg/kernels.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "linalg/simd.h"
 
@@ -14,7 +13,6 @@ namespace {
 // the same per-element operation sequence (same multiplies, same adds, in
 // the same order, same zero-skips) to stay bit-identical.
 
-template <bool kFused>
 void MicroKernelNNScalar(const double* a, int64_t lda, const double* b,
                          int64_t ldb, double* c, int64_t ldc, int64_t mb,
                          int64_t nb, int64_t kb) {
@@ -26,17 +24,12 @@ void MicroKernelNNScalar(const double* a, int64_t lda, const double* b,
       if (aip == 0.0) continue;
       const double* b_row = b + p * ldb;
       for (int64_t j = 0; j < nb; ++j) {
-        if constexpr (kFused) {
-          c_row[j] = std::fma(aip, b_row[j], c_row[j]);
-        } else {
-          c_row[j] += aip * b_row[j];
-        }
+        c_row[j] += aip * b_row[j];
       }
     }
   }
 }
 
-template <bool kFused>
 void MicroKernelTNScalar(const double* a, int64_t lda, const double* b,
                          int64_t ldb, double* c, int64_t ldc, int64_t mb,
                          int64_t nb, int64_t kb, double alpha) {
@@ -48,11 +41,7 @@ void MicroKernelTNScalar(const double* a, int64_t lda, const double* b,
       if (aip == 0.0) continue;
       double* c_row = c + i * ldc;
       for (int64_t j = 0; j < nb; ++j) {
-        if constexpr (kFused) {
-          c_row[j] = std::fma(aip, b_row[j], c_row[j]);
-        } else {
-          c_row[j] += aip * b_row[j];
-        }
+        c_row[j] += aip * b_row[j];
       }
     }
   }
@@ -70,19 +59,10 @@ void MicroKernelTNScalar(const double* a, int64_t lda, const double* b,
 
 constexpr int64_t kRowStrip = 4;
 
-template <bool kFused>
-inline simd::VecD Acc(simd::VecD a, simd::VecD b, simd::VecD acc) {
-  if constexpr (kFused) {
-    return simd::FusedMulAdd(a, b, acc);
-  } else {
-    return simd::MulAdd(a, b, acc);
-  }
-}
-
 // Shared i/j blocking for both Gemm microkernels: `AVal(r, p)` abstracts
 // the operand layout (NN reads A row-major per C row; TN reads A
 // column-strided with the alpha scale folded in).
-template <bool kFused, typename AVal>
+template <typename AVal>
 void BlockedKernel(const double* b, int64_t ldb, double* c, int64_t ldc,
                    int64_t mb, int64_t nb, int64_t kb, const AVal& aval) {
   constexpr int64_t kW = simd::kWidth;
@@ -103,8 +83,8 @@ void BlockedKernel(const double* b, int64_t ldb, double* c, int64_t ldc,
           const double aip = aval(i0 + r, p);
           if (aip == 0.0) continue;
           const simd::VecD av = simd::Broadcast(aip);
-          acc0[r] = Acc<kFused>(av, b0, acc0[r]);
-          acc1[r] = Acc<kFused>(av, b1, acc1[r]);
+          acc0[r] = simd::MulAdd(av, b0, acc0[r]);
+          acc1[r] = simd::MulAdd(av, b1, acc1[r]);
         }
       }
       for (int64_t r = 0; r < rows; ++r) {
@@ -125,7 +105,7 @@ void BlockedKernel(const double* b, int64_t ldb, double* c, int64_t ldc,
         for (int64_t r = 0; r < rows; ++r) {
           const double aip = aval(i0 + r, p);
           if (aip == 0.0) continue;
-          acc0[r] = Acc<kFused>(simd::Broadcast(aip), b0, acc0[r]);
+          acc0[r] = simd::MulAdd(simd::Broadcast(aip), b0, acc0[r]);
         }
       }
       for (int64_t r = 0; r < rows; ++r) {
@@ -142,31 +122,25 @@ void BlockedKernel(const double* b, int64_t ldb, double* c, int64_t ldc,
         if (aip == 0.0) continue;
         const double* b_row = b + p * ldb;
         for (int64_t jj = j; jj < nb; ++jj) {
-          if constexpr (kFused) {
-            c_row[jj] = std::fma(aip, b_row[jj], c_row[jj]);
-          } else {
-            c_row[jj] += aip * b_row[jj];
-          }
+          c_row[jj] += aip * b_row[jj];
         }
       }
     }
   }
 }
 
-template <bool kFused>
 void MicroKernelNNVec(const double* a, int64_t lda, const double* b,
                       int64_t ldb, double* c, int64_t ldc, int64_t mb,
                       int64_t nb, int64_t kb) {
-  BlockedKernel<kFused>(
+  BlockedKernel(
       b, ldb, c, ldc, mb, nb, kb,
       [a, lda](int64_t i, int64_t p) { return a[i * lda + p]; });
 }
 
-template <bool kFused>
 void MicroKernelTNVec(const double* a, int64_t lda, const double* b,
                       int64_t ldb, double* c, int64_t ldc, int64_t mb,
                       int64_t nb, int64_t kb, double alpha) {
-  BlockedKernel<kFused>(
+  BlockedKernel(
       b, ldb, c, ldc, mb, nb, kb,
       [a, lda, alpha](int64_t i, int64_t p) { return alpha * a[p * lda + i]; });
 }
@@ -183,39 +157,22 @@ const char* KernelVariantName(KernelVariant variant) {
 
 void MicroKernelNN(const double* a, int64_t lda, const double* b,
                    int64_t ldb, double* c, int64_t ldc, int64_t mb,
-                   int64_t nb, int64_t kb, KernelVariant variant,
-                   KernelArith arith) {
+                   int64_t nb, int64_t kb, KernelVariant variant) {
   if (simd::kEnabled && variant == KernelVariant::kSimd) {
-    if (arith == KernelArith::kFma) {
-      MicroKernelNNVec<true>(a, lda, b, ldb, c, ldc, mb, nb, kb);
-    } else {
-      MicroKernelNNVec<false>(a, lda, b, ldb, c, ldc, mb, nb, kb);
-    }
-    return;
-  }
-  if (arith == KernelArith::kFma) {
-    MicroKernelNNScalar<true>(a, lda, b, ldb, c, ldc, mb, nb, kb);
+    MicroKernelNNVec(a, lda, b, ldb, c, ldc, mb, nb, kb);
   } else {
-    MicroKernelNNScalar<false>(a, lda, b, ldb, c, ldc, mb, nb, kb);
+    MicroKernelNNScalar(a, lda, b, ldb, c, ldc, mb, nb, kb);
   }
 }
 
 void MicroKernelTN(const double* a, int64_t lda, const double* b,
                    int64_t ldb, double* c, int64_t ldc, int64_t mb,
                    int64_t nb, int64_t kb, double alpha,
-                   KernelVariant variant, KernelArith arith) {
+                   KernelVariant variant) {
   if (simd::kEnabled && variant == KernelVariant::kSimd) {
-    if (arith == KernelArith::kFma) {
-      MicroKernelTNVec<true>(a, lda, b, ldb, c, ldc, mb, nb, kb, alpha);
-    } else {
-      MicroKernelTNVec<false>(a, lda, b, ldb, c, ldc, mb, nb, kb, alpha);
-    }
-    return;
-  }
-  if (arith == KernelArith::kFma) {
-    MicroKernelTNScalar<true>(a, lda, b, ldb, c, ldc, mb, nb, kb, alpha);
+    MicroKernelTNVec(a, lda, b, ldb, c, ldc, mb, nb, kb, alpha);
   } else {
-    MicroKernelTNScalar<false>(a, lda, b, ldb, c, ldc, mb, nb, kb, alpha);
+    MicroKernelTNScalar(a, lda, b, ldb, c, ldc, mb, nb, kb, alpha);
   }
 }
 

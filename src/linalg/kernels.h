@@ -8,15 +8,9 @@
 // backend (or with TPCP_FORCE_SCALAR), kSimd degrades to the scalar body,
 // so the choice is compile-time-safe everywhere.
 //
-// KernelArith selects the accumulation arithmetic:
-//   - kExact: separate multiply and add (two roundings) — bit-identical
-//     between the scalar and vector forms, the library default.
-//   - kFma:   fused multiply-add (one rounding per update) — faster on FMA
-//     hardware but a *different* rounding sequence, hence different
-//     numbers. Runs that enable it carry it in their resume fingerprint
-//     (TwoPhaseCpOptions::kernel_fma). kFma results are identical across
-//     scalar and vector forms too (std::fma == hardware FMA), just not to
-//     kExact.
+// Every update multiplies and adds separately (two roundings, see
+// simd.h's MulAdd), so the scalar and vector forms produce the same bits
+// on every backend.
 
 #ifndef TPCP_LINALG_KERNELS_H_
 #define TPCP_LINALG_KERNELS_H_
@@ -26,7 +20,6 @@
 namespace tpcp {
 
 enum class KernelVariant { kScalar, kSimd };
-enum class KernelArith { kExact, kFma };
 
 /// True when the build carries an explicit vector backend (false under
 /// TPCP_FORCE_SCALAR or on targets without AVX2/NEON).
@@ -43,8 +36,7 @@ const char* KernelVariantName(KernelVariant variant);
 /// update, which matters for -0.0 and non-finite C/B values).
 void MicroKernelNN(const double* a, int64_t lda, const double* b,
                    int64_t ldb, double* c, int64_t ldc, int64_t mb,
-                   int64_t nb, int64_t kb, KernelVariant variant,
-                   KernelArith arith);
+                   int64_t nb, int64_t kb, KernelVariant variant);
 
 /// C[mb x nb] += alpha * A^T * B with A (kb x mb) and B (kb x nb)
 /// row-major — the Gemm TN microkernel (Gram / MatTMul shape). Skips
@@ -52,7 +44,7 @@ void MicroKernelNN(const double* a, int64_t lda, const double* b,
 void MicroKernelTN(const double* a, int64_t lda, const double* b,
                    int64_t ldb, double* c, int64_t ldc, int64_t mb,
                    int64_t nb, int64_t kb, double alpha,
-                   KernelVariant variant, KernelArith arith);
+                   KernelVariant variant);
 
 /// a[i] *= b[i] for i in [0, n) — the Hadamard inner loop.
 void HadamardKernel(double* a, const double* b, int64_t n,

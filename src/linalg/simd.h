@@ -8,21 +8,15 @@
 // scalar backend regardless of the architecture flags — the CI leg that
 // proves the vector kernels are bit-identical to the scalar ones.
 //
-// Determinism contract:
-//   - MulAdd(a, b, acc) computes acc + a*b with TWO roundings (separate
-//     multiply and add), exactly like the scalar expression `acc + a * b`.
-//     Kernels built on MulAdd are bit-identical to their scalar loops.
-//   - FusedMulAdd(a, b, acc) computes fma(a, b, acc) with ONE rounding on
-//     every backend (hardware FMA where available, std::fma otherwise —
-//     both correctly rounded, so the result is identical across backends).
-//     It is NOT bit-identical to MulAdd; kernels that use it are the
-//     KernelArith::kFma variants, which are fingerprinted options
-//     (core/config.h) precisely because they change the numbers.
+// Determinism contract: MulAdd(a, b, acc) computes acc + a*b with TWO
+// roundings (separate multiply and add), exactly like the scalar
+// expression `acc + a * b`, so kernels built on it are bit-identical to
+// their scalar loops. There is deliberately no fused multiply-add: it
+// rounds once and would give other numbers.
 
 #ifndef TPCP_LINALG_SIMD_H_
 #define TPCP_LINALG_SIMD_H_
 
-#include <cmath>
 #include <cstdint>
 
 #if !defined(TPCP_FORCE_SCALAR) && defined(__AVX2__)
@@ -53,22 +47,6 @@ inline VecD Mul(VecD a, VecD b) { return {_mm256_mul_pd(a.v, b.v)}; }
 inline VecD MulAdd(VecD a, VecD b, VecD acc) {
   return {_mm256_add_pd(acc.v, _mm256_mul_pd(a.v, b.v))};
 }
-#if defined(__FMA__)
-inline VecD FusedMulAdd(VecD a, VecD b, VecD acc) {
-  return {_mm256_fmadd_pd(a.v, b.v, acc.v)};
-}
-#else
-// AVX2 without the FMA instruction set: keep the fused (single-rounding)
-// semantics via std::fma so kFma results stay identical across backends.
-inline VecD FusedMulAdd(VecD a, VecD b, VecD acc) {
-  alignas(32) double av[4], bv[4], cv[4];
-  _mm256_store_pd(av, a.v);
-  _mm256_store_pd(bv, b.v);
-  _mm256_store_pd(cv, acc.v);
-  for (int i = 0; i < 4; ++i) cv[i] = std::fma(av[i], bv[i], cv[i]);
-  return {_mm256_load_pd(cv)};
-}
-#endif
 
 #elif defined(TPCP_SIMD_NEON)
 
@@ -87,9 +65,6 @@ inline VecD Mul(VecD a, VecD b) { return {vmulq_f64(a.v, b.v)}; }
 inline VecD MulAdd(VecD a, VecD b, VecD acc) {
   return {vaddq_f64(acc.v, vmulq_f64(a.v, b.v))};
 }
-inline VecD FusedMulAdd(VecD a, VecD b, VecD acc) {
-  return {vfmaq_f64(acc.v, a.v, b.v)};
-}
 
 #else
 
@@ -106,9 +81,6 @@ inline VecD Broadcast(double x) { return {x}; }
 inline VecD Add(VecD a, VecD b) { return {a.v + b.v}; }
 inline VecD Mul(VecD a, VecD b) { return {a.v * b.v}; }
 inline VecD MulAdd(VecD a, VecD b, VecD acc) { return {acc.v + a.v * b.v}; }
-inline VecD FusedMulAdd(VecD a, VecD b, VecD acc) {
-  return {std::fma(a.v, b.v, acc.v)};
-}
 
 #endif
 

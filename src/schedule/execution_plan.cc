@@ -18,8 +18,7 @@ uint64_t HashWord(uint64_t hash, uint64_t word) {
   return hash;
 }
 
-uint64_t PlanFingerprint(const UpdateSchedule& schedule,
-                         int64_t shard_chunk_blocks) {
+uint64_t PlanFingerprint(const UpdateSchedule& schedule) {
   uint64_t hash = 14695981039346656037ull;
   const GridPartition& grid = schedule.grid();
   hash = HashWord(hash, static_cast<uint64_t>(schedule.type()));
@@ -31,20 +30,20 @@ uint64_t PlanFingerprint(const UpdateSchedule& schedule,
     hash = HashWord(hash, static_cast<uint64_t>(step.mode));
     hash = HashWord(hash, static_cast<uint64_t>(step.unit().part));
   }
-  hash = HashWord(hash, static_cast<uint64_t>(shard_chunk_blocks));
+  // The retired intra-step shard chunk, whose only value is now 0. Kept
+  // so that checkpoints cut before it was removed still resume.
+  hash = HashWord(hash, 0u);
   return hash;
 }
 
 }  // namespace
 
 ExecutionPlan::ExecutionPlan(UpdateSchedule schedule,
-                             std::vector<PlanWave> waves,
-                             int64_t shard_chunk_blocks, int prefetch_depth,
+                             std::vector<PlanWave> waves, int prefetch_depth,
                              std::shared_ptr<const ScheduleLookahead> lookahead,
                              PlanStats stats)
     : schedule_(std::move(schedule)),
       waves_(std::move(waves)),
-      shard_chunk_blocks_(shard_chunk_blocks),
       prefetch_depth_(prefetch_depth),
       lookahead_(std::move(lookahead)),
       stats_(stats) {
@@ -61,7 +60,7 @@ ExecutionPlan::ExecutionPlan(UpdateSchedule schedule,
     expected_begin = waves_[w].end;
   }
   TPCP_CHECK_EQ(expected_begin, schedule_.cycle_length());
-  fingerprint_ = PlanFingerprint(schedule_, shard_chunk_blocks_);
+  fingerprint_ = PlanFingerprint(schedule_);
 }
 
 const PlanWave& ExecutionPlan::WaveAt(int64_t pos) const {
@@ -77,15 +76,6 @@ int64_t ExecutionPlan::WaveEndAfter(int64_t pos) const {
   // ConflictAnalysis::BatchEndAfter).
   const int64_t cycle_base = (pos / cycle_length()) * cycle_length();
   return cycle_base + WaveAt(pos).end;
-}
-
-int64_t ExecutionPlan::ShardBlocksAt(int64_t pos) const {
-  if (shard_chunk_blocks_ <= 0) return 0;
-  // Only singleton waves shard: wide waves already parallelize across
-  // steps, and nesting a shard fan-out inside a step fan-out would
-  // deadlock the shared pool. The decision reads the *plan* wave, so a
-  // wide wave that execution split into smaller pieces still never shards.
-  return WaveAt(pos).size() == 1 ? shard_chunk_blocks_ : 0;
 }
 
 std::string ExecutionPlan::Summary(int64_t max_waves) const {
@@ -104,8 +94,6 @@ std::string ExecutionPlan::Summary(int64_t max_waves) const {
               ? "off"
               : (stats_.reorder_applied ? "yes" : "rejected"))
       << " window=" << stats_.reorder_window
-      << " shard-chunk=" << shard_chunk_blocks_
-      << " sharded-steps=" << stats_.sharded_steps
       << " prefetch-depth=" << prefetch_depth_ << "\n";
   out.precision(2);
   out << std::fixed;
@@ -125,7 +113,6 @@ std::string ExecutionPlan::Summary(int64_t max_waves) const {
     const PlanWave& wave = waves_[static_cast<size_t>(w)];
     out << "plan: wave " << w << ": [" << wave.begin << "," << wave.end
         << ") mode=" << wave.mode << " width=" << wave.size()
-        << " shards=" << ShardBlocksAt(wave.begin)
         << " evict-hints=" << wave.evict_hints.size() << "\n";
   }
   if (shown < static_cast<int64_t>(waves_.size())) {

@@ -16,19 +16,16 @@
 //    the wave — exactly what the forward policy will pick as victims);
 //    the async pipeline reserves units in this order, `prefetch_depth()`
 //    steps ahead of the step in flight;
-//  - per-step shard chunks: steps in singleton waves shard their Eq.-3
-//    slab accumulation into fixed chunks of `shard_chunk_blocks()` slab
-//    blocks (0 = serial), reduced in slab order;
 //  - one next-use oracle (`lookahead()`), shared by the forward
 //    replacement policy and the hint computation.
 //
-// Determinism rule: the plan's *step order* and *shard chunking* — the
-// math-shaping parts — are a pure function of (schedule, reorder options,
-// shard option, certification inputs: rank/policy/buffer budget). They
-// never depend on compute threads or prefetch depth, which only shape
-// waves' execution; so factors and fit traces are bit-identical for every
-// compute_threads × prefetch_depth combination executing one plan, and a
-// resume replaying the same plan (fingerprint-checked) continues exactly.
+// Determinism rule: the plan's *step order* — the math-shaping part — is
+// a pure function of (schedule, reorder option, certification inputs:
+// rank/policy/buffer budget). It never depends on compute threads or
+// prefetch depth, which only shape waves' execution; so factors and fit
+// traces are bit-identical for every compute_threads × prefetch_depth
+// combination executing one plan, and a resume replaying the same plan
+// (fingerprint-checked) continues exactly.
 
 #ifndef TPCP_SCHEDULE_EXECUTION_PLAN_H_
 #define TPCP_SCHEDULE_EXECUTION_PLAN_H_
@@ -66,8 +63,8 @@ struct PlanStats {
   /// certification was explicitly skipped).
   bool reorder_applied = false;
   /// The window (in steps) of the adopted reordering; 0 when none was
-  /// adopted. May be narrower than requested: the planner ladders down
-  /// through halved windows until one passes the parity gate.
+  /// adopted. One virtual iteration unless a tight buffer failed its
+  /// parity gate: the planner then ladders down through halved windows.
   int64_t reorder_window = 0;
   /// True when the swap simulation ran (certify option + a buffer budget).
   bool certified = false;
@@ -78,9 +75,6 @@ struct PlanStats {
   double swaps_after = 0.0;
   int64_t max_width_before = 0;
   int64_t max_width_after = 0;
-  /// Steps whose slab accumulation shards (singleton waves, sharding on,
-  /// slab larger than one chunk).
-  int64_t sharded_steps = 0;
 
   /// Swaps/vi of the order the plan actually executes.
   double effective_swaps() const {
@@ -92,7 +86,7 @@ struct PlanStats {
 class ExecutionPlan {
  public:
   ExecutionPlan(UpdateSchedule schedule, std::vector<PlanWave> waves,
-                int64_t shard_chunk_blocks, int prefetch_depth,
+                int prefetch_depth,
                 std::shared_ptr<const ScheduleLookahead> lookahead,
                 PlanStats stats);
 
@@ -108,8 +102,6 @@ class ExecutionPlan {
   int64_t virtual_iteration_length() const {
     return schedule_.virtual_iteration_length();
   }
-  /// Slab blocks per shard for sharded steps (0 = sharding off).
-  int64_t shard_chunk_blocks() const { return shard_chunk_blocks_; }
   int prefetch_depth() const { return prefetch_depth_; }
 
   const UpdateStep& StepAt(int64_t pos) const {
@@ -128,12 +120,6 @@ class ExecutionPlan {
   /// an empty wave.
   int64_t WaveEndAfter(int64_t pos) const;
 
-  /// Shard chunk (slab blocks per shard) for the step at `pos`; 0 means
-  /// the serial slab accumulation. Decided by the *plan* wave width —
-  /// never by how a wave was split at execution time — so a resumed or
-  /// thread-limited run shards identically.
-  int64_t ShardBlocksAt(int64_t pos) const;
-
   int64_t max_wave_width() const { return stats_.max_width_after; }
 
   /// The next-use oracle over the plan's order, shared with the forward
@@ -142,8 +128,8 @@ class ExecutionPlan {
     return lookahead_;
   }
 
-  /// Hash of everything math-shaping (step order, grid geometry, shard
-  /// chunk). Recorded in Phase-2 checkpoints; a resume whose rebuilt plan
+  /// Hash of everything math-shaping (step order, grid geometry).
+  /// Recorded in Phase-2 checkpoints; a resume whose rebuilt plan
   /// fingerprints differently is rejected instead of silently diverging.
   uint64_t fingerprint() const { return fingerprint_; }
 
@@ -155,7 +141,6 @@ class ExecutionPlan {
   UpdateSchedule schedule_;
   std::vector<PlanWave> waves_;
   std::vector<size_t> wave_of_;  // cycle position -> index into waves_
-  int64_t shard_chunk_blocks_;
   int prefetch_depth_;
   std::shared_ptr<const ScheduleLookahead> lookahead_;
   PlanStats stats_;

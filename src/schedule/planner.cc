@@ -245,7 +245,6 @@ std::vector<UpdateStep> ReorderCycleForWidth(
 
 ExecutionPlan Planner::Build(const UpdateSchedule& schedule,
                              const PlannerOptions& options) {
-  TPCP_CHECK_GE(options.shard_chunk_blocks, 0);
   TPCP_CHECK_GE(options.prefetch_depth, 0);
 
   PlanStats stats;
@@ -264,7 +263,7 @@ ExecutionPlan Planner::Build(const UpdateSchedule& schedule,
 
   UpdateSchedule exec = schedule;
   if (options.reorder) {
-    // Window ladder: the requested window first, then halvings down to
+    // Window ladder: one virtual iteration first, then halvings down to
     // the mode count. Wider windows hoist wider waves but concentrate
     // more distinct units, so a tight buffer may fail their parity gate
     // while a narrower window still passes — the ladder adopts the widest
@@ -274,12 +273,9 @@ ExecutionPlan Planner::Build(const UpdateSchedule& schedule,
     // Clamp up to num_modes + 1: a window of `num_modes` or fewer steps
     // cannot hoist anything past a block visit, and silently evaluating
     // zero candidates would misreport "rejected" when nothing was tried.
-    const int64_t requested =
-        std::max(options.reorder_window > 0
-                     ? options.reorder_window
-                     : schedule.virtual_iteration_length(),
-                 num_modes + 1);
-    for (int64_t window = requested; window > num_modes; window /= 2) {
+    const int64_t widest =
+        std::max(schedule.virtual_iteration_length(), num_modes + 1);
+    for (int64_t window = widest; window > num_modes; window /= 2) {
       UpdateSchedule candidate = UpdateSchedule::Reordered(
           schedule, ReorderCycleForWidth(schedule.cycle(), window));
       const int64_t width = ConflictAnalysis(candidate).max_batch_size();
@@ -303,7 +299,6 @@ ExecutionPlan Planner::Build(const UpdateSchedule& schedule,
   stats.max_width_after = conflicts.max_batch_size();
   auto lookahead = std::make_shared<ScheduleLookahead>(exec);
 
-  const GridPartition& grid = exec.grid();
   const int64_t vi_len = exec.virtual_iteration_length();
   std::vector<PlanWave> waves;
   waves.reserve(conflicts.batches().size());
@@ -322,17 +317,11 @@ ExecutionPlan Planner::Build(const UpdateSchedule& schedule,
         wave.evict_hints.push_back(unit);
       }
     }
-    if (options.shard_chunk_blocks > 0 && wave.size() == 1) {
-      const int64_t slab_blocks =
-          grid.NumBlocks() / grid.parts(wave.mode);
-      if (slab_blocks > options.shard_chunk_blocks) ++stats.sharded_steps;
-    }
     waves.push_back(std::move(wave));
   }
 
   return ExecutionPlan(std::move(exec), std::move(waves),
-                       options.shard_chunk_blocks, options.prefetch_depth,
-                       std::move(lookahead), stats);
+                       options.prefetch_depth, std::move(lookahead), stats);
 }
 
 }  // namespace tpcp

@@ -4,13 +4,14 @@
 // Planning runs three passes:
 //
 //  1. Conflict-aware reordering (optional). Within a sliding window over
-//     the cycle, same-mode steps on pairwise-distinct partitions are
-//     hoisted into contiguous runs — the widened conflict-free waves that
-//     let block-centric schedules (FO/ZO/HO), whose native cycles
-//     interleave modes and segment into singletons, finally parallelize
-//     across steps. The pass preserves the per-mode (hence per-unit)
-//     relative order of steps and the per-cycle step multiset, so the
-//     reordered sequence is still a tensor-filling cyclic schedule.
+//     the cycle (one virtual iteration long), same-mode steps on
+//     pairwise-distinct partitions are hoisted into contiguous runs — the
+//     widened conflict-free waves that let block-centric schedules
+//     (FO/ZO/HO), whose native cycles interleave modes and segment into
+//     singletons, finally parallelize across steps. The pass preserves
+//     the per-mode (hence per-unit) relative order of steps and the
+//     per-cycle step multiset, so the reordered sequence is still a
+//     tensor-filling cyclic schedule.
 //  2. Swap-parity certification (optional). A reordered cycle is only
 //     adopted when an exact replay through the swap simulator
 //     (core/swap_simulator.h) shows its steady-state swap count does not
@@ -26,8 +27,7 @@
 //     maximal conflict-free waves (schedule/conflict.h); each wave gets
 //     its prefetch directive (last step + prefetch depth) and eviction
 //     hints (units whose next use is at least one virtual iteration out),
-//     both derived from one shared next-use oracle. Singleton waves get
-//     the intra-step shard chunk.
+//     both derived from one shared next-use oracle.
 //
 // Everything here is deterministic: two Build calls with equal inputs
 // return plans with equal fingerprints, which is what makes checkpointed
@@ -42,10 +42,9 @@
 
 namespace tpcp {
 
-/// Inputs that shape a plan. Math-shaping fields (reorder, reorder_window,
-/// shard_chunk_blocks, and — through certification — rank/policy/
-/// buffer_bytes) select the step order and shard structure; prefetch_depth
-/// only shapes the waves' prefetch directives.
+/// Inputs that shape a plan. Math-shaping fields (reorder and — through
+/// certification — rank/policy/buffer_bytes) select the step order;
+/// prefetch_depth only shapes the waves' prefetch directives.
 struct PlannerOptions {
   /// Rank used to size data units for the certification replay.
   int64_t rank = 10;
@@ -57,11 +56,6 @@ struct PlannerOptions {
 
   /// Run the conflict-aware reordering pass.
   bool reorder = false;
-  /// Sliding-window length in steps (0 = one virtual iteration; clamped
-  /// up to num_modes + 1, the smallest window that can hoist anything).
-  int64_t reorder_window = 0;
-  /// Slab blocks per shard for singleton-wave steps (0 = sharding off).
-  int64_t shard_chunk_blocks = 0;
 
   /// Prefetch depth of the run (0 = no lookahead, all I/O inline).
   int prefetch_depth = 0;

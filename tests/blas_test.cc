@@ -97,21 +97,6 @@ TEST(BlasTest, GramIsSymmetricPsd) {
   }
 }
 
-TEST(BlasTest, Gemv) {
-  Matrix a{{1, 2}, {3, 4}};
-  Matrix x{{1}, {1}};
-  Matrix y{{10}, {10}};
-  Gemv(a, x, 1.0, 1.0, &y);
-  EXPECT_EQ(y(0, 0), 13.0);
-  EXPECT_EQ(y(1, 0), 17.0);
-}
-
-TEST(BlasTest, FrobeniusDot) {
-  Matrix a{{1, 2}, {3, 4}};
-  Matrix b{{2, 0}, {0, 2}};
-  EXPECT_DOUBLE_EQ(FrobeniusDot(a, b), 2.0 + 8.0);
-}
-
 class GemmSizeSweep
     : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 

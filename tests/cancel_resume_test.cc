@@ -188,15 +188,16 @@ TEST(CancellationTest, ResumeUnderDifferentScheduleIsRejected) {
 }
 
 TEST(CancellationTest, ResumeUnderDifferentPlanOptionsIsRejected) {
-  // The checkpoint cursor indexes the execution plan's step order; a
-  // resume whose rebuilt plan fingerprints differently (here: sharding
-  // turned off) must be refused instead of replaying the cursor against a
-  // different accumulation structure.
+  // The checkpoint cursor indexes the execution plan's step order. On this
+  // grid the reordering's parity gate rejects the ZO reorder at buffer
+  // fraction 0.4 and adopts it at 0.8, so a resume under the larger buffer
+  // rebuilds a different plan while ResumeFingerprint (which leaves the
+  // buffer out) still matches. The plan fingerprint in the checkpoint must
+  // refuse it instead of replaying the cursor against another step order.
   auto env = NewMemEnv();
   CancellationToken token;
   CancelAtIteration canceller(&token, 2);
   TwoPhaseCpOptions options = TestOptions();
-  options.shard_slab_blocks = 2;
   options.cancel = &token;
   options.observer = &canceller;
   Status status;
@@ -207,74 +208,29 @@ TEST(CancellationTest, ResumeUnderDifferentPlanOptionsIsRejected) {
   ASSERT_TRUE(manifest->checkpoint.has_value());
   EXPECT_NE(manifest->checkpoint->plan_fingerprint, 0u);
 
-  TwoPhaseCpOptions wrong_plan = TestOptions();  // shard_slab_blocks = 0
+  TwoPhaseCpOptions wrong_plan = TestOptions();
+  wrong_plan.buffer_fraction = 0.8;
   wrong_plan.resume_phase2 = true;
+  ASSERT_EQ(wrong_plan.ResumeFingerprint(), options.ResumeFingerprint());
   Status resume_status;
   RunTwoPhase(env.get(), wrong_plan, &resume_status);
   ASSERT_FALSE(resume_status.ok());
   EXPECT_EQ(resume_status.code(), StatusCode::kFailedPrecondition)
       << resume_status.ToString();
+  EXPECT_NE(resume_status.ToString().find("execution plan"),
+            std::string::npos)
+      << resume_status.ToString();
 
-  // With the original plan options the resume goes through and matches an
-  // uninterrupted sharded run bit for bit.
+  // With the original plan the resume goes through and matches an
+  // uninterrupted run bit for bit.
   TwoPhaseCpOptions right_plan = TestOptions();
-  right_plan.shard_slab_blocks = 2;
   right_plan.resume_phase2 = true;
   const TwoPhaseCpResult resumed = RunTwoPhase(env.get(), right_plan);
 
   auto ref_env = NewMemEnv();
-  TwoPhaseCpOptions uninterrupted = TestOptions();
-  uninterrupted.shard_slab_blocks = 2;
   const TwoPhaseCpResult reference =
-      RunTwoPhase(ref_env.get(), uninterrupted);
+      RunTwoPhase(ref_env.get(), TestOptions());
   EXPECT_EQ(resumed.fit_trace, reference.fit_trace);
-}
-
-TEST(CancellationTest, ResumeUnderDifferentKernelArithIsRejected) {
-  // kernel_fma changes the rounding sequence of every accumulation, so it
-  // is part of the resume fingerprint: a checkpoint written by an FMA run
-  // must refuse to continue under exact arithmetic (and vice versa) —
-  // silently mixing the two would splice incompatible number streams into
-  // one trajectory.
-  auto env = NewMemEnv();
-  CancellationToken token;
-  CancelAtIteration canceller(&token, 2);
-  TwoPhaseCpOptions options = TestOptions();
-  options.kernel_fma = true;
-  options.cancel = &token;
-  options.observer = &canceller;
-  Status status;
-  RunTwoPhase(env.get(), options, &status);
-  ASSERT_TRUE(status.IsCancelled());
-
-  TwoPhaseCpOptions exact = TestOptions();  // kernel_fma = false
-  exact.resume_phase2 = true;
-  Status resume_status;
-  RunTwoPhase(env.get(), exact, &resume_status);
-  ASSERT_FALSE(resume_status.ok());
-  EXPECT_EQ(resume_status.code(), StatusCode::kFailedPrecondition)
-      << resume_status.ToString();
-
-  // Under the original arithmetic the resume continues and replays an
-  // uninterrupted FMA run exactly.
-  TwoPhaseCpOptions fma = TestOptions();
-  fma.kernel_fma = true;
-  fma.resume_phase2 = true;
-  const TwoPhaseCpResult resumed = RunTwoPhase(env.get(), fma);
-
-  auto ref_env = NewMemEnv();
-  TwoPhaseCpOptions uninterrupted = TestOptions();
-  uninterrupted.kernel_fma = true;
-  const TwoPhaseCpResult reference =
-      RunTwoPhase(ref_env.get(), uninterrupted);
-  EXPECT_EQ(resumed.fit_trace, reference.fit_trace);
-
-  // And the fingerprint is not vacuous: FMA and exact runs genuinely
-  // produce different trajectories on this data.
-  auto exact_env = NewMemEnv();
-  const TwoPhaseCpResult exact_run =
-      RunTwoPhase(exact_env.get(), TestOptions());
-  EXPECT_NE(exact_run.fit_trace, reference.fit_trace);
 }
 
 TEST(CancellationTest, FingerprintsArePinned) {

@@ -215,24 +215,7 @@ TEST(PinvTest, InvertsNonSingularSquare) {
 TEST(ElementwiseTest, HadamardAndAll) {
   Matrix a{{1, 2}, {3, 4}};
   Matrix b{{2, 2}, {2, 2}};
-  Matrix c{{1, 0}, {0, 1}};
   EXPECT_EQ(Hadamard(a, b)(1, 1), 8.0);
-  const Matrix all = HadamardAll({&a, &b, &c});
-  EXPECT_EQ(all(0, 0), 2.0);
-  EXPECT_EQ(all(0, 1), 0.0);
-  EXPECT_EQ(all(1, 1), 8.0);
-}
-
-TEST(ElementwiseTest, SafeDivideGuardsZeros) {
-  Matrix a{{4, 9}};
-  Matrix b{{2, 0}};
-  const Matrix q = SafeDivide(a, b);
-  EXPECT_EQ(q(0, 0), 2.0);
-  EXPECT_EQ(q(0, 1), 0.0);  // guarded
-
-  Matrix c{{4, 9}};
-  SafeDivideInPlace(&c, b, /*guard=*/1e-12);
-  EXPECT_EQ(c(0, 1), 0.0);
 }
 
 class SolveSweep : public ::testing::TestWithParam<int> {};

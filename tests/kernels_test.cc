@@ -1,10 +1,8 @@
-// Bit-identity contract of the variant-selectable kernels: for
-// KernelArith::kExact, the SIMD form of every kernel must produce the
-// exact same bits as its scalar reference on every shape — including tail
-// fringes narrower than a vector, unaligned leading dimensions, and
-// zero-skip corner cases with -0.0 and non-finite values. kFma is the one
-// sanctioned divergence (one rounding instead of two), and must itself be
-// bit-identical across scalar and SIMD forms.
+// Bit-identity contract of the variant-selectable kernels: the SIMD form
+// of every kernel must produce the exact same bits as its scalar
+// reference on every shape — including tail fringes narrower than a
+// vector, unaligned leading dimensions, and zero-skip corner cases with
+// -0.0 and non-finite values.
 //
 // These tests are the proof obligation behind running the CI matrix with
 // and without TPCP_FORCE_SCALAR: either leg runs them, and a vector
@@ -109,9 +107,9 @@ TEST(KernelsTest, MicroKernelNNBitIdenticalAcrossTails) {
       for (int64_t kb : {int64_t{1}, int64_t{3}, int64_t{8}, kMax}) {
         std::vector<double> cs = c0, cv = c0;
         MicroKernelNN(a.data(), lda, b.data(), ldb, cs.data(), ldc, mb, nb,
-                      kb, KernelVariant::kScalar, KernelArith::kExact);
+                      kb, KernelVariant::kScalar);
         MicroKernelNN(a.data(), lda, b.data(), ldb, cv.data(), ldc, mb, nb,
-                      kb, KernelVariant::kSimd, KernelArith::kExact);
+                      kb, KernelVariant::kSimd);
         ASSERT_TRUE(BitsEqual(cs.data(), cv.data(),
                               static_cast<int64_t>(cs.size())))
             << "mb=" << mb << " nb=" << nb << " kb=" << kb;
@@ -131,11 +129,9 @@ TEST(KernelsTest, MicroKernelTNBitIdenticalAcrossTails) {
       for (double alpha : {1.0, -0.75}) {
         std::vector<double> cs = c0, cv = c0;
         MicroKernelTN(a.data(), lda, b.data(), ldb, cs.data(), ldc, mb, nb,
-                      kMax, alpha, KernelVariant::kScalar,
-                      KernelArith::kExact);
+                      kMax, alpha, KernelVariant::kScalar);
         MicroKernelTN(a.data(), lda, b.data(), ldb, cv.data(), ldc, mb, nb,
-                      kMax, alpha, KernelVariant::kSimd,
-                      KernelArith::kExact);
+                      kMax, alpha, KernelVariant::kSimd);
         ASSERT_TRUE(BitsEqual(cs.data(), cv.data(),
                               static_cast<int64_t>(cs.size())))
             << "mb=" << mb << " nb=" << nb << " alpha=" << alpha;
@@ -160,39 +156,13 @@ TEST(KernelsTest, ZeroSkipPreservesSignedZeroAndNonFinite) {
   for (KernelVariant variant :
        {KernelVariant::kScalar, KernelVariant::kSimd}) {
     std::vector<double> c = c0;
-    MicroKernelNN(a.data(), n, b.data(), n, c.data(), n, n, n, n, variant,
-                  KernelArith::kExact);
+    MicroKernelNN(a.data(), n, b.data(), n, c.data(), n, n, n, n, variant);
     EXPECT_TRUE(BitsEqual(c.data(), c0.data(), n * n));
     c = c0;
     MicroKernelTN(a.data(), n, b.data(), n, c.data(), n, n, n, n, 1.0,
-                  variant, KernelArith::kExact);
+                  variant);
     EXPECT_TRUE(BitsEqual(c.data(), c0.data(), n * n));
   }
-}
-
-/// kFma is bit-identical between scalar and SIMD (std::fma rounds once,
-/// exactly like the hardware instruction) — and genuinely different from
-/// kExact, or fingerprinting it would be pointless.
-TEST(KernelsTest, FmaIdenticalAcrossVariantsButNotToExact) {
-  constexpr int64_t n = 16;
-  const std::vector<double> a = RandomVec(n * n, 8);
-  const std::vector<double> b = RandomVec(n * n, 9);
-  std::vector<double> fma_s(n * n), fma_v(n * n), exact(n * n);
-  MicroKernelTN(a.data(), n, b.data(), n, fma_s.data(), n, n, n, n, 1.0,
-                KernelVariant::kScalar, KernelArith::kFma);
-  MicroKernelTN(a.data(), n, b.data(), n, fma_v.data(), n, n, n, n, 1.0,
-                KernelVariant::kSimd, KernelArith::kFma);
-  MicroKernelTN(a.data(), n, b.data(), n, exact.data(), n, n, n, n, 1.0,
-                KernelVariant::kScalar, KernelArith::kExact);
-  EXPECT_TRUE(BitsEqual(fma_s.data(), fma_v.data(), n * n));
-  int64_t diffs = 0;
-  for (int64_t i = 0; i < n * n; ++i) {
-    if (fma_s[static_cast<size_t>(i)] != exact[static_cast<size_t>(i)]) {
-      ++diffs;
-    }
-  }
-  EXPECT_GT(diffs, 0) << "kFma rounded identically to kExact on random "
-                         "data; the fingerprint would be vacuous";
 }
 
 // ---- element-wise + MTTKRP inner loops --------------------------------
@@ -251,17 +221,17 @@ TEST(KernelsTest, GemmVariantBitIdenticalOnOddShapes) {
     Matrix cs = RandomMatrix(c.m, c.n, 22);
     Matrix cv = cs;
     GemmVariant(Trans::kNo, a, Trans::kNo, b, 1.25, 0.5, &cs,
-                KernelVariant::kScalar, KernelArith::kExact);
+                KernelVariant::kScalar);
     GemmVariant(Trans::kNo, a, Trans::kNo, b, 1.25, 0.5, &cv,
-                KernelVariant::kSimd, KernelArith::kExact);
+                KernelVariant::kSimd);
     ASSERT_TRUE(BitsEqual(cs, cv)) << c.m << "x" << c.n << "x" << c.k;
 
     const Matrix at = RandomMatrix(c.k, c.m, 23);
     Matrix gs(c.m, c.n), gv(c.m, c.n);
     GemmVariant(Trans::kYes, at, Trans::kNo, b, 1.0, 0.0, &gs,
-                KernelVariant::kScalar, KernelArith::kExact);
+                KernelVariant::kScalar);
     GemmVariant(Trans::kYes, at, Trans::kNo, b, 1.0, 0.0, &gv,
-                KernelVariant::kSimd, KernelArith::kExact);
+                KernelVariant::kSimd);
     ASSERT_TRUE(BitsEqual(gs, gv)) << "TN " << c.m << "x" << c.n;
   }
 }
@@ -275,12 +245,12 @@ TEST(KernelsTest, PublicGemmAndGramMatchScalarReferenceBitwise) {
   Matrix c_ref = c_pub;
   Gemm(Trans::kNo, a, Trans::kNo, b, 2.0, -1.0, &c_pub);
   GemmVariant(Trans::kNo, a, Trans::kNo, b, 2.0, -1.0, &c_ref,
-              KernelVariant::kScalar, KernelArith::kExact);
+              KernelVariant::kScalar);
   EXPECT_TRUE(BitsEqual(c_pub, c_ref));
 
   Matrix gram_ref(13, 13);
   GemmVariant(Trans::kYes, a, Trans::kNo, a, 1.0, 0.0, &gram_ref,
-              KernelVariant::kScalar, KernelArith::kExact);
+              KernelVariant::kScalar);
   EXPECT_TRUE(BitsEqual(Gram(a), gram_ref));
 }
 

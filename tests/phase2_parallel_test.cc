@@ -197,17 +197,16 @@ TEST(Phase2ParallelTest, BlockCentricScheduleStaysBitIdentical) {
   }
 }
 
-// ---- Reordered + sharded plans ---------------------------------------------
+// ---- Reordered plans --------------------------------------------------------
 
 /// The reordered-plan configuration used below: ZO (block-centric, native
-/// singleton batches) with conflict-aware reordering and intra-step
-/// sharding, at a buffer where the parity gate adopts the reorder.
+/// singleton batches) with conflict-aware reordering, at a buffer where
+/// the parity gate adopts the reorder.
 TwoPhaseCpOptions ReorderedOptions(int compute_threads, int prefetch_depth) {
   TwoPhaseCpOptions options =
       ParallelOptions(ScheduleType::kZOrder, compute_threads, prefetch_depth);
   options.buffer_fraction = 0.5;
   options.plan_reorder = true;
-  options.shard_slab_blocks = 2;
   return options;
 }
 
@@ -220,21 +219,19 @@ ExecutionPlan PlanFor(const TwoPhaseCpOptions& options) {
 }
 
 // Documents the precondition of the suite below: at this buffer the
-// parity gate really adopts the ZO reorder (width > 1) and singleton
-// waves shard — otherwise the tests would silently exercise the identity
-// plan.
+// parity gate really adopts the ZO reorder (width > 1) — otherwise the
+// tests would silently exercise the identity plan.
 TEST(Phase2ReorderedPlanTest, ReorderIsAdoptedForThisConfiguration) {
   const ExecutionPlan plan = PlanFor(ReorderedOptions(1, 0));
   ASSERT_TRUE(plan.stats().certified);
   EXPECT_TRUE(plan.stats().reorder_applied);
   EXPECT_GT(plan.max_wave_width(), 1);
   EXPECT_LE(plan.stats().swaps_after, plan.stats().swaps_before + 1e-9);
-  EXPECT_GT(plan.stats().sharded_steps, 0);
 }
 
-// The tentpole guarantee on the *reordered, sharded* plan: factors and
-// fit traces are bit-identical across compute_threads ∈ {1, 2, 4} ×
-// prefetch_depth ∈ {0, 2} — and the plan really is a different update
+// The reordered plan's guarantee: factors and fit traces are
+// bit-identical across compute_threads ∈ {1, 2, 4} × prefetch_depth ∈
+// {0, 2} — and the plan really is a different update
 // order than the source ZO schedule (different fit trace).
 TEST(Phase2ReorderedPlanTest, BitIdenticalAcrossThreadsAndDepths) {
   auto ref_env = NewMemEnv();
@@ -408,12 +405,12 @@ TEST(Phase2ParallelTest, CancelThenResumeAcrossThreadCountsIsBitIdentical) {
   }
 }
 
-// Mid-wave cancel→resume under the *reordered* plan, the satellite
+// Mid-wave cancel→resume under the *reordered* plan, across the
 // matrix: resume with prefetch_depth ∈ {0, 2} × compute_threads ∈ {1, 4}.
 // The cancelled run executes serially (step-at-a-time waves), so the
 // deterministic read countdown can land the checkpoint cursor strictly
 // inside a reordered multi-step wave; every resume variant must replay
-// the wave tail — and its sharded singleton steps — bit-identically.
+// the wave tail bit-identically.
 TEST(Phase2ReorderedPlanTest, MidWaveCancelResumeBitIdenticalAcrossMatrix) {
   const TwoPhaseCpOptions base = ReorderedOptions(1, 0);
   const ExecutionPlan plan = PlanFor(base);

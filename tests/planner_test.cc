@@ -1,8 +1,7 @@
 // Tests for the Phase-2 execution planner: the conflict-aware reordering
 // pass (permutation + per-unit-order preservation + widened waves), the
-// swap-parity certification gate, plan determinism/fingerprints, wave
-// boundary semantics (incl. the cycle-boundary cursor contract), and the
-// singleton-only sharding rule.
+// swap-parity certification gate, plan determinism/fingerprints, and
+// wave boundary semantics (incl. the cycle-boundary cursor contract).
 
 #include <gtest/gtest.h>
 
@@ -195,12 +194,6 @@ TEST(PlannerTest, FingerprintSeparatesPlanVariants) {
   ASSERT_TRUE(reordered.stats().reorder_applied);
   EXPECT_NE(reordered.fingerprint(), base);
 
-  // Sharding changes the accumulation structure → fingerprint, even with
-  // the identity order.
-  PlannerOptions sharded = identity;
-  sharded.shard_chunk_blocks = 2;
-  EXPECT_NE(Planner::Build(schedule, sharded).fingerprint(), base);
-
   // Execution-only knobs do not: prefetch depth shapes directives, not
   // math.
   PlannerOptions deeper = identity;
@@ -231,7 +224,7 @@ TEST(PlannerTest, IdentityPlanMatchesConflictAnalysis) {
   }
 }
 
-// ---- Wave boundaries and sharding rule -------------------------------------
+// ---- Wave boundaries --------------------------------------------------------
 
 TEST(PlannerTest, WaveEndAfterCycleBoundaryContract) {
   const GridPartition grid = TestGrid();
@@ -250,48 +243,6 @@ TEST(PlannerTest, WaveEndAfterCycleBoundaryContract) {
   }
   EXPECT_EQ(plan.WaveEndAfter(len - 1), len);  // last position of a cycle
   EXPECT_EQ(plan.WaveEndAfter(3 * len + 5), 3 * len + 8);
-}
-
-TEST(PlannerTest, OnlySingletonWavesShard) {
-  const GridPartition grid = TestGrid();
-
-  // MC: every wave is a full mode batch (width 4) — no step shards.
-  PlannerOptions options;
-  options.rank = 4;
-  options.shard_chunk_blocks = 2;
-  const ExecutionPlan mc = Planner::Build(
-      UpdateSchedule::Create(ScheduleType::kModeCentric, grid), options);
-  EXPECT_EQ(mc.stats().sharded_steps, 0);
-  for (int64_t p = 0; p < mc.cycle_length(); ++p) {
-    EXPECT_EQ(mc.ShardBlocksAt(p), 0) << p;
-  }
-
-  // FO identity plan: all singletons — every step shards with the plan's
-  // chunk (slabs are 16 blocks > 2).
-  const ExecutionPlan fo = Planner::Build(
-      UpdateSchedule::Create(ScheduleType::kFiberOrder, grid), options);
-  EXPECT_EQ(fo.stats().sharded_steps, fo.cycle_length());
-  for (int64_t p = 0; p < fo.cycle_length(); ++p) {
-    EXPECT_EQ(fo.ShardBlocksAt(p), 2) << p;
-  }
-
-  // Reordered ZO: wide waves don't shard, singleton waves do.
-  PlannerOptions reorder = ReorderOptions(grid, 0.5);
-  reorder.shard_chunk_blocks = 2;
-  const ExecutionPlan zo = Planner::Build(
-      UpdateSchedule::Create(ScheduleType::kZOrder, grid), reorder);
-  ASSERT_TRUE(zo.stats().reorder_applied);
-  bool saw_wide = false;
-  bool saw_singleton = false;
-  for (const PlanWave& wave : zo.waves()) {
-    for (int64_t p = wave.begin; p < wave.end; ++p) {
-      EXPECT_EQ(zo.ShardBlocksAt(p), wave.size() == 1 ? 2 : 0) << p;
-    }
-    saw_wide |= wave.size() > 1;
-    saw_singleton |= wave.size() == 1;
-  }
-  EXPECT_TRUE(saw_wide);
-  EXPECT_TRUE(saw_singleton);
 }
 
 TEST(PlannerTest, EvictHintsMatchLookahead) {

@@ -765,13 +765,24 @@ TEST(JobRecordTest, OptionsFromMapValidatesRanges) {
        {Map{{"rank", "0"}}, Map{{"num_threads", "0"}},
         Map{{"compute_threads", "0"}}, Map{{"io_threads", "0"}},
         Map{{"prefetch_depth", "-1"}}, Map{{"max_virtual_iterations", "0"}},
-        Map{{"plan_reorder_window", "-1"}}, Map{{"shard_slab_blocks", "-1"}},
         Map{{"buffer_fraction", "0"}}, Map{{"buffer_fraction", "1.5"}},
         Map{{"max_seconds", "-1"}}}) {
     const auto options = OptionsFromMap(bad);
     ASSERT_FALSE(options.ok()) << bad.begin()->first;
     EXPECT_EQ(options.status().code(), StatusCode::kInvalidArgument);
     EXPECT_NE(options.status().message().find(bad.begin()->first),
+              std::string::npos)
+        << options.status().ToString();
+  }
+  // The retired plan-window, slab-sharding and FMA keys are unknown now,
+  // even at what used to be their defaults.
+  for (const char* retired :
+       {"plan_reorder_window", "shard_slab_blocks", "kernel_fma"}) {
+    const auto options = OptionsFromMap({{retired, "0"}});
+    ASSERT_FALSE(options.ok()) << retired;
+    EXPECT_EQ(options.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(options.status().message().find(std::string("unknown option '") +
+                                              retired + "'"),
               std::string::npos)
         << options.status().ToString();
   }

@@ -110,6 +110,10 @@ grep -q "job 1: succeeded fit" "$DIR/out.txt" ||
 expect_exit 2 decompose "$DIR/depth0" "$DIR/depth2"
 expect_exit 2 decompose "$DIR/depth0" --no-such-option=1
 expect_exit 2 decompose "$DIR/depth0" --prefetch-depth=-1
+# Retired plan-window, slab-sharding and FMA options are unknown flags.
+expect_exit 2 decompose "$DIR/depth0" --shard-slab-blocks=2
+expect_exit 2 decompose "$DIR/depth0" --plan-reorder-window=4
+expect_exit 2 decompose "$DIR/depth0" --kernel-fma=1
 expect_exit 2 decompose "$DIR/depth0" 4 mc
 expect_exit 2 simulate --parts=4 --buffer-fraction=0.5 extra
 # The fleet runs no solver params; one is a typo, not a silent no-op.
