@@ -1,6 +1,5 @@
 #include "core/refinement_state.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "cp/cp_als.h"
