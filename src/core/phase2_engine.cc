@@ -16,18 +16,12 @@ namespace {
 /// Applies the `count` conflict-free steps at plan positions
 /// [pos, pos+count) — across the compute pool when one is given, serially
 /// (in plan order) otherwise. The steps commute exactly
-/// (schedule/conflict.h), so both paths produce bit-identical state.
+/// (schedule/conflict.h), so both paths produce bit-identical state. A
+/// single step runs inline rather than paying a hop to a pool thread.
 void RunBatch(RefinementState* state, const ExecutionPlan& plan,
               int64_t pos, int64_t count, ThreadPool* compute_pool) {
-  if (compute_pool == nullptr || count == 1) {
-    for (int64_t i = 0; i < count; ++i) {
-      state->ApplyUpdate(plan.StepAt(pos + i));
-    }
-    return;
-  }
-  ParallelFor(compute_pool, 0, count, [&](int64_t i) {
-    state->ApplyUpdate(plan.StepAt(pos + i));
-  });
+  ParallelFor(count == 1 ? nullptr : compute_pool, 0, count,
+              [&](int64_t i) { state->ApplyUpdate(plan.StepAt(pos + i)); });
 }
 
 }  // namespace
