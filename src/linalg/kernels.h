@@ -4,9 +4,10 @@
 //
 // Every call site that matters for wall-clock dispatches KernelVariant::
 // kSimd; kScalar is the reference implementation the bit-identity tests
-// and the micro-kernel bench compare against. In a build without a vector
-// backend (or with TPCP_FORCE_SCALAR), kSimd degrades to the scalar body,
-// so the choice is compile-time-safe everywhere.
+// and the micro-kernel bench compare against. kSimd runs the vector
+// backend chosen once, at first use: AVX2 on an x86-64 CPU that reports
+// it (every x86-64 build carries the AVX2 bodies), NEON in an aarch64
+// build, and the scalar bodies otherwise or under TPCP_FORCE_SCALAR.
 //
 // Every update multiplies and adds separately (two roundings, see
 // simd.h's MulAdd), so the scalar and vector forms produce the same bits
@@ -21,11 +22,12 @@ namespace tpcp {
 
 enum class KernelVariant { kScalar, kSimd };
 
-/// True when the build carries an explicit vector backend (false under
-/// TPCP_FORCE_SCALAR or on targets without AVX2/NEON).
+/// True when KernelVariant::kSimd runs a vector backend on this machine
+/// (false under TPCP_FORCE_SCALAR and on CPUs without AVX2 or NEON).
 bool SimdCompiled();
 
-/// Name of the compiled vector backend: "avx2", "neon", or "scalar".
+/// Name of the backend KernelVariant::kSimd runs: "avx2", "neon", or
+/// "scalar" — chosen at run time, unlike simd::kTargetName.
 const char* SimdTargetName();
 
 const char* KernelVariantName(KernelVariant variant);

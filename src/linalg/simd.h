@@ -1,12 +1,21 @@
-// Portable compile-time SIMD layer for the double-precision kernels.
+// The SIMD layer under the double-precision kernels (linalg/kernels.cc).
 //
-// One vector type, VecD, selected at compile time:
-//   - AVX2  (x86-64, __AVX2__):  4 doubles per lane group
-//   - NEON  (aarch64, __ARM_NEON): 2 doubles per lane group
-//   - scalar fallback: 1 double (always available)
-// Defining TPCP_FORCE_SCALAR (CMake option of the same name) pins the
-// scalar backend regardless of the architecture flags — the CI leg that
-// proves the vector kernels are bit-identical to the scalar ones.
+// Two kinds of vector backend:
+//   - NEON (aarch64, __ARM_NEON): 2 doubles per lane group, chosen at
+//     compile time and defined here.
+//   - AVX2 (x86-64, GCC or Clang): 4 doubles per lane group, defined in
+//     linalg/kernels_avx2.cc inside an AVX2 target region, so every x86-64
+//     build carries it whatever its -m flags. kernels.cc runs it when the
+//     CPU reports AVX2 at run time. TPCP_KERNELS_AVX2 says it is built.
+// Elsewhere, and on an x86-64 CPU without AVX2, the kernels run their
+// scalar bodies. Defining TPCP_FORCE_SCALAR (CMake option of the same
+// name) compiles both vector backends out — the CI leg that proves the
+// vector kernels are bit-identical to the scalar ones.
+//
+// Each backend defines, in a namespace `simd` of its own: VecD, kWidth,
+// kTargetName, Load, Store, Broadcast, Add, Mul and MulAdd. The kernel
+// bodies are written once against them (linalg/kernel_bodies.inc) and
+// compiled once per backend into a KernelTable.
 //
 // Determinism contract: MulAdd(a, b, acc) computes acc + a*b with TWO
 // roundings (separate multiply and add), exactly like the scalar
@@ -19,36 +28,44 @@
 
 #include <cstdint>
 
-#if !defined(TPCP_FORCE_SCALAR) && defined(__AVX2__)
-#define TPCP_SIMD_AVX2 1
-#include <immintrin.h>
-#elif !defined(TPCP_FORCE_SCALAR) && defined(__ARM_NEON)
+#if !defined(TPCP_FORCE_SCALAR) && defined(__ARM_NEON)
 #define TPCP_SIMD_NEON 1
 #include <arm_neon.h>
 #endif
 
+#if !defined(TPCP_FORCE_SCALAR) && defined(__x86_64__) && defined(__GNUC__)
+#define TPCP_KERNELS_AVX2 1
+#endif
+
 namespace tpcp {
-namespace simd {
 
-#if defined(TPCP_SIMD_AVX2)
-
-inline constexpr int kWidth = 4;
-inline constexpr const char* kTargetName = "avx2";
-
-struct VecD {
-  __m256d v;
+/// One build of the kernel bodies: the entry points of linalg/kernels.h
+/// without their KernelVariant argument, and the backend's name.
+struct KernelTable {
+  const char* name;
+  void (*micro_nn)(const double* a, int64_t lda, const double* b,
+                   int64_t ldb, double* c, int64_t ldc, int64_t mb,
+                   int64_t nb, int64_t kb);
+  void (*micro_tn)(const double* a, int64_t lda, const double* b,
+                   int64_t ldb, double* c, int64_t ldc, int64_t mb,
+                   int64_t nb, int64_t kb, double alpha);
+  void (*hadamard)(double* a, const double* b, int64_t n);
+  void (*mttkrp_row3)(double* dst, double v, const double* r1,
+                      const double* r2, int64_t f);
+  void (*mttkrp_seed)(double* prod, double v, const double* row, int64_t f);
+  void (*mttkrp_accum)(double* dst, const double* src, int64_t f);
 };
 
-inline VecD Load(const double* p) { return {_mm256_loadu_pd(p)}; }
-inline void Store(double* p, VecD a) { _mm256_storeu_pd(p, a.v); }
-inline VecD Broadcast(double x) { return {_mm256_set1_pd(x)}; }
-inline VecD Add(VecD a, VecD b) { return {_mm256_add_pd(a.v, b.v)}; }
-inline VecD Mul(VecD a, VecD b) { return {_mm256_mul_pd(a.v, b.v)}; }
-inline VecD MulAdd(VecD a, VecD b, VecD acc) {
-  return {_mm256_add_pd(acc.v, _mm256_mul_pd(a.v, b.v))};
-}
+#if defined(TPCP_KERNELS_AVX2)
+namespace kernels_avx2 {
+/// The AVX2 build of the kernel bodies; run it only on an AVX2 CPU.
+extern const KernelTable kTable;
+}  // namespace kernels_avx2
+#endif
 
-#elif defined(TPCP_SIMD_NEON)
+namespace simd {
+
+#if defined(TPCP_SIMD_NEON)
 
 inline constexpr int kWidth = 2;
 inline constexpr const char* kTargetName = "neon";
@@ -68,24 +85,11 @@ inline VecD MulAdd(VecD a, VecD b, VecD acc) {
 
 #else
 
-inline constexpr int kWidth = 1;
+/// The compile-time backend has no vector unit; on x86-64 the kernels may
+/// still run AVX2, chosen at run time (SimdTargetName in kernels.h).
 inline constexpr const char* kTargetName = "scalar";
 
-struct VecD {
-  double v;
-};
-
-inline VecD Load(const double* p) { return {*p}; }
-inline void Store(double* p, VecD a) { *p = a.v; }
-inline VecD Broadcast(double x) { return {x}; }
-inline VecD Add(VecD a, VecD b) { return {a.v + b.v}; }
-inline VecD Mul(VecD a, VecD b) { return {a.v * b.v}; }
-inline VecD MulAdd(VecD a, VecD b, VecD acc) { return {acc.v + a.v * b.v}; }
-
 #endif
-
-/// True when an explicit vector backend (width > 1) is compiled in.
-inline constexpr bool kEnabled = kWidth > 1;
 
 }  // namespace simd
 }  // namespace tpcp

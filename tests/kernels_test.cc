@@ -280,11 +280,23 @@ TEST(KernelsTest, MttkrpVariantsBitIdenticalAcrossBackends) {
 }
 
 TEST(KernelsTest, SimdReportingIsConsistent) {
-  // SimdCompiled and the target name must agree; under TPCP_FORCE_SCALAR
-  // the name is "scalar" and compiled is false.
+  // kSimd runs a vector backend exactly when its name is not "scalar".
   const bool compiled = SimdCompiled();
   const std::string target = SimdTargetName();
   EXPECT_EQ(compiled, target != "scalar");
+#if defined(TPCP_FORCE_SCALAR)
+  EXPECT_EQ(target, "scalar");
+#elif defined(__x86_64__)
+  // Every x86-64 build carries the AVX2 bodies, whatever its -m flags;
+  // the CPU decides at run time.
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx2")) {
+    EXPECT_EQ(target, "avx2");
+    EXPECT_TRUE(compiled);
+  } else {
+    EXPECT_EQ(target, "scalar");
+  }
+#endif
 }
 
 }  // namespace
