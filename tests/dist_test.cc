@@ -63,6 +63,7 @@
 #include "storage/env_uri.h"
 #include "storage/faulty_env.h"
 #include "storage/retry_env.h"
+#include "scratch_dir.h"
 
 namespace tpcp {
 namespace {
@@ -108,12 +109,13 @@ void PreparePhase1Store(Env* env, const TwoPhaseCpOptions& options,
   ASSERT_TRUE(cp.RunPhase1().ok());
 }
 
-/// Uninterrupted single-process reference run in its own env.
+/// Uninterrupted single-process reference run in its own posix env at
+/// `root`.
 OpenedEnv RunEngineReference(const std::string& root,
                              const TwoPhaseCpOptions& options,
                              Phase2Result* reference,
                              const GridPartition& grid = TestGrid()) {
-  auto env = OpenEnv("posix://" + ::testing::TempDir() + root);
+  auto env = OpenEnv("posix://" + root);
   EXPECT_TRUE(env.ok()) << env.status().ToString();
   PreparePhase1Store(env->get(), options, grid);
   BlockFactorStore factors(env->get(), "f", grid, options.rank);
@@ -243,11 +245,13 @@ int64_t CrashPosInSecondVi(const ExecutionPlan& plan, int64_t rank) {
 }
 
 TEST(DistPhase2Test, WorkersProduceBitIdenticalFactorsAndExactByteLedger) {
+  const ScratchDir scratch;
   const TwoPhaseCpOptions reference_options = DistOptions();
 
   Phase2Result reference;
   OpenedEnv ref_env =
-      RunEngineReference("dist_ref", reference_options, &reference);
+      RunEngineReference(scratch.path() + "dist_ref",
+                         reference_options, &reference);
   ASSERT_EQ(reference.virtual_iterations,
             reference_options.max_virtual_iterations);
 
@@ -261,7 +265,7 @@ TEST(DistPhase2Test, WorkersProduceBitIdenticalFactorsAndExactByteLedger) {
       TwoPhaseCpOptions options = reference_options;
       options.prefetch_depth = depth;
       options.io_threads = 2;
-      const std::string root = ::testing::TempDir() + "dist_w" +
+      const std::string root = scratch.path() + "dist_w" +
                                std::to_string(workers) + "_d" +
                                std::to_string(depth);
       auto env = OpenEnv("posix://" + root);
@@ -316,11 +320,13 @@ TEST(DistPhase2Test, WorkersProduceBitIdenticalFactorsAndExactByteLedger) {
 }
 
 TEST(DistPhase2Test, WorkerCrashMidWaveFailsCleanAndResumesBitIdentical) {
+  const ScratchDir scratch;
   const TwoPhaseCpOptions options = DistOptions();
 
   Phase2Result reference;
   OpenedEnv ref_env =
-      RunEngineReference("dist_crash_ref", options, &reference);
+      RunEngineReference(scratch.path() + "dist_crash_ref",
+                         options, &reference);
 
   // Crash worker 1 just before its first owned step of the second virtual
   // iteration — after the vi-0 checkpoint exists, in the middle of a wave.
@@ -330,7 +336,7 @@ TEST(DistPhase2Test, WorkerCrashMidWaveFailsCleanAndResumesBitIdentical) {
   ASSERT_GE(crash_pos, 0) << "worker 1 owns nothing in vi 1?";
 
   const GridPartition grid = TestGrid();
-  const std::string root = ::testing::TempDir() + "dist_crash";
+  const std::string root = scratch.path() + "dist_crash";
   auto env = OpenEnv("posix://" + root);
   ASSERT_TRUE(env.ok()) << env.status().ToString();
   PreparePhase1Store(env->get(), options);
@@ -384,18 +390,20 @@ TEST(DistPhase2Test, WorkerCrashMidWaveFailsCleanAndResumesBitIdentical) {
 }
 
 TEST(DistPhase2Test, SupervisorRespawnsCrashedWorkerInRunBitIdentical) {
+  const ScratchDir scratch;
   const TwoPhaseCpOptions options = DistOptions();
 
   Phase2Result reference;
   OpenedEnv ref_env =
-      RunEngineReference("dist_respawn_ref", options, &reference);
+      RunEngineReference(scratch.path() + "dist_respawn_ref",
+                         options, &reference);
 
   const ExecutionPlan plan = PlanFor(options);
   const int64_t crash_pos = CrashPosInSecondVi(plan, options.rank);
   ASSERT_GE(crash_pos, 0);
 
   const GridPartition grid = TestGrid();
-  auto env = OpenEnv("posix://" + ::testing::TempDir() + "dist_respawn");
+  auto env = OpenEnv("posix://" + scratch.path() + "dist_respawn");
   ASSERT_TRUE(env.ok()) << env.status().ToString();
   PreparePhase1Store(env->get(), options);
   BlockFactorStore factors(env->get(), "f", grid, options.rank);
@@ -437,18 +445,20 @@ TEST(DistPhase2Test, SupervisorRespawnsCrashedWorkerInRunBitIdentical) {
 }
 
 TEST(DistPhase2Test, SupervisorDegradesToSmallerFleetBitIdentical) {
+  const ScratchDir scratch;
   const TwoPhaseCpOptions options = DistOptions();
 
   Phase2Result reference;
   OpenedEnv ref_env =
-      RunEngineReference("dist_shrink_ref", options, &reference);
+      RunEngineReference(scratch.path() + "dist_shrink_ref",
+                         options, &reference);
 
   const ExecutionPlan plan = PlanFor(options);
   const int64_t crash_pos = CrashPosInSecondVi(plan, options.rank);
   ASSERT_GE(crash_pos, 0);
 
   const GridPartition grid = TestGrid();
-  auto env = OpenEnv("posix://" + ::testing::TempDir() + "dist_shrink");
+  auto env = OpenEnv("posix://" + scratch.path() + "dist_shrink");
   ASSERT_TRUE(env.ok()) << env.status().ToString();
   PreparePhase1Store(env->get(), options);
   BlockFactorStore factors(env->get(), "f", grid, options.rank);
@@ -490,11 +500,13 @@ TEST(DistPhase2Test, SupervisorDegradesToSmallerFleetBitIdentical) {
 }
 
 TEST(DistPhase2Test, SupervisorFallsBackToSingleProcessBitIdentical) {
+  const ScratchDir scratch;
   const TwoPhaseCpOptions options = DistOptions();
 
   Phase2Result reference;
   OpenedEnv ref_env =
-      RunEngineReference("dist_single_ref", options, &reference);
+      RunEngineReference(scratch.path() + "dist_single_ref",
+                         options, &reference);
 
   // Crash in the *first* virtual iteration: no checkpoint exists yet, so
   // the fallback engine resumes from the coordinator's fresh-run seeds —
@@ -510,7 +522,7 @@ TEST(DistPhase2Test, SupervisorFallsBackToSingleProcessBitIdentical) {
   ASSERT_GE(crash_pos, 0);
 
   const GridPartition grid = TestGrid();
-  auto env = OpenEnv("posix://" + ::testing::TempDir() + "dist_single");
+  auto env = OpenEnv("posix://" + scratch.path() + "dist_single");
   ASSERT_TRUE(env.ok()) << env.status().ToString();
   PreparePhase1Store(env->get(), options);
   BlockFactorStore factors(env->get(), "f", grid, options.rank);
@@ -544,11 +556,13 @@ TEST(DistPhase2Test, SupervisorFallsBackToSingleProcessBitIdentical) {
 }
 
 TEST(DistPhase2Test, ChannelChaosIsAbsorbedOrRecoveredBitIdentical) {
+  const ScratchDir scratch;
   const TwoPhaseCpOptions options = DistOptions();
 
   Phase2Result reference;
   OpenedEnv ref_env =
-      RunEngineReference("dist_chaos_ref", options, &reference);
+      RunEngineReference(scratch.path() + "dist_chaos_ref",
+                         options, &reference);
   const GridPartition grid = TestGrid();
 
   struct Case {
@@ -584,7 +598,7 @@ TEST(DistPhase2Test, ChannelChaosIsAbsorbedOrRecoveredBitIdentical) {
   int case_index = 0;
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
-    auto env = OpenEnv("posix://" + ::testing::TempDir() + "dist_chaos_" +
+    auto env = OpenEnv("posix://" + scratch.path() + "dist_chaos_" +
                        std::to_string(case_index++));
     ASSERT_TRUE(env.ok()) << env.status().ToString();
     PreparePhase1Store(env->get(), options);
@@ -622,14 +636,16 @@ TEST(DistPhase2Test, ChannelChaosIsAbsorbedOrRecoveredBitIdentical) {
 }
 
 TEST(DistPhase2Test, TransientStorageFaultsAbsorbedWithoutRecovery) {
+  const ScratchDir scratch;
   const TwoPhaseCpOptions options = DistOptions();
 
   Phase2Result reference;
   OpenedEnv ref_env =
-      RunEngineReference("dist_flaky_ref", options, &reference);
+      RunEngineReference(scratch.path() + "dist_flaky_ref",
+                         options, &reference);
   const GridPartition grid = TestGrid();
 
-  auto base = OpenEnv("posix://" + ::testing::TempDir() + "dist_flaky");
+  auto base = OpenEnv("posix://" + scratch.path() + "dist_flaky");
   ASSERT_TRUE(base.ok()) << base.status().ToString();
   PreparePhase1Store(base->get(), options);  // fault-free preparation
 
@@ -666,14 +682,16 @@ TEST(DistPhase2Test, TransientStorageFaultsAbsorbedWithoutRecovery) {
 }
 
 TEST(DistPhase2Test, TransientCoordinatorWriteFaultsAreRetried) {
+  const ScratchDir scratch;
   const TwoPhaseCpOptions options = DistOptions();
 
   Phase2Result reference;
   OpenedEnv ref_env =
-      RunEngineReference("dist_flaky_coord_ref", options, &reference);
+      RunEngineReference(scratch.path() + "dist_flaky_coord_ref",
+                         options, &reference);
   const GridPartition grid = TestGrid();
 
-  auto base = OpenEnv("posix://" + ::testing::TempDir() + "dist_flaky_coord");
+  auto base = OpenEnv("posix://" + scratch.path() + "dist_flaky_coord");
   ASSERT_TRUE(base.ok()) << base.status().ToString();
   PreparePhase1Store(base->get(), options);  // fault-free preparation
 
@@ -707,6 +725,7 @@ TEST(DistPhase2Test, TransientCoordinatorWriteFaultsAreRetried) {
 }
 
 TEST(DistPhase2Test, DeadAbsorbPruningShrinksLedgerAndPreservesMath) {
+  const ScratchDir scratch;
   // Block-centric schedule: units refresh once per slab block per cycle,
   // so most images die before anyone reads them — the pruning win the
   // mode-centric tests cannot show (there every image is fit-live and the
@@ -717,10 +736,11 @@ TEST(DistPhase2Test, DeadAbsorbPruningShrinksLedgerAndPreservesMath) {
 
   Phase2Result reference;
   OpenedEnv ref_env =
-      RunEngineReference("dist_prune_ref", options, &reference);
+      RunEngineReference(scratch.path() + "dist_prune_ref",
+                         options, &reference);
   const GridPartition grid = TestGrid();
 
-  auto env = OpenEnv("posix://" + ::testing::TempDir() + "dist_prune");
+  auto env = OpenEnv("posix://" + scratch.path() + "dist_prune");
   ASSERT_TRUE(env.ok()) << env.status().ToString();
   PreparePhase1Store(env->get(), options);
   BlockFactorStore factors(env->get(), "f", grid, options.rank);
@@ -775,17 +795,19 @@ TwoPhaseCpOptions OverlapOptions() {
 }
 
 TEST(DistPhase2Test, OverlapPipelineBitIdenticalAndExactLedger) {
+  const ScratchDir scratch;
   const TwoPhaseCpOptions options = OverlapOptions();
 
   Phase2Result reference;
   OpenedEnv ref_env =
-      RunEngineReference("dist_overlap_ref", options, &reference);
+      RunEngineReference(scratch.path() + "dist_overlap_ref",
+                         options, &reference);
   const GridPartition grid = TestGrid();
 
   for (const int workers : {2, 4}) {
     SCOPED_TRACE(std::to_string(workers) + " workers");
     const std::string root =
-        ::testing::TempDir() + "dist_overlap_w" + std::to_string(workers);
+        scratch.path() + "dist_overlap_w" + std::to_string(workers);
     auto env = OpenEnv("posix://" + root);
     ASSERT_TRUE(env.ok()) << env.status().ToString();
     PreparePhase1Store(env->get(), options);
@@ -816,6 +838,7 @@ TEST(DistPhase2Test, OverlapPipelineBitIdenticalAndExactLedger) {
 }
 
 TEST(DistPhase2Test, OverlapSupervisorRecoveryBitIdentical) {
+  const ScratchDir scratch;
   // A worker dies mid-pipelined-wave (deferred relays in flight): the
   // supervisor must tear down, roll the ledger — including the overlap
   // telemetry — back to the vi-0 checkpoint, and replay byte-identically.
@@ -823,7 +846,8 @@ TEST(DistPhase2Test, OverlapSupervisorRecoveryBitIdentical) {
 
   Phase2Result reference;
   OpenedEnv ref_env =
-      RunEngineReference("dist_overlap_crash_ref", options, &reference);
+      RunEngineReference(scratch.path() + "dist_overlap_crash_ref",
+                         options, &reference);
 
   const ExecutionPlan plan = PlanFor(options);
   // Strictly past the first step of vi 1: fiber-order waves are
@@ -841,7 +865,7 @@ TEST(DistPhase2Test, OverlapSupervisorRecoveryBitIdentical) {
   ASSERT_GE(crash_pos, 0);
 
   const GridPartition grid = TestGrid();
-  auto env = OpenEnv("posix://" + ::testing::TempDir() + "dist_overlap_crash");
+  auto env = OpenEnv("posix://" + scratch.path() + "dist_overlap_crash");
   ASSERT_TRUE(env.ok()) << env.status().ToString();
   PreparePhase1Store(env->get(), options);
   BlockFactorStore factors(env->get(), "f", grid, options.rank);
@@ -874,6 +898,7 @@ TEST(DistPhase2Test, OverlapSupervisorRecoveryBitIdentical) {
 }
 
 TEST(DistPhase2Test, OverlapChaosDisconnectMidRelayRecoversExactly) {
+  const ScratchDir scratch;
   // A disconnect landing while the previous wave's deferred image set is
   // mid-relay: the half-relayed bytes were already counted on the wire,
   // so the rollback must move exactly them (plus the rest of the attempt
@@ -883,10 +908,11 @@ TEST(DistPhase2Test, OverlapChaosDisconnectMidRelayRecoversExactly) {
 
   Phase2Result reference;
   OpenedEnv ref_env =
-      RunEngineReference("dist_overlap_chaos_ref", options, &reference);
+      RunEngineReference(scratch.path() + "dist_overlap_chaos_ref",
+                         options, &reference);
   const GridPartition grid = TestGrid();
 
-  auto env = OpenEnv("posix://" + ::testing::TempDir() + "dist_overlap_chaos");
+  auto env = OpenEnv("posix://" + scratch.path() + "dist_overlap_chaos");
   ASSERT_TRUE(env.ok()) << env.status().ToString();
   PreparePhase1Store(env->get(), options);
   BlockFactorStore factors(env->get(), "f", grid, options.rank);
@@ -926,6 +952,7 @@ TEST(DistPhase2Test, OverlapChaosDisconnectMidRelayRecoversExactly) {
 }
 
 TEST(DistPhase2Test, ResumeUnderDifferentOwnershipMapIsRejected) {
+  const ScratchDir scratch;
   const TwoPhaseCpOptions options = DistOptions();
 
   // Crash an unsupervised 2-worker run after the vi-0 checkpoint: the
@@ -935,7 +962,7 @@ TEST(DistPhase2Test, ResumeUnderDifferentOwnershipMapIsRejected) {
   ASSERT_GE(crash_pos, 0);
 
   const GridPartition grid = TestGrid();
-  auto env = OpenEnv("posix://" + ::testing::TempDir() + "dist_own_resume");
+  auto env = OpenEnv("posix://" + scratch.path() + "dist_own_resume");
   ASSERT_TRUE(env.ok()) << env.status().ToString();
   PreparePhase1Store(env->get(), options);
   BlockFactorStore factors(env->get(), "f", grid, options.rank);
@@ -983,7 +1010,8 @@ TEST(DistPhase2Test, ResumeUnderDifferentOwnershipMapIsRejected) {
   // bit-identically to an uninterrupted run.
   Phase2Result reference;
   OpenedEnv ref_env =
-      RunEngineReference("dist_own_resume_ref", options, &reference);
+      RunEngineReference(scratch.path() + "dist_own_resume_ref",
+                         options, &reference);
   {
     WorkerFleet fleet;
     DistributedRunOptions dopts;
@@ -1006,6 +1034,7 @@ TEST(DistPhase2Test, ResumeUnderDifferentOwnershipMapIsRejected) {
 // dist coordinator with the same Status. The ownership map is checked on
 // dist resumes only: the engine finishes any fleet's checkpoint.
 TEST(DistPhase2Test, EngineAndFleetRejectTheSameTamperedCheckpoints) {
+  const ScratchDir scratch;
   const TwoPhaseCpOptions options = DistOptions();
   const ExecutionPlan plan = PlanFor(options);
   const int64_t crash_pos = CrashPosInSecondVi(plan, options.rank);
@@ -1014,7 +1043,7 @@ TEST(DistPhase2Test, EngineAndFleetRejectTheSameTamperedCheckpoints) {
   // A genuine 2-worker checkpoint: the vi-0 cut of an unsupervised run
   // whose worker 1 crashes in vi 1.
   const GridPartition grid = TestGrid();
-  auto env = OpenEnv("posix://" + ::testing::TempDir() + "dist_tamper");
+  auto env = OpenEnv("posix://" + scratch.path() + "dist_tamper");
   ASSERT_TRUE(env.ok()) << env.status().ToString();
   PreparePhase1Store(env->get(), options);
   BlockFactorStore factors(env->get(), "f", grid, options.rank);
@@ -1111,6 +1140,7 @@ TEST(DistPhase2Test, EngineAndFleetRejectTheSameTamperedCheckpoints) {
 }
 
 TEST(DistPhase2Test, SkewedStoreFleetSizesBitIdentical) {
+  const ScratchDir scratch;
   // One giant part: mode 0 is a single unit spanning twice the dim, so
   // part % N would pile its every step *and* every part-0 step onto
   // worker 0. The weighted map spreads the rest; the math must not care
@@ -1122,11 +1152,12 @@ TEST(DistPhase2Test, SkewedStoreFleetSizesBitIdentical) {
 
   Phase2Result reference;
   OpenedEnv ref_env =
-      RunEngineReference("dist_skew_ref", options, &reference, *skew);
+      RunEngineReference(scratch.path() + "dist_skew_ref",
+                         options, &reference, *skew);
 
   for (const int workers : {2, 4}) {
     SCOPED_TRACE(std::to_string(workers) + " workers");
-    auto env = OpenEnv("posix://" + ::testing::TempDir() + "dist_skew_w" +
+    auto env = OpenEnv("posix://" + scratch.path() + "dist_skew_w" +
                        std::to_string(workers));
     ASSERT_TRUE(env.ok()) << env.status().ToString();
     PreparePhase1Store(env->get(), options, *skew);
@@ -1154,7 +1185,7 @@ TEST(DistPhase2Test, SkewedStoreFleetSizesBitIdentical) {
 std::unique_ptr<Session> OpenGeneratedSession(
     const std::string& root, const TwoPhaseCpOptions& options) {
   SessionOptions session_options;
-  session_options.env_uri = "posix://" + ::testing::TempDir() + root;
+  session_options.env_uri = "posix://" + root;
   session_options.tensor_prefix = "t";
   session_options.factor_prefix = "f";
   auto session = Session::Open(session_options);
@@ -1180,15 +1211,16 @@ std::map<std::string, std::string> FactorFiles(Env* env) {
 }
 
 TEST(DistPhase2Test, SessionRunsTheFleetAsASolverByteIdenticalTo2pcp) {
+  const ScratchDir scratch;
   const TwoPhaseCpOptions options = DistOptions();
 
   std::unique_ptr<Session> engine =
-      OpenGeneratedSession("dist_session_2pcp", options);
+      OpenGeneratedSession(scratch.path() + "dist_session_2pcp", options);
   const Result<SolveResult> reference = engine->Decompose("2pcp", options);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
 
   std::unique_ptr<Session> session =
-      OpenGeneratedSession("dist_session_fleet", options);
+      OpenGeneratedSession(scratch.path() + "dist_session_fleet", options);
   // Like "2pcp", the fleet takes no solver params: Prepare refuses one
   // before anything is spawned.
   {
@@ -1270,13 +1302,14 @@ class CancelAfterIteration : public ProgressObserver {
 // cancelled after vi 0 and a fleet that crashes in vi 1 leave the same
 // checkpoint and the same files, told apart only by the ownership map.
 TEST(DistPhase2Test, EngineAndFleetCutTheSameCheckpoint) {
+  const ScratchDir scratch;
   const TwoPhaseCpOptions options = DistOptions();
   const GridPartition grid = TestGrid();
   const ExecutionPlan plan = PlanFor(options);
   const int64_t crash_pos = CrashPosInSecondVi(plan, options.rank);
   ASSERT_GE(crash_pos, 0);
 
-  auto engine_env = OpenEnv("posix://" + ::testing::TempDir() +
+  auto engine_env = OpenEnv("posix://" + scratch.path() +
                             "dist_cut_engine");
   ASSERT_TRUE(engine_env.ok()) << engine_env.status().ToString();
   PreparePhase1Store(engine_env->get(), options);
@@ -1292,7 +1325,7 @@ TEST(DistPhase2Test, EngineAndFleetCutTheSameCheckpoint) {
     ASSERT_TRUE(status.IsCancelled()) << status.ToString();
   }
 
-  auto fleet_env = OpenEnv("posix://" + ::testing::TempDir() +
+  auto fleet_env = OpenEnv("posix://" + scratch.path() +
                            "dist_cut_fleet");
   ASSERT_TRUE(fleet_env.ok()) << fleet_env.status().ToString();
   PreparePhase1Store(fleet_env->get(), options);

@@ -35,6 +35,7 @@
 #include "server/job_record.h"
 #include "server/tenant.h"
 #include "storage/env_uri.h"
+#include "scratch_dir.h"
 
 namespace tpcp {
 namespace {
@@ -217,8 +218,8 @@ TEST(TpcpdAdmissionTest, FractionSubmitIsChargedTheResolvedBuffer) {
       Phase2PlannerOptions(quarter, *grid).buffer_bytes;
   ASSERT_LT(quarter_bytes, full_bytes);
 
-  const std::string root = ::testing::TempDir() + "tpcpd_fraction_charge";
-  std::filesystem::remove_all(root);
+  const ScratchDir scratch;
+  const std::string root = scratch.path() + "tpcpd_fraction_charge";
   TpcpdOptions options;
   TenantConfig tenant;
   tenant.name = "alice";
@@ -307,7 +308,8 @@ TEST(TpcpdAdmissionTest, AggregateUsageStaysBoundedUnderConcurrentLoad) {
 }
 
 TEST(TpcpdPreemptionTest, HighPriorityPreemptsAndVictimResumesBitIdentical) {
-  const std::string root = ::testing::TempDir() + "tpcpd_preempt";
+  const ScratchDir scratch;
+  const std::string root = scratch.path() + "tpcpd_preempt";
   LogCapture log;
   TpcpdOptions options;
   for (const char* name : {"alice", "bob"}) {
@@ -420,7 +422,8 @@ TEST(TpcpdFairShareTest, LighterTenantStartsFirstAtEqualPriority) {
 }
 
 TEST(TpcpdRestartTest, PersistedQueueSurvivesRestartAndResumes) {
-  const std::string root = ::testing::TempDir() + "tpcpd_restart";
+  const ScratchDir scratch;
+  const std::string root = scratch.path() + "tpcpd_restart";
   TpcpdOptions options;
   options.state_uri = "posix://" + root + "/state";
   TenantConfig tenant;
@@ -480,8 +483,8 @@ TEST(TpcpdRestartTest, PersistedQueueSurvivesRestartAndResumes) {
 // A record recovery cannot decode still owns its id: the next submit must
 // neither overwrite `jobs/<id>` nor reuse the old job's store directory.
 TEST(TpcpdRestartTest, UndecodableRecordKeepsItsId) {
-  const std::string root = ::testing::TempDir() + "tpcpd_skipped_id";
-  std::filesystem::remove_all(root);
+  const ScratchDir scratch;
+  const std::string root = scratch.path() + "tpcpd_skipped_id";
   const std::string state_uri = "posix://" + root + "/state";
   const std::string garbage = "tpcpd-job 1\nid 7\ntenant alice\n";
   {
@@ -516,8 +519,8 @@ TEST(TpcpdRestartTest, UndecodableRecordKeepsItsId) {
 // `jobs/<id>` holds byte for byte what poll returns, and every field the
 // wire carried before keeps its name and JSON type.
 TEST(TpcpdRestartTest, PersistedRecordIsThePolledJob) {
-  const std::string root = ::testing::TempDir() + "tpcpd_record_is_poll";
-  std::filesystem::remove_all(root);
+  const ScratchDir scratch;
+  const std::string root = scratch.path() + "tpcpd_record_is_poll";
   TpcpdOptions options;
   options.state_uri = "posix://" + root + "/state";
   TenantConfig tenant;
