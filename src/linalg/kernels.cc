@@ -64,12 +64,12 @@ void MttkrpAccumScalar(double* dst, const double* src, int64_t f) {
   for (int64_t c = 0; c < f; ++c) dst[c] += src[c];
 }
 
-constexpr KernelTable kScalarTable = {
+}  // namespace
+
+const KernelTable kScalarKernels = {
     "scalar",         MicroKernelNNScalar, MicroKernelTNScalar,
     HadamardScalar,   MttkrpRow3Scalar,    MttkrpSeedScalar,
     MttkrpAccumScalar};
-
-}  // namespace
 
 #if defined(TPCP_SIMD_NEON)
 namespace kernels_neon {
@@ -77,69 +77,18 @@ namespace kernels_neon {
 }  // namespace kernels_neon
 #endif
 
-namespace {
-
-// The table KernelVariant::kSimd runs, chosen on first use: AVX2 when
-// the build carries it and the CPU reports it, else NEON where compiled
-// in, else the scalar bodies.
-const KernelTable& SimdTable() {
-  static const KernelTable* const table = [] {
+const KernelTable* ChooseSimdKernels() {
 #if defined(TPCP_KERNELS_AVX2)
-    __builtin_cpu_init();
-    if (__builtin_cpu_supports("avx2")) return &kernels_avx2::kTable;
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx2")) return &kernels_avx2::kTable;
 #elif defined(TPCP_SIMD_NEON)
-    return &kernels_neon::kTable;
+  return &kernels_neon::kTable;
 #endif
-    return &kScalarTable;
-  }();
-  return *table;
+  return &kScalarKernels;
 }
-
-const KernelTable& Table(KernelVariant variant) {
-  return variant == KernelVariant::kSimd ? SimdTable() : kScalarTable;
-}
-
-}  // namespace
-
-bool SimdCompiled() { return &SimdTable() != &kScalarTable; }
-
-const char* SimdTargetName() { return SimdTable().name; }
 
 const char* KernelVariantName(KernelVariant variant) {
   return variant == KernelVariant::kScalar ? "scalar" : "simd";
-}
-
-void MicroKernelNN(const double* a, int64_t lda, const double* b,
-                   int64_t ldb, double* c, int64_t ldc, int64_t mb,
-                   int64_t nb, int64_t kb, KernelVariant variant) {
-  Table(variant).micro_nn(a, lda, b, ldb, c, ldc, mb, nb, kb);
-}
-
-void MicroKernelTN(const double* a, int64_t lda, const double* b,
-                   int64_t ldb, double* c, int64_t ldc, int64_t mb,
-                   int64_t nb, int64_t kb, double alpha,
-                   KernelVariant variant) {
-  Table(variant).micro_tn(a, lda, b, ldb, c, ldc, mb, nb, kb, alpha);
-}
-
-void HadamardKernel(double* a, const double* b, int64_t n,
-                    KernelVariant variant) {
-  Table(variant).hadamard(a, b, n);
-}
-
-void MttkrpRow3(double* dst, double v, const double* r1, const double* r2,
-                int64_t f, KernelVariant variant) {
-  Table(variant).mttkrp_row3(dst, v, r1, r2, f);
-}
-
-void MttkrpSeed(double* prod, double v, const double* row, int64_t f,
-                KernelVariant variant) {
-  Table(variant).mttkrp_seed(prod, v, row, f);
-}
-
-void MttkrpAccum(double* dst, const double* src, int64_t f,
-                 KernelVariant variant) {
-  Table(variant).mttkrp_accum(dst, src, f);
 }
 
 }  // namespace tpcp

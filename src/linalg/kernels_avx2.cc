@@ -15,13 +15,8 @@
 
 #include <immintrin.h>
 
-#if defined(__clang__)
-#pragma clang attribute push(__attribute__((target("avx2"))), \
-                             apply_to = function)
-#else
 #pragma GCC push_options
 #pragma GCC target("avx2")
-#endif
 
 namespace tpcp {
 namespace kernels_avx2 {
@@ -50,10 +45,6 @@ inline VecD MulAdd(VecD a, VecD b, VecD acc) {
 }  // namespace kernels_avx2
 }  // namespace tpcp
 
-#if defined(__clang__)
-#pragma clang attribute pop
-#else
 #pragma GCC pop_options
-#endif
 
 #endif  // TPCP_KERNELS_AVX2

@@ -3,10 +3,12 @@
 // Two kinds of vector backend:
 //   - NEON (aarch64, __ARM_NEON): 2 doubles per lane group, chosen at
 //     compile time and defined here.
-//   - AVX2 (x86-64, GCC or Clang): 4 doubles per lane group, defined in
-//     linalg/kernels_avx2.cc inside an AVX2 target region, so every x86-64
-//     build carries it whatever its -m flags. kernels.cc runs it when the
-//     CPU reports AVX2 at run time. TPCP_KERNELS_AVX2 says it is built.
+//   - AVX2 (x86-64, GCC): 4 doubles per lane group, defined in
+//     linalg/kernels_avx2.cc inside an AVX2 target region, so every
+//     x86-64 GCC build carries it whatever its -m flags. kernels.cc runs
+//     it when the CPU reports AVX2 at run time. TPCP_KERNELS_AVX2 says it
+//     is built. (Clang ignores `#pragma GCC target`; a Clang build keeps
+//     the scalar bodies.)
 // Elsewhere, and on an x86-64 CPU without AVX2, the kernels run their
 // scalar bodies. Defining TPCP_FORCE_SCALAR (CMake option of the same
 // name) compiles both vector backends out — the CI leg that proves the
@@ -15,7 +17,7 @@
 // Each backend defines, in a namespace `simd` of its own: VecD, kWidth,
 // kTargetName, Load, Store, Broadcast, Add, Mul and MulAdd. The kernel
 // bodies are written once against them (linalg/kernel_bodies.inc) and
-// compiled once per backend into a KernelTable.
+// compiled once per backend into a KernelTable (linalg/kernels.h).
 //
 // Determinism contract: MulAdd(a, b, acc) computes acc + a*b with TWO
 // roundings (separate multiply and add), exactly like the scalar
@@ -28,33 +30,19 @@
 
 #include <cstdint>
 
+#include "linalg/kernels.h"
+
 #if !defined(TPCP_FORCE_SCALAR) && defined(__ARM_NEON)
 #define TPCP_SIMD_NEON 1
 #include <arm_neon.h>
 #endif
 
-#if !defined(TPCP_FORCE_SCALAR) && defined(__x86_64__) && defined(__GNUC__)
+#if !defined(TPCP_FORCE_SCALAR) && defined(__x86_64__) && \
+    defined(__GNUC__) && !defined(__clang__)
 #define TPCP_KERNELS_AVX2 1
 #endif
 
 namespace tpcp {
-
-/// One build of the kernel bodies: the entry points of linalg/kernels.h
-/// without their KernelVariant argument, and the backend's name.
-struct KernelTable {
-  const char* name;
-  void (*micro_nn)(const double* a, int64_t lda, const double* b,
-                   int64_t ldb, double* c, int64_t ldc, int64_t mb,
-                   int64_t nb, int64_t kb);
-  void (*micro_tn)(const double* a, int64_t lda, const double* b,
-                   int64_t ldb, double* c, int64_t ldc, int64_t mb,
-                   int64_t nb, int64_t kb, double alpha);
-  void (*hadamard)(double* a, const double* b, int64_t n);
-  void (*mttkrp_row3)(double* dst, double v, const double* r1,
-                      const double* r2, int64_t f);
-  void (*mttkrp_seed)(double* prod, double v, const double* row, int64_t f);
-  void (*mttkrp_accum)(double* dst, const double* src, int64_t f);
-};
 
 #if defined(TPCP_KERNELS_AVX2)
 namespace kernels_avx2 {

@@ -9,6 +9,7 @@
 // backend that rounds differently from the plain loops fails here first.
 
 #include "linalg/kernels.h"
+#include "linalg/simd.h"
 
 #include <gtest/gtest.h>
 
@@ -286,9 +287,9 @@ TEST(KernelsTest, SimdReportingIsConsistent) {
   EXPECT_EQ(compiled, target != "scalar");
 #if defined(TPCP_FORCE_SCALAR)
   EXPECT_EQ(target, "scalar");
-#elif defined(__x86_64__)
-  // Every x86-64 build carries the AVX2 bodies, whatever its -m flags;
-  // the CPU decides at run time.
+#elif defined(TPCP_KERNELS_AVX2)
+  // Every x86-64 GCC build carries the AVX2 bodies, whatever its -m
+  // flags; the CPU decides at run time.
   __builtin_cpu_init();
   if (__builtin_cpu_supports("avx2")) {
     EXPECT_EQ(target, "avx2");
