@@ -59,7 +59,7 @@ inline const KernelTable& Kernels(KernelVariant variant) {
   return variant == KernelVariant::kSimd ? SimdKernels() : kScalarKernels;
 }
 
-/// True when KernelVariant::kSimd runs a vector backend on this machine
+/// True when KernelVariant::kSimd runs a vector backend on the running CPU
 /// (false under TPCP_FORCE_SCALAR and on CPUs without AVX2 or NEON).
 inline bool SimdCompiled() { return &SimdKernels() != &kScalarKernels; }
 
