@@ -194,13 +194,29 @@ void RunAll() {
     Matrix m = MttkrpVariant(csf, factors, 1, v);
     g_sink += m.data()[0];
   });
-  const double dense_bytes = static_cast<double>(cube.NumElements()) *
-                             static_cast<double>(1 + 3 * rank) *
-                             sizeof(double);
-  BenchKernel("dense_mttkrp", dense_bytes, [&](KernelVariant v) {
-    Matrix m = MttkrpVariant(dense, factors, 1, v);
-    g_sink += m.data()[0];
-  });
+  // Dense 3-mode MTTKRP runs one fiber-kernel call per last-mode fiber:
+  // modes 0 and 1 accumulate a fiber into one output row, mode 2 moves
+  // the output row with the fiber. "dense_mttkrp" is mode 1; the rank-4
+  // row is the tpcpd-jobs workload's rank.
+  const auto bench_dense = [&](const std::string& name,
+                               const std::vector<Matrix>& fs, int mode) {
+    const double bytes = static_cast<double>(cube.NumElements()) *
+                         static_cast<double>(1 + 3 * fs[0].cols()) *
+                         sizeof(double);
+    BenchKernel(name, bytes, [&](KernelVariant v) {
+      Matrix m = MttkrpVariant(dense, fs, mode, v);
+      g_sink += m.data()[0];
+    });
+  };
+  bench_dense("dense_mttkrp_mode0", factors, 0);
+  bench_dense("dense_mttkrp", factors, 1);
+  bench_dense("dense_mttkrp_mode2", factors, 2);
+  std::vector<Matrix> factors4;
+  for (int m = 0; m < 3; ++m) {
+    factors4.push_back(
+        RandomMatrix(cube.dim(m), 4, static_cast<uint64_t>(20 + m)));
+  }
+  bench_dense("dense_mttkrp_rank4", factors4, 1);
 }
 
 }  // namespace

@@ -120,7 +120,7 @@ Result<JobId> JobService::Submit(JobSpec spec) {
       return Status::FailedPrecondition("JobService is shutting down");
     }
     id = next_id_++;
-    auto job = std::make_unique<Job>();
+    auto job = std::make_shared<Job>();
     job->id = id;
     job->spec = std::move(spec);
     jobs_[id] = std::move(job);
@@ -164,8 +164,8 @@ Result<JobInfo> JobService::Await(JobId id) {
   if (it == jobs_.end()) {
     return Status::NotFound("no job " + std::to_string(id));
   }
-  Job* job = it->second.get();
-  done_cv_.wait(lock, [job] { return IsTerminal(job->state); });
+  const std::shared_ptr<Job> job = it->second;
+  done_cv_.wait(lock, [&job] { return IsTerminal(job->state); });
   return Snapshot(*job);
 }
 
@@ -175,13 +175,13 @@ Result<JobInfo> JobService::Await(JobId id, double timeout_seconds) {
   if (it == jobs_.end()) {
     return Status::NotFound("no job " + std::to_string(id));
   }
-  Job* job = it->second.get();
+  const std::shared_ptr<Job> job = it->second;
   if (timeout_seconds > 0.0) {
     done_cv_.wait_for(
         lock,
         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
             std::chrono::duration<double>(timeout_seconds)),
-        [job] { return IsTerminal(job->state); });
+        [&job] { return IsTerminal(job->state); });
   }
   // Terminal or timed out: either way the caller gets the live snapshot.
   return Snapshot(*job);
@@ -246,6 +246,20 @@ void JobService::CancelAll() {
   for (JobId id : ids) Cancel(id);
 }
 
+Status JobService::Forget(JobId id) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = jobs_.find(id);
+  if (it == jobs_.end()) {
+    return Status::NotFound("no job " + std::to_string(id));
+  }
+  if (!IsTerminal(it->second->state)) {
+    return Status::FailedPrecondition("job " + std::to_string(id) + " is " +
+                                      JobStateName(it->second->state));
+  }
+  jobs_.erase(it);
+  return Status::OK();
+}
+
 void JobService::WorkerLoop() {
   for (;;) {
     Job* job = nullptr;
@@ -254,12 +268,12 @@ void JobService::WorkerLoop() {
       std::unique_lock<std::mutex> lock(mu_);
       work_cv_.wait(lock, [this] { return shutdown_ || !queue_.empty(); });
       while (!queue_.empty()) {
-        const JobId id = queue_.front();
+        const auto it = jobs_.find(queue_.front());
         queue_.pop_front();
-        Job* candidate = jobs_.at(id).get();
-        // Jobs cancelled while queued stay in the deque; skip them here.
-        if (candidate->state == JobState::kQueued) {
-          job = candidate;
+        // Jobs cancelled while queued stay in the deque (and may have
+        // been forgotten since); skip them here.
+        if (it != jobs_.end() && it->second->state == JobState::kQueued) {
+          job = it->second.get();
           break;
         }
       }
@@ -272,18 +286,13 @@ void JobService::WorkerLoop() {
       started = Snapshot(*job);
     }
     NotifyTransition(started);
-    Execute(job);
+    const JobInfo finished = Execute(job);
     done_cv_.notify_all();
-    JobInfo finished;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      finished = Snapshot(*job);
-    }
     NotifyTransition(finished);
   }
 }
 
-void JobService::Execute(Job* job) {
+JobInfo JobService::Execute(Job* job) {
   // Work on a private copy of the spec: budget caps and auto-resume must
   // not leak back into the submitted spec (List/Poll report it verbatim).
   JobSpec spec;
@@ -377,6 +386,7 @@ void JobService::Execute(Job* job) {
     job->state = JobState::kFailed;
     job->status = failure;
   }
+  return Snapshot(*job);
 }
 
 }  // namespace tpcp

@@ -123,6 +123,14 @@ class JobService {
   /// Cancels every queued and running job.
   void CancelAll();
 
+  /// Drops a terminal job's record (its spec and result): later Poll,
+  /// Await and Cancel calls return NotFound and List leaves it out. An
+  /// Await already waiting on the job still returns its final snapshot.
+  /// NotFound for an unknown id, FailedPrecondition for a job that is
+  /// not terminal. A long-lived caller that keeps its own record of
+  /// finished jobs calls this so the service does not keep a second copy.
+  Status Forget(JobId id);
+
   const JobServiceOptions& options() const { return options_; }
 
  private:
@@ -142,8 +150,10 @@ class JobService {
   class Reporter;
 
   void WorkerLoop();
-  /// Executes `job` on the calling worker thread (no service lock held).
-  void Execute(Job* job);
+  /// Executes `job` on the calling worker thread (no service lock held)
+  /// and returns the snapshot taken as it turned terminal; the worker
+  /// must not touch `job` afterwards, since Forget may erase it.
+  JobInfo Execute(Job* job);
   /// Builds the public snapshot; callers hold mu_.
   JobInfo Snapshot(const Job& job) const;
   /// List() with an optional state filter; takes mu_.
@@ -158,7 +168,8 @@ class JobService {
   std::condition_variable work_cv_;   // workers: queue non-empty / shutdown
   std::condition_variable done_cv_;   // Await: some job turned terminal
   std::deque<JobId> queue_;
-  std::map<JobId, std::unique_ptr<Job>> jobs_;
+  // Shared so an Await can keep a job it waits on past Forget.
+  std::map<JobId, std::shared_ptr<Job>> jobs_;
   JobId next_id_ = 1;
   bool shutdown_ = false;
 

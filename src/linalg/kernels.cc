@@ -55,6 +55,15 @@ void MttkrpRow3Scalar(double* dst, double v, const double* r1,
   for (int64_t c = 0; c < f; ++c) dst[c] += v * r1[c] * r2[c];
 }
 
+void MttkrpFiber3Scalar(double* dst, int64_t dst_step, const double* x,
+                        int64_t len, const double* r1, const double* r2,
+                        int64_t r2_step, int64_t f) {
+  for (int64_t j = 0; j < len; ++j) {
+    if (x[j] == 0.0) continue;
+    MttkrpRow3Scalar(dst + j * dst_step, x[j], r1, r2 + j * r2_step, f);
+  }
+}
+
 void MttkrpSeedScalar(double* prod, double v, const double* row,
                       int64_t f) {
   for (int64_t c = 0; c < f; ++c) prod[c] = v * row[c];
@@ -67,9 +76,9 @@ void MttkrpAccumScalar(double* dst, const double* src, int64_t f) {
 }  // namespace
 
 const KernelTable kScalarKernels = {
-    "scalar",         MicroKernelNNScalar, MicroKernelTNScalar,
-    HadamardScalar,   MttkrpRow3Scalar,    MttkrpSeedScalar,
-    MttkrpAccumScalar};
+    "scalar",           MicroKernelNNScalar, MicroKernelTNScalar,
+    HadamardScalar,     MttkrpRow3Scalar,    MttkrpFiber3Scalar,
+    MttkrpSeedScalar,   MttkrpAccumScalar};
 
 #if defined(TPCP_SIMD_NEON)
 namespace kernels_neon {

@@ -1,6 +1,9 @@
 // Variant-selectable inner-loop kernels — the raw hot loops under Gemm,
 // Gram, Hadamard, and MTTKRP, each available in an explicit scalar form
-// and an explicitly vectorized form (linalg/simd.h).
+// and an explicitly vectorized form (linalg/simd.h). MTTKRP has a
+// per-entry row update (MttkrpRow3, for COO/CSF non-zeros), a whole-fiber
+// form of it (MttkrpFiber3, one call per last-mode fiber of a dense
+// 3-mode tensor), and the seed/accumulate pair of the N-mode paths.
 //
 // Every call site that matters for wall-clock dispatches KernelVariant::
 // kSimd; kScalar is the reference implementation the bit-identity tests
@@ -35,6 +38,9 @@ struct KernelTable {
   void (*hadamard)(double* a, const double* b, int64_t n);
   void (*mttkrp_row3)(double* dst, double v, const double* r1,
                       const double* r2, int64_t f);
+  void (*mttkrp_fiber3)(double* dst, int64_t dst_step, const double* x,
+                        int64_t len, const double* r1, const double* r2,
+                        int64_t r2_step, int64_t f);
   void (*mttkrp_seed)(double* prod, double v, const double* row, int64_t f);
   void (*mttkrp_accum)(double* dst, const double* src, int64_t f);
 };
@@ -101,6 +107,19 @@ inline void HadamardKernel(double* a, const double* b, int64_t n,
 inline void MttkrpRow3(double* dst, double v, const double* r1,
                        const double* r2, int64_t f, KernelVariant variant) {
   Kernels(variant).mttkrp_row3(dst, v, r1, r2, f);
+}
+
+/// MttkrpRow3 along one last-mode fiber of a dense 3-mode tensor: for
+/// each j in [0, len) in ascending order with x[j] != 0,
+///   MttkrpRow3(dst + j * dst_step, x[j], r1, r2 + j * r2_step, f).
+/// dst_step == 0 accumulates the whole fiber into one output row (modes 0
+/// and 1); dst_step == f walks the output rows with the fiber (mode 2).
+/// Every dst element sees the same adds in the same order as the per-cell
+/// calls, so the bits match them.
+inline void MttkrpFiber3(double* dst, int64_t dst_step, const double* x,
+                         int64_t len, const double* r1, const double* r2,
+                         int64_t r2_step, int64_t f, KernelVariant variant) {
+  Kernels(variant).mttkrp_fiber3(dst, dst_step, x, len, r1, r2, r2_step, f);
 }
 
 /// prod[c] = v * row[c] — the fused product-buffer seed of the generic

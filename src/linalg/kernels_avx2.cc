@@ -37,6 +37,11 @@ inline VecD Mul(VecD a, VecD b) { return {_mm256_mul_pd(a.v, b.v)}; }
 inline VecD MulAdd(VecD a, VecD b, VecD acc) {
   return {_mm256_add_pd(acc.v, _mm256_mul_pd(a.v, b.v))};
 }
+inline unsigned NonZeroMask(VecD a) {
+  // Not-equal, unordered: NaN lanes are set, +0.0 and -0.0 are not.
+  return static_cast<unsigned>(_mm256_movemask_pd(
+      _mm256_cmp_pd(a.v, _mm256_setzero_pd(), _CMP_NEQ_UQ)));
+}
 
 }  // namespace simd
 

@@ -15,7 +15,8 @@
 // vector kernels are bit-identical to the scalar ones.
 //
 // Each backend defines, in a namespace `simd` of its own: VecD, kWidth,
-// kTargetName, Load, Store, Broadcast, Add, Mul and MulAdd. The kernel
+// kTargetName, Load, Store, Broadcast, Add, Mul, MulAdd and NonZeroMask
+// (bit i set when lane i is not == 0.0, so NaN lanes count). The kernel
 // bodies are written once against them (linalg/kernel_bodies.inc) and
 // compiled once per backend into a KernelTable (linalg/kernels.h).
 //
@@ -69,6 +70,11 @@ inline VecD Add(VecD a, VecD b) { return {vaddq_f64(a.v, b.v)}; }
 inline VecD Mul(VecD a, VecD b) { return {vmulq_f64(a.v, b.v)}; }
 inline VecD MulAdd(VecD a, VecD b, VecD acc) {
   return {vaddq_f64(acc.v, vmulq_f64(a.v, b.v))};
+}
+inline unsigned NonZeroMask(VecD a) {
+  const uint64x2_t zero = vceqq_f64(a.v, vdupq_n_f64(0.0));
+  return (vgetq_lane_u64(zero, 0) != 0 ? 0u : 1u) |
+         (vgetq_lane_u64(zero, 1) != 0 ? 0u : 2u);
 }
 
 #else

@@ -285,20 +285,19 @@ Result<ServerJobRecord> Tpcpd::Poll(int64_t id) const {
 }
 
 Result<JobProgress> Tpcpd::Progress(int64_t id) const {
-  JobId service_id = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = jobs_.find(id);
-    if (it == jobs_.end()) {
-      return Status::NotFound("no job " + std::to_string(id));
-    }
-    service_id = it->second.service_id;
+  // Held across the service poll: OnServiceTransition clears service_id
+  // and forgets the service's job under mu_, so a set id is still there.
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = jobs_.find(id);
+  if (it == jobs_.end()) {
+    return Status::NotFound("no job " + std::to_string(id));
   }
-  if (service_id == 0) {
+  if (it->second.service_id == 0) {
     return Status::FailedPrecondition("job " + std::to_string(id) +
                                       " is not running");
   }
-  TPCP_ASSIGN_OR_RETURN(const JobInfo info, service_->Poll(service_id));
+  TPCP_ASSIGN_OR_RETURN(const JobInfo info,
+                        service_->Poll(it->second.service_id));
   return info.progress;
 }
 
@@ -403,6 +402,8 @@ int64_t Tpcpd::recovered_count() const {
   std::lock_guard<std::mutex> lock(mu_);
   return recovered_;
 }
+
+size_t Tpcpd::service_job_count() const { return service_->List().size(); }
 
 // ---- scheduler -------------------------------------------------------------
 
@@ -650,6 +651,10 @@ void Tpcpd::OnServiceTransition(const JobInfo& info) {
         break;
     }
     PersistRecord(job.record);
+    // Poll, Await and List answer from job.record from here on, so drop
+    // the service's copy of the spec and result. Once shutdown_ is set
+    // the service is being destroyed, and its records go with it.
+    if (!shutdown_) service_->Forget(info.id);
   }
   done_cv_.notify_all();
   sched_cv_.notify_all();

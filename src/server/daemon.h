@@ -170,6 +170,9 @@ class Tpcpd {
   int64_t preemption_count() const;
   /// Jobs re-admitted from persisted state at startup.
   int64_t recovered_count() const;
+  /// Jobs the JobService still holds. A finished job is forgotten there
+  /// as its record turns terminal, so this counts running jobs only.
+  size_t service_job_count() const;
 
  private:
   struct ServerJob {

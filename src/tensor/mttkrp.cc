@@ -14,12 +14,13 @@ void CheckFactorShapes(const Shape& shape, const std::vector<Matrix>& factors,
   }
 }
 
-// The per-non-zero body shared by every sparse layout and the dense
-// odometer: seed the product buffer fused with the first skipped-mode
-// factor (prod = v * row_first — identical rounding to seed-then-multiply,
-// one pass cheaper), multiply the remaining skipped modes in ascending-k
-// order, accumulate into the output row. All three inner loops run through
-// the variant-selectable kernels (linalg/kernels.h).
+// The per-non-zero body of the N-mode paths, sparse and dense (the 3-mode
+// paths call MttkrpRow3 or MttkrpFiber3 instead): seed the product buffer
+// fused with the first skipped-mode factor (prod = v * row_first —
+// identical rounding to seed-then-multiply, one pass cheaper), multiply
+// the remaining skipped modes in ascending-k order, accumulate into the
+// output row. All three inner loops run through the variant-selectable
+// kernels (linalg/kernels.h).
 inline void AccumulateEntry(const Index& index, double v,
                             const std::vector<Matrix>& factors, int mode,
                             int first, int n, int64_t f, double* prod,
@@ -51,6 +52,35 @@ Matrix MttkrpVariant(const DenseTensor& tensor,
   const int n = shape.num_modes();
   const int64_t f = factors[0].cols();
   Matrix out(shape.dim(mode), f);
+
+  if (n == 3) {
+    // One fiber-kernel call per last-mode fiber (i0, i1, :), fibers in
+    // row-major order, so cells run in the odometer's order. Each cell is
+    // MttkrpRow3's expression with the sparse 3-mode paths' k1/k2 choice,
+    // whose multiply order matches the generic loop below bit for bit.
+    const int k1 = mode == 0 ? 1 : 0;
+    const int k2 = mode == 2 ? 1 : 2;
+    const Matrix& f1 = factors[static_cast<size_t>(k1)];
+    const Matrix& f2 = factors[static_cast<size_t>(k2)];
+    const int64_t len = shape.dim(2);
+    const double* fiber = tensor.data();
+    for (int64_t i0 = 0; i0 < shape.dim(0); ++i0) {
+      for (int64_t i1 = 0; i1 < shape.dim(1); ++i1, fiber += len) {
+        const int64_t fixed[2] = {i0, i1};
+        const double* r1 = f1.row(fixed[k1]);
+        if (mode == 2) {
+          // Output rows walk the fiber; the mode-1 row is fixed.
+          MttkrpFiber3(out.data(), f, fiber, len, r1, f2.row(i1), 0, f,
+                       variant);
+        } else {
+          // One output row; the mode-2 rows walk the fiber.
+          MttkrpFiber3(out.row(fixed[mode]), 0, fiber, len, r1, f2.data(), f,
+                       f, variant);
+        }
+      }
+    }
+    return out;
+  }
 
   // Odometer over all cells (row-major: last mode fastest), with a running
   // product buffer per cell. O(cells * N * F).

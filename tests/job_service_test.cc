@@ -615,6 +615,82 @@ TEST(JobServiceTest, ListFiltersByState) {
   EXPECT_EQ(service.List(JobState::kSucceeded).size(), 2u);
 }
 
+TEST(JobServiceTest, ForgetDropsTerminalJobsOnly) {
+  auto env = NewMemEnv();
+  Stage(env.get(), 74);
+  JobServiceOptions service_options;
+  service_options.num_workers = 1;
+  JobService service(service_options);
+  EXPECT_TRUE(service.Forget(999).IsNotFound());
+
+  GateObserver gate;
+  JobSpec blocker = SpecFor(env.get());
+  blocker.options.observer = &gate;
+  auto running = service.Submit(blocker);
+  ASSERT_TRUE(running.ok());
+  gate.AwaitStarted();
+  auto queued = service.Submit(SpecFor(env.get()));
+  ASSERT_TRUE(queued.ok());
+  EXPECT_EQ(service.Forget(*running).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(service.Forget(*queued).code(), StatusCode::kFailedPrecondition);
+
+  // A job retired while queued keeps its entry in the worker queue;
+  // forgetting it must leave the worker skipping that entry.
+  ASSERT_TRUE(service.Cancel(*queued).ok());
+  ASSERT_TRUE(service.Forget(*queued).ok());
+  EXPECT_TRUE(service.Forget(*queued).IsNotFound());
+  EXPECT_TRUE(service.Poll(*queued).status().IsNotFound());
+  EXPECT_TRUE(service.Await(*queued).status().IsNotFound());
+  EXPECT_TRUE(service.Cancel(*queued).IsNotFound());
+  auto behind = service.Submit(SpecFor(env.get()));
+  ASSERT_TRUE(behind.ok());
+
+  gate.Release();
+  auto first = service.Await(*running);
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(first->state, JobState::kSucceeded) << first->status.ToString();
+  auto last = service.Await(*behind);
+  ASSERT_TRUE(last.ok());
+  EXPECT_EQ(last->state, JobState::kSucceeded) << last->status.ToString();
+  ASSERT_TRUE(service.Forget(*running).ok());
+  const auto jobs = service.List();
+  ASSERT_EQ(jobs.size(), 1u);
+  EXPECT_EQ(jobs[0].id, *behind);
+}
+
+/// The long-lived-caller pattern: forget each job from the terminal
+/// transition callback, so the service ends up holding nothing.
+TEST(JobServiceTest, ForgetFromTerminalCallbackLeavesNothingBehind) {
+  auto env = NewMemEnv();
+  Stage(env.get(), 75);
+  JobService* self = nullptr;
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<JobInfo> finished;
+  JobServiceOptions service_options;
+  service_options.num_workers = 1;
+  service_options.on_transition = [&](const JobInfo& info) {
+    if (!IsTerminal(info.state)) return;
+    EXPECT_TRUE(self->Forget(info.id).ok());
+    std::lock_guard<std::mutex> lock(mu);
+    finished.push_back(info);
+    cv.notify_all();
+  };
+  JobService service(service_options);
+  self = &service;
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(service.Submit(SpecFor(env.get())).ok());
+  }
+  std::unique_lock<std::mutex> lock(mu);
+  ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(60),
+                          [&] { return finished.size() == 3; }));
+  for (const JobInfo& info : finished) {
+    EXPECT_EQ(info.state, JobState::kSucceeded) << info.status.ToString();
+    EXPECT_GT(info.result.surrogate_fit, 0.5);
+  }
+  EXPECT_TRUE(service.List().empty());
+}
+
 TEST(JobServiceTest, TransitionCallbackSeesEveryLifecycleEdge) {
   auto env = NewMemEnv();
   Stage(env.get(), 73);

@@ -207,6 +207,76 @@ TEST(KernelsTest, MttkrpRowKernelsBitIdenticalAcrossLengths) {
   }
 }
 
+/// MttkrpFiber3 in both output forms: a fixed row (dst_step 0, modes 0
+/// and 1 — the register path for one to four vectors, the per-cell body
+/// past that) and rows walking the fiber (dst_step f, mode 2). The fibers
+/// hold zeros of both signs, a denormal and both infinities; the output
+/// starts with -0.0 cells, so an unskipped zero would flip their sign.
+TEST(KernelsTest, MttkrpFiber3BitIdenticalAcrossShapesAndSpecialValues) {
+  const double kSpecials[] = {0.0, -0.0,
+                              std::numeric_limits<double>::denorm_min() * 3,
+                              std::numeric_limits<double>::infinity(),
+                              -std::numeric_limits<double>::infinity()};
+  for (const int64_t f : {1, 3, 4, 5, 8, 12, 16, 17, 20}) {
+    for (const int64_t len : {0, 1, 7, 33}) {
+      for (const bool walk_rows : {false, true}) {
+        const uint64_t s = static_cast<uint64_t>(f * 100 + len);
+        std::vector<double> x = RandomVec(len, 400 + s, 0.3);
+        for (int64_t k = 0; k < 5 && k < len; ++k) {
+          x[static_cast<size_t>((3 * k + 1) % len)] = kSpecials[k];
+        }
+        const int64_t dst_step = walk_rows ? f : 0;
+        const int64_t r2_step = walk_rows ? 0 : f;
+        const std::vector<double> r1 = RandomVec(f, 500 + s);
+        const std::vector<double> r2 =
+            RandomVec(walk_rows ? f : len * f, 600 + s);
+        std::vector<double> d0 = RandomVec(walk_rows ? len * f : f, 700 + s);
+        for (size_t i = 0; i < d0.size(); i += 3) d0[i] = -0.0;
+
+        std::vector<double> ds = d0, dv = d0;
+        MttkrpFiber3(ds.data(), dst_step, x.data(), len, r1.data(),
+                     r2.data(), r2_step, f, KernelVariant::kScalar);
+        MttkrpFiber3(dv.data(), dst_step, x.data(), len, r1.data(),
+                     r2.data(), r2_step, f, KernelVariant::kSimd);
+        ASSERT_TRUE(BitsEqual(ds.data(), dv.data(),
+                              static_cast<int64_t>(ds.size())))
+            << "f=" << f << " len=" << len << " dst_step=" << dst_step;
+      }
+    }
+  }
+}
+
+/// Zero cells of either sign are skipped (no update, so a -0.0 output
+/// keeps its sign); a NaN cell is not. Five-cell fibers put the NaN past
+/// the first vector of cells.
+TEST(KernelsTest, MttkrpFiber3SkipsSignedZerosButNotNaN) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> zeros = {0.0, -0.0, 0.0, -0.0, 0.0};
+  const std::vector<double> one_nan = {0.0, -0.0, 0.0, nan, 0.0};
+  for (const int64_t f : {1, 3, 4, 5, 8, 12, 16, 17, 20}) {
+    const std::vector<double> r = RandomVec(f, 800 + static_cast<uint64_t>(f));
+    for (const KernelVariant variant :
+         {KernelVariant::kScalar, KernelVariant::kSimd}) {
+      for (const bool walk_rows : {false, true}) {
+        const int64_t step = walk_rows ? f : 0;
+        std::vector<double> d(static_cast<size_t>(walk_rows ? 5 * f : f),
+                              -0.0);
+        MttkrpFiber3(d.data(), step, zeros.data(), 5, r.data(), r.data(), 0,
+                     f, variant);
+        for (const double v : d) ASSERT_TRUE(std::signbit(v)) << "f=" << f;
+        MttkrpFiber3(d.data(), step, one_nan.data(), 5, r.data(), r.data(),
+                     0, f, variant);
+        for (size_t i = 0; i < d.size(); ++i) {
+          // Only the NaN cell's output row is touched.
+          const bool touched = !walk_rows || static_cast<int64_t>(i) / f == 3;
+          ASSERT_EQ(std::isnan(d[i]), touched)
+              << "f=" << f << " i=" << i << " " << KernelVariantName(variant);
+        }
+      }
+    }
+  }
+}
+
 // ---- full tiled paths -------------------------------------------------
 
 /// GemmVariant drives the whole cache-blocked path, so odd shapes exercise
@@ -255,28 +325,34 @@ TEST(KernelsTest, PublicGemmAndGramMatchScalarReferenceBitwise) {
   EXPECT_TRUE(BitsEqual(Gram(a), gram_ref));
 }
 
+/// Ranks 4 and 16 take the dense fiber kernel's register path for modes 0
+/// and 1 (one and four AVX2 vectors); rank 5 leaves a one-column tail.
 TEST(KernelsTest, MttkrpVariantsBitIdenticalAcrossBackends) {
   const Shape shape({7, 6, 5});
   const DenseTensor dense = RandomTensor(shape, 40, 0.6);
   const SparseTensor coo = SparseTensor::FromDense(dense);
   const CsfTensor csf = CsfTensor::FromDense(dense);
-  const std::vector<Matrix> f = RandomFactorsFor(shape, 5, 41);
-  for (int mode = 0; mode < 3; ++mode) {
-    const Matrix ds = MttkrpVariant(dense, f, mode, KernelVariant::kScalar);
-    EXPECT_TRUE(
-        BitsEqual(ds, MttkrpVariant(dense, f, mode, KernelVariant::kSimd)))
-        << "dense mode=" << mode;
-    const Matrix ss = MttkrpVariant(coo, f, mode, KernelVariant::kScalar);
-    EXPECT_TRUE(
-        BitsEqual(ss, MttkrpVariant(coo, f, mode, KernelVariant::kSimd)))
-        << "coo mode=" << mode;
-    const Matrix cs = MttkrpVariant(csf, f, mode, KernelVariant::kScalar);
-    EXPECT_TRUE(
-        BitsEqual(cs, MttkrpVariant(csf, f, mode, KernelVariant::kSimd)))
-        << "csf mode=" << mode;
-    // COO and CSF stream the same non-zeros in the same lexicographic
-    // order, so the two sparse layouts are bit-identical too.
-    EXPECT_TRUE(BitsEqual(ss, cs)) << "coo-vs-csf mode=" << mode;
+  for (const int64_t rank : {4, 5, 16}) {
+    const std::vector<Matrix> f = RandomFactorsFor(shape, rank, 41);
+    for (int mode = 0; mode < 3; ++mode) {
+      SCOPED_TRACE(::testing::Message() << "rank=" << rank
+                                        << " mode=" << mode);
+      const Matrix ds = MttkrpVariant(dense, f, mode, KernelVariant::kScalar);
+      EXPECT_TRUE(
+          BitsEqual(ds, MttkrpVariant(dense, f, mode, KernelVariant::kSimd)))
+          << "dense";
+      const Matrix ss = MttkrpVariant(coo, f, mode, KernelVariant::kScalar);
+      EXPECT_TRUE(
+          BitsEqual(ss, MttkrpVariant(coo, f, mode, KernelVariant::kSimd)))
+          << "coo";
+      const Matrix cs = MttkrpVariant(csf, f, mode, KernelVariant::kScalar);
+      EXPECT_TRUE(
+          BitsEqual(cs, MttkrpVariant(csf, f, mode, KernelVariant::kSimd)))
+          << "csf";
+      // COO and CSF stream the same non-zeros in the same lexicographic
+      // order, so the two sparse layouts are bit-identical too.
+      EXPECT_TRUE(BitsEqual(ss, cs)) << "coo-vs-csf";
+    }
   }
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "linalg/blas.h"
 #include "tensor/khatri_rao.h"
 #include "tensor/unfold.h"
@@ -161,6 +163,58 @@ TEST(MttkrpTest, RankOneFactorsKnownResult) {
       for (int64_t k = 0; k < 2; ++k) expected += t.at({i, j, k});
     }
     EXPECT_NEAR(m0(i, 0), expected, 1e-12);
+  }
+}
+
+// The dense 3-mode arithmetic before the fiber kernel: every non-zero cell
+// in odometer order (last mode fastest), one scalar MttkrpRow3 per cell
+// with the lower-indexed skipped mode multiplied first.
+Matrix PerCellRow3Mttkrp(const DenseTensor& t, const std::vector<Matrix>& f,
+                         int mode) {
+  const Shape& shape = t.shape();
+  const int k1 = mode == 0 ? 1 : 0;
+  const int k2 = mode == 2 ? 1 : 2;
+  Matrix out(shape.dim(mode), f[0].cols());
+  for (int64_t i0 = 0; i0 < shape.dim(0); ++i0) {
+    for (int64_t i1 = 0; i1 < shape.dim(1); ++i1) {
+      for (int64_t i2 = 0; i2 < shape.dim(2); ++i2) {
+        const double v = t.at({i0, i1, i2});
+        if (v == 0.0) continue;
+        const int64_t index[3] = {i0, i1, i2};
+        MttkrpRow3(out.row(index[mode]), v,
+                   f[static_cast<size_t>(k1)].row(index[k1]),
+                   f[static_cast<size_t>(k2)].row(index[k2]), f[0].cols(),
+                   KernelVariant::kScalar);
+      }
+    }
+  }
+  return out;
+}
+
+bool BitsEqual(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.size()) * sizeof(double)) == 0;
+}
+
+TEST(MttkrpTest, DenseThreeModeMatchesPerCellRow3Bitwise) {
+  for (const std::vector<int64_t>& dims :
+       {std::vector<int64_t>{6, 5, 7}, std::vector<int64_t>{3, 4, 1},
+        std::vector<int64_t>{2, 1, 9}}) {
+    const Shape shape(dims);
+    const DenseTensor t = RandomTensor(shape, 21, /*zero_fraction=*/0.4);
+    for (const int64_t rank : {1, 4, 5, 16, 17}) {
+      const std::vector<Matrix> f = RandomFactorsFor(shape, rank, 22);
+      for (int mode = 0; mode < 3; ++mode) {
+        const Matrix want = PerCellRow3Mttkrp(t, f, mode);
+        for (const KernelVariant variant :
+             {KernelVariant::kScalar, KernelVariant::kSimd}) {
+          EXPECT_TRUE(BitsEqual(MttkrpVariant(t, f, mode, variant), want))
+              << shape.ToString() << " rank=" << rank << " mode=" << mode
+              << " " << KernelVariantName(variant);
+        }
+      }
+    }
   }
 }
 

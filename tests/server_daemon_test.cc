@@ -576,6 +576,65 @@ TEST(TpcpdRestartTest, PersistedRecordIsThePolledJob) {
   EXPECT_TRUE(detail->is_string());
 }
 
+// A finished job lives on only in the daemon's record: the JobService
+// forgets its copy (spec and result) at the terminal transition, and poll,
+// await and list answer from the record, all with the same object.
+TEST(TpcpdRecordTest, FinishedJobsAnswerFromTheRecordAlone) {
+  TpcpdOptions options;
+  TenantConfig tenant;
+  tenant.name = "alice";
+  options.tenants.push_back(tenant);
+  auto daemon = Tpcpd::Start(std::move(options));
+  ASSERT_TRUE(daemon.ok()) << daemon.status().ToString();
+  auto succeeds = (*daemon)->Submit(CubeSubmit("alice", 0, false));
+  ASSERT_TRUE(succeeds.ok()) << succeeds.status().ToString();
+  SubmitRequest no_input = CubeSubmit("alice", 0, false);
+  no_input.generate = false;  // nothing to decompose: fails with a detail
+  auto fails = (*daemon)->Submit(no_input);
+  ASSERT_TRUE(fails.ok()) << fails.status().ToString();
+
+  const auto call = [&daemon](const std::string& payload) {
+    auto parsed = JsonValue::Parse((*daemon)->HandleRequest(payload));
+    EXPECT_TRUE(parsed.ok());
+    return *parsed;
+  };
+  std::map<int64_t, std::string> awaited;
+  for (const int64_t id : {*succeeds, *fails}) {
+    const JsonValue done = call("{\"cmd\":\"await\",\"job\":" +
+                                std::to_string(id) +
+                                ",\"timeout_seconds\":120}");
+    ASSERT_TRUE(done.Find("terminal")->bool_value()) << done.Serialize();
+    awaited[id] = done.Find("job")->Serialize();
+  }
+  EXPECT_EQ((*daemon)->service_job_count(), 0u);
+  EXPECT_NE(awaited[*succeeds].find("\"state\":\"succeeded\""),
+            std::string::npos)
+      << awaited[*succeeds];
+  EXPECT_NE(awaited[*fails].find("\"detail\":"), std::string::npos)
+      << awaited[*fails];
+
+  // Another job runs and finishes; the earlier answers do not move.
+  auto later = (*daemon)->Submit(CubeSubmit("alice", 0, false));
+  ASSERT_TRUE(later.ok());
+  ASSERT_TRUE(AwaitState(daemon->get(), *later, ServerJobState::kSucceeded));
+  for (const int64_t id : {*succeeds, *fails}) {
+    const std::string job = "\"job\":" + std::to_string(id);
+    const JsonValue polled = call("{\"cmd\":\"poll\"," + job + "}");
+    EXPECT_EQ(polled.Find("job")->Serialize(), awaited[id]);
+    EXPECT_EQ(polled.Find("progress"), nullptr) << "not running";
+    const JsonValue again =
+        call("{\"cmd\":\"await\"," + job + ",\"timeout_seconds\":1}");
+    EXPECT_EQ(again.Find("job")->Serialize(), awaited[id]);
+    EXPECT_TRUE(again.Find("terminal")->bool_value());
+  }
+  const JsonValue listed = call("{\"cmd\":\"list\"}");
+  const auto& jobs = listed.Find("jobs")->array_items();
+  ASSERT_EQ(jobs.size(), 3u);
+  EXPECT_EQ(jobs[0].Serialize(), awaited[*succeeds]);
+  EXPECT_EQ(jobs[1].Serialize(), awaited[*fails]);
+  EXPECT_EQ((*daemon)->service_job_count(), 0u);
+}
+
 // ---- codecs ----------------------------------------------------------------
 
 ServerJobRecord FullRecord() {
