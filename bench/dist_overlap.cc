@@ -1,20 +1,18 @@
-// Distributed Phase-2 overlap pipeline: a forked fleet against the
-// in-process engine, and weighted vs modulo ownership balance on a skewed
-// store.
+// Distributed Phase 2: a forked fleet against the in-process engine, and
+// weighted vs modulo ownership balance on a skewed store.
 //
 //   bench_dist_overlap [--json=BENCH_dist_overlap.json]
 //
 // Its stores live in a fresh directory under $TMPDIR (default /tmp),
 // removed when the bench exits.
 //
-// Part 1 — overlap: a 2-worker *forked* run (fork + exec of this binary,
+// Part 1 — fleet: a 2-worker *forked* run (fork + exec of this binary,
 // the same process topology as `tpcp_tool dist`) on a fiber-order plan
-// whose singleton waves make deferrable relays common (deferred relays
-// ride inside the next wave's compute window), next to an in-process
-// TwoPhaseCp run of the same store recipe. The fleet must match the
-// engine bit-for-bit on the final factors and keep measured == predicted
-// on the byte ledger — the bench records both checks, the Phase-2
-// wall-clocks and the relay volume the pipeline hid. The fleet has two
+// (singleton waves, so every step is a relay barrier), next to an
+// in-process TwoPhaseCp run of the same store recipe. The fleet must match
+// the engine bit-for-bit on the final factors and keep measured ==
+// predicted on the byte ledger — the bench records both checks, the
+// Phase-2 wall-clocks and the relayed bytes. The fleet has two
 // clocks: fleet_phase2_seconds starts once every worker is ready, so it
 // times what the engine's RunPhase2 clock times (the sweep and the final
 // commit); wall_seconds_with_spawn also covers forking and exec'ing the
@@ -68,10 +66,8 @@ TwoPhaseCpOptions BenchOptions() {
   options.rank = 8;
   options.phase1_max_iterations = 6;
   options.seed = kSeed;
-  // Fiber order: singleton waves, so CanDeferPast finds same-mode runs
-  // and cross-mode steps the peer does not own — the deferrable relays
-  // the pipeline exists to hide. (Mode-centric waves have every worker
-  // in every wave; nothing defers.)
+  // Fiber order: singleton waves, one relay barrier per step, and images
+  // the liveness analysis prunes for the peer.
   options.schedule = ScheduleType::kFiberOrder;
   options.buffer_fraction = 0.5;
   options.max_virtual_iterations = 3;
@@ -102,13 +98,11 @@ std::unique_ptr<TwoPhaseCp> PrepareStore(BlockTensorStore* input,
   return cp;
 }
 
-struct OverlapRun {
+struct FleetRun {
   /// RunDistributedPhase2 end to end, worker spawn and handshake included.
   double wall_seconds = 0.0;
   /// DistributedRunResult::fleet_phase2_seconds: from the ready fleet on.
   double fleet_phase2_seconds = 0.0;
-  double hidden_seconds = 0.0;
-  uint64_t overlapped_bytes = 0;
   uint64_t down_bytes = 0;
   uint64_t up_bytes = 0;
   uint64_t persist_bytes = 0;
@@ -134,9 +128,9 @@ double RunEngine(const std::string& root) {
 /// One forked 2-worker distributed run against a fresh store under
 /// `root`. Workers are real child processes: fork + exec of this binary
 /// in its hidden `--dist-worker` mode.
-OverlapRun RunDistributed(const std::string& self_exe,
-                          const std::string& root) {
-  OverlapRun run;
+FleetRun RunDistributed(const std::string& self_exe,
+                        const std::string& root) {
+  FleetRun run;
   run.root = root;
   const TwoPhaseCpOptions options = BenchOptions();
   const GridPartition grid = BenchGrid();
@@ -179,8 +173,6 @@ OverlapRun RunDistributed(const std::string& self_exe,
   }
 
   run.fleet_phase2_seconds = result.fleet_phase2_seconds;
-  run.hidden_seconds = result.hidden_seconds;
-  run.overlapped_bytes = result.overlapped_bytes;
   run.ledger_exact = result.measured.size() == result.predicted.size();
   for (size_t w = 0; w < result.measured.size(); ++w) {
     run.up_bytes += result.measured[w].up_bytes;
@@ -343,24 +335,21 @@ int main(int argc, char** argv) {
   std::atexit(tpcp::RemoveScratch);
   std::signal(SIGABRT, tpcp::RemoveScratchAndReraise);
 
-  std::printf("dist overlap pipeline (%d workers) vs in-process engine, "
-              "phase 2\n",
+  std::printf("dist fleet (%d workers) vs in-process engine, phase 2\n",
               tpcp::kWorkers);
   tpcp::bench::PrintRule();
   const double engine_seconds = tpcp::RunEngine(scratch + "/engine");
-  const tpcp::OverlapRun pipelined =
-      tpcp::RunDistributed("/proc/self/exe", scratch + "/pipelined");
+  const tpcp::FleetRun fleet =
+      tpcp::RunDistributed("/proc/self/exe", scratch + "/fleet");
   const bool identical =
-      tpcp::FactorsIdentical(scratch + "/engine", pipelined.root);
+      tpcp::FactorsIdentical(scratch + "/engine", fleet.root);
   std::printf("engine     %.3f s\n", engine_seconds);
   std::printf("fleet      %.3f s  from the ready fleet; %.3f s incl. "
-              "worker spawn + handshake (hidden %.3f s, overlapped %llu B)\n",
-              pipelined.fleet_phase2_seconds, pipelined.wall_seconds,
-              pipelined.hidden_seconds,
-              static_cast<unsigned long long>(pipelined.overlapped_bytes));
+              "worker spawn + handshake\n",
+              fleet.fleet_phase2_seconds, fleet.wall_seconds);
   std::printf("factors %s, ledger %s\n",
               identical ? "IDENTICAL" : "DIVERGED",
-              pipelined.ledger_exact ? "exact" : "INEXACT");
+              fleet.ledger_exact ? "exact" : "INEXACT");
 
   std::printf("\nweighted vs modulo ownership on skewed parts {1,%lld,%lld}, "
               "3 workers\n",
@@ -375,15 +364,13 @@ int main(int argc, char** argv) {
   }
 
   if (!json_path.empty()) {
-    JsonValue pipelined_json = JsonValue::Object();
-    pipelined_json.Set("fleet_phase2_seconds", pipelined.fleet_phase2_seconds)
-        .Set("wall_seconds_with_spawn", pipelined.wall_seconds)
-        .Set("hidden_seconds", pipelined.hidden_seconds)
-        .Set("overlapped_bytes", pipelined.overlapped_bytes)
-        .Set("up_bytes", pipelined.up_bytes)
-        .Set("down_bytes", pipelined.down_bytes)
-        .Set("persist_bytes", pipelined.persist_bytes)
-        .Set("ledger_exact", pipelined.ledger_exact);
+    JsonValue fleet_json = JsonValue::Object();
+    fleet_json.Set("fleet_phase2_seconds", fleet.fleet_phase2_seconds)
+        .Set("wall_seconds_with_spawn", fleet.wall_seconds)
+        .Set("up_bytes", fleet.up_bytes)
+        .Set("down_bytes", fleet.down_bytes)
+        .Set("persist_bytes", fleet.persist_bytes)
+        .Set("ledger_exact", fleet.ledger_exact);
     JsonValue ownership = JsonValue::Array();
     for (const tpcp::OwnershipRow& row : skew) {
       JsonValue steps = JsonValue::Array();
@@ -406,7 +393,7 @@ int main(int argc, char** argv) {
     top.Set("bench", "dist_overlap")
         .Set("workers", tpcp::kWorkers)
         .Set("engine_phase2_seconds", engine_seconds)
-        .Set("pipelined", pipelined_json)
+        .Set("fleet", fleet_json)
         .Set("factors_identical", identical)
         .Set("skewed_ownership", ownership)
         .Set("skew_workers", 3);

@@ -315,15 +315,6 @@ JobInfo JobService::Execute(Job* job) {
     // only, never the planned step order.
     spec.options.io_threads = std::min(spec.options.io_threads, share);
   }
-  if (options_.total_buffer_bytes > 0) {
-    const uint64_t share =
-        std::max<uint64_t>(1, options_.total_buffer_bytes /
-                                  static_cast<uint64_t>(options_.num_workers));
-    if (spec.options.buffer_bytes == 0 ||
-        spec.options.buffer_bytes > share) {
-      spec.options.buffer_bytes = share;
-    }
-  }
   Reporter reporter(this, job, spec.options.observer);
   spec.options.observer = &reporter;
 

@@ -54,10 +54,6 @@ struct JobServiceOptions {
   /// thread-count-independent, so a budget-limited run stays bit-identical
   /// to an unlimited one. 0 leaves per-job settings untouched.
   int total_threads = 0;
-  /// Shared buffer budget: each running job's Phase-2 buffer is capped at
-  /// total_buffer_bytes / num_workers (overriding buffer_fraction when it
-  /// would exceed the share). 0 leaves per-job settings untouched.
-  uint64_t total_buffer_bytes = 0;
   /// State-change callback, invoked with a snapshot after every observable
   /// transition (queued→running, running→terminal, queued→cancelled) with
   /// no service lock held. Called from worker threads and from whichever

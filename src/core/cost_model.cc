@@ -85,11 +85,8 @@ std::vector<ClusterWorkerCost> SimulateCluster(const DistributedPlan& dplan,
 
 std::string ClusterOverlapCost::ToString() const {
   std::ostringstream out;
-  out << "cluster-overlap: workers=" << num_workers
-      << " barrier_s/vi=" << barrier_seconds_per_vi
-      << " pipelined_s/vi=" << pipelined_seconds_per_vi
-      << " hidden_s/vi=" << hidden_seconds_per_vi
-      << " overlapped_bytes/vi=" << overlapped_bytes_per_vi;
+  out << "cluster-wall: workers=" << num_workers
+      << " wall_s/vi=" << pipelined_seconds_per_vi;
   return out.str();
 }
 
@@ -134,64 +131,29 @@ ClusterOverlapCost SimulateClusterOverlap(const DistributedPlan& dplan,
   // SimulateCluster uses for persists).
   const int64_t vis = (cycle + vi_len - 1) / vi_len;
   const int64_t span = vis * vi_len;
-  ClusterOverlapCost cost;
-  cost.num_workers = workers;
-  double barrier = 0.0, pipelined = 0.0;
-  uint64_t overlapped_bytes = 0;
-  uint64_t carry_bytes = 0;  // deferred relay carried into the next wave
-  int64_t carry_msgs = 0;
-  std::vector<int64_t> owned_in_wave(static_cast<size_t>(workers), 0);
+  double wall = 0.0;
   int64_t pos = 0;
   while (pos < span) {
     const int64_t vi_end = (pos / vi_len + 1) * vi_len;
     const int64_t wave_end = std::min(plan.WaveEndAfter(pos), vi_end);
-    std::fill(owned_in_wave.begin(), owned_in_wave.end(), 0);
-    uint64_t up_bytes = 0, immediate_bytes = 0, deferred_bytes = 0;
-    int64_t up_msgs = 0, immediate_msgs = 0, deferred_msgs = 0;
-    for (int64_t p = pos; p < wave_end; ++p) {
-      const uint64_t bytes = dplan.StepExchangeBytes(p);
-      const int owner = dplan.OwnerAt(p);
-      ++owned_in_wave[static_cast<size_t>(owner)];
-      up_bytes += bytes;
-      ++up_msgs;
-      for (int v = 0; v < workers; ++v) {
-        if (v == owner || !dplan.ImageLiveFor(p, v)) continue;
-        if (dplan.CanDeferPast(p, v, wave_end)) {
-          deferred_bytes += bytes;
-          ++deferred_msgs;
-        } else {
-          immediate_bytes += bytes;
-          ++immediate_msgs;
-        }
-      }
-    }
+    // A wave's relay is exactly its ledger entry: every owner's uploads
+    // plus every live absorb. A worker uploads one image per owned step,
+    // so up_messages also counts its compute.
     double compute = 0.0;
+    uint64_t relay_bytes = 0;
+    int64_t relay_msgs = 0;
     for (int v = 0; v < workers; ++v) {
-      compute = std::max(compute,
-                         static_cast<double>(owned_in_wave[static_cast<size_t>(v)]) *
-                             step_seconds[static_cast<size_t>(v)]);
+      const WorkerTraffic t = dplan.TrafficForRange(v, pos, wave_end);
+      compute = std::max(compute, static_cast<double>(t.up_messages) *
+                                      step_seconds[static_cast<size_t>(v)]);
+      relay_bytes += t.up_bytes + t.down_bytes;
+      relay_msgs += t.up_messages + t.down_messages;
     }
-    barrier += compute + config.link.TransferSeconds(
-                             up_bytes + immediate_bytes + deferred_bytes,
-                             up_msgs + immediate_msgs + deferred_msgs);
-    pipelined +=
-        std::max(compute,
-                 config.link.TransferSeconds(carry_bytes, carry_msgs)) +
-        config.link.TransferSeconds(up_bytes + immediate_bytes,
-                                    up_msgs + immediate_msgs);
-    overlapped_bytes += deferred_bytes;
-    carry_bytes = deferred_bytes;
-    carry_msgs = deferred_msgs;
+    wall += compute + config.link.TransferSeconds(relay_bytes, relay_msgs);
     pos = wave_end;
-    // Deferral never crosses a vi boundary (CanDeferPast), so nothing is
-    // carried past the fit/persist epilogue.
-    if (pos % vi_len == 0) {
-      carry_bytes = 0;
-      carry_msgs = 0;
-    }
   }
   // Persist epilogue, once per vi: every worker uploads its updated
-  // sub-factors — serialized through the coordinator in both executions.
+  // sub-factors, serialized through the coordinator.
   uint64_t persist_total = 0;
   for (int64_t k = 0; k < vis; ++k) {
     for (int v = 0; v < workers; ++v) {
@@ -199,17 +161,11 @@ ClusterOverlapCost SimulateClusterOverlap(const DistributedPlan& dplan,
           dplan.PersistBytesForRange(v, k * vi_len, (k + 1) * vi_len);
     }
   }
-  const double persist_seconds =
-      config.link.TransferSeconds(persist_total, vis * workers);
-  barrier += persist_seconds;
-  pipelined += persist_seconds;
+  wall += config.link.TransferSeconds(persist_total, vis * workers);
 
-  const double per_vi = 1.0 / static_cast<double>(vis);
-  cost.barrier_seconds_per_vi = barrier * per_vi;
-  cost.pipelined_seconds_per_vi = pipelined * per_vi;
-  cost.hidden_seconds_per_vi = (barrier - pipelined) * per_vi;
-  cost.overlapped_bytes_per_vi =
-      static_cast<double>(overlapped_bytes) * per_vi;
+  ClusterOverlapCost cost;
+  cost.num_workers = workers;
+  cost.pipelined_seconds_per_vi = wall / static_cast<double>(vis);
   return cost;
 }
 

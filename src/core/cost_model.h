@@ -113,28 +113,21 @@ std::vector<ClusterWorkerCost> SimulateCluster(const DistributedPlan& dplan,
                                                int64_t rank,
                                                const ClusterSimConfig& config);
 
-/// Fleet-aggregate wall-clock prediction of one virtual iteration, priced
-/// wave by wave. Barrier execution pays max-worker compute *plus* the full
-/// relay each wave; the pipelined execution pays per wave
-/// `max(compute, deferred comm of the previous wave)` plus the immediate
-/// remainder — the exact deferral split the coordinator uses
-/// (DistributedPlan::CanDeferPast), so predicted hidden time corresponds
-/// to what the executor reports as hidden_seconds.
+/// Fleet-aggregate wall-clock prediction of one virtual iteration of dist's
+/// barrier waves: each wave pays the slowest owner's compute plus the
+/// link-priced relay of its images (uploads and live absorbs), and each vi
+/// pays its persist epilogue.
 struct ClusterOverlapCost {
   int num_workers = 0;
-  double barrier_seconds_per_vi = 0.0;
+  /// The barrier wall-clock per vi. Named for perfbench, which reads it;
+  /// renamed with perfbench's read.
   double pipelined_seconds_per_vi = 0.0;
-  /// barrier − pipelined: relay time hidden behind compute.
-  double hidden_seconds_per_vi = 0.0;
-  /// Relay bytes the pipeline defers into compute windows, per vi.
-  double overlapped_bytes_per_vi = 0.0;
 
-  /// One grep-able "cluster-overlap:" line.
+  /// One grep-able "cluster-wall:" line.
   std::string ToString() const;
 };
 
-/// Prices both executions of `dplan` under `config`. The pipelined figure
-/// is the one dist runs; the barrier figure is its unpipelined reference.
+/// Prices dist's execution of `dplan` under `config`.
 ClusterOverlapCost SimulateClusterOverlap(const DistributedPlan& dplan,
                                           int64_t rank,
                                           const ClusterSimConfig& config);

@@ -66,8 +66,8 @@ class TwoPhaseCp {
   Status RunPhase1(ThreadPool* pool = nullptr);
 
   /// Marks Phase 1 as already completed — the block factors were staged
-  /// into the factor store externally (e.g. by Phase1ViaMapReduce, or
-  /// copied from another run). RunPhase2 may then be called directly.
+  /// into the factor store externally (e.g. copied from another run).
+  /// RunPhase2 may then be called directly.
   void AssumePhase1Factors() { phase1_done_ = true; }
 
   /// Phase 2: schedule-driven iterative refinement under the buffer budget,

@@ -6,7 +6,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -74,84 +73,6 @@ struct RelayFrame {
   uint64_t bytes = 0;
   bool last = false;
   JsonValue msg;
-  /// Recipients whose delivery is deferred into the next wave's compute
-  /// window (CanDeferPast-approved).
-  std::vector<int> deferred_to;
-};
-
-/// Background relay of the previous wave's deferred absorb frames: one
-/// thread sending while the fleet computes the current wave. Safe against
-/// the collecting main thread because (a) workers in their compute loop
-/// keep draining their channel between steps, and the main thread drains
-/// every upload, so neither side can block forever on a full socket
-/// buffer, and (b) the thread writes only the recipients' down_bytes /
-/// down_messages ledger fields, which nothing else touches while a relay
-/// is in flight (the main thread writes up_* during collection; deferred
-/// and immediate sends to the same channel are serialized by FrameChannel's
-/// send mutex). Writing the ledger as bytes hit the wire — not at join —
-/// is what keeps RollbackLedger's wasted_bytes exact when an attempt dies
-/// mid-relay: the destructor joins before the attempt returns, so the
-/// partial bytes are on the ledger the rollback measures.
-class RelayTask {
- public:
-  RelayTask(std::vector<std::unique_ptr<FrameChannel>>* channels,
-            DistributedRunResult* result)
-      : channels_(channels), result_(result) {}
-  ~RelayTask() {
-    if (thread_.joinable()) thread_.join();
-  }
-
-  void Launch(std::vector<RelayFrame> frames) {
-    TPCP_CHECK(!thread_.joinable());
-    window_.Restart();
-    sent_bytes_ = 0;
-    busy_seconds_ = 0.0;
-    status_ = Status::OK();
-    fault_worker_ = kFaultNone;
-    thread_ = std::thread([this, frames = std::move(frames)]() mutable {
-      Stopwatch busy;
-      for (RelayFrame& frame : frames) {
-        for (int v : frame.deferred_to) {
-          const Status s = (*channels_)[static_cast<size_t>(v)]->Send(frame.msg);
-          if (!s.ok()) {
-            status_ = Annotate(v, s);
-            fault_worker_ = v;
-            busy_seconds_ = busy.ElapsedSeconds();
-            return;
-          }
-          result_->measured[static_cast<size_t>(v)].down_bytes += frame.bytes;
-          sent_bytes_ += frame.bytes;
-          if (frame.last) {
-            ++result_->measured[static_cast<size_t>(v)].down_messages;
-          }
-        }
-      }
-      busy_seconds_ = busy.ElapsedSeconds();
-    });
-  }
-
-  /// Joins the relay (called once the wave's collection is complete) and
-  /// folds its telemetry: relay time that fit inside the collection window
-  /// is time an unpipelined exchange would have serialized — hidden_seconds.
-  Status Finish(int* fault_worker) {
-    if (!thread_.joinable()) return Status::OK();
-    const double window = window_.ElapsedSeconds();
-    thread_.join();
-    result_->hidden_seconds += std::min(busy_seconds_, window);
-    result_->overlapped_bytes += sent_bytes_;
-    if (!status_.ok()) *fault_worker = fault_worker_;
-    return status_;
-  }
-
- private:
-  std::vector<std::unique_ptr<FrameChannel>>* channels_;
-  DistributedRunResult* result_;
-  std::thread thread_;
-  Stopwatch window_;
-  uint64_t sent_bytes_ = 0;
-  double busy_seconds_ = 0.0;
-  Status status_;
-  int fault_worker_ = kFaultNone;
 };
 
 struct ListenGuard {
@@ -171,10 +92,6 @@ struct RunState {
   std::vector<WorkerTraffic> predicted;
   std::vector<uint64_t> measured_persist_bytes;
   std::vector<uint64_t> predicted_persist_bytes;
-  /// Overlap telemetry at the last checkpoint (committed attempts only,
-  /// like the ledgers; a failed attempt's hidden work is not "savings").
-  uint64_t overlapped_bytes = 0;
-  double hidden_seconds = 0.0;
   /// Restarted when an attempt's fleet is ready (DistributedRunResult::
   /// fleet_phase2_seconds).
   Stopwatch fleet_ready;
@@ -194,8 +111,6 @@ void SnapshotLedger(const DistributedRunResult& result, RunState* state) {
   state->predicted = result.predicted;
   state->measured_persist_bytes = result.measured_persist_bytes;
   state->predicted_persist_bytes = result.predicted_persist_bytes;
-  state->overlapped_bytes = result.overlapped_bytes;
-  state->hidden_seconds = result.hidden_seconds;
 }
 
 void RollbackLedger(const RunState& state, DistributedRunResult* result) {
@@ -204,8 +119,6 @@ void RollbackLedger(const RunState& state, DistributedRunResult* result) {
   result->predicted = state.predicted;
   result->measured_persist_bytes = state.measured_persist_bytes;
   result->predicted_persist_bytes = state.predicted_persist_bytes;
-  result->overlapped_bytes = state.overlapped_bytes;
-  result->hidden_seconds = state.hidden_seconds;
   result->wasted_bytes += before - LedgerTotalBytes(*result);
 }
 
@@ -363,12 +276,6 @@ Status RunFleetAttempt(BlockFactorStore* factors,
   progress.ownership_fingerprint = dplan.ownership_fingerprint();
   int64_t pos = progress.cursor;
 
-  // Pipeline state: the previous wave's deferred frames, relayed by a
-  // background thread while the fleet computes the current wave. The task
-  // object outlives each wave's thread and joins on any exit path.
-  RelayTask relay(&channels, result);
-  std::vector<RelayFrame> deferred;
-
   while (progress.iteration < options.max_virtual_iterations) {
     const int64_t vi_end =
         static_cast<int64_t>(progress.iteration + 1) * vi_len;
@@ -384,15 +291,6 @@ Status RunFleetAttempt(BlockFactorStore* factors,
       wave.Set("end", wave_end);
       for (int w = 0; w < fleet_size; ++w) {
         TPCP_RETURN_IF_ERROR(send(w, wave));
-      }
-      // Launch the previous wave's deferred relays *after* the wave
-      // broadcast: per-channel FIFO then guarantees every worker sees the
-      // wave message first, the deferred frames during its compute, and
-      // (after the join below) this wave's immediate frames — old frames
-      // always land before newer ones for every unit.
-      if (!deferred.empty()) {
-        relay.Launch(std::move(deferred));
-        deferred.clear();
       }
       // Collect the owners' metadata images in worker-id order — a
       // deterministic relay order, so every worker absorbs the same
@@ -447,10 +345,6 @@ Status RunFleetAttempt(BlockFactorStore* factors,
                                      " images)");
         }
       }
-      // The previous wave's deferred relays must be on the wire before
-      // this wave's immediate frames go out (per-unit old-before-new), and
-      // their fault attribution must surface here, not at the commit gate.
-      TPCP_RETURN_IF_ERROR(relay.Finish(fault_worker));
       for (RelayFrame& frame : frames) {
         frame.msg.Set("t", "absorb");
         for (int v = 0; v < fleet_size; ++v) {
@@ -459,21 +353,12 @@ Status RunFleetAttempt(BlockFactorStore* factors,
           // this image before its next refresh. The prediction applies
           // the identical rule, so measured == predicted stays exact.
           if (!dplan.ImageLiveFor(frame.pos, v)) continue;
-          // Recipients that provably do not read the image during the next
-          // wave get it relayed in the background while that wave computes.
-          if (dplan.CanDeferPast(frame.pos, v, wave_end)) {
-            frame.deferred_to.push_back(v);
-            continue;
-          }
           TPCP_RETURN_IF_ERROR(send(v, frame.msg));
           result->measured[static_cast<size_t>(v)].down_bytes +=
               frame.bytes;
           if (frame.last) {
             ++result->measured[static_cast<size_t>(v)].down_messages;
           }
-        }
-        if (!frame.deferred_to.empty()) {
-          deferred.push_back(std::move(frame));
         }
       }
       // Commit barrier: no worker starts the next wave before every worker
@@ -498,11 +383,6 @@ Status RunFleetAttempt(BlockFactorStore* factors,
       }
       pos = wave_end;
     }
-    // CanDeferPast forbids deferral out of a virtual iteration's last
-    // wave, so the fit/persist epilogue below always starts with every
-    // image delivered and confirmed.
-    TPCP_CHECK(deferred.empty());
-
     // Virtual-iteration boundary: every worker evaluates the surrogate fit
     // over its (identical) full state; bitwise disagreement means the
     // exchange protocol failed and must never be papered over.

@@ -9,20 +9,11 @@
 //    Phase2Progress::Load, and seeds a fresh run's sub-factors with the
 //    engine's own SeedSubFactors — so workers can always initialize in
 //    resume mode against the persisted state.
-//  - Drives the wave loop: broadcasts each conflict-free wave, collects
-//    the owners' metadata images (in worker-id order), relays them to
-//    every non-owner, and barriers on wave_commit/wave_ack.
-//  - Pipelines the exchange: relays whose recipients provably do not read
-//    the image during the next wave (DistributedPlan::CanDeferPast — the
-//    planner's liveness analysis applied across one wave boundary) are
-//    deferred and sent by a background relay thread *while the next wave
-//    computes*; the rest are sent immediately. Deferred frames are
-//    confirmed absorbed at the next wave's commit barrier and never cross
-//    a virtual-iteration boundary, so every commit/checkpoint cut sees the
-//    same metadata state and ledger as a single-process run — only the
-//    wall-clock shrinks. The hidden relay work is reported as
-//    overlapped_bytes / hidden_seconds; schedules with nothing to defer
-//    (mode-centric) report zero.
+//  - Drives the wave loop, one barrier per wave: broadcasts each
+//    conflict-free wave, collects the owners' metadata images (in
+//    worker-id order), relays each of them to every non-owner that reads
+//    it, and only then barriers on wave_commit/wave_ack, so every commit
+//    sees the metadata state a single-process run would.
 //  - At each virtual-iteration boundary collects every worker's surrogate
 //    fit and requires them bitwise equal (a divergence is an Internal
 //    error, never silently averaged), then closes the iteration with the
@@ -149,13 +140,9 @@ struct DistributedRunResult {
   bool finished_single_process = false;
   uint64_t wasted_bytes = 0;
 
-  /// Overlap telemetry (committed attempts only, like the ledgers).
-  /// Logical bytes relayed by the background thread inside compute
-  /// windows; a subset of the measured down_bytes, which stay exact.
+  /// Always 0: every relay runs at its wave's barrier. Removed with
+  /// perfbench's reads.
   uint64_t overlapped_bytes = 0;
-  /// Wall-clock seconds of background relay work that finished before the
-  /// wave's collection did — time an unpipelined exchange would have
-  /// appended to the critical path.
   double hidden_seconds = 0.0;
 };
 
@@ -184,8 +171,8 @@ class DistributedSolver : public TwoPhaseSolver {
 
   const char* name() const override { return "dist"; }
 
-  /// The fleet's side of the last Phase 2 this solver ran: wire ledgers,
-  /// recovery and overlap telemetry.
+  /// The fleet's side of the last Phase 2 this solver ran: wire ledgers
+  /// and recovery telemetry.
   const DistributedRunResult& dist_result() const { return dist_; }
 
  protected:

@@ -110,11 +110,9 @@ class AbsorbBuffer {
  public:
   /// `completed` collects the plan positions whose images finished
   /// installing — the worker's absorb-completeness gate reads it at the
-  /// wave commit barrier. `state_mu` serializes the install against a
-  /// concurrently computing wave; frame decode stays outside the lock, so
-  /// absorbs and compute overlap on the expensive part.
+  /// wave commit barrier.
   Status Add(RefinementState* state, const JsonValue& msg,
-             std::set<int64_t>* completed, std::mutex* state_mu) {
+             std::set<int64_t>* completed) {
     TPCP_ASSIGN_OR_RETURN(const int64_t mode, GetInt(msg, "mode"));
     TPCP_ASSIGN_OR_RETURN(const int64_t part, GetInt(msg, "part"));
     TPCP_ASSIGN_OR_RETURN(const int64_t pos, GetInt(msg, "pos"));
@@ -141,11 +139,7 @@ class AbsorbBuffer {
     }
     if (!last) return Status::OK();
     const ModePartition unit{static_cast<int>(mode), part};
-    Status s;
-    {
-      std::lock_guard<std::mutex> lock(*state_mu);
-      s = state->AbsorbExchange(unit, image);
-    }
+    const Status s = state->AbsorbExchange(unit, image);
     pending_.erase(pos);
     if (s.ok()) completed->insert(pos);
     return s;
@@ -276,61 +270,8 @@ Status ServeDistWorker(Env* base_env, const std::string& factor_prefix,
   AbsorbBuffer absorbs;
   std::set<ModePartition> pending_persist;
   std::set<int64_t> absorbed;
-  // Positions whose absorbs CanDeferPast proved safe to slide into the
-  // next wave; they are owed at that wave's commit.
-  std::set<int64_t> deferred_expected;
   int64_t wave_begin = 0;
   int64_t wave_end = 0;
-
-  // Pipeline state. The compute thread runs each wave's owned steps
-  // (acquire + update + exchange upload) while the main thread keeps
-  // receiving — installing the previous wave's deferred absorbs as the
-  // relay thread streams them. state_mu serializes RefinementState
-  // metadata (ApplyUpdate/ExportExchange against AbsorbExchange); the
-  // deferral proof guarantees the interleavings are semantically disjoint
-  // (an absorbed unit is never one this wave reads or refreshes), so the
-  // lock is purely for memory ordering. Loads and writebacks touch only
-  // unit payloads and never take it. Declared after the runtime and the
-  // channel so its destructor joins the thread before any of them die on
-  // an error path (the runtime's pipeline then joins its I/O).
-  std::mutex state_mu;
-  struct ComputeTask {
-    std::thread thread;
-    Status status;
-    ~ComputeTask() {
-      if (thread.joinable()) thread.join();
-    }
-  } compute;
-
-  // One wave's owned steps plus the trailing wave_done. Takes state_mu
-  // around the update only: a BeginBatch stall on a load and the wire
-  // encode stay outside it, so absorb installs interleave with both.
-  const auto run_owned_steps = [&](int64_t begin, int64_t end) -> Status {
-    for (int64_t pos = begin; pos < end; ++pos) {
-      if (!owned(pos)) continue;
-      if (hooks.crash_at_step == pos) {
-        channel->Close();
-        return Status::Internal("dist worker crash hook at step " +
-                                std::to_string(pos));
-      }
-      const ModePartition unit = plan.UnitAt(pos);
-      int64_t acquired = 0;
-      TPCP_RETURN_IF_ERROR(pipeline.BeginBatch(pos, 1, &acquired));
-      RefinementState::ExchangeImage image;
-      {
-        std::lock_guard<std::mutex> lock(state_mu);
-        state.ApplyUpdate(plan.StepAt(pos));
-        image = state.ExportExchange(unit);
-      }
-      runtime.pool.MarkDirty(unit);
-      TPCP_RETURN_IF_ERROR(pipeline.EndBatch(pos, 1));
-      pending_persist.insert(unit);
-      TPCP_RETURN_IF_ERROR(SendExchange(channel.get(), pos, unit, image));
-    }
-    JsonValue done = JsonValue::Object();
-    done.Set("t", "wave_done");
-    return channel->Send(done);
-  };
 
   for (;;) {
     JsonValue msg;
@@ -338,59 +279,44 @@ Status ServeDistWorker(Env* base_env, const std::string& factor_prefix,
     TPCP_ASSIGN_OR_RETURN(const std::string tag, GetString(msg, "t"));
 
     if (tag == "wave") {
-      TPCP_ASSIGN_OR_RETURN(const int64_t begin, GetInt(msg, "pos"));
-      TPCP_ASSIGN_OR_RETURN(const int64_t end, GetInt(msg, "end"));
-      wave_begin = begin;
-      wave_end = end;
-      // Channels are FIFO and the coordinator launches the deferred relay
-      // only after this wave's broadcast, so every deferred absorb of the
-      // previous wave arrives after this clear and before this wave's
-      // commit gate reads the set.
+      TPCP_ASSIGN_OR_RETURN(wave_begin, GetInt(msg, "pos"));
+      TPCP_ASSIGN_OR_RETURN(wave_end, GetInt(msg, "end"));
       absorbed.clear();
-      // Compute on the side so the main loop can install the previous
-      // wave's deferred absorbs as the relay streams them.
-      TPCP_CHECK(!compute.thread.joinable());
-      compute.status = Status::OK();
-      compute.thread = std::thread([&, begin, end] {
-        const Status s = run_owned_steps(begin, end);
-        if (!s.ok()) {
-          compute.status = s;
-          // Unblock the main Recv loop; the error surfaces at the
-          // commit-barrier join (or as the Recv failure it caused).
+      // The owned steps, then wave_done. The coordinator relays this
+      // wave's absorbs only after every owner's wave_done, so they all
+      // install after the owned steps, against the pre-wave metadata.
+      for (int64_t pos = wave_begin; pos < wave_end; ++pos) {
+        if (!owned(pos)) continue;
+        if (hooks.crash_at_step == pos) {
           channel->Close();
+          return Status::Internal("dist worker crash hook at step " +
+                                  std::to_string(pos));
         }
-      });
-    } else if (tag == "absorb") {
-      TPCP_RETURN_IF_ERROR(absorbs.Add(&state, msg, &absorbed, &state_mu));
-    } else if (tag == "wave_commit") {
-      if (compute.thread.joinable()) {
-        compute.thread.join();
-        TPCP_RETURN_IF_ERROR(compute.status);
+        const ModePartition unit = plan.UnitAt(pos);
+        int64_t acquired = 0;
+        TPCP_RETURN_IF_ERROR(pipeline.BeginBatch(pos, 1, &acquired));
+        state.ApplyUpdate(plan.StepAt(pos));
+        const RefinementState::ExchangeImage image =
+            state.ExportExchange(unit);
+        runtime.pool.MarkDirty(unit);
+        TPCP_RETURN_IF_ERROR(pipeline.EndBatch(pos, 1));
+        pending_persist.insert(unit);
+        TPCP_RETURN_IF_ERROR(SendExchange(channel.get(), pos, unit, image));
       }
+      JsonValue done = JsonValue::Object();
+      done.Set("t", "wave_done");
+      TPCP_RETURN_IF_ERROR(channel->Send(done));
+    } else if (tag == "absorb") {
+      TPCP_RETURN_IF_ERROR(absorbs.Add(&state, msg, &absorbed));
+    } else if (tag == "wave_commit") {
       // Absorb-completeness gate: by the commit barrier this worker must
       // hold every live image of the wave it does not own
       // (DistributedPlan::ImageLiveFor — the same pruning rule the relay
-      // applies) except those CanDeferPast lets ride one more wave; plus
-      // everything deferred out of the previous wave, which the relay
-      // streamed during this one. A gap means the channel dropped an
-      // absorb; dying here turns silent data loss into a
-      // coordinator-visible worker fault the supervisor can recover from.
-      for (const int64_t pos : deferred_expected) {
-        if (absorbed.count(pos) == 0) {
-          channel->Close();
-          return Status::IOError(
-              "dist worker: deferred absorb missing for plan position " +
-              std::to_string(pos));
-        }
-      }
-      deferred_expected.clear();
+      // applies). A gap means the channel dropped an absorb; dying here
+      // turns silent data loss into a coordinator-visible worker fault the
+      // supervisor can recover from.
       for (int64_t pos = wave_begin; pos < wave_end; ++pos) {
-        if (dplan.OwnerAt(pos) == worker_id) continue;
-        if (!dplan.ImageLiveFor(pos, worker_id)) continue;
-        if (dplan.CanDeferPast(pos, worker_id, wave_end)) {
-          deferred_expected.insert(pos);
-          continue;
-        }
+        if (owned(pos) || !dplan.ImageLiveFor(pos, worker_id)) continue;
         if (absorbed.count(pos) == 0) {
           channel->Close();
           return Status::IOError(

@@ -15,15 +15,9 @@
 // against pre-wave metadata and absorbing the rest afterwards is
 // bit-identical to the engine executing the whole wave.
 //
-// Pipelined exchange: the previous wave's *deferred* absorbs — the ones
-// DistributedPlan::CanDeferPast proves no owned step reads before the
-// next commit — arrive while the current wave computes. Every wave's owned
-// steps run on a compute thread and the protocol thread installs the
-// absorbs concurrently. The commit gate demands the deferred set of the
-// previous wave plus every non-deferrable live image of this one, which
-// keeps the metadata state at every commit identical to the single-process
-// engine's (and deferral never crosses a virtual-iteration boundary, so
-// fits and checkpoints match bit-for-bit).
+// Each wave is one barrier: the owned steps run on the protocol thread,
+// and the worker acknowledges the wave's commit only once it holds every
+// live image of the wave.
 //
 // The worker's pipeline runs against a private in-memory overlay of the
 // shared factor store (storage/overlay_env.h): evicted dirty sub-factors
@@ -51,9 +45,9 @@
 //                      "g":mat?,"m":[[flat,mat],…],"last":B}   (per owned
 //                      step, chunked under the frame ceiling)
 //   worker -> coord   {"t":"wave_done"}
-//   coord -> worker   {"t":"absorb",… same fields as xchg …}   (relayed;
-//                     deferred images of wave w arrive during wave w+1
-//                     and are owed at its commit)
+//   coord -> worker   {"t":"absorb",… same fields as xchg …}   (relayed
+//                     after every owner's wave_done; each live image of
+//                     the wave is owed at its commit)
 //   coord -> worker   {"t":"wave_commit"}
 //   worker -> coord   {"t":"wave_ack"}
 //   coord -> worker   {"t":"vi_end"}

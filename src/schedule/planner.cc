@@ -121,32 +121,6 @@ bool DistributedPlan::ImageLiveFor(int64_t pos, int worker) const {
   return (reader_mask_[cycle_pos] >> worker) & 1u;
 }
 
-bool DistributedPlan::CanDeferPast(int64_t pos, int worker,
-                                   int64_t wave_end) const {
-  const int64_t vi_len = plan_->virtual_iteration_length();
-  // A wave that ends its virtual iteration is followed by the fit/persist
-  // epilogue, which reads the complete metadata state: nothing live may be
-  // deferred past it.
-  if (wave_end % vi_len == 0) return false;
-  // The next wave, exactly as the executor will clip it.
-  const int64_t vi_end = (wave_end / vi_len + 1) * vi_len;
-  const int64_t next_end = std::min(plan_->WaveEndAfter(wave_end), vi_end);
-  const ModePartition unit = plan_->UnitAt(pos);
-  if (plan_->StepAt(wave_end).mode == unit.mode) {
-    // Same-mode steps never read mode-i metadata; the only hazard is the
-    // image's own unit refreshing in the next wave, which would order the
-    // stale deferred frame after the refresh's frame.
-    const size_t cycle_pos =
-        static_cast<size_t>(pos % plan_->cycle_length());
-    return pos + next_refresh_delta_[cycle_pos] >= next_end;
-  }
-  // Cross-mode next wave: every step `worker` owns there reads the image.
-  for (int64_t q = wave_end; q < next_end; ++q) {
-    if (OwnerAt(q) == worker) return false;
-  }
-  return true;
-}
-
 uint64_t DistributedPlan::StepExchangeBytes(int64_t pos) const {
   return step_bytes_[static_cast<size_t>(pos % plan_->cycle_length())];
 }

@@ -184,28 +184,6 @@ class DistributedPlan {
   /// slab block per cycle.
   bool ImageLiveFor(int64_t pos, int worker) const;
 
-  /// Overlap-pipeline deferral: may the relay of the (live) image published
-  /// at `pos` — inside the wave ending at `wave_end` — be pushed into the
-  /// *next* wave's compute window without changing `worker`'s inputs?
-  /// Deferred frames are delivered while the next wave computes and are
-  /// confirmed absorbed at that wave's commit barrier, so deferral is safe
-  /// exactly when nothing in the next wave reads the image:
-  ///
-  ///  - never across a virtual-iteration boundary (`wave_end` ends its vi):
-  ///    the fit/persist epilogue that follows reads the complete metadata
-  ///    state, and any live image there is fit-live;
-  ///  - next wave of the *same* mode: same-mode steps never read mode-i
-  ///    metadata, so deferral is safe unless the image's own unit refreshes
-  ///    in that wave (the stale deferred frame must not be relayed after
-  ///    the refresh's frame);
-  ///  - next wave of a *different* mode: safe only when `worker` owns no
-  ///    step there (every cross-mode step reads the image).
-  ///
-  /// Coordinator and workers evaluate this identically, which is what makes
-  /// the pipelined commit gate (and hence the run) bit-identical to barrier
-  /// execution.
-  bool CanDeferPast(int64_t pos, int worker, int64_t wave_end) const;
-
   /// Metadata exchange traffic of `worker` over plan positions
   /// [begin, end): one upload per owned step, one download per non-owned
   /// step whose image is live for this worker (ImageLiveFor). Persist

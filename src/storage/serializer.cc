@@ -413,12 +413,6 @@ Status WriteSparseCsf(Env* env, const std::string& name,
   return env->WriteFile(name, SerializeSparseCsf(t));
 }
 
-Result<SparseTensor> ReadSparse(Env* env, const std::string& name) {
-  std::string bytes;
-  TPCP_RETURN_IF_ERROR(env->ReadFile(name, &bytes));
-  return DeserializeSparse(bytes);
-}
-
 Result<DenseTensor> ReadTensorAny(Env* env, const std::string& name) {
   std::string bytes;
   TPCP_RETURN_IF_ERROR(env->ReadFile(name, &bytes));

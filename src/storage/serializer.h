@@ -73,7 +73,6 @@ Status WriteTensor(Env* env, const std::string& name, const DenseTensor& t);
 Status WriteSparseCoo(Env* env, const std::string& name,
                       const SparseTensor& t);
 Status WriteSparseCsf(Env* env, const std::string& name, const CsfTensor& t);
-Result<SparseTensor> ReadSparse(Env* env, const std::string& name);
 Result<DenseTensor> ReadTensorAny(Env* env, const std::string& name);
 
 }  // namespace tpcp

@@ -10,10 +10,12 @@
 //     coordinator's measured counters are later compared against, checked
 //     here on hand-built 2- and 3-worker plans,
 //   * the link model prices transfers as messages·latency + bytes/bw,
-//   * SimulateCluster's per-vi figures are the cycle totals rescaled.
+//   * SimulateCluster's per-vi figures are the cycle totals rescaled, and
+//     SimulateClusterOverlap's wall-clock is the sum of its barrier waves.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <vector>
@@ -358,42 +360,62 @@ TEST(SimulateClusterTest, PerViFiguresAreCycleTotalsRescaled) {
   }
 }
 
-TEST(SimulateClusterTest, OverlapPricingHidesDeferredRelayTime) {
-  // Block-centric schedules produce singleton waves whose relays the
-  // liveness analysis can defer — the overlap model must find hidden
-  // time there, and pipelined wall-clock must never exceed barrier.
+TEST(SimulateClusterTest, WallClockIsTheBarrierSumOfWaves) {
+  // Everything resident, so each owned step costs exactly seconds_per_step.
+  // The link price is linear, so the per-wave relays sum to the price of
+  // the whole span's ledger; the compute term is each wave's busiest owner.
   const GridPartition grid = GridPartition::Uniform(Shape({24, 24, 24}), 4);
-  const ExecutionPlan plan = BuildPlan(grid, ScheduleType::kFiberOrder);
-  const DistributedPlan dplan(&plan, kRank, 2);
   const UnitCatalog catalog(grid, kRank);
-
   ClusterSimConfig config;
   config.num_workers = 2;
   config.buffer_bytes = catalog.TotalBytes();
-  // A slow link makes the relay the dominant cost, so hiding it matters.
   config.link.bandwidth_bytes_per_second = 1e6;
-  const ClusterOverlapCost cost =
-      SimulateClusterOverlap(dplan, kRank, config);
-  EXPECT_EQ(cost.num_workers, 2);
-  EXPECT_GT(cost.barrier_seconds_per_vi, 0.0);
-  EXPECT_GT(cost.pipelined_seconds_per_vi, 0.0);
-  EXPECT_LE(cost.pipelined_seconds_per_vi, cost.barrier_seconds_per_vi);
-  EXPECT_DOUBLE_EQ(
-      cost.hidden_seconds_per_vi,
-      cost.barrier_seconds_per_vi - cost.pipelined_seconds_per_vi);
-  EXPECT_GT(cost.overlapped_bytes_per_vi, 0.0);
-  EXPECT_GT(cost.hidden_seconds_per_vi, 0.0);
-  // The line the plan subcommand greps for.
-  EXPECT_NE(cost.ToString().find("cluster-overlap:"), std::string::npos);
 
-  // Mode-centric waves keep every worker busy in every wave, so nothing
-  // is deferrable: the pipeline degenerates to the barrier exactly.
-  const ExecutionPlan mc_plan = BuildPlan(grid, ScheduleType::kModeCentric);
-  const DistributedPlan mc_dplan(&mc_plan, kRank, 2);
-  const ClusterOverlapCost mc_cost =
-      SimulateClusterOverlap(mc_dplan, kRank, config);
-  EXPECT_DOUBLE_EQ(mc_cost.overlapped_bytes_per_vi, 0.0);
-  EXPECT_DOUBLE_EQ(mc_cost.hidden_seconds_per_vi, 0.0);
+  for (const ScheduleType type :
+       {ScheduleType::kFiberOrder, ScheduleType::kModeCentric}) {
+    SCOPED_TRACE(ScheduleTypeName(type));
+    const ExecutionPlan plan = BuildPlan(grid, type);
+    const DistributedPlan dplan(&plan, kRank, 2);
+    const int64_t vi_len = plan.virtual_iteration_length();
+    const int64_t vis = (plan.cycle_length() + vi_len - 1) / vi_len;
+    const int64_t span = vis * vi_len;
+
+    int64_t busiest_steps = 0;
+    for (int64_t pos = 0; pos < span;) {
+      const int64_t end =
+          std::min(plan.WaveEndAfter(pos), (pos / vi_len + 1) * vi_len);
+      int64_t owned[2] = {0, 0};
+      for (int64_t p = pos; p < end; ++p) ++owned[dplan.OwnerAt(p)];
+      busiest_steps += std::max(owned[0], owned[1]);
+      pos = end;
+    }
+    uint64_t relay_bytes = 0;
+    int64_t relay_msgs = 0;
+    uint64_t persist_bytes = 0;
+    for (int v = 0; v < 2; ++v) {
+      const WorkerTraffic t = dplan.TrafficForRange(v, 0, span);
+      relay_bytes += t.up_bytes + t.down_bytes;
+      relay_msgs += t.up_messages + t.down_messages;
+      for (int64_t k = 0; k < vis; ++k) {
+        persist_bytes +=
+            dplan.PersistBytesForRange(v, k * vi_len, (k + 1) * vi_len);
+      }
+    }
+    const double expected =
+        (static_cast<double>(busiest_steps) * config.seconds_per_step +
+         config.link.TransferSeconds(relay_bytes, relay_msgs) +
+         config.link.TransferSeconds(persist_bytes, 2 * vis)) /
+        static_cast<double>(vis);
+
+    const ClusterOverlapCost cost =
+        SimulateClusterOverlap(dplan, kRank, config);
+    EXPECT_EQ(cost.num_workers, 2);
+    EXPECT_GT(cost.pipelined_seconds_per_vi, 0.0);
+    EXPECT_NEAR(cost.pipelined_seconds_per_vi, expected, 1e-9 * expected);
+    // The line the plan subcommand greps for.
+    EXPECT_NE(cost.ToString().find("cluster-wall: workers=2 wall_s/vi="),
+              std::string::npos);
+  }
 }
 
 }  // namespace

@@ -38,6 +38,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <map>
 #include <memory>
@@ -83,6 +84,15 @@ TwoPhaseCpOptions DistOptions() {
   options.buffer_fraction = 0.5;  // workers must actually swap
   options.max_virtual_iterations = 4;
   options.fit_tolerance = -1.0;  // fixed work: never converge early
+  return options;
+}
+
+/// Fiber order: singleton waves, and units that refresh once per slab
+/// block per cycle, so most images die before any peer reads them.
+TwoPhaseCpOptions FiberOrderOptions() {
+  TwoPhaseCpOptions options = DistOptions();
+  options.schedule = ScheduleType::kFiberOrder;
+  options.max_virtual_iterations = 2;
   return options;
 }
 
@@ -244,76 +254,108 @@ int64_t CrashPosInSecondVi(const ExecutionPlan& plan, int64_t rank) {
   return -1;
 }
 
+/// The frame counter ChaosEvent::at_frame keys on for a fresh attempt:
+/// the index, among the frames `worker` receives, of the first absorb
+/// relayed to it in virtual iteration `vi`. Per wave a worker receives
+/// "wave", one frame per live absorb, then "wave_commit"; each vi ends
+/// with "vi_end" and "persist". -1 when there is no such absorb, or an
+/// image would span more than one chunk.
+int64_t FirstAbsorbRecvFrame(const ExecutionPlan& plan,
+                             const DistributedPlan& dplan, int worker,
+                             int64_t vi) {
+  const int64_t vi_len = plan.virtual_iteration_length();
+  int64_t frame = 1;  // after "init"
+  for (int64_t pos = 0; pos < (vi + 1) * vi_len;) {
+    const int64_t end =
+        std::min(plan.WaveEndAfter(pos), (pos / vi_len + 1) * vi_len);
+    ++frame;  // "wave"
+    for (int64_t p = pos; p < end; ++p) {
+      if (dplan.OwnerAt(p) == worker || !dplan.ImageLiveFor(p, worker)) {
+        continue;
+      }
+      if (dplan.StepExchangeBytes(p) > kDistChunkBytes) return -1;
+      if (p >= vi * vi_len) return frame;
+      ++frame;
+    }
+    ++frame;  // "wave_commit"
+    pos = end;
+    if (pos % vi_len == 0) frame += 2;  // "vi_end", "persist"
+  }
+  return -1;
+}
+
 TEST(DistPhase2Test, WorkersProduceBitIdenticalFactorsAndExactByteLedger) {
   const ScratchDir scratch;
-  const TwoPhaseCpOptions reference_options = DistOptions();
-
-  Phase2Result reference;
-  OpenedEnv ref_env =
-      RunEngineReference(scratch.path() + "dist_ref",
-                         reference_options, &reference);
-  ASSERT_EQ(reference.virtual_iterations,
-            reference_options.max_virtual_iterations);
-
-  const ExecutionPlan plan = PlanFor(reference_options);
   const GridPartition grid = TestGrid();
 
-  // The fleet's pipelines prefetch at depth 2 on two I/O threads against
-  // the depth-0 engine reference: depth only moves I/O timing, never bits.
-  for (const int depth : {0, 2}) {
-    for (const int workers : {2, 4}) {
-      TwoPhaseCpOptions options = reference_options;
-      options.prefetch_depth = depth;
-      options.io_threads = 2;
-      const std::string root = scratch.path() + "dist_w" +
-                               std::to_string(workers) + "_d" +
-                               std::to_string(depth);
-      auto env = OpenEnv("posix://" + root);
-      ASSERT_TRUE(env.ok()) << env.status().ToString();
-      PreparePhase1Store(env->get(), options);
-      BlockFactorStore factors(env->get(), "f", grid, options.rank);
+  // Mode-centric (multi-step waves) and fiber-order (singleton waves,
+  // whose relays the liveness analysis prunes).
+  for (const TwoPhaseCpOptions& reference_options :
+       {DistOptions(), FiberOrderOptions()}) {
+    const std::string schedule = ScheduleTypeName(reference_options.schedule);
+    SCOPED_TRACE(schedule);
+    Phase2Result reference;
+    OpenedEnv ref_env =
+        RunEngineReference(scratch.path() + "dist_ref_" + schedule,
+                           reference_options, &reference);
+    ASSERT_EQ(reference.virtual_iterations,
+              reference_options.max_virtual_iterations);
+    const ExecutionPlan plan = PlanFor(reference_options);
 
-      WorkerFleet fleet;
-      DistributedRunOptions dopts;
-      dopts.num_workers = workers;
-      dopts.spawn_worker = SpawnInProcess(&fleet, env->get());
-      DistributedRunResult result;
-      const Status status =
-          RunDistributedPhase2(&factors, options, dopts, &result);
-      fleet.Join();
-      ASSERT_TRUE(status.ok()) << workers << " workers at depth " << depth
-                               << ": " << status.ToString();
-      ASSERT_EQ(fleet.statuses.size(), static_cast<size_t>(workers));
-      for (const Status& worker_status : fleet.statuses) {
-        EXPECT_TRUE(worker_status.ok()) << worker_status.ToString();
-      }
+    // The fleet's pipelines prefetch at depth 2 on two I/O threads against
+    // the depth-0 engine reference: depth only moves I/O timing, never
+    // bits.
+    for (const int depth : {0, 2}) {
+      for (const int workers : {2, 4}) {
+        TwoPhaseCpOptions options = reference_options;
+        options.prefetch_depth = depth;
+        options.io_threads = 2;
+        const std::string root = scratch.path() + "dist_" + schedule + "_w" +
+                                 std::to_string(workers) + "_d" +
+                                 std::to_string(depth);
+        auto env = OpenEnv("posix://" + root);
+        ASSERT_TRUE(env.ok()) << env.status().ToString();
+        PreparePhase1Store(env->get(), options);
+        BlockFactorStore factors(env->get(), "f", grid, options.rank);
 
-      // Engine-equivalent result, bit for bit; a clean run reports no
-      // recovery activity.
-      ExpectPhase2Equal(result.phase2, reference);
-      EXPECT_EQ(result.plan_fingerprint, plan.fingerprint());
-      EXPECT_EQ(result.respawns, 0);
-      EXPECT_EQ(result.degrades, 0);
-      EXPECT_EQ(result.final_workers, workers);
-      EXPECT_FALSE(result.finished_single_process);
-      EXPECT_EQ(result.wasted_bytes, 0u);
-      // Mode-centric waves keep every worker busy every wave: nothing can
-      // be deferred, so the pipelined exchange relays everything at once.
-      EXPECT_EQ(result.overlapped_bytes, 0u);
-      EXPECT_EQ(result.hidden_seconds, 0.0);
-      ExpectFactorsBitIdentical(ref_env.get(), env->get(), options.rank);
+        WorkerFleet fleet;
+        DistributedRunOptions dopts;
+        dopts.num_workers = workers;
+        dopts.spawn_worker = SpawnInProcess(&fleet, env->get());
+        DistributedRunResult result;
+        const Status status =
+            RunDistributedPhase2(&factors, options, dopts, &result);
+        fleet.Join();
+        ASSERT_TRUE(status.ok()) << workers << " workers at depth " << depth
+                                 << ": " << status.ToString();
+        ASSERT_EQ(fleet.statuses.size(), static_cast<size_t>(workers));
+        for (const Status& worker_status : fleet.statuses) {
+          EXPECT_TRUE(worker_status.ok()) << worker_status.ToString();
+        }
 
-      // The byte ledger: what the coordinator counted on the wire equals
-      // what DistributedPlan predicted, exactly, per worker.
-      ASSERT_EQ(result.measured.size(), static_cast<size_t>(workers));
-      ExpectLedgerExact(result);
-      for (int w = 0; w < workers; ++w) {
-        // The run did move data: every worker uploaded something at some
-        // persist boundary unless it owns nothing (possible only when
-        // workers > partitions, not the case here).
-        EXPECT_GT(result.measured[static_cast<size_t>(w)].up_bytes +
-                      result.measured[static_cast<size_t>(w)].down_bytes,
-                  0u);
+        // Engine-equivalent result, bit for bit; a clean run reports no
+        // recovery activity.
+        ExpectPhase2Equal(result.phase2, reference);
+        EXPECT_EQ(result.plan_fingerprint, plan.fingerprint());
+        EXPECT_EQ(result.respawns, 0);
+        EXPECT_EQ(result.degrades, 0);
+        EXPECT_EQ(result.final_workers, workers);
+        EXPECT_FALSE(result.finished_single_process);
+        EXPECT_EQ(result.wasted_bytes, 0u);
+        ExpectFactorsBitIdentical(ref_env.get(), env->get(), options.rank);
+
+        // The byte ledger: what the coordinator counted on the wire equals
+        // what DistributedPlan predicted, exactly, per worker.
+        ASSERT_EQ(result.measured.size(), static_cast<size_t>(workers));
+        ExpectLedgerExact(result);
+        for (int w = 0; w < workers; ++w) {
+          // The run did move data: every worker uploaded something at some
+          // persist boundary unless it owns nothing (possible only when
+          // workers > partitions, not the case here).
+          EXPECT_GT(result.measured[static_cast<size_t>(w)].up_bytes +
+                        result.measured[static_cast<size_t>(w)].down_bytes,
+                    0u);
+        }
       }
     }
   }
@@ -730,9 +772,7 @@ TEST(DistPhase2Test, DeadAbsorbPruningShrinksLedgerAndPreservesMath) {
   // so most images die before anyone reads them — the pruning win the
   // mode-centric tests cannot show (there every image is fit-live and the
   // existing hand-count ledger tests pin the no-op).
-  TwoPhaseCpOptions options = DistOptions();
-  options.schedule = ScheduleType::kFiberOrder;
-  options.max_virtual_iterations = 2;
+  const TwoPhaseCpOptions options = FiberOrderOptions();
 
   Phase2Result reference;
   OpenedEnv ref_env =
@@ -784,69 +824,16 @@ TEST(DistPhase2Test, DeadAbsorbPruningShrinksLedgerAndPreservesMath) {
       << "fiber-order run relayed every image — pruning did nothing";
 }
 
-/// Fiber-order options: singleton waves whose live images the liveness
-/// analysis can actually defer — mode-centric waves keep every worker
-/// busy every wave, so the pipeline has nothing to defer there.
-TwoPhaseCpOptions OverlapOptions() {
-  TwoPhaseCpOptions options = DistOptions();
-  options.schedule = ScheduleType::kFiberOrder;
-  options.max_virtual_iterations = 2;
-  return options;
-}
-
-TEST(DistPhase2Test, OverlapPipelineBitIdenticalAndExactLedger) {
+TEST(DistPhase2Test, FiberOrderSupervisorRecoveryBitIdentical) {
   const ScratchDir scratch;
-  const TwoPhaseCpOptions options = OverlapOptions();
+  // A worker dies mid-vi on a fiber-order plan: the supervisor must tear
+  // down, roll the ledger back to the vi-0 checkpoint, and replay
+  // byte-identically.
+  const TwoPhaseCpOptions options = FiberOrderOptions();
 
   Phase2Result reference;
   OpenedEnv ref_env =
-      RunEngineReference(scratch.path() + "dist_overlap_ref",
-                         options, &reference);
-  const GridPartition grid = TestGrid();
-
-  for (const int workers : {2, 4}) {
-    SCOPED_TRACE(std::to_string(workers) + " workers");
-    const std::string root =
-        scratch.path() + "dist_overlap_w" + std::to_string(workers);
-    auto env = OpenEnv("posix://" + root);
-    ASSERT_TRUE(env.ok()) << env.status().ToString();
-    PreparePhase1Store(env->get(), options);
-    BlockFactorStore factors(env->get(), "f", grid, options.rank);
-
-    WorkerFleet fleet;
-    DistributedRunOptions dopts;
-    dopts.num_workers = workers;
-    dopts.spawn_worker = SpawnInProcess(&fleet, env->get());
-    DistributedRunResult result;
-    const Status status =
-        RunDistributedPhase2(&factors, options, dopts, &result);
-    fleet.Join();
-    ASSERT_TRUE(status.ok()) << status.ToString();
-    for (const Status& worker_status : fleet.statuses) {
-      EXPECT_TRUE(worker_status.ok()) << worker_status.ToString();
-    }
-
-    // The pipeline is pure latency hiding: identical math, identical
-    // wire ledger — only the telemetry shows the deferral happened.
-    ExpectPhase2Equal(result.phase2, reference);
-    ExpectFactorsBitIdentical(ref_env.get(), env->get(), options.rank);
-    ExpectLedgerExact(result);
-    EXPECT_GT(result.overlapped_bytes, 0u)
-        << "fiber-order run deferred nothing — the pipeline idled";
-    EXPECT_GE(result.hidden_seconds, 0.0);
-  }
-}
-
-TEST(DistPhase2Test, OverlapSupervisorRecoveryBitIdentical) {
-  const ScratchDir scratch;
-  // A worker dies mid-pipelined-wave (deferred relays in flight): the
-  // supervisor must tear down, roll the ledger — including the overlap
-  // telemetry — back to the vi-0 checkpoint, and replay byte-identically.
-  const TwoPhaseCpOptions options = OverlapOptions();
-
-  Phase2Result reference;
-  OpenedEnv ref_env =
-      RunEngineReference(scratch.path() + "dist_overlap_crash_ref",
+      RunEngineReference(scratch.path() + "dist_fo_crash_ref",
                          options, &reference);
 
   const ExecutionPlan plan = PlanFor(options);
@@ -865,7 +852,7 @@ TEST(DistPhase2Test, OverlapSupervisorRecoveryBitIdentical) {
   ASSERT_GE(crash_pos, 0);
 
   const GridPartition grid = TestGrid();
-  auto env = OpenEnv("posix://" + scratch.path() + "dist_overlap_crash");
+  auto env = OpenEnv("posix://" + scratch.path() + "dist_fo_crash");
   ASSERT_TRUE(env.ok()) << env.status().ToString();
   PreparePhase1Store(env->get(), options);
   BlockFactorStore factors(env->get(), "f", grid, options.rank);
@@ -889,7 +876,6 @@ TEST(DistPhase2Test, OverlapSupervisorRecoveryBitIdentical) {
   EXPECT_EQ(result.respawns, 1);
   EXPECT_EQ(result.degrades, 0);
   EXPECT_GT(result.wasted_bytes, 0u);
-  EXPECT_GT(result.overlapped_bytes, 0u);
   EXPECT_TRUE(LogsContain(logs, "respawning fleet of 2"));
 
   ExpectPhase2Equal(result.phase2, reference);
@@ -897,35 +883,38 @@ TEST(DistPhase2Test, OverlapSupervisorRecoveryBitIdentical) {
   ExpectLedgerExact(result);
 }
 
-TEST(DistPhase2Test, OverlapChaosDisconnectMidRelayRecoversExactly) {
+TEST(DistPhase2Test, ChaosDisconnectMidRelayRecoversExactly) {
   const ScratchDir scratch;
-  // A disconnect landing while the previous wave's deferred image set is
-  // mid-relay: the half-relayed bytes were already counted on the wire,
-  // so the rollback must move exactly them (plus the rest of the attempt
-  // past its checkpoint) into wasted_bytes, keeping the committed ledger
-  // exact — and the replay must stay bit-identical.
-  const TwoPhaseCpOptions options = OverlapOptions();
+  // A disconnect landing while a wave's absorbs are being relayed: the
+  // bytes relayed so far were already counted on the wire, so the
+  // rollback must move exactly them (plus the rest of the attempt past its
+  // checkpoint) into wasted_bytes, keeping the committed ledger exact —
+  // and the replay must stay bit-identical.
+  const TwoPhaseCpOptions options = FiberOrderOptions();
 
   Phase2Result reference;
   OpenedEnv ref_env =
-      RunEngineReference(scratch.path() + "dist_overlap_chaos_ref",
+      RunEngineReference(scratch.path() + "dist_fo_chaos_ref",
                          options, &reference);
   const GridPartition grid = TestGrid();
 
-  auto env = OpenEnv("posix://" + scratch.path() + "dist_overlap_chaos");
+  auto env = OpenEnv("posix://" + scratch.path() + "dist_fo_chaos");
   ASSERT_TRUE(env.ok()) << env.status().ToString();
   PreparePhase1Store(env->get(), options);
   BlockFactorStore factors(env->get(), "f", grid, options.rank);
 
+  // Worker 1's first absorb of vi 1: past the vi-0 checkpoint, inside
+  // that wave's relay.
+  const ExecutionPlan plan = PlanFor(options);
+  const int64_t at_frame = FirstAbsorbRecvFrame(
+      plan, DistributedPlan(&plan, options.rank, 2), /*worker=*/1, /*vi=*/1);
+  ASSERT_GE(at_frame, 0);
+
   WorkerFleet fleet;
   SpawnFaults faults;
   faults.chaos_worker = 1;
-  // Worker-1 recv frames: 0 init, then waves and relayed absorbs. On
-  // fiber-order, the absorbs arriving while a wave computes
-  // are exactly the deferred ones — index 8 lands the disconnect in that
-  // stream, mid-run.
   faults.chaos.events.push_back(
-      {ChaosEvent::Op::kDisconnect, ChaosEvent::Dir::kRecv, 8, 0});
+      {ChaosEvent::Op::kDisconnect, ChaosEvent::Dir::kRecv, at_frame, 0});
   std::vector<std::string> logs;
   DistributedRunOptions dopts;
   dopts.num_workers = 2;
@@ -944,7 +933,6 @@ TEST(DistPhase2Test, OverlapChaosDisconnectMidRelayRecoversExactly) {
   // The severed attempt had relayed bytes (possibly half an image set);
   // they rolled into wasted_bytes, not the committed ledger.
   EXPECT_GT(result.wasted_bytes, 0u);
-  EXPECT_GT(result.overlapped_bytes, 0u);
 
   ExpectPhase2Equal(result.phase2, reference);
   ExpectFactorsBitIdentical(ref_env.get(), env->get(), options.rank);
@@ -1148,7 +1136,7 @@ TEST(DistPhase2Test, SkewedStoreFleetSizesBitIdentical) {
   auto skew = GridPartition::Create(Shape({2 * kDim, kDim, kDim}),
                                     {1, kParts, kParts});
   ASSERT_TRUE(skew.ok()) << skew.status().ToString();
-  TwoPhaseCpOptions options = OverlapOptions();
+  const TwoPhaseCpOptions options = FiberOrderOptions();
 
   Phase2Result reference;
   OpenedEnv ref_env =

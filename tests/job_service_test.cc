@@ -543,7 +543,6 @@ TEST(JobServiceTest, SharedBudgetsCapPerJobSettings) {
   JobServiceOptions service_options;
   service_options.num_workers = 2;
   service_options.total_threads = 4;
-  service_options.total_buffer_bytes = 1 << 20;
   JobService service(service_options);
   JobSpec spec = SpecFor(env.get());
   spec.options.num_threads = 16;  // capped to 2 inside the worker

@@ -33,10 +33,10 @@
 //       grep it. With --workers=N the cluster simulator adds per-worker
 //       ownership ("dist:"), predicted swaps / exchange bytes / transfer
 //       seconds per virtual iteration ("cluster:", priced by the link
-//       flags) and the pipelined-vs-barrier wall-clock
-//       ("cluster-overlap:"). --workers=auto searches N=1..8, one
+//       flags) and the fleet's wall-clock per virtual iteration
+//       ("cluster-wall:"). --workers=auto searches N=1..8, one
 //       "cluster-auto:" row each plus the fleet size with the cheapest
-//       pipelined wall-clock.
+//       wall-clock.
 //
 //   tpcp_tool dist      <dir|uri> [options] [--workers=2]
 //                       [--heartbeat-ms=1000] [--max-respawns=2]
@@ -51,9 +51,8 @@
 //       via heartbeats, respawned from the last checkpoint up to
 //       --max-respawns times, then the run degrades per --degrade (shed
 //       the worker, or finish in-process); recovery lines print to
-//       stdout ("dist: worker N failed ..."). The wave relay is pipelined
-//       into the next wave's compute window; when any relay was hidden
-//       that way, its volume prints as an "overlap:" line.
+//       stdout ("dist: worker N failed ..."). Every wave ends at a
+//       barrier that relays its images before the next wave starts.
 //       Needs a store worker processes can open — not mem://.
 //       `dist-worker` is the internal worker entry point.
 //
@@ -588,7 +587,7 @@ int Plan(int argc, char** argv) {
   }
   FlagReader flags(args);
   const int64_t plan_waves = flags.Int("plan-waves", 8, 0);
-  // --workers=auto searches fleet sizes with the pipelined simulator
+  // --workers=auto searches fleet sizes with the cluster simulator
   // instead of pricing one explicit N.
   const bool workers_auto = flags.Text("workers", "") == "auto";
   const int64_t workers = workers_auto ? 0 : flags.Int("workers", 0, 0, 64);
@@ -640,28 +639,24 @@ int Plan(int argc, char** argv) {
                     .ToString()
                     .c_str());
   } else if (workers_auto) {
-    // Fleet-size search: price every N, pick the cheapest pipelined
-    // per-vi wall-clock. N=1 is the degenerate single-worker fleet — the comparison floor.
+    // Fleet-size search: price every N, pick the cheapest per-vi
+    // wall-clock. N=1 is the degenerate single-worker fleet — the
+    // comparison floor.
     int best = 0;
     double best_seconds = 0.0;
     for (int n = 1; n <= 8; ++n) {
       const DistributedPlan dplan(&plan, options.rank, n);
       csim.num_workers = n;
-      const ClusterOverlapCost cost =
-          SimulateClusterOverlap(dplan, options.rank, csim);
-      const double seconds = cost.pipelined_seconds_per_vi;
-      std::printf("cluster-auto: workers=%d barrier_s/vi=%.6f "
-                  "pipelined_s/vi=%.6f hidden_s/vi=%.6f\n",
-                  n, cost.barrier_seconds_per_vi,
-                  cost.pipelined_seconds_per_vi,
-                  cost.hidden_seconds_per_vi);
+      const double seconds =
+          SimulateClusterOverlap(dplan, options.rank, csim)
+              .pipelined_seconds_per_vi;
+      std::printf("cluster-auto: workers=%d wall_s/vi=%.6f\n", n, seconds);
       if (best == 0 || seconds < best_seconds) {
         best = n;
         best_seconds = seconds;
       }
     }
-    std::printf("cluster-auto: chosen workers=%d predicted_s/vi=%.6f "
-                "(pipelined)\n",
+    std::printf("cluster-auto: chosen workers=%d predicted_s/vi=%.6f\n",
                 best, best_seconds);
   }
   return 0;
@@ -1163,12 +1158,6 @@ int Dist(int argc, char** argv) {
                 "%s wasted\n",
                 dist.respawns, dist.degrades, finish.c_str(),
                 HumanBytes(dist.wasted_bytes).c_str());
-  }
-  if (dist.overlapped_bytes > 0) {
-    std::printf("  overlap: relayed %s inside compute windows (hid "
-                "%.3fs)\n",
-                HumanBytes(dist.overlapped_bytes).c_str(),
-                dist.hidden_seconds);
   }
   for (int w = 0; w < fleet.num_workers; ++w) {
     const WorkerTraffic& t = dist.measured[static_cast<size_t>(w)];
