@@ -80,8 +80,8 @@ struct ClusterSimConfig {
   /// No effect; removed with perfbench's assignment.
   bool overlap = false;
   /// Compute seconds per plan step (factor update + exchange encode) and
-  /// per buffer swap (unit load from the store) — the knobs that place
-  /// compute against comm in the per-wave max. Defaults are loose
+  /// per buffer swap (unit load from the store) — the compute term each
+  /// wave adds to its link-priced relay. Defaults are loose
   /// commodity-disk estimates; calibrate for real predictions.
   double seconds_per_step = 200e-6;
   double seconds_per_swap = 2e-3;
