@@ -1,11 +1,12 @@
-// Job vocabulary of the asynchronous decomposition front door.
+// Job vocabulary of the asynchronous decomposition front doors.
 //
 // A *job* is one decomposition — a (storage, solver, options) triple —
-// owned by a JobService (api/job_service.h) from submission to a terminal
-// state. The paper's MapReduce-era baselines inherited the same
-// submit/poll/cancel shape from their cluster schedulers; this header
-// defines the request (JobSpec), the lifecycle (JobState) and the
-// observable snapshot (JobInfo) of ours.
+// run from submission to a terminal state by a JobService
+// (api/job_service.h) or by the tpcpd daemon (server/daemon.h). The
+// paper's MapReduce-era baselines inherited the same submit/poll/cancel
+// shape from their cluster schedulers; this header defines the request
+// (JobSpec), the lifecycle (JobState), the observable snapshot (JobInfo)
+// and the one runner both front doors execute a job with (RunJob).
 //
 // State machine:
 //
@@ -26,11 +27,13 @@
 
 #include <cstdint>
 #include <map>
+#include <mutex>
 #include <string>
 
 #include "api/session.h"
 #include "api/solver.h"
 #include "core/config.h"
+#include "core/progress_observer.h"
 #include "util/status.h"
 
 namespace tpcp {
@@ -61,19 +64,22 @@ inline bool IsTerminal(JobState state) {
 /// and its configuration. Specs are value types — resubmitting a cancelled
 /// job is submitting the same spec again.
 struct JobSpec {
-  /// Storage binding. `session.env`, when set, must outlive the service;
-  /// so must `options.observer`. `options.cancel` is service-owned — any
-  /// caller-provided token is ignored; use JobService::Cancel.
+  /// Storage binding. `session.env`, when set, must outlive the job; so
+  /// must `options.observer`. `options.cancel` is owned by whoever runs
+  /// the job — any caller-provided token is ignored; use the front
+  /// door's Cancel.
   SessionOptions session;
   /// Registry solver name ("2pcp", "naive-oocp", ...).
   std::string solver = "2pcp";
   TwoPhaseCpOptions options;
   /// Solver-specific knobs, forwarded to the solver.
   std::map<std::string, std::string> params;
-  /// When the factor store holds a Phase-2 checkpoint matching this spec
-  /// (same rank and schedule), engage options.resume_phase2 automatically
-  /// so a resubmitted cancelled/crashed job continues instead of
-  /// restarting. Set false to force a fresh run.
+  /// When the factor store holds a Phase-2 checkpoint that the engine's
+  /// resume validator accepts for this spec (same grid, rank, schedule,
+  /// math-shaping options and execution plan), engage
+  /// options.resume_phase2 automatically so a resubmitted cancelled or
+  /// crashed job continues instead of restarting. Set false to force a
+  /// fresh run.
   bool auto_resume = true;
 };
 
@@ -103,14 +109,60 @@ struct JobInfo {
   Status status;
   /// The solver outcome; meaningful only in kSucceeded.
   SolveResult result;
-  /// The service found a Phase-2 checkpoint for this spec and engaged
-  /// resume_phase2 — the run continued instead of restarting.
+  /// The runner found a Phase-2 checkpoint for this spec and engaged
+  /// resume_phase2 — the run continued instead of restarting. Set when
+  /// the run ends.
   bool resumed = false;
   /// Seconds from submission to start, and from start to the terminal
   /// state (0 while not applicable).
   double wait_seconds = 0.0;
   double run_seconds = 0.0;
 };
+
+/// Folds a running job's engine events into its JobProgress under the
+/// owner's lock, then forwards each event to `next` (when set) with no
+/// lock held, so a forwarded callback may call back into the owner
+/// (Cancel, Poll) without deadlocking.
+class JobProgressReporter : public ProgressObserver {
+ public:
+  JobProgressReporter(std::mutex* mu, JobProgress* progress,
+                      ProgressObserver* next)
+      : mu_(mu), progress_(progress), next_(next) {}
+  JobProgressReporter(const JobProgressReporter&) = delete;
+  JobProgressReporter& operator=(const JobProgressReporter&) = delete;
+
+  void OnPhase1BlockDone(int64_t done, int64_t total,
+                         double block_fit) override;
+  void OnPhase1Done(double seconds, double mean_block_fit) override;
+  void OnVirtualIteration(int iteration, double surrogate_fit,
+                          uint64_t swap_ins) override;
+  void OnPhase2Done(int virtual_iterations, bool converged,
+                    double surrogate_fit, const BufferStats& stats) override;
+
+ private:
+  std::mutex* mu_;
+  JobProgress* progress_;
+  ProgressObserver* next_;
+};
+
+/// What one run of a job ended with.
+struct JobOutcome {
+  /// OK, Status::Cancelled, or the error that failed the run.
+  Status status;
+  /// The solver outcome; meaningful only when status is OK.
+  SolveResult result;
+  /// The run continued from a Phase-2 checkpoint (JobSpec::auto_resume).
+  bool resumed = false;
+};
+
+/// Runs `spec` on the calling thread, blocking until it ends: opens its
+/// Session, engages resume_phase2 when auto_resume finds a checkpoint the
+/// engine's validator accepts (one it refuses with FailedPrecondition
+/// runs fresh; any other validator error fails the run), and decomposes
+/// under `cancel` and `observer`, which replace the spec's own and must
+/// outlive the call.
+JobOutcome RunJob(JobSpec spec, CancellationToken* cancel,
+                  ProgressObserver* observer);
 
 }  // namespace tpcp
 

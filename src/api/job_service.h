@@ -18,25 +18,22 @@
 // Cancelled (or crashed-after-checkpoint) two-phase jobs leave their
 // factor store resumable; resubmitting the same spec finds the
 // Phase2Checkpoint in the store manifest and continues the refinement
-// (JobSpec::auto_resume). Each job runs Session::Decompose on a worker
-// thread, so the service adds scheduling, not a second engine.
+// (JobSpec::auto_resume). Each job runs RunJob (api/job.h) — the runner
+// the tpcpd daemon uses too — as a task on a FIFO ThreadPool, so the
+// service adds a queue and snapshots, not a second engine.
 
 #ifndef TPCP_API_JOB_SERVICE_H_
 #define TPCP_API_JOB_SERVICE_H_
 
 #include <condition_variable>
-#include <cstdint>
-#include <deque>
-#include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
-#include <thread>
 #include <vector>
 
 #include "api/job.h"
 #include "core/cancellation.h"
+#include "parallel/thread_pool.h"
 #include "util/status.h"
 #include "util/stopwatch.h"
 
@@ -54,15 +51,6 @@ struct JobServiceOptions {
   /// thread-count-independent, so a budget-limited run stays bit-identical
   /// to an unlimited one. 0 leaves per-job settings untouched.
   int total_threads = 0;
-  /// State-change callback, invoked with a snapshot after every observable
-  /// transition (queued→running, running→terminal, queued→cancelled) with
-  /// no service lock held. Called from worker threads and from whichever
-  /// thread retired a queued job via Cancel; calls are not globally
-  /// ordered across jobs. The callback may call Submit/Poll/List/Cancel on
-  /// this service, but not Await (it could be running on the worker whose
-  /// job the wait needs). Must outlive the service; note that the
-  /// destructor's CancelAll still fires it.
-  std::function<void(const JobInfo&)> on_transition;
 };
 
 /// Runs decomposition jobs on a fixed worker pool. Thread-safe; all
@@ -119,14 +107,6 @@ class JobService {
   /// Cancels every queued and running job.
   void CancelAll();
 
-  /// Drops a terminal job's record (its spec and result): later Poll,
-  /// Await and Cancel calls return NotFound and List leaves it out. An
-  /// Await already waiting on the job still returns its final snapshot.
-  /// NotFound for an unknown id, FailedPrecondition for a job that is
-  /// not terminal. A long-lived caller that keeps its own record of
-  /// finished jobs calls this so the service does not keep a second copy.
-  Status Forget(JobId id);
-
   const JobServiceOptions& options() const { return options_; }
 
  private:
@@ -143,33 +123,25 @@ class JobService {
     double run_seconds = 0.0;
     CancellationToken token;
   };
-  class Reporter;
 
-  void WorkerLoop();
-  /// Executes `job` on the calling worker thread (no service lock held)
-  /// and returns the snapshot taken as it turned terminal; the worker
-  /// must not touch `job` afterwards, since Forget may erase it.
-  JobInfo Execute(Job* job);
+  /// The pool task of `job`: runs it on the calling worker thread (no
+  /// service lock held) unless it was cancelled while queued.
+  void Run(Job* job);
   /// Builds the public snapshot; callers hold mu_.
   JobInfo Snapshot(const Job& job) const;
   /// List() with an optional state filter; takes mu_.
   std::vector<JobInfo> ListFiltered(std::optional<JobState> filter) const;
-  /// Invokes options_.on_transition (if set) with `info`. Callers must NOT
-  /// hold mu_.
-  void NotifyTransition(const JobInfo& info);
 
   const JobServiceOptions options_;
 
   mutable std::mutex mu_;
-  std::condition_variable work_cv_;   // workers: queue non-empty / shutdown
-  std::condition_variable done_cv_;   // Await: some job turned terminal
-  std::deque<JobId> queue_;
-  // Shared so an Await can keep a job it waits on past Forget.
-  std::map<JobId, std::shared_ptr<Job>> jobs_;
+  std::condition_variable done_cv_;  // Await: some job turned terminal
+  std::map<JobId, Job> jobs_;
   JobId next_id_ = 1;
   bool shutdown_ = false;
 
-  std::vector<std::thread> workers_;
+  // Last: destroyed (joined) first, while the jobs its tasks touch live.
+  ThreadPool pool_;
 };
 
 }  // namespace tpcp

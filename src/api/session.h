@@ -94,9 +94,9 @@ class Session {
   /// options.resume_phase2 set, the existing factor store (and any
   /// Phase-2 checkpoint in its manifest) is kept and continued instead.
   /// `params` passes solver-specific knobs; unknown names are
-  /// InvalidArgument. options.cancel stops the run. JobService workers
-  /// (api/job_service.h) call this for poll/cancel/resume control over
-  /// long-running or concurrent work.
+  /// InvalidArgument. options.cancel stops the run. RunJob (api/job.h)
+  /// calls this for the JobService's and tpcpd's jobs, which add
+  /// poll/cancel/resume control over long-running or concurrent work.
   Result<SolveResult> Decompose(
       const std::string& solver, const TwoPhaseCpOptions& options,
       const std::map<std::string, std::string>& params = {});

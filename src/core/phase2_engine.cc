@@ -44,6 +44,12 @@ PlannerOptions Phase2PlannerOptions(const TwoPhaseCpOptions& options,
   return planner_options;
 }
 
+ExecutionPlan BuildPhase2Plan(const TwoPhaseCpOptions& options,
+                              const GridPartition& grid) {
+  return Planner::Build(UpdateSchedule::Create(options.schedule, grid),
+                        Phase2PlannerOptions(options, grid));
+}
+
 namespace {
 
 /// The one checkpoint-resume validator (Phase2Progress::Load). Returns
@@ -223,9 +229,7 @@ Status Phase2Engine::Run(Phase2Result* result) {
   // the schedule. Without reordering this is the identity plan — the
   // source order — so such runs are bit-identical to the pre-planner
   // engine.
-  const ExecutionPlan plan =
-      Planner::Build(UpdateSchedule::Create(options_.schedule, grid),
-                     Phase2PlannerOptions(options_, grid));
+  const ExecutionPlan plan = BuildPhase2Plan(options_, grid);
   const UpdateSchedule& schedule = plan.schedule();
 
   // The compute pool serves batch updates and the full-grid passes

@@ -54,6 +54,13 @@ namespace tpcp {
 PlannerOptions Phase2PlannerOptions(const TwoPhaseCpOptions& options,
                                     const GridPartition& grid);
 
+/// The plan a Phase-2 run under `options` over `grid` executes:
+/// `options.schedule` planned with Phase2PlannerOptions. The engine, a
+/// dist coordinator and its workers, and a job's resume check all build
+/// it here, so they agree on its fingerprint.
+ExecutionPlan BuildPhase2Plan(const TwoPhaseCpOptions& options,
+                              const GridPartition& grid);
+
 /// The Phase-2 machinery one refinement executes `plan` with, wired the
 /// one way the engine and a dist worker (dist/worker.h) both use: a
 /// compute pool (none at compute_threads 1) → a RefinementState over

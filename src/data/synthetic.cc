@@ -122,20 +122,6 @@ Status GenerateLowRankIntoStore(const LowRankSpec& spec,
   return store->Generate([&gen](const Index& index) { return gen(index); });
 }
 
-SparseTensor MakeUniformSparseTensor(const Shape& shape, int64_t nnz,
-                                     uint64_t seed) {
-  Rng rng(seed);
-  SparseTensor out(shape);
-  std::set<int64_t> used;
-  while (static_cast<int64_t>(used.size()) < nnz) {
-    const int64_t linear = static_cast<int64_t>(
-        rng.NextUint64(static_cast<uint64_t>(shape.NumElements())));
-    if (!used.insert(linear).second) continue;
-    out.Add(shape.MultiIndex(linear), rng.NextDouble(0.5, 5.0));
-  }
-  return out;
-}
-
 SparseTensor MakePowerLawSparseTensor(const Shape& shape, int64_t nnz,
                                       double skew, uint64_t seed) {
   Rng rng(seed);

@@ -29,10 +29,6 @@ DenseTensor MakeLowRankTensor(const LowRankSpec& spec);
 Status GenerateLowRankIntoStore(const LowRankSpec& spec,
                                 BlockTensorStore* store);
 
-/// Sparse tensor with `nnz` non-zeros at uniform coordinates and values.
-SparseTensor MakeUniformSparseTensor(const Shape& shape, int64_t nnz,
-                                     uint64_t seed);
-
 /// Sparse tensor with power-law (Zipf-like) marginals per mode — the
 /// skewed, block-density-variable pattern of social/trust datasets.
 SparseTensor MakePowerLawSparseTensor(const Shape& shape, int64_t nnz,

@@ -522,10 +522,7 @@ Status RunDistributedPhase2(BlockFactorStore* factors,
 
   // The coordinator's plan is the run's identity; every worker rebuilds it
   // from the init options and must fingerprint identically.
-  const UpdateSchedule source_schedule =
-      UpdateSchedule::Create(options.schedule, grid);
-  const PlannerOptions planner_options = Phase2PlannerOptions(options, grid);
-  const ExecutionPlan plan = Planner::Build(source_schedule, planner_options);
+  const ExecutionPlan plan = BuildPhase2Plan(options, grid);
 
   // Every coordinator write and read goes through one retrying store, so
   // a transient storage fault never reaches the protocol.

@@ -13,7 +13,6 @@
 
 #include "core/phase2_engine.h"
 #include "dist/exchange.h"
-#include "schedule/planner.h"
 #include "server/net.h"
 #include "storage/overlay_env.h"
 #include "storage/retry_env.h"
@@ -239,9 +238,7 @@ Status ServeDistWorker(Env* base_env, const std::string& factor_prefix,
   std::unique_ptr<Env> overlay = NewOverlayEnv(&retry_base);
   BlockFactorStore store(overlay.get(), factor_prefix, grid, options.rank);
 
-  const ExecutionPlan plan =
-      Planner::Build(UpdateSchedule::Create(options.schedule, grid),
-                     Phase2PlannerOptions(options, grid));
+  const ExecutionPlan plan = BuildPhase2Plan(options, grid);
   const DistributedPlan dplan(&plan, options.rank,
                               static_cast<int>(num_workers));
   const auto owned = [&dplan, worker_id](int64_t pos) {

@@ -99,10 +99,6 @@ Result<SparseTensor> BlockTensorStore::ReadBlockSparse(
   return SparseTensor::FromDense(dense.value());
 }
 
-bool BlockTensorStore::HasBlock(const BlockIndex& block) const {
-  return env_->FileExists(BlockFileName(block));
-}
-
 Status BlockTensorStore::ImportTensor(const DenseTensor& tensor) {
   if (tensor.shape() != grid_.tensor_shape()) {
     return Status::InvalidArgument("tensor shape does not match grid");
@@ -113,15 +109,6 @@ Status BlockTensorStore::ImportTensor(const DenseTensor& tensor) {
     TPCP_RETURN_IF_ERROR(WriteBlock(block, chunk));
   }
   return Status::OK();
-}
-
-Result<DenseTensor> BlockTensorStore::ExportTensor() const {
-  DenseTensor out(grid_.tensor_shape());
-  for (const BlockIndex& block : grid_.AllBlocks()) {
-    TPCP_ASSIGN_OR_RETURN(DenseTensor chunk, ReadBlock(block));
-    out.SetSlice(grid_.BlockOffsets(block), chunk);
-  }
-  return out;
 }
 
 Status BlockTensorStore::Generate(

@@ -68,14 +68,8 @@ class BlockTensorStore {
   /// regardless of the store's format.
   Result<SparseTensor> ReadBlockSparse(const BlockIndex& block) const;
 
-  /// True if the block has been written.
-  bool HasBlock(const BlockIndex& block) const;
-
   /// Partitions a fully materialized tensor into the store.
   Status ImportTensor(const DenseTensor& tensor);
-
-  /// Reassembles the full tensor (use only when it fits in memory).
-  Result<DenseTensor> ExportTensor() const;
 
   /// Streams blocks generated cell-by-cell by `gen(global_index)` into the
   /// store without ever materializing the whole tensor — the path used to

@@ -3,8 +3,6 @@
 #include <cmath>
 #include <vector>
 
-#include "util/random.h"
-
 namespace tpcp {
 
 QrResult QrFactor(const Matrix& a) {
@@ -67,14 +65,6 @@ QrResult QrFactor(const Matrix& a) {
     for (int64_t j = i; j < n; ++j) out.r(i, j) = r(i, j);
   }
   return out;
-}
-
-Matrix RandomOrthonormal(int64_t m, int64_t n, uint64_t seed) {
-  TPCP_CHECK_GE(m, n);
-  Rng rng(seed);
-  Matrix g(m, n);
-  for (int64_t i = 0; i < g.size(); ++i) g.data()[i] = rng.NextGaussian();
-  return QrFactor(g).q;
 }
 
 }  // namespace tpcp

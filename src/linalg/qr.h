@@ -1,5 +1,4 @@
-// Householder QR, used for orthonormal random initialization and for
-// numerically robust least-squares in tests.
+// Householder QR.
 
 #ifndef TPCP_LINALG_QR_H_
 #define TPCP_LINALG_QR_H_
@@ -16,10 +15,6 @@ struct QrResult {
 
 /// Thin Householder QR. CHECK-fails if a.rows() < a.cols().
 QrResult QrFactor(const Matrix& a);
-
-/// Returns an m x n matrix with orthonormal columns (m >= n), built by
-/// QR-factoring a Gaussian random matrix drawn from `seed`.
-Matrix RandomOrthonormal(int64_t m, int64_t n, uint64_t seed);
 
 }  // namespace tpcp
 

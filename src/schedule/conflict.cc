@@ -6,10 +6,6 @@
 
 namespace tpcp {
 
-bool StepsConflictFree(const UpdateStep& a, const UpdateStep& b) {
-  return a.mode == b.mode && !(a.unit() == b.unit());
-}
-
 ConflictAnalysis::ConflictAnalysis(const UpdateSchedule& schedule) {
   const std::vector<UpdateStep>& cycle = schedule.cycle();
   cycle_length_ = schedule.cycle_length();

@@ -76,11 +76,6 @@ class ConflictAnalysis {
   int64_t max_batch_size_ = 0;
 };
 
-/// True when the two steps can run concurrently with bit-identical
-/// results: same mode, different partitions (see the file comment for why
-/// this is exact, not conservative).
-bool StepsConflictFree(const UpdateStep& a, const UpdateStep& b);
-
 }  // namespace tpcp
 
 #endif  // TPCP_SCHEDULE_CONFLICT_H_

@@ -76,12 +76,7 @@ Status Tpcpd::Init(TpcpdOptions options) {
 
   Recover();
 
-  JobServiceOptions service_options;
-  service_options.num_workers = options_.max_running_jobs;
-  service_options.on_transition = [this](const JobInfo& info) {
-    OnServiceTransition(info);
-  };
-  service_ = std::make_unique<JobService>(service_options);
+  pool_ = std::make_unique<ThreadPool>(options_.max_running_jobs);
   scheduler_ = std::thread([this] { SchedulerLoop(); });
   LogLine("tpcpd: serving " + std::to_string(tenants_.size()) +
           " tenant(s), totals " + HumanBytes(options_.total_buffer_bytes) +
@@ -94,13 +89,17 @@ Tpcpd::~Tpcpd() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     shutdown_ = true;
+    // Each running job winds down at its next vi boundary with a
+    // checkpoint, and its task parks it as preempted in the persisted
+    // state (neither a cancel nor a preemption was requested).
+    for (auto& [id, job] : jobs_) {
+      if (job.running) job.token.Cancel();
+    }
   }
   sched_cv_.notify_all();
   if (scheduler_.joinable()) scheduler_.join();
-  // The service destructor cancels running jobs; each winds down at its
-  // next vi boundary with a checkpoint, and OnServiceTransition (seeing
-  // shutdown_) re-queues it as preempted in the persisted state.
-  service_.reset();
+  // Joined without mu_ held: the tasks take it for their bookkeeping.
+  pool_.reset();
   LogLine("tpcpd: stopped");
 }
 
@@ -148,11 +147,10 @@ void Tpcpd::Recover() {
               " (tenant " + record.tenant + ", " +
               ServerJobStateName(record.state) + ")");
     }
-    ServerJob job;
+    ServerJob& job = jobs_[record.id];
     job.record = std::move(record);
     job.budget.buffer_bytes = job.record.budget_buffer_bytes;
     job.budget.threads = job.record.budget_threads;
-    jobs_[job.record.id] = std::move(job);
   }
   recovered_ = recovered;
   if (recovered > 0) {
@@ -248,28 +246,29 @@ Result<int64_t> Tpcpd::Submit(const SubmitRequest& request) {
     TPCP_RETURN_IF_ERROR(GenerateInput(request, grid, tenant, id));
   }
 
-  ServerJob job;
-  job.record.id = id;
-  job.record.tenant = request.tenant;
-  job.record.name = request.name;
-  job.record.priority = request.priority;
-  job.record.seq = seq;
-  job.record.state = ServerJobState::kQueued;
-  job.record.solver = request.solver;
-  job.record.session_uri =
+  ServerJobRecord record;
+  record.id = id;
+  record.tenant = request.tenant;
+  record.name = request.name;
+  record.priority = request.priority;
+  record.seq = seq;
+  record.state = ServerJobState::kQueued;
+  record.solver = request.solver;
+  record.session_uri =
       tenant->config.storage_uri + "#job-" + std::to_string(id);
-  job.record.budget_buffer_bytes = budget.buffer_bytes;
-  job.record.budget_threads = budget.threads;
-  job.record.options = OptionsToMap(options);
-  job.record.params = request.params;
-  job.budget = budget;
+  record.budget_buffer_bytes = budget.buffer_bytes;
+  record.budget_threads = budget.threads;
+  record.options = OptionsToMap(options);
+  record.params = request.params;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    PersistRecord(job.record);
+    PersistRecord(record);
     LogLine("tpcpd: job " + std::to_string(id) + " (tenant " +
             request.tenant + ", prio " + std::to_string(request.priority) +
             ") admitted");
-    jobs_[id] = std::move(job);
+    ServerJob& job = jobs_[id];
+    job.record = std::move(record);
+    job.budget = budget;
   }
   sched_cv_.notify_all();
   return id;
@@ -285,20 +284,16 @@ Result<ServerJobRecord> Tpcpd::Poll(int64_t id) const {
 }
 
 Result<JobProgress> Tpcpd::Progress(int64_t id) const {
-  // Held across the service poll: OnServiceTransition clears service_id
-  // and forgets the service's job under mu_, so a set id is still there.
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = jobs_.find(id);
   if (it == jobs_.end()) {
     return Status::NotFound("no job " + std::to_string(id));
   }
-  if (it->second.service_id == 0) {
+  if (!it->second.running) {
     return Status::FailedPrecondition("job " + std::to_string(id) +
                                       " is not running");
   }
-  TPCP_ASSIGN_OR_RETURN(const JobInfo info,
-                        service_->Poll(it->second.service_id));
-  return info.progress;
+  return it->second.progress;
 }
 
 Result<ServerJobRecord> Tpcpd::Await(int64_t id, double timeout_seconds) {
@@ -335,7 +330,6 @@ std::vector<ServerJobRecord> Tpcpd::List(const std::string& tenant,
 }
 
 Status Tpcpd::Cancel(int64_t id) {
-  JobId service_id = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = jobs_.find(id);
@@ -345,17 +339,14 @@ Status Tpcpd::Cancel(int64_t id) {
     ServerJob& job = it->second;
     if (IsTerminal(job.record.state)) return Status::OK();
     job.cancel_requested = true;
-    if (job.service_id != 0) {
-      service_id = job.service_id;  // running: cancel lands within one vi
+    if (job.running) {
+      job.token.Cancel();  // lands within one vi
     } else {
       job.record.state = ServerJobState::kCancelled;
       job.record.detail = "cancelled before running";
       PersistRecord(job.record);
       LogLine("tpcpd: job " + std::to_string(id) + " cancelled (queued)");
     }
-  }
-  if (service_id != 0) {
-    TPCP_RETURN_IF_ERROR(service_->Cancel(service_id));
   }
   done_cv_.notify_all();
   sched_cv_.notify_all();
@@ -403,8 +394,6 @@ int64_t Tpcpd::recovered_count() const {
   return recovered_;
 }
 
-size_t Tpcpd::service_job_count() const { return service_->List().size(); }
-
 // ---- scheduler -------------------------------------------------------------
 
 void Tpcpd::SchedulerLoop() {
@@ -431,18 +420,11 @@ void Tpcpd::StartJob(ServerJob* job, Tenant* tenant) {
   spec.solver = job->record.solver;
   spec.options = *options;
   spec.params = job->record.params;
-  spec.auto_resume = true;
-  const Result<JobId> submitted = service_->Submit(std::move(spec));
-  if (!submitted.ok()) {
-    job->record.state = ServerJobState::kFailed;
-    job->record.detail = submitted.status().ToString();
-    PersistRecord(job->record);
-    return;
-  }
   const bool resuming = job->record.state == ServerJobState::kPreempted;
-  job->service_id = *submitted;
+  job->running = true;
+  job->token.Reset();  // no run polls it between runs
+  job->progress = JobProgress();
   job->started_at = std::chrono::steady_clock::now();
-  service_to_job_[*submitted] = job->record.id;
   job->record.state = ServerJobState::kRunning;
   PersistRecord(job->record);
   tenant->usage.Charge(job->budget);
@@ -454,6 +436,9 @@ void Tpcpd::StartJob(ServerJob* job, Tenant* tenant) {
           (resuming ? " resumes (" : " starts (") +
           HumanBytes(job->budget.buffer_bytes) + ", " +
           std::to_string(job->budget.threads) + " threads)");
+  pool_->Submit([this, job, spec = std::move(spec)]() mutable {
+    RunServerJob(job, std::move(spec));
+  });
 }
 
 void Tpcpd::SchedulePass(std::unique_lock<std::mutex>& lock) {
@@ -467,7 +452,7 @@ void Tpcpd::SchedulePass(std::unique_lock<std::mutex>& lock) {
     int top_priority = 0;
     bool any = false;
     for (auto& [id, job] : jobs_) {
-      if (job.service_id != 0 || job.cancel_requested) continue;
+      if (job.running || job.cancel_requested) continue;
       if (job.record.state != ServerJobState::kQueued &&
           job.record.state != ServerJobState::kPreempted) {
         continue;
@@ -523,7 +508,7 @@ void Tpcpd::SchedulePass(std::unique_lock<std::mutex>& lock) {
       ResourceUsage tenant_sim = tenant->usage;
       ResourceUsage total_sim = total_usage_;
       for (const auto& [id, job] : jobs_) {
-        if (job.service_id != 0 &&
+        if (job.running &&
             (job.preempt_requested || job.cancel_requested)) {
           total_sim.Release(job.budget);
           if (job.record.tenant == name) tenant_sim.Release(job.budget);
@@ -537,7 +522,7 @@ void Tpcpd::SchedulePass(std::unique_lock<std::mutex>& lock) {
       // Victims: running, lower priority, youngest first.
       std::vector<ServerJob*> victims;
       for (auto& [id, job] : jobs_) {
-        if (job.service_id == 0 || job.preempt_requested ||
+        if (!job.running || job.preempt_requested ||
             job.cancel_requested) {
           continue;
         }
@@ -572,7 +557,7 @@ void Tpcpd::SchedulePass(std::unique_lock<std::mutex>& lock) {
                   ") preempts job " + std::to_string(victim->record.id) +
                   " (prio " + std::to_string(victim->record.priority) +
                   ")");
-          service_->Cancel(victim->service_id);
+          victim->token.Cancel();
         }
       }
       // Strict priority: while the top-priority candidate is blocked, do
@@ -583,21 +568,16 @@ void Tpcpd::SchedulePass(std::unique_lock<std::mutex>& lock) {
   }
 }
 
-void Tpcpd::OnServiceTransition(const JobInfo& info) {
-  if (!IsTerminal(info.state)) return;
+void Tpcpd::RunServerJob(ServerJob* job, JobSpec spec) {
+  JobProgressReporter reporter(&mu_, &job->progress, nullptr);
+  const JobOutcome outcome = RunJob(std::move(spec), &job->token, &reporter);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    const auto map_it = service_to_job_.find(info.id);
-    if (map_it == service_to_job_.end()) return;
-    const int64_t id = map_it->second;
-    service_to_job_.erase(map_it);
-    const auto job_it = jobs_.find(id);
-    if (job_it == jobs_.end()) return;
-    ServerJob& job = job_it->second;
-    job.service_id = 0;
-    Tenant& tenant = tenants_[job.record.tenant];
-    tenant.usage.Release(job.budget);
-    total_usage_.Release(job.budget);
+    const std::string id = std::to_string(job->record.id);
+    job->running = false;
+    Tenant& tenant = tenants_[job->record.tenant];
+    tenant.usage.Release(job->budget);
+    total_usage_.Release(job->budget);
     // Fair-share accounting: charge this batch's wall time to the tenant
     // with geometric decay of older history. Every terminal transition —
     // success, failure, cancel, preempt — pays; a preempted job that keeps
@@ -605,56 +585,43 @@ void Tpcpd::OnServiceTransition(const JobInfo& info) {
     // a short-job tenant slip in between its slices.
     const double run_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      job.started_at)
+                                      job->started_at)
             .count();
     tenant.consumed_seconds = tenant.consumed_seconds * 0.5 + run_seconds;
-    job.record.resumed = info.resumed;
-    job.record.fit = info.progress.fit;
-    switch (info.state) {
-      case JobState::kSucceeded:
-        job.record.state = ServerJobState::kSucceeded;
-        job.record.fit = info.result.surrogate_fit;
-        LogLine("tpcpd: job " + std::to_string(id) + " succeeded (fit " +
-                std::to_string(info.result.surrogate_fit) + ", vi " +
-                std::to_string(info.result.virtual_iterations) +
-                (info.resumed ? ", resumed)" : ")"));
-        break;
-      case JobState::kFailed:
-        job.record.state = ServerJobState::kFailed;
-        job.record.detail = info.status.ToString();
-        LogLine("tpcpd: job " + std::to_string(id) + " failed: " +
-                info.status.ToString());
-        break;
-      case JobState::kCancelled:
-        if (job.cancel_requested) {
-          job.record.state = ServerJobState::kCancelled;
-          job.record.detail = "cancelled";
-          LogLine("tpcpd: job " + std::to_string(id) + " cancelled");
-        } else if (job.preempt_requested) {
-          job.preempt_requested = false;
-          job.record.state = ServerJobState::kPreempted;
-          ++job.record.preemptions;
-          ++preemptions_;
-          LogLine("tpcpd: job " + std::to_string(id) +
-                  " preempted at vi " +
-                  std::to_string(info.progress.virtual_iteration) +
-                  " (checkpoint persisted)");
-        } else {
-          // Shutdown path: the service cancelled it on our behalf; park
-          // it as preempted so a restarted daemon resumes it.
-          job.record.state = ServerJobState::kPreempted;
-          LogLine("tpcpd: job " + std::to_string(id) +
-                  " parked for restart (checkpoint persisted)");
-        }
-        break;
-      default:
-        break;
+    ServerJobRecord& record = job->record;
+    record.resumed = outcome.resumed;
+    record.fit = job->progress.fit;
+    if (outcome.status.ok()) {
+      record.state = ServerJobState::kSucceeded;
+      record.fit = outcome.result.surrogate_fit;
+      LogLine("tpcpd: job " + id + " succeeded (fit " +
+              std::to_string(outcome.result.surrogate_fit) + ", vi " +
+              std::to_string(outcome.result.virtual_iterations) +
+              (outcome.resumed ? ", resumed)" : ")"));
+    } else if (!outcome.status.IsCancelled()) {
+      record.state = ServerJobState::kFailed;
+      record.detail = outcome.status.ToString();
+      LogLine("tpcpd: job " + id + " failed: " + outcome.status.ToString());
+    } else if (job->cancel_requested) {
+      record.state = ServerJobState::kCancelled;
+      record.detail = "cancelled";
+      LogLine("tpcpd: job " + id + " cancelled");
+    } else if (job->preempt_requested) {
+      job->preempt_requested = false;
+      record.state = ServerJobState::kPreempted;
+      ++record.preemptions;
+      ++preemptions_;
+      LogLine("tpcpd: job " + id + " preempted at vi " +
+              std::to_string(job->progress.virtual_iteration) +
+              " (checkpoint persisted)");
+    } else {
+      // Shutdown path: the destructor cancelled it; park it as preempted
+      // so a restarted daemon resumes it.
+      record.state = ServerJobState::kPreempted;
+      LogLine("tpcpd: job " + id +
+              " parked for restart (checkpoint persisted)");
     }
-    PersistRecord(job.record);
-    // Poll, Await and List answer from job.record from here on, so drop
-    // the service's copy of the spec and result. Once shutdown_ is set
-    // the service is being destroyed, and its records go with it.
-    if (!shutdown_) service_->Forget(info.id);
+    PersistRecord(record);
   }
   done_cv_.notify_all();
   sched_cv_.notify_all();

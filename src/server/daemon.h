@@ -1,8 +1,10 @@
 // tpcpd — the multi-tenant decomposition daemon.
 //
-// Tpcpd layers scheduling policy over the mechanism JobService already
-// provides (async execution, cooperative cancel landing within one
-// virtual iteration, checkpointed bit-identical resume):
+// Tpcpd runs its own jobs: each started job is a task on a pool of
+// max_running_jobs threads that calls RunJob (api/job.h), the runner the
+// library's JobService uses too (cooperative cancel landing within one
+// virtual iteration, checkpointed bit-identical resume). One table holds
+// every job under the daemon's id. On top of that runner it adds:
 //
 //   * Tenancy + admission control (server/tenant.h): every job is charged
 //     a budget; a job only starts when the budget fits its tenant's quota
@@ -11,9 +13,9 @@
 //     pool the run sizes (unless, without a grid at admission, one unit
 //     of the job's store alone outgrows it).
 //   * Priority scheduling with preemption: a higher-priority job that
-//     cannot start preempts strictly-lower-priority running jobs via
-//     Cancel. The victim checkpoints (within one vi), re-queues as
-//     kPreempted with its admission seq intact, and later resumes
+//     cannot start preempts strictly-lower-priority running jobs by
+//     firing their tokens. The victim checkpoints (within one vi),
+//     re-queues as kPreempted with its admission seq intact, and resumes
 //     bit-identically from its Phase-2 checkpoint. Equal priorities
 //     share fairly across tenants by recent consumption: the tenant
 //     that has burned the least batch time lately starts first, so a
@@ -45,8 +47,10 @@
 #include <thread>
 #include <vector>
 
-#include "api/job_service.h"
+#include "api/job.h"
+#include "core/cancellation.h"
 #include "grid/grid_partition.h"
+#include "parallel/thread_pool.h"
 #include "server/job_record.h"
 #include "server/json.h"
 #include "server/tenant.h"
@@ -170,21 +174,23 @@ class Tpcpd {
   int64_t preemption_count() const;
   /// Jobs re-admitted from persisted state at startup.
   int64_t recovered_count() const;
-  /// Jobs the JobService still holds. A finished job is forgotten there
-  /// as its record turns terminal, so this counts running jobs only.
-  size_t service_job_count() const;
 
  private:
   struct ServerJob {
     ServerJobRecord record;
     JobBudget budget;
-    /// Non-zero while submitted to the JobService.
-    JobId service_id = 0;
+    /// True from StartJob until the run's task has done its terminal
+    /// bookkeeping.
+    bool running = false;
+    /// Fired by Cancel, preemption and shutdown; re-armed at each start.
+    CancellationToken token;
+    /// Live engine progress of the current run (guarded by mu_).
+    JobProgress progress;
     /// The scheduler cancelled this run to make room (vs. a user Cancel).
     bool preempt_requested = false;
     bool cancel_requested = false;
-    /// When the current service run started (valid while service_id != 0);
-    /// its elapsed time is charged to the tenant's fair-share weight.
+    /// When the current run started (valid while running); its elapsed
+    /// time is charged to the tenant's fair-share weight.
     std::chrono::steady_clock::time_point started_at;
   };
   struct Tenant {
@@ -207,10 +213,11 @@ class Tpcpd {
   /// One scheduling pass under mu_: dispatch what fits, request
   /// preemptions for what outranks the running set.
   void SchedulePass(std::unique_lock<std::mutex>& lock);
-  /// Starts `job` on the JobService; caller holds mu_.
+  /// Starts `job` as a task on pool_; caller holds mu_.
   void StartJob(ServerJob* job, Tenant* tenant);
-  /// JobService transition hook (no service lock held).
-  void OnServiceTransition(const JobInfo& info);
+  /// The pool task of a started job: runs `spec` (no lock held), then
+  /// books the outcome against `job`'s record.
+  void RunServerJob(ServerJob* job, JobSpec spec);
   void PersistRecord(const ServerJobRecord& record);
   void LogLine(const std::string& line) const;
   /// Builds the synthetic input for a generate-submit; called outside mu_.
@@ -236,7 +243,6 @@ class Tpcpd {
   std::condition_variable sched_cv_;  // scheduler: work may have appeared
   std::condition_variable done_cv_;   // Await: some job changed state
   std::map<int64_t, ServerJob> jobs_;
-  std::map<JobId, int64_t> service_to_job_;
   int64_t next_id_ = 1;
   int64_t next_seq_ = 1;
   bool shutdown_ = false;
@@ -248,7 +254,7 @@ class Tpcpd {
   int64_t preemptions_ = 0;
   int64_t recovered_ = 0;
 
-  std::unique_ptr<JobService> service_;
+  std::unique_ptr<ThreadPool> pool_;
   std::thread scheduler_;
 };
 

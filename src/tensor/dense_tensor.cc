@@ -28,14 +28,6 @@ void ForEachIndex(const std::vector<int64_t>& sizes, Fn&& fn) {
 
 }  // namespace
 
-int64_t DenseTensor::CountNonZeros() const {
-  int64_t count = 0;
-  for (double v : data_) {
-    if (v != 0.0) ++count;
-  }
-  return count;
-}
-
 double DenseTensor::SquaredNorm() const {
   double acc = 0.0;
   for (double v : data_) acc += v * v;

@@ -41,10 +41,6 @@ class DenseTensor {
     return data_[static_cast<size_t>(i)];
   }
 
-  /// Number of cells with |value| > 0 (the paper's "non-zeros" for dense
-  /// density accounting).
-  int64_t CountNonZeros() const;
-
   double FrobeniusNorm() const;
   double SquaredNorm() const;
 

@@ -45,15 +45,6 @@ void KruskalTensor::Normalize() {
   }
 }
 
-void KruskalTensor::AbsorbLambdaInto(int mode) {
-  Matrix& factor = factors_[static_cast<size_t>(mode)];
-  for (int64_t c = 0; c < rank(); ++c) {
-    const double scale = lambda_[static_cast<size_t>(c)];
-    for (int64_t r = 0; r < factor.rows(); ++r) factor(r, c) *= scale;
-  }
-  lambda_.assign(static_cast<size_t>(rank()), 1.0);
-}
-
 DenseTensor KruskalTensor::Full() const {
   const Shape shape = GetShape();
   DenseTensor out(shape);

@@ -41,9 +41,6 @@ class KruskalTensor {
   /// lambda (the standard CP normalization).
   void Normalize();
 
-  /// Folds lambda back into the factors of `mode` and resets lambda to 1s.
-  void AbsorbLambdaInto(int mode);
-
   /// Materializes the full dense tensor (use only for small shapes).
   DenseTensor Full() const;
 

@@ -70,6 +70,4 @@ double Rng::NextGaussian() {
   return r * std::cos(theta);
 }
 
-bool Rng::NextBernoulli(double p) { return NextDouble() < p; }
-
 }  // namespace tpcp

@@ -33,9 +33,6 @@ class Rng {
   /// Standard normal via Box–Muller (cached second value).
   double NextGaussian();
 
-  /// Bernoulli draw.
-  bool NextBernoulli(double p);
-
  private:
   uint64_t state_[4];
   double cached_gaussian_ = 0.0;

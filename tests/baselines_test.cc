@@ -71,7 +71,7 @@ TEST(NaiveOocpTest, TimeBudgetStopsRun) {
 TEST(Haten2SimTest, DecomposesSparseTensor) {
   auto env = NewMemEnv();
   const SparseTensor x =
-      MakeUniformSparseTensor(Shape({20, 20, 20}), 400, 5);
+      MakePowerLawSparseTensor(Shape({20, 20, 20}), 400, 1.0, 5);
   Haten2Options options;
   options.rank = 3;
   options.iterations = 10;
@@ -91,11 +91,11 @@ TEST(Haten2SimTest, ShuffleVolumeScalesWithNnzTimesRank) {
   options.iterations = 1;
 
   options.rank = 2;
-  const SparseTensor small = MakeUniformSparseTensor(shape, 100, 6);
+  const SparseTensor small = MakePowerLawSparseTensor(shape, 100, 1.0, 6);
   const uint64_t bytes_small =
       RunHaten2Sim(small, env.get(), options).shuffle_bytes;
 
-  const SparseTensor big = MakeUniformSparseTensor(shape, 400, 7);
+  const SparseTensor big = MakePowerLawSparseTensor(shape, 400, 1.0, 7);
   const uint64_t bytes_big =
       RunHaten2Sim(big, env.get(), options).shuffle_bytes;
 
@@ -126,7 +126,7 @@ TEST(Haten2SimTest, SameCapSucceedsOnSparseInput) {
   // sparse tensor of the same shape — HaTen2's design point.
   auto env = NewMemEnv();
   const SparseTensor sparse =
-      MakeUniformSparseTensor(Shape({12, 12, 12}), 40, 9);
+      MakePowerLawSparseTensor(Shape({12, 12, 12}), 40, 1.0, 9);
   Haten2Options options;
   options.rank = 4;
   options.iterations = 1;

@@ -122,8 +122,8 @@ TEST(QrTest, HandlesRankDeficientColumns) {
   EXPECT_TRUE(Matrix::AlmostEqual(MatMul(qr.q, qr.r), a, 1e-10));
 }
 
-TEST(QrTest, RandomOrthonormalIsOrthonormal) {
-  const Matrix q = RandomOrthonormal(12, 5, 99);
+TEST(QrTest, QOfARandomMatrixIsOrthonormal) {
+  const Matrix q = QrFactor(RandomMatrix(12, 5, 99)).q;
   Matrix eye(5, 5);
   eye.SetIdentity();
   EXPECT_TRUE(Matrix::AlmostEqual(Gram(q), eye, 1e-10));
@@ -174,9 +174,9 @@ TEST(SvdTest, KnownDiagonalCase) {
 
 TEST(SvdTest, LeadingVectorsSpanDominantSubspace) {
   // Rank-2 matrix: leading 2 left singular vectors must reconstruct it.
-  const Matrix u = RandomOrthonormal(10, 2, 13);
+  const Matrix u = QrFactor(RandomMatrix(10, 2, 13)).q;
   Matrix s{{5, 0}, {0, 2}};
-  const Matrix v = RandomOrthonormal(6, 2, 14);
+  const Matrix v = QrFactor(RandomMatrix(6, 2, 14)).q;
   const Matrix a = MatMulT(MatMul(u, s), v);
   const Matrix lead = LeadingLeftSingularVectors(a, 2);
   // Projection of A onto span(lead) equals A.

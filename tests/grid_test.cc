@@ -105,16 +105,20 @@ TEST(GridPartitionTest, CreateValidatesArguments) {
   EXPECT_TRUE(*good == GridPartition::Uniform(Shape({8, 8, 8}), 2));
 }
 
-TEST(BlockTensorStoreTest, ImportExportRoundTrip) {
+TEST(BlockTensorStoreTest, ImportedBlocksReadBack) {
   auto env = NewMemEnv();
   GridPartition g(Shape({6, 9, 4}), {2, 3, 2});
   BlockTensorStore store(env.get(), "tensor", g);
   const DenseTensor t = RandomTensor(g.tensor_shape(), 1);
   ASSERT_TRUE(store.ImportTensor(t).ok());
-  auto back = store.ExportTensor();
-  ASSERT_TRUE(back.ok());
-  for (int64_t i = 0; i < t.NumElements(); ++i) {
-    EXPECT_EQ(back->at_linear(i), t.at_linear(i));
+  for (const BlockIndex& block : g.AllBlocks()) {
+    const DenseTensor expected =
+        t.Slice(g.BlockOffsets(block), g.BlockSizes(block));
+    auto back = store.ReadBlock(block);
+    ASSERT_TRUE(back.ok());
+    for (int64_t i = 0; i < expected.NumElements(); ++i) {
+      EXPECT_EQ(back->at_linear(i), expected.at_linear(i));
+    }
   }
 }
 
@@ -127,14 +131,14 @@ TEST(BlockTensorStoreTest, BlockShapeValidation) {
             StatusCode::kInvalidArgument);
 }
 
-TEST(BlockTensorStoreTest, HasBlockAndNames) {
+TEST(BlockTensorStoreTest, WriteBlockCreatesItsNamedFile) {
   auto env = NewMemEnv();
   GridPartition g(Shape({4, 4}), {2, 2});
   BlockTensorStore store(env.get(), "t", g);
-  EXPECT_FALSE(store.HasBlock({1, 0}));
-  ASSERT_TRUE(store.WriteBlock({1, 0}, DenseTensor{Shape({2, 2})}).ok());
-  EXPECT_TRUE(store.HasBlock({1, 0}));
   EXPECT_EQ(store.BlockFileName({1, 0}), "t/block_1_0");
+  EXPECT_FALSE(env->FileExists("t/block_1_0"));
+  ASSERT_TRUE(store.WriteBlock({1, 0}, DenseTensor{Shape({2, 2})}).ok());
+  EXPECT_TRUE(env->FileExists("t/block_1_0"));
 }
 
 TEST(BlockTensorStoreTest, GenerateMatchesImport) {

@@ -73,18 +73,6 @@ TEST(KruskalTest, NormalizePreservesFullAndUnitColumns) {
   }
 }
 
-TEST(KruskalTest, AbsorbLambdaPreservesFull) {
-  KruskalTensor k = RandomKruskal(Shape({3, 2, 2}), 2, 4);
-  k.Normalize();
-  const DenseTensor before = k.Full();
-  k.AbsorbLambdaInto(0);
-  for (double l : k.lambda()) EXPECT_EQ(l, 1.0);
-  const DenseTensor after = k.Full();
-  for (int64_t i = 0; i < before.NumElements(); ++i) {
-    EXPECT_NEAR(after.at_linear(i), before.at_linear(i), 1e-10);
-  }
-}
-
 TEST(NormsTest, InnerProductMatchesExplicit) {
   const Shape shape({3, 4, 2});
   const KruskalTensor k = RandomKruskal(shape, 3, 5);

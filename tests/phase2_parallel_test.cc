@@ -25,16 +25,6 @@ namespace {
 
 // ---- Conflict analysis -----------------------------------------------------
 
-TEST(ConflictAnalysisTest, StepsConflictFreeIsSameModeDistinctPartition) {
-  UpdateStep a{{0, 0, 0}, 0};
-  UpdateStep b{{1, 0, 0}, 0};  // same mode, different partition
-  UpdateStep c{{0, 0, 0}, 1};  // different mode
-  UpdateStep d{{0, 1, 1}, 0};  // same mode, same partition as a
-  EXPECT_TRUE(StepsConflictFree(a, b));
-  EXPECT_FALSE(StepsConflictFree(a, c));
-  EXPECT_FALSE(StepsConflictFree(a, d));
-}
-
 TEST(ConflictAnalysisTest, ModeCentricYieldsOneBatchPerMode) {
   const GridPartition grid = GridPartition::Uniform(Shape({24, 24, 24}), 4);
   const UpdateSchedule schedule =
@@ -49,8 +39,8 @@ TEST(ConflictAnalysisTest, ModeCentricYieldsOneBatchPerMode) {
     // All steps of a batch share the mode and have distinct partitions.
     for (int64_t p = batch.begin; p < batch.end; ++p) {
       for (int64_t q = batch.begin; q < p; ++q) {
-        EXPECT_TRUE(StepsConflictFree(schedule.StepAt(p),
-                                      schedule.StepAt(q)));
+        EXPECT_EQ(schedule.StepAt(p).mode, schedule.StepAt(q).mode);
+        EXPECT_FALSE(schedule.StepAt(p).unit() == schedule.StepAt(q).unit());
       }
     }
     expected_begin = batch.end;

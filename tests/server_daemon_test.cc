@@ -62,6 +62,14 @@ struct LogCapture {
     }
     return false;
   }
+  /// True when some line starts with `prefix`.
+  bool HasPrefix(const std::string& prefix) {
+    std::lock_guard<std::mutex> lock(mu);
+    for (const std::string& line : lines) {
+      if (line.rfind(prefix, 0) == 0) return true;
+    }
+    return false;
+  }
   /// Index of the first line containing `needle`, or -1. The fair-share
   /// test asserts on relative start order through this.
   int IndexOf(const std::string& needle) {
@@ -480,6 +488,95 @@ TEST(TpcpdRestartTest, PersistedQueueSurvivesRestartAndResumes) {
   ExpectFactorsBitIdentical(ref_env.get(), alice_uri, interrupted);
 }
 
+// The daemon's event lines are an interface: perfbench's JobLog reads
+// "tpcpd: job N starts" and "tpcpd: job N succeeded", and CI greps the
+// preemption, parking, recovery and resume lines. Every prefix is pinned
+// here, across one preemption, one shutdown and one restart.
+TEST(TpcpdLogTest, EventLinesKeepTheirPrefixes) {
+  const ScratchDir scratch;
+  const std::string root = scratch.path() + "tpcpd_log";
+  TpcpdOptions options;
+  options.state_uri = "posix://" + root + "/state";
+  for (const char* name : {"alice", "bob"}) {
+    TenantConfig tenant;
+    tenant.name = name;
+    tenant.storage_uri = "posix://" + root + "/" + name;
+    options.tenants.push_back(tenant);
+  }
+  options.max_running_jobs = 1;
+  const TpcpdOptions options_copy = options;
+  const auto job = [](int64_t id) {
+    return "tpcpd: job " + std::to_string(id) + " ";
+  };
+
+  int64_t low = 0;
+  {
+    LogCapture log;
+    TpcpdOptions first_options = options_copy;
+    first_options.log = log.Sink();
+    auto daemon = Tpcpd::Start(std::move(first_options));
+    ASSERT_TRUE(daemon.ok()) << daemon.status().ToString();
+    auto submitted = (*daemon)->Submit(CubeSubmit("alice", 0, true));
+    ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+    low = *submitted;
+    ASSERT_TRUE(AwaitVirtualIteration(daemon->get(), low, 2));
+    auto high = (*daemon)->Submit(CubeSubmit("bob", 10, false));
+    ASSERT_TRUE(high.ok()) << high.status().ToString();
+    auto high_record = (*daemon)->Await(*high, 120.0);
+    ASSERT_TRUE(high_record.ok());
+    ASSERT_EQ(high_record->state, ServerJobState::kSucceeded);
+    ASSERT_TRUE(AwaitState(daemon->get(), low, ServerJobState::kRunning));
+    daemon->reset();
+
+    EXPECT_TRUE(log.HasPrefix(job(low) + "(tenant alice, prio 0) admitted"));
+    EXPECT_TRUE(log.HasPrefix(job(low) + "starts ("));
+    EXPECT_TRUE(log.HasPrefix(job(*high) + "(prio 10) preempts job " +
+                              std::to_string(low) + " (prio 0)"));
+    EXPECT_TRUE(log.HasPrefix(job(low) + "preempted at vi "));
+    EXPECT_TRUE(log.HasPrefix(job(*high) + "succeeded (fit "));
+    EXPECT_TRUE(log.HasPrefix(job(low) + "resumes ("));
+    EXPECT_TRUE(log.HasPrefix(job(low) +
+                              "parked for restart (checkpoint persisted)"));
+    EXPECT_TRUE(log.HasPrefix("tpcpd: stopped"));
+  }
+
+  LogCapture log;
+  TpcpdOptions second_options = options_copy;
+  second_options.log = log.Sink();
+  auto daemon = Tpcpd::Start(std::move(second_options));
+  ASSERT_TRUE(daemon.ok()) << daemon.status().ToString();
+  auto low_record = (*daemon)->Await(low, 120.0);
+  ASSERT_TRUE(low_record.ok());
+  ASSERT_EQ(low_record->state, ServerJobState::kSucceeded)
+      << low_record->detail;
+  EXPECT_TRUE(log.HasPrefix("tpcpd: recovered job " + std::to_string(low) +
+                            " (tenant alice, preempted)"));
+  EXPECT_TRUE(log.HasPrefix("tpcpd: recovered 1 job(s) from persisted queue"));
+  EXPECT_TRUE(log.HasPrefix(job(low) + "resumes ("));
+  EXPECT_TRUE(log.Contains(", resumed)"));
+
+  // One slot: a second job queues behind a running one that only a
+  // cancel ends.
+  SubmitRequest blocker = CubeSubmit("alice", 0, true);
+  blocker.options.max_virtual_iterations = 1000000;
+  auto running = (*daemon)->Submit(blocker);
+  ASSERT_TRUE(running.ok()) << running.status().ToString();
+  ASSERT_TRUE(AwaitState(daemon->get(), *running, ServerJobState::kRunning));
+  auto queued = (*daemon)->Submit(CubeSubmit("alice", 0, false));
+  ASSERT_TRUE(queued.ok()) << queued.status().ToString();
+  ASSERT_TRUE((*daemon)->Cancel(*queued).ok());
+  ASSERT_TRUE((*daemon)->Cancel(*running).ok());
+  ASSERT_TRUE((*daemon)->Await(*running, 120.0).ok());
+  EXPECT_TRUE(log.HasPrefix(job(*queued) + "cancelled (queued)"));
+  EXPECT_TRUE(log.HasPrefix(job(*running) + "cancelled"));
+  SubmitRequest no_input = CubeSubmit("alice", 0, false);
+  no_input.generate = false;
+  auto fails = (*daemon)->Submit(no_input);
+  ASSERT_TRUE(fails.ok()) << fails.status().ToString();
+  ASSERT_TRUE((*daemon)->Await(*fails, 120.0).ok());
+  EXPECT_TRUE(log.HasPrefix(job(*fails) + "failed: "));
+}
+
 // A record recovery cannot decode still owns its id: the next submit must
 // neither overwrite `jobs/<id>` nor reuse the old job's store directory.
 TEST(TpcpdRestartTest, UndecodableRecordKeepsItsId) {
@@ -576,9 +673,8 @@ TEST(TpcpdRestartTest, PersistedRecordIsThePolledJob) {
   EXPECT_TRUE(detail->is_string());
 }
 
-// A finished job lives on only in the daemon's record: the JobService
-// forgets its copy (spec and result) at the terminal transition, and poll,
-// await and list answer from the record, all with the same object.
+// A finished job lives on only in the daemon's record: poll, await and
+// list answer from it, all with the same object.
 TEST(TpcpdRecordTest, FinishedJobsAnswerFromTheRecordAlone) {
   TpcpdOptions options;
   TenantConfig tenant;
@@ -606,7 +702,6 @@ TEST(TpcpdRecordTest, FinishedJobsAnswerFromTheRecordAlone) {
     ASSERT_TRUE(done.Find("terminal")->bool_value()) << done.Serialize();
     awaited[id] = done.Find("job")->Serialize();
   }
-  EXPECT_EQ((*daemon)->service_job_count(), 0u);
   EXPECT_NE(awaited[*succeeds].find("\"state\":\"succeeded\""),
             std::string::npos)
       << awaited[*succeeds];
@@ -632,7 +727,6 @@ TEST(TpcpdRecordTest, FinishedJobsAnswerFromTheRecordAlone) {
   ASSERT_EQ(jobs.size(), 3u);
   EXPECT_EQ(jobs[0].Serialize(), awaited[*succeeds]);
   EXPECT_EQ(jobs[1].Serialize(), awaited[*fails]);
-  EXPECT_EQ((*daemon)->service_job_count(), 0u);
 }
 
 // ---- codecs ----------------------------------------------------------------

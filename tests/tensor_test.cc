@@ -19,7 +19,7 @@ DenseTensor RandomTensor(const Shape& shape, uint64_t seed) {
 TEST(DenseTensorTest, ZeroInitialized) {
   DenseTensor t{Shape({2, 3})};
   EXPECT_EQ(t.NumElements(), 6);
-  EXPECT_EQ(t.CountNonZeros(), 0);
+  EXPECT_EQ(SparseTensor::FromDense(t).nnz(), 0);
   EXPECT_EQ(t.FrobeniusNorm(), 0.0);
 }
 
@@ -28,7 +28,7 @@ TEST(DenseTensorTest, MultiIndexAccess) {
   t.at({1, 2, 3}) = 42.0;
   EXPECT_EQ(t.at({1, 2, 3}), 42.0);
   EXPECT_EQ(t.at_linear(t.shape().LinearIndex({1, 2, 3})), 42.0);
-  EXPECT_EQ(t.CountNonZeros(), 1);
+  EXPECT_EQ(SparseTensor::FromDense(t).nnz(), 1);
 }
 
 TEST(DenseTensorTest, Norms) {
@@ -91,7 +91,7 @@ TEST(SparseTensorTest, ToDenseRoundTrip) {
   const DenseTensor d = t.ToDense();
   EXPECT_EQ(d.at({0, 1}), 2.0);
   EXPECT_EQ(d.at({2, 2}), 7.0);
-  EXPECT_EQ(d.CountNonZeros(), 2);
+  EXPECT_EQ(SparseTensor::FromDense(d).nnz(), 2);
 
   const SparseTensor back = SparseTensor::FromDense(d);
   EXPECT_EQ(back.nnz(), 2);

@@ -138,13 +138,6 @@ TEST(RngTest, GaussianMomentsRoughlyStandard) {
   EXPECT_NEAR(sum_sq / n, 1.0, 0.05);
 }
 
-TEST(RngTest, BernoulliRate) {
-  Rng rng(13);
-  int hits = 0;
-  for (int i = 0; i < 10000; ++i) hits += rng.NextBernoulli(0.3) ? 1 : 0;
-  EXPECT_NEAR(hits / 10000.0, 0.3, 0.02);
-}
-
 TEST(FormatTest, HumanBytes) {
   EXPECT_EQ(HumanBytes(12), "12 B");
   EXPECT_EQ(HumanBytes(2048), "2.0 KiB");
